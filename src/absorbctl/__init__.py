@@ -4,15 +4,14 @@ state prediction across the delay window, and a held delay-free controller,
 plus samplers that check the certificates the design rests on.
 """
 
-from .controller import hold_control, hold_control_delay_free
+from .controller import hold_control
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
                      InsufficientDataError, InsufficientSampleError)
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, clamp_input)
-from .observer import (BlendingFn, blend_p, damping_term, isp_reset, isp_rhs,
-                       observer_correction, observer_rhs)
+from .observer import BlendingFn, blend_p, damping_term, observer_correction
 from .planar import build_planar_example
-from .predictor import euler_predict, predict_in_set
+from .predictor import euler_predict
 from .rk4 import flow_on_history, integrate_span, rk4_step
 from .simulator import (InitialData, TuneResult, composite_norm, fit_decay_rate,
                         generate_partition, initial_composite_norm, pilot_tune,
@@ -60,15 +59,10 @@ __all__ = [
     "flow_on_history",
     "generate_partition",
     "hold_control",
-    "hold_control_delay_free",
     "initial_composite_norm",
     "integrate_span",
-    "isp_reset",
-    "isp_rhs",
     "observer_correction",
-    "observer_rhs",
     "pilot_tune",
-    "predict_in_set",
     "predictor_convergence_study",
     "rk4_step",
     "run_summary",

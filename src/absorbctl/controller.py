@@ -7,7 +7,7 @@ import numpy as np
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
 from .predictor import euler_predict
 
-__all__ = ["hold_control", "hold_control_delay_free"]
+__all__ = ["hold_control"]
 
 
 def hold_control(z_at_hold, hist: InputHistory, N: int, plant: PlantModel,
@@ -17,13 +17,9 @@ def hold_control(z_at_hold, hist: InputHistory, N: int, plant: PlantModel,
     Predicts the state one delay window ahead of the observer state at the
     hold instant, evaluates the local controller there, and projects the
     result onto the input box.  ``hist`` is the open input record up to the
-    hold instant; the value being computed is not part of it yet.
+    hold instant; the value being computed is not part of it yet.  Without
+    delays the prediction is the observer state itself, so this is the
+    clamped local controller at ``z_at_hold``.
     """
     predicted = euler_predict(z_at_hold, hist, N, plant, t_pred=t_hold)
     return clamp_input(assm.local_controller(predicted), plant.input_box)
-
-
-def hold_control_delay_free(z_at_hold, plant: PlantModel, assm: AssumptionData) -> np.ndarray:
-    """Hold value without delays: the local controller at the observer state."""
-    z = np.asarray(z_at_hold, dtype=float).reshape(-1)
-    return clamp_input(assm.local_controller(z), plant.input_box)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
@@ -29,9 +30,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "clamp_input",
-    "input_value",
-    "input_integral",
-    "state_value",
 ]
 
 _ORIGIN_TOL = 1e-12
@@ -57,26 +55,45 @@ def clamp_input(u_raw, input_box) -> np.ndarray:
     return np.minimum(box[:, 1], np.maximum(box[:, 0], u))
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of a vector map, used only for validation."""
-    x = np.asarray(x, dtype=float)
+def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                 eps: float = 1e-6) -> np.ndarray:
+    """Central-difference Jacobian of a vector or scalar map (one row for a
+    scalar), used only for validation."""
     cols = []
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = eps
-        cols.append((np.asarray(fn(x + step), float).reshape(-1)
-                     - np.asarray(fn(x - step), float).reshape(-1)) / (2.0 * eps))
+        cols.append((np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float))
+                    / (2.0 * eps))
     return np.column_stack(cols)
 
 
-def _fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    g = np.empty(x.size)
-    for i in range(x.size):
-        step = np.zeros(x.size)
-        step[i] = eps
-        g[i] = (float(fn(x + step)) - float(fn(x - step))) / (2.0 * eps)
-    return g
+def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
+    if np.max(np.abs(exact - fd)) > _FD_TOL * (1.0 + np.max(np.abs(exact))):
+        raise ConfigurationError(f"{name} disagrees with finite differences")
+
+
+def _describe(value) -> str:
+    if isinstance(value, np.ndarray):
+        return f"{value.dtype} ndarray of shape {value.shape}"
+    return f"{type(value).__name__} of shape {np.shape(value)}"
+
+
+def _check_array(name: str, value, shape: tuple | None = None) -> np.ndarray:
+    """Return ``value`` if it is a float64 ndarray of ``shape`` (1-d of any
+    length when ``shape`` is None); raise ConfigurationError otherwise."""
+    if shape is None:
+        ok, expected = np.ndim(value) == 1, "a 1-d float64 ndarray"
+    else:
+        ok, expected = np.shape(value) == shape, f"a float64 ndarray of shape {shape}"
+    if not (ok and isinstance(value, np.ndarray) and value.dtype == np.float64):
+        raise ConfigurationError(f"{name} must return {expected}, got {_describe(value)}")
+    return value
+
+
+def _check_scalar(name: str, value) -> None:
+    if not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must return a real scalar, got {_describe(value)}")
 
 
 def _validation_probes(dim: int) -> list[np.ndarray]:
@@ -102,6 +119,11 @@ class PlantModel:
     input_box : admissible input set, an ``(m, 2)`` array of ``(lo, hi)``
         rows containing 0.
     r, tau : measurement and input delays, both nonnegative.
+
+    ``f``, ``h`` and ``jac_h`` take and return float64 ndarrays of the
+    shapes above.  Construction calls them at a few probe states and raises
+    ``ConfigurationError`` on any other return; afterwards their results
+    are used as returned, without conversion.
     """
 
     n: int
@@ -123,17 +145,16 @@ class PlantModel:
         object.__setattr__(self, "input_box", box)
         if self.r < 0.0 or self.tau < 0.0:
             raise ConfigurationError("delays must be nonnegative")
-        f0 = np.asarray(self.f(np.zeros(self.n), np.zeros(self.m)), float).reshape(-1)
-        if f0.size != self.n or np.max(np.abs(f0)) > _ORIGIN_TOL:
-            raise ConfigurationError("f(0, 0) must vanish (origin equilibrium)")
-        h0 = np.asarray(self.h(np.zeros(self.n)), float).reshape(-1)
-        if h0.size != self.k_out or np.max(np.abs(h0)) > _ORIGIN_TOL:
-            raise ConfigurationError("h(0) must vanish")
-        for pt in _validation_probes(self.n):
-            jac = np.asarray(self.jac_h(pt), float).reshape(self.k_out, self.n)
-            fd = _fd_jacobian(lambda x: self.h(x), pt)
-            if np.max(np.abs(jac - fd)) > _FD_TOL * (1.0 + np.max(np.abs(jac))):
-                raise ConfigurationError("jac_h disagrees with finite differences of h")
+        zero_u = np.zeros(self.m)
+        for i, pt in enumerate(_validation_probes(self.n)):  # probe 0 is the origin
+            fx = _check_array("f", self.f(pt, zero_u), (self.n,))
+            hx = _check_array("h", self.h(pt), (self.k_out,))
+            jac = _check_array("jac_h", self.jac_h(pt), (self.k_out, self.n))
+            if i == 0 and np.max(np.abs(fx)) > _ORIGIN_TOL:
+                raise ConfigurationError("f(0, 0) must vanish (origin equilibrium)")
+            if i == 0 and np.max(np.abs(hx)) > _ORIGIN_TOL:
+                raise ConfigurationError("h(0) must vanish")
+            _check_derivative("jac_h", jac, _fd_jacobian(self.h, pt))
 
     @property
     def delay_window(self) -> float:
@@ -151,6 +172,13 @@ class AssumptionData:
     plant state; ``blend_lo``/``blend_hi`` bracket the ramp of the blending
     function; ``contraction_frac`` is the fraction of the observer
     contraction rate retained once damping is active.
+
+    The callables take an ``(n,)`` float64 state.  ``lyapunov``,
+    ``local_lyapunov`` and ``dissipation`` return a real scalar,
+    ``grad_lyapunov`` and ``grad_local_lyapunov`` a float64 ndarray of
+    shape ``(n,)``, and ``local_controller`` a 1-d float64 ndarray.  As for
+    ``PlantModel``, construction checks this at probe states and later
+    calls trust it.
     """
 
     lyapunov: Callable[[np.ndarray], float]
@@ -192,16 +220,13 @@ class AssumptionData:
         if self.contraction_rate <= 0.0 or self.local_decay <= 0.0 or self.coercivity <= 0.0:
             raise ConfigurationError("rates must be positive")
         for pt in _validation_probes(n):
-            g = np.asarray(self.grad_lyapunov(pt), float).reshape(-1)
-            fd = _fd_gradient(self.lyapunov, pt)
-            if np.max(np.abs(g - fd)) > _FD_TOL * (1.0 + np.max(np.abs(g))):
-                raise ConfigurationError("grad_lyapunov disagrees with finite differences")
-            gp = np.asarray(self.grad_local_lyapunov(pt), float).reshape(-1)
-            fdp = _fd_gradient(self.local_lyapunov, pt)
-            if np.max(np.abs(gp - fdp)) > _FD_TOL * (1.0 + np.max(np.abs(gp))):
-                raise ConfigurationError(
-                    "grad_local_lyapunov disagrees with finite differences"
-                )
+            for name in ("lyapunov", "local_lyapunov", "dissipation"):
+                _check_scalar(name, getattr(self, name)(pt))
+            _check_array("local_controller", self.local_controller(pt))
+            for name, fn in (("grad_lyapunov", self.lyapunov),
+                             ("grad_local_lyapunov", self.local_lyapunov)):
+                grad = _check_array(name, getattr(self, name)(pt), (n,))
+                _check_derivative(name, grad, _fd_jacobian(fn, pt)[0])
 
 
 class InputHistory:
@@ -380,18 +405,6 @@ class StateHistory:
         """Drop samples no longer needed to interpolate at times >= ``t``."""
         while len(self.times) >= 2 and self.times[1] <= t:
             del self.times[0], self.states[0], self.norms[0]
-
-
-def input_value(hist: InputHistory, t: float) -> np.ndarray:
-    return hist.value(t)
-
-
-def input_integral(hist: InputHistory, t0: float, t1: float) -> np.ndarray:
-    return hist.integral(t0, t1)
-
-
-def state_value(hist: StateHistory, t: float) -> np.ndarray:
-    return hist.value(t)
 
 
 _GAP_SLACK = 1.0 + 1e-12  # float accumulation can push a gap one ulp past T_s

@@ -1,5 +1,4 @@
-"""Observer correction with blended damping, and the inter-sample output
-predictor driven between measurements.
+"""Observer correction with blended damping.
 
 The correction steers the observer with the output innovation; outside the
 absorbing sublevel set a damping term is subtracted along the Lyapunov
@@ -22,9 +21,6 @@ __all__ = [
     "blend_p",
     "damping_term",
     "observer_correction",
-    "observer_rhs",
-    "isp_rhs",
-    "isp_reset",
 ]
 
 _GRAD_FLOOR = 1e-12
@@ -54,68 +50,42 @@ def blend_p(level: float, fn: BlendingFn) -> float:
     return (level - fn.lo) / (fn.hi - fn.lo)
 
 
-def damping_term(z, y, u, plant: PlantModel, assm: AssumptionData, fn: BlendingFn) -> float:
+def damping_term(z, u, grad, level, innovation, plant: PlantModel, assm: AssumptionData,
+                 fn: BlendingFn) -> float:
     """Nonnegative damping coefficient for the observer correction.
 
     Measures how much the innovation-driven observer would violate the
-    dissipation certificate at ``z`` given the measured output ``y`` and the
-    input ``u`` currently entering the observer copy of the plant; clipped
-    at zero when no violation is possible.
+    dissipation certificate at the observer state ``z`` under the input
+    ``u`` entering the observer copy of the plant; clipped at zero when no
+    violation is possible.  ``grad``, ``level`` and ``innovation`` are
+    grad V(z), V(z) and the output injection L (h(z) - y) for the measured
+    output y, as ``observer_correction`` has already computed them.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    y = np.atleast_1d(np.asarray(y, dtype=float)).reshape(-1)
-    u = np.atleast_1d(np.asarray(u, dtype=float)).reshape(-1)
-    grad = np.asarray(assm.grad_lyapunov(z), float).reshape(-1)
-    drift = float(grad @ np.asarray(plant.f(z, u), float).reshape(-1))
-    ramp = blend_p(float(assm.lyapunov(z)), fn)
-    innovation = float(grad @ (assm.observer_gain @ (np.asarray(plant.h(z), float).reshape(-1) - y)))
-    inner = drift + float(assm.dissipation(z)) + ramp * innovation
+    inner = (grad @ plant.f(z, u) + assm.dissipation(z)
+             + blend_p(level, fn) * (grad @ innovation))
     return max(0.0, inner)
 
 
 def observer_correction(z, y, u, plant: PlantModel, assm: AssumptionData,
                         fn: BlendingFn) -> np.ndarray:
-    """Correction added to the observer drift.
+    """Correction added to the observer drift, for float arrays ``z``
+    (observer state), ``y`` (measured output) and ``u`` (observer input).
 
     Inside the absorbing sublevel set this is the plain output-injection
     term; outside, the damping coefficient divided by the squared gradient
     norm is subtracted along the Lyapunov gradient.  Raises
     ``DegenerateGradientError`` if that direction is undefined.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    y = np.atleast_1d(np.asarray(y, dtype=float)).reshape(-1)
-    innovation = assm.observer_gain @ (np.asarray(plant.h(z), float).reshape(-1) - y)
-    if float(assm.lyapunov(z)) <= assm.absorbing_level:
+    innovation = assm.observer_gain @ (plant.h(z) - y)
+    level = assm.lyapunov(z)
+    if level <= assm.absorbing_level:
         return innovation
-    grad = np.asarray(assm.grad_lyapunov(z), float).reshape(-1)
-    grad_sq = float(grad @ grad)
+    grad = assm.grad_lyapunov(z)
+    grad_sq = grad @ grad
     if np.sqrt(grad_sq) < _GRAD_FLOOR:
         raise DegenerateGradientError(
             "Lyapunov gradient vanishes outside the absorbing set; "
             "damping direction undefined"
         )
-    phi = damping_term(z, y, u, plant, assm, fn)
+    phi = damping_term(z, u, grad, level, innovation, plant, assm, fn)
     return innovation - (phi / grad_sq) * grad
-
-
-def observer_rhs(z, w, u_delayed, plant: PlantModel, assm: AssumptionData,
-                 fn: BlendingFn) -> np.ndarray:
-    """Observer drift: plant copy driven by the delayed input plus correction."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    u_delayed = np.atleast_1d(np.asarray(u_delayed, dtype=float)).reshape(-1)
-    drift = np.asarray(plant.f(z, u_delayed), float).reshape(-1)
-    return drift + observer_correction(z, w, u_delayed, plant, assm, fn)
-
-
-def isp_rhs(z, u_delayed, plant: PlantModel) -> np.ndarray:
-    """Inter-sample output predictor drift: the output map differentiated
-    along the observer vector field."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    u_delayed = np.atleast_1d(np.asarray(u_delayed, dtype=float)).reshape(-1)
-    jac = np.asarray(plant.jac_h(z), float).reshape(plant.k_out, plant.n)
-    return jac @ np.asarray(plant.f(z, u_delayed), float).reshape(-1)
-
-
-def isp_reset(y_sample) -> np.ndarray:
-    """Reset value for the inter-sample predictor: the sampled output itself."""
-    return np.asarray(y_sample, dtype=float).reshape(-1).copy()

@@ -13,15 +13,11 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import AssumptionData, InputHistory, PlantModel
-from .observer import BlendingFn, blend_p
+from .model import AssumptionData, PlantModel
+from .observer import BlendingFn
 from .verification import check_zeta_bound
 
-__all__ = [
-    "build_planar_example",
-    "planar_damping_closed_form",
-    "planar_predictor_step",
-]
+__all__ = ["build_planar_example"]
 
 
 def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
@@ -112,38 +108,3 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
         coercivity=coercivity,
     )
     return plant, assm, BlendingFn(blend_lo, float(b_level))
-
-
-def planar_damping_closed_form(z, y, u, zeta: float, fn: BlendingFn) -> float:
-    """Damping coefficient for the planar example, expanded by hand."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    z1, z2 = float(z[0]), float(z[1])
-    y = float(np.atleast_1d(y)[0])
-    u = float(np.atleast_1d(u)[0])
-    ramp = blend_p(0.5 * (z1 ** 2 + z2 ** 2), fn)
-    inner = ((zeta + 0.125 - 10.0 * z1 ** 2) * z1 ** 2
-             + (z1 + u) * z2
-             - 3.125 * z2 ** 2
-             - ramp * (2.0 * zeta * z1 + z2) * (z1 - y))
-    return max(0.0, inner)
-
-
-def planar_predictor_step(q, hist: InputHistory, i: int, n_steps: int,
-                          zeta: float) -> np.ndarray:
-    """One explicit Euler step of the planar predictor recursion.
-
-    Integrates step ``i`` of the uniform grid spanning the whole record;
-    composing steps 0..n_steps-1 reproduces the generic predictor on this
-    plant bit for bit whenever the record covers exactly one delay window
-    ending at the prediction time.
-    """
-    q = np.asarray(q, dtype=float).reshape(-1)
-    h_step = (hist.t_now - hist.t_min) / n_steps
-    a = hist.t_min + i * h_step
-    b = hist.t_now if i == n_steps - 1 else hist.t_min + (i + 1) * h_step
-    increment = np.zeros(2)
-    for value, length in hist.iter_segments(a, b):
-        f1 = zeta * q[0] - 10.0 * q[0] ** 3 + q[1]
-        f2 = -3.25 * q[1] + value[0]
-        increment = increment + np.array([f1, f2]) * length
-    return q + increment

@@ -11,30 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigurationError, CoverageError
-from .model import AssumptionData, InputHistory, PlantModel
+from .model import InputHistory, PlantModel
 
-__all__ = ["euler_predict", "predict_in_set"]
-
-
-def _step_edges(t_lo: float, t_hi: float, n_steps: int, i: int) -> tuple[float, float]:
-    h_step = (t_hi - t_lo) / n_steps
-    a = t_lo + i * h_step
-    b = t_hi if i == n_steps - 1 else t_lo + (i + 1) * h_step
-    return a, b
-
-
-def _iterates(x0, hist: InputHistory, n_steps: int, plant: PlantModel, t_pred: float):
-    """Yield the Euler iterates x_0, x_1, ..., x_N."""
-    x = np.asarray(x0, dtype=float).reshape(-1)
-    yield x
-    t_lo = t_pred - plant.delay_window
-    for i in range(n_steps):
-        a, b = _step_edges(t_lo, t_pred, n_steps, i)
-        increment = np.zeros_like(x)
-        for value, length in hist.iter_segments(a, b):
-            increment = increment + np.asarray(plant.f(x, value), float).reshape(-1) * length
-        x = x + increment
-        yield x
+__all__ = ["euler_predict"]
 
 
 def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel,
@@ -47,31 +26,19 @@ def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel,
     """
     if N < 1:
         raise ConfigurationError("predictor step count N must be at least 1")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    x = np.asarray(x0, dtype=float)
     if plant.delay_window == 0.0:
-        return x0
+        return x
     if t_pred is None:
         t_pred = hist.t_now
-    if t_pred > hist.t_now or t_pred - plant.delay_window < hist.t_min:
+    t_lo = t_pred - plant.delay_window
+    if t_pred > hist.t_now or t_lo < hist.t_min:
         raise CoverageError("input record does not cover the prediction window")
-    for x in _iterates(x0, hist, N, plant, t_pred):
-        pass
+    h_step = (t_pred - t_lo) / N
+    for i in range(N):
+        b = t_pred if i == N - 1 else t_lo + (i + 1) * h_step
+        increment = np.zeros_like(x)
+        for value, length in hist.iter_segments(t_lo + i * h_step, b):
+            increment = increment + plant.f(x, value) * length
+        x = x + increment
     return x
-
-
-def predict_in_set(x0, hist: InputHistory, N: int, plant: PlantModel,
-                   assm: AssumptionData, t_pred: float | None = None) -> bool:
-    """True iff every Euler iterate stays in the observer sublevel set."""
-    if N < 1:
-        raise ConfigurationError("predictor step count N must be at least 1")
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if plant.delay_window == 0.0:
-        return float(assm.lyapunov(x0)) <= assm.blend_hi
-    if t_pred is None:
-        t_pred = hist.t_now
-    if t_pred > hist.t_now or t_pred - plant.delay_window < hist.t_min:
-        raise CoverageError("input record does not cover the prediction window")
-    for x in _iterates(x0, hist, N, plant, t_pred):
-        if float(assm.lyapunov(x)) > assm.blend_hi:
-            return False
-    return True

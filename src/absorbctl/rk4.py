@@ -58,7 +58,7 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     boundaries, so each span sees a constant input and no discontinuity is
     stepped across.
     """
-    x = np.asarray(x0, dtype=float).reshape(-1)
+    x = np.asarray(x0, dtype=float)
     edges = [t_start]
     for s in hist.starts:
         if t_start < s < t_end:
@@ -67,10 +67,6 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     for lo, hi in zip(edges[:-1], edges[1:]):
         if hi <= lo:
             continue
-        u_span = hist.value(lo)
-
-        def rhs(_t, y, u=u_span):
-            return np.asarray(plant.f(y, u), float).reshape(-1)
-
-        x = integrate_span(rhs, lo, hi, x, substep)
+        x = integrate_span(lambda _t, y, u=hist.value(lo): plant.f(y, u),
+                           lo, hi, x, substep)
     return x

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .controller import hold_control, hold_control_delay_free
+from .controller import hold_control
 from .errors import ConfigurationError, CoverageError, InsufficientDataError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory)
@@ -30,15 +30,18 @@ __all__ = [
     "TuneResult",
     "generate_partition",
     "simulate_closed_loop",
+    "coupled_rhs",
     "composite_norm",
     "initial_composite_norm",
     "fit_decay_rate",
     "run_summary",
+    "decay_bar",
     "pilot_tune",
 ]
 
 _EVENT_ATOL = 1e-12
 _NORM_FLOOR = 1e-300
+DECAY_RATIO = 1e-3  # terminal-to-initial composite norm ratio a run must reach
 
 # within-group action order: reset, hold, record; break nodes only align spans
 _SAMPLE, _HOLD, _RECORD, _BREAK = 0, 1, 2, 3
@@ -99,10 +102,9 @@ class InitialData:
             if self.u0_segments:
                 raise ConfigurationError("u0_segments must be empty when r = tau = 0")
             return InputHistory(0.0)
-        if not self.u0_segments:
-            m = np.asarray(input_box, dtype=float).shape[0]
-            return InputHistory(-window, [(-window, np.zeros(m))], t_now=0.0)
         box = np.asarray(input_box, dtype=float)
+        if not self.u0_segments:
+            return InputHistory(-window, [(-window, np.zeros(box.shape[0]))], t_now=0.0)
         segments = []
         for i, (t, v) in enumerate(self.u0_segments):
             if i == 0:
@@ -124,9 +126,18 @@ class InitialData:
         return self.w0.copy()
 
     def initial_x0_at_zero(self) -> np.ndarray:
-        if isinstance(self.x0, tuple):
-            return np.asarray(self.x0[1][-1], dtype=float).reshape(-1).copy()
-        return self.x0.copy()
+        return (self.x0[1][-1] if isinstance(self.x0, tuple) else self.x0).copy()
+
+    def check(self, plant: PlantModel) -> None:
+        """Raise ConfigurationError unless every value is finite and the
+        plant and observer states have the plant's dimension."""
+        states = self.x0[1] if isinstance(self.x0, tuple) else self.x0
+        if states.shape[-1] != plant.n or self.z0.size != plant.n:
+            raise ConfigurationError(f"x0 and z0 need {plant.n} components, got "
+                                     f"{states.shape[-1]} and {self.z0.size}")
+        values = [states, self.z0, self.w0, *(v for _t, v in self.u0_segments)]
+        if not all(v is None or np.isfinite(v).all() for v in values):
+            raise ConfigurationError("initial data must be finite")
 
 
 def generate_partition(T_s: float, horizon: float, seed: int,
@@ -202,6 +213,28 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     return groups
 
 
+def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
+                u_plant: np.ndarray, u_obs: np.ndarray):
+    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``
+    on a span with constant plant input ``u_plant`` and observer input
+    ``u_obs``: the plant, the observer (plant copy plus correction driven
+    by ``w``), and the inter-sample output state ``w``, whose drift
+    ``jac_h(z) f(z, u_obs)`` shares the observer's ``f(z, u_obs)``."""
+    n = plant.n
+    x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+
+    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
+        z, w = y[z_sl], y[w_sl]
+        fz = plant.f(z, u_obs)
+        out = np.empty_like(y)
+        out[x_sl] = plant.f(y[x_sl], u_plant)
+        out[z_sl] = fz + observer_correction(z, w, u_obs, plant, assm, fn)
+        out[w_sl] = plant.jac_h(z) @ fz
+        return out
+
+    return rhs
+
+
 def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                          partition: SamplingPartition, config: SimConfig,
                          init: InitialData) -> Trajectory:
@@ -210,6 +243,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     Rows are written at every measurement, hold, and recording instant
     (once per instant when they coincide, after all actions at it).
     """
+    init.check(plant)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")
     n, k_out = plant.n, plant.k_out
@@ -217,23 +251,9 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     uhist = init.input_history(plant.r, plant.tau, plant.input_box)
     groups = _event_groups(partition, config, plant, uhist.starts)
 
-    if init.z0.size != n:
-        raise ConfigurationError("z0 has the wrong dimension")
     Y = np.concatenate([init.initial_x0_at_zero(), init.z0.copy(),
                         init.initial_w(k_out)])
     x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + k_out)
-
-    def make_rhs(u_plant: np.ndarray, u_obs: np.ndarray):
-        def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-            x, z, w = y[x_sl], y[z_sl], y[w_sl]
-            fz = np.asarray(plant.f(z, u_obs), float).reshape(-1)
-            out = np.empty_like(y)
-            out[x_sl] = np.asarray(plant.f(x, u_plant), float).reshape(-1)
-            out[z_sl] = fz + observer_correction(z, w, u_obs, plant, assm, fn)
-            out[w_sl] = np.asarray(plant.jac_h(z), float).reshape(k_out, n) @ fz
-            return out
-
-        return rhs
 
     rows_t: list[float] = []
     rows_x: list[np.ndarray] = []
@@ -253,21 +273,17 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
             t_mid = t_cur + 0.5 * (t_g - t_cur)
             u_plant = uhist.value(t_mid - plant.tau)
             u_obs = uhist.value(t_mid - plant.delay_window)
-            Y = integrate_span(make_rhs(u_plant, u_obs), t_cur, t_g, Y,
+            Y = integrate_span(coupled_rhs(plant, assm, fn, u_plant, u_obs), t_cur, t_g, Y,
                                config.dt_max,
                                on_node=lambda t, y: xhist.append(t, y[x_sl]))
             t_cur = t_g
         if _SAMPLE in kinds:
-            y_sample = np.asarray(plant.h(xhist.value(t_g - plant.r)), float).reshape(-1)
+            y_sample = plant.h(xhist.value(t_g - plant.r))
             Y[w_sl] = y_sample
             reset_records.append((t_g, y_sample.copy(), Y[w_sl].copy()))
         if _HOLD in kinds:
-            z_now = Y[z_sl].copy()
-            if plant.delay_window == 0.0:
-                u_new = hold_control_delay_free(z_now, plant, assm)
-            else:
-                u_new = hold_control(z_now, uhist, config.N, plant, assm, t_hold=t_g)
-            uhist.append(t_g, u_new)
+            uhist.append(t_g, hold_control(Y[z_sl].copy(), uhist, config.N, plant, assm,
+                                           t_hold=t_g))
         if kinds & {_SAMPLE, _HOLD, _RECORD}:
             rows_t.append(t_g)
             rows_x.append(Y[x_sl].copy())
@@ -281,8 +297,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
         if _RECORD in kinds:
             xhist.prune_before(t_g - lookback)
 
-    lyap_x = np.array([float(assm.lyapunov(x)) for x in rows_x])
-    lyap_z = np.array([float(assm.lyapunov(z)) for z in rows_z])
+    lyap_x = np.array([assm.lyapunov(x) for x in rows_x])
+    lyap_z = np.array([assm.lyapunov(z) for z in rows_z])
     return Trajectory(
         t=np.asarray(rows_t), x=np.vstack(rows_x), z=np.vstack(rows_z),
         w=np.vstack(rows_w), u_applied=np.vstack(rows_u),
@@ -385,6 +401,14 @@ def run_summary(traj: Trajectory, plant: PlantModel, init: InitialData,
     }
 
 
+def decay_bar(summary: dict, decay_ratio: float) -> tuple[float, bool]:
+    """Terminal-to-initial composite norm ratio of a ``run_summary``, and
+    whether the run meets the decay bar: a positive fitted rate and that
+    ratio below ``decay_ratio``."""
+    ratio = summary["terminal_norm"] / summary["initial_norm"]
+    return ratio, summary["sigma_hat"] > 0.0 and ratio < decay_ratio
+
+
 @dataclass
 class TuneResult:
     """Outcome of a grid search for workable loop parameters: the first
@@ -398,7 +422,7 @@ class TuneResult:
 def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                init: InitialData, search_grid: Sequence[tuple[float, float, int]],
                base_config: SimConfig, min_frac: float = 0.5, seed: int = 0,
-               decay_ratio: float = 1e-3,
+               decay_ratio: float = DECAY_RATIO,
                fit_window: tuple[float, float] | None = None) -> TuneResult:
     """Try ``(T_s, T_H, N)`` triples on a fixed-seed run until one meets the
     decay bar (positive fitted rate, terminal norm below ``decay_ratio``
@@ -418,8 +442,7 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
         partition = generate_partition(T_s, config.horizon, seed, min_frac)
         traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
         summary = run_summary(traj, plant, init, config, fit_window=fit_window)
-        ratio = summary["terminal_norm"] / summary["initial_norm"]
-        ok = summary["sigma_hat"] > 0.0 and ratio < decay_ratio
+        ratio, ok = decay_bar(summary, decay_ratio)
         attempts.append({"T_s": T_s, "T_H": T_H, "N": N,
                          "sigma_hat": summary["sigma_hat"],
                          "terminal_ratio": ratio, "passed": ok})

@@ -143,7 +143,7 @@ def _output_box(plant: PlantModel, state_box: np.ndarray, pad: float = 1.0,
     axes = [np.linspace(lo, hi, grid) for lo, hi in state_box]
     amp = np.zeros(plant.k_out)
     for pt in itertools.product(*axes):
-        amp = np.maximum(amp, np.abs(np.asarray(plant.h(np.array(pt)), float).reshape(-1)))
+        amp = np.maximum(amp, np.abs(plant.h(np.array(pt))))
     half = 2.0 * amp + pad
     return np.column_stack([-half, half])
 
@@ -152,90 +152,67 @@ def _output_box(plant: PlantModel, state_box: np.ndarray, pad: float = 1.0,
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
     """Drift of the Lyapunov function plus the required dissipation."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    grad = np.asarray(assm.grad_lyapunov(x), float).reshape(-1)
-    return float(grad @ np.asarray(plant.f(x, u), float).reshape(-1)) + float(assm.dissipation(x))
+    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
+    return float(assm.grad_lyapunov(x) @ plant.f(x, u) + assm.dissipation(x))
 
 
 def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float:
     """Worse of the local decay margin (under the clamped local controller)
     and the coercivity margin of the local Lyapunov function."""
-    x = np.asarray(x, dtype=float).reshape(-1)
+    x = np.asarray(x, dtype=float)
     u = clamp_input(assm.local_controller(x), plant.input_box)
-    xsq = float(x @ x)
-    decay = (float(np.asarray(assm.grad_local_lyapunov(x), float).reshape(-1)
-                   @ np.asarray(plant.f(x, u), float).reshape(-1))
-             + 2.0 * assm.local_decay * xsq)
-    coercive = assm.coercivity * xsq - float(assm.local_lyapunov(x))
-    return max(decay, coercive)
+    xsq = x @ x
+    decay = assm.grad_local_lyapunov(x) @ plant.f(x, u) + 2.0 * assm.local_decay * xsq
+    coercive = assm.coercivity * xsq - assm.local_lyapunov(x)
+    return float(max(decay, coercive))
 
 
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction of the plain output-injection error dynamics."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     d = z - x
-    hz = np.asarray(plant.h(z), float).reshape(-1)
-    hx = np.asarray(plant.h(x), float).reshape(-1)
-    drift_gap = (np.asarray(plant.f(z, u), float).reshape(-1)
-                 + assm.observer_gain @ (hz - hx)
-                 - np.asarray(plant.f(x, u), float).reshape(-1))
-    return float(d @ (assm.error_metric @ drift_gap)) + assm.contraction_rate * float(d @ d)
+    drift_gap = (plant.f(z, u) + assm.observer_gain @ (plant.h(z) - plant.h(x))
+                 - plant.f(x, u))
+    return float(d @ (assm.error_metric @ drift_gap) + assm.contraction_rate * (d @ d))
 
 
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
-    grad = np.asarray(assm.grad_lyapunov(z), float).reshape(-1)
-    innov = assm.observer_gain @ (np.asarray(plant.h(z), float).reshape(-1)
-                                  - np.asarray(plant.h(x), float).reshape(-1))
-    fz = np.asarray(plant.f(z, u), float).reshape(-1)
-    fx = np.asarray(plant.f(x, u), float).reshape(-1)
-    lhs = float(grad @ (fz + innov))
+    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
+    grad = assm.grad_lyapunov(z)
+    drift = plant.f(z, u) + assm.observer_gain @ (plant.h(z) - plant.h(x))
     d = z - x
-    numer = float(d @ (assm.error_metric @ (fz + innov - fx)))
-    denom = float(grad @ (assm.error_metric @ d))
-    ratio_term = (1.0 - assm.contraction_frac) * float(grad @ grad) * numer / denom
-    return lhs + float(assm.dissipation(z)) - ratio_term
+    numer = d @ (assm.error_metric @ (drift - plant.f(x, u)))
+    denom = grad @ (assm.error_metric @ d)
+    ratio_term = (1.0 - assm.contraction_frac) * (grad @ grad) * numer / denom
+    return float(grad @ drift + assm.dissipation(z) - ratio_term)
 
 
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                                  z, x, u, c_value: float | None = None) -> float:
     """Metric contraction of the corrected observer against the true state,
     with the sampled output taken from the true state."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     if c_value is None:
         c_value = assm.contraction_frac
-    y = np.asarray(plant.h(x), float).reshape(-1)
-    corr = observer_correction(z, y, u, plant, assm, fn)
+    corr = observer_correction(z, plant.h(x), u, plant, assm, fn)
     d = z - x
-    drift_gap = (np.asarray(plant.f(z, u), float).reshape(-1) + corr
-                 - np.asarray(plant.f(x, u), float).reshape(-1))
-    return (float(d @ (assm.error_metric @ drift_gap))
-            + c_value * assm.contraction_rate * float(d @ d))
+    drift_gap = plant.f(z, u) + corr - plant.f(x, u)
+    return float(d @ (assm.error_metric @ drift_gap)
+                 + c_value * assm.contraction_rate * (d @ d))
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                                  z, w, u, zero_damping: bool = False) -> float:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output; ``zero_damping`` ablates the damping term."""
-    z = np.asarray(z, dtype=float).reshape(-1)
-    w = np.asarray(w, dtype=float).reshape(-1)
-    u = np.asarray(u, dtype=float).reshape(-1)
+    z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
     if zero_damping:
-        corr = assm.observer_gain @ (np.asarray(plant.h(z), float).reshape(-1) - w)
+        corr = assm.observer_gain @ (plant.h(z) - w)
     else:
         corr = observer_correction(z, w, u, plant, assm, fn)
-    grad = np.asarray(assm.grad_lyapunov(z), float).reshape(-1)
-    return (float(grad @ (np.asarray(plant.f(z, u), float).reshape(-1) + corr))
-            + float(assm.dissipation(z)))
+    return float(assm.grad_lyapunov(z) @ (plant.f(z, u) + corr) + assm.dissipation(z))
 
 
 # --- sampled check driver ---
@@ -291,7 +268,7 @@ def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
     return _run_sampled_check(
         "absorbing_dissipation",
         [x_box, plant.input_box],
-        lambda x, u: float(assm.lyapunov(x)) >= assm.absorbing_level,
+        lambda x, u: assm.lyapunov(x) >= assm.absorbing_level,
         lambda x, u: absorbing_dissipation_margin(plant, assm, x, u),
         sample, tol)
 
@@ -304,7 +281,7 @@ def check_local_controller(plant: PlantModel, assm: AssumptionData,
     return _run_sampled_check(
         "local_controller",
         [x_box],
-        lambda x: float(assm.lyapunov(x)) <= assm.absorbing_level,
+        lambda x: assm.lyapunov(x) <= assm.absorbing_level,
         lambda x: local_controller_margin(plant, assm, x),
         sample, tol)
 
@@ -318,8 +295,8 @@ def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
     return _run_sampled_check(
         "observer_contraction",
         [z_box, x_box, plant.input_box],
-        lambda z, x, u: (float(assm.lyapunov(z)) <= assm.blend_hi
-                         and float(assm.lyapunov(x)) <= assm.absorbing_level),
+        lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
+                         and assm.lyapunov(x) <= assm.absorbing_level),
         lambda z, x, u: observer_contraction_margin(plant, assm, z, x, u),
         sample, tol)
 
@@ -337,13 +314,11 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
 
     def accept(z, x, u):
-        level = float(assm.lyapunov(z))
-        if not (assm.blend_lo < level <= assm.blend_hi):
+        if not (assm.blend_lo < assm.lyapunov(z) <= assm.blend_hi):
             return False
-        if float(assm.lyapunov(x)) > assm.absorbing_level:
+        if assm.lyapunov(x) > assm.absorbing_level:
             return False
-        grad = np.asarray(assm.grad_lyapunov(z), float).reshape(-1)
-        return float(grad @ (assm.error_metric @ (z - x))) < 0.0
+        return assm.grad_lyapunov(z) @ (assm.error_metric @ (z - x)) < 0.0
 
     return _run_sampled_check(
         "observer_growth_bound",
@@ -362,8 +337,8 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: Ble
     return _run_sampled_check(
         "corrected_contraction",
         [z_box, x_box, plant.input_box],
-        lambda z, x, u: (float(assm.lyapunov(z)) <= assm.blend_hi
-                         and float(assm.lyapunov(x)) <= assm.absorbing_level),
+        lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
+                         and assm.lyapunov(x) <= assm.absorbing_level),
         lambda z, x, u: corrected_contraction_margin(plant, assm, fn, z, x, u),
         sample, tol)
 
@@ -380,7 +355,7 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: Ble
     return _run_sampled_check(
         name,
         [z_box, w_box, plant.input_box],
-        lambda z, w, u: assm.blend_hi <= float(assm.lyapunov(z)) <= sample.upper_level,
+        lambda z, w, u: assm.blend_hi <= assm.lyapunov(z) <= sample.upper_level,
         lambda z, w, u: corrected_dissipation_margin(plant, assm, fn, z, w, u,
                                                      zero_damping=zero_damping),
         sample, tol)

@@ -75,6 +75,11 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config_file,
                        "--set", "N=-1", "--out", tmp_path) == 2
 
+    def test_non_finite_initial_state(self, config_file, tmp_path):
+        assert run_cli("simulate", "--config", config_file,
+                       "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
+        assert not (tmp_path / "trajectory.csv").exists()
+
 
 class TestSimulate:
     def test_outputs_and_determinism(self, config_file, tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        SamplingPartition, SimConfig, StateHistory, Trajectory,
-                       clamp_input)
+                       build_planar_example, clamp_input)
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
 
@@ -84,6 +86,41 @@ class TestPlantModel:
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
             _planar_plant(r=-0.1)
+
+
+class TestCallableContract:
+    """Every user callable is checked once, at construction, for its shape."""
+
+    def test_plant_rejects_wrong_shapes(self):
+        with pytest.raises(ConfigurationError,
+                           match=r"f must return a float64 ndarray of shape \(1,\), "
+                                 r"got list of shape \(1, 1\)"):
+            PlantModel(n=1, m=1, k_out=1, f=lambda x, u: [[-x[0]]],
+                       h=lambda x: x[0], jac_h=lambda x: 1.0,
+                       input_box=np.array([[-1.0, 1.0]]))
+        plant = _planar_plant()
+        with pytest.raises(ConfigurationError, match=r"^h must return .* shape \(1,\)"):
+            dataclasses.replace(plant, h=lambda x: x[0])
+        with pytest.raises(ConfigurationError, match=r"jac_h must return .* shape \(1, 2\)"):
+            dataclasses.replace(plant, jac_h=lambda x: np.array([1.0, 0.0]))
+
+    def test_plant_rejects_non_float_arrays(self):
+        with pytest.raises(ConfigurationError, match="got int64 ndarray of shape"):
+            dataclasses.replace(_planar_plant(),
+                                jac_h=lambda x: np.array([[1, 0]], dtype=np.int64))
+
+    @pytest.mark.parametrize("name, bad, expected", [
+        ("lyapunov", lambda x: np.array([0.5 * float(x @ x)]), "a real scalar"),
+        ("dissipation", lambda x: [0.0], "a real scalar"),
+        ("grad_lyapunov", lambda x: np.array([[x[0], x[1]]]),
+         r"a float64 ndarray of shape \(2,\)"),
+        ("grad_local_lyapunov", lambda x: x[:1].copy(), r"a float64 ndarray of shape \(2,\)"),
+        ("local_controller", lambda x: -x[0], "a 1-d float64 ndarray"),
+    ])
+    def test_assumptions_reject_wrong_shapes(self, name, bad, expected):
+        _plant, assm, _fn = build_planar_example(0.01)
+        with pytest.raises(ConfigurationError, match=f"{name} must return {expected}"):
+            dataclasses.replace(assm, **{name: bad})
 
 
 class TestInputHistory:

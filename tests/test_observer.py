@@ -6,13 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absorbctl import (BlendingFn, ConfigurationError, DegenerateGradientError,
-                       blend_p, build_planar_example, damping_term, isp_reset,
-                       isp_rhs, observer_correction, observer_rhs)
+                       blend_p, build_planar_example, damping_term, observer_correction)
+from absorbctl.simulator import coupled_rhs
 
 
 @pytest.fixture(scope="module")
 def planar():
     return build_planar_example(0.01, r=0.25, tau=0.25)
+
+
+def damping_at(z, y, u, plant, assm, fn):
+    """damping_term at (z, y, u), given the values observer_correction passes it."""
+    z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
+    return damping_term(z, u, assm.grad_lyapunov(z), assm.lyapunov(z),
+                        assm.observer_gain @ (plant.h(z) - y), plant, assm, fn)
 
 
 class TestBlending:
@@ -42,11 +49,11 @@ class TestDampingTerm:
     def test_frozen_positive_value(self, planar):
         plant, assm, fn = planar
         # drift 2*(-6.5) = -13, dissipation 0.5, innovation 20 -> clipped sum 7.5
-        assert damping_term([0.0, 2.0], [10.0], [0.0], plant, assm, fn) == 7.5
+        assert damping_at([0.0, 2.0], [10.0], [0.0], plant, assm, fn) == 7.5
 
     def test_clipped_at_zero(self, planar):
         plant, assm, fn = planar
-        assert damping_term([2.0, 2.0], [0.0], [0.0], plant, assm, fn) == 0.0
+        assert damping_at([2.0, 2.0], [0.0], [0.0], plant, assm, fn) == 0.0
 
     def test_vanishes_on_absorbing_boundary(self, planar):
         # on the absorbing level set the ramp is 0 and the plant dissipates
@@ -61,7 +68,7 @@ class TestDampingTerm:
             z = radius * np.array([np.cos(ang), np.sin(ang)])
             for u in (-u_max, 0.0, u_max):
                 for y in (-3.0, 0.0, 3.0):
-                    assert damping_term(z, [y], [u], plant, assm, fn) == 0.0
+                    assert damping_at(z, [y], [u], plant, assm, fn) == 0.0
                     count += 1
         assert count >= 1000
 
@@ -106,21 +113,20 @@ class TestObserverCorrection:
 
 
 class TestRhs:
+    """The simulator's coupled right side of (x, z, w)."""
+
     def test_observer_rhs_composes(self, planar):
         plant, assm, fn = planar
-        z, w, u = np.array([0.3, -0.4]), np.array([0.1]), np.array([0.05])
-        expected = (np.asarray(plant.f(z, u))
-                    + observer_correction(z, w, u, plant, assm, fn))
-        assert (observer_rhs(z, w, u, plant, assm, fn) == expected).all()
+        x, z, w = np.array([0.2, 0.1]), np.array([0.3, -0.4]), np.array([0.1])
+        u_plant, u_obs = np.array([-0.02]), np.array([0.05])
+        out = coupled_rhs(plant, assm, fn, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
+        assert (out[:2] == plant.f(x, u_plant)).all()
+        expected = plant.f(z, u_obs) + observer_correction(z, w, u_obs, plant, assm, fn)
+        assert (out[2:4] == expected).all()
 
     def test_isp_rhs_is_output_derivative(self, planar):
-        plant, _assm, _fn = planar
-        got = isp_rhs([1.0, -1.0], [0.3], plant)
+        plant, assm, fn = planar
+        rhs = coupled_rhs(plant, assm, fn, np.array([0.0]), np.array([0.3]))
+        out = rhs(0.0, np.array([0.0, 0.0, 1.0, -1.0, 0.0]))
         # d/dt h = f_1 = zeta*1 - 10*1 + (-1)
-        assert got == pytest.approx([0.01 - 10.0 - 1.0], rel=1e-15)
-
-    def test_isp_reset_copies(self):
-        y = np.array([2.0])
-        w = isp_reset(y)
-        y[0] = -1.0
-        assert w[0] == 2.0
+        assert out[4:] == pytest.approx([0.01 - 10.0 - 1.0], rel=1e-15)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
-                       build_planar_example, euler_predict, predict_in_set)
+                       build_planar_example, euler_predict)
 
 
 def scalar_decay_plant(r=0.5, tau=0.5):
@@ -76,20 +76,3 @@ class TestEulerPredict:
         got = euler_predict([0.0], hist, 1, plant, t_pred=0.0)[0]
         assert got == pytest.approx(0.5 * 0.7 - 1.0 * 0.3, abs=1e-16)
 
-
-class TestPredictInSet:
-    def test_stays_inside(self):
-        plant, assm, _fn = build_planar_example(0.01, r=0.25, tau=0.25)
-        hist = zero_hist(0.5)
-        assert predict_in_set([0.3, -0.2], hist, 16, plant, assm, t_pred=0.0)
-
-    def test_detects_escape(self):
-        # cubic drift at |x1| ~ 1.7 throws coarse Euler iterates far outside
-        plant, assm, _fn = build_planar_example(0.01, r=0.25, tau=0.25)
-        hist = zero_hist(0.5)
-        assert not predict_in_set([1.7, 0.0], hist, 2, plant, assm, t_pred=0.0)
-
-    def test_delay_free_checks_the_point_itself(self):
-        plant, assm, _fn = build_planar_example(0.01)
-        assert predict_in_set([0.5, 0.5], InputHistory(0.0), 4, plant, assm)
-        assert not predict_in_set([2.0, 0.0], InputHistory(0.0), 4, plant, assm)

@@ -213,6 +213,21 @@ class TestClosedLoop:
         with pytest.raises(ConfigurationError):
             simulate_closed_loop(plant, assm, fn, partition, config, init)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("x0", [float("nan"), 0.0], "finite"),
+        ("x0", ([-0.25, 0.0], [[1.0, 0.0], [float("inf"), 0.0]]), "finite"),
+        ("z0", [0.0, float("inf")], "finite"),
+        ("w0", [float("nan")], "finite"),
+        ("u0_segments", [(-0.5, [0.1]), (-0.2, [float("nan")])], "finite"),
+        ("x0", [1.0, -1.0, 0.0], "x0 and z0 need 2 components, got 3 and 2"),
+    ])
+    def test_bad_initial_data_rejected_at_entry(self, planar, field, value, message):
+        plant, assm, fn = planar
+        init = InitialData(**{"x0": [1.0, -1.0], "z0": [0.0, 0.0], field: value})
+        partition = generate_partition(0.01, 1.0, seed=0)
+        with pytest.raises(ConfigurationError, match=message):
+            simulate_closed_loop(plant, assm, fn, partition, short_config(horizon=1.0), init)
+
     def test_dt_refinement_converges(self, planar):
         plant, assm, fn = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
