@@ -1,9 +1,10 @@
-"""Golden record of the default ``simulate`` run.
+"""Golden record of the default ``simulate`` and ``verify`` runs.
 
 The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
-0-2 of the default configuration.  A refactor must keep these bytes; a
-change that alters the arithmetic order on purpose updates the digests in
-the same change and records the measured deviation of the terminal state.
+0-2 of the default configuration, and of ``verification.json`` for sample
+seed 0.  A refactor must keep these bytes; a change that alters the
+arithmetic order on purpose updates the digests in the same change and
+records the measured deviation of the terminal state.
 """
 
 import hashlib
@@ -21,6 +22,10 @@ GOLDEN = {
         "24b93e7edd2c40057428ba83c7f2b41ca2bb7919c303c046009f649726d41f5c"),
 }
 
+GOLDEN_VERIFY = {
+    0: "a3b3e0a05ca8fee07e2c6fcce79904eaadf54799bc9b3ee234f62f37510c49fc",
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -36,3 +41,13 @@ def test_default_run_matches_golden_digest(tmp_path, seed):
     csv_digest, summary_digest = GOLDEN[seed]
     assert _sha256(out / "trajectory.csv") == csv_digest
     assert _sha256(out / "summary.json") == summary_digest
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
+def test_default_verify_matches_golden_digest(tmp_path, seed):
+    config = tmp_path / "default.cfg"
+    config.write_text("")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", str(config), "--set", f"seed={seed}",
+                 "--out", str(out)]) == 0
+    assert _sha256(out / "verification.json") == GOLDEN_VERIFY[seed]
