@@ -13,9 +13,8 @@ from .observer import BlendingFn, blend_p, damping_term, observer_correction
 from .planar import build_planar_example
 from .predictor import euler_predict
 from .rk4 import flow_on_history, integrate_span, rk4_step
-from .simulator import (InitialData, TuneResult, composite_norm, fit_decay_rate,
-                        generate_partition, initial_composite_norm, pilot_tune,
-                        run_summary, simulate_closed_loop)
+from .simulator import (InitialData, TuneResult, fit_decay_rate, generate_partition,
+                        pilot_tune, run_summary, simulate_closed_loop)
 from .verification import (CheckReport, SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
@@ -52,14 +51,12 @@ __all__ = [
     "check_observer_contraction",
     "check_zeta_bound",
     "clamp_input",
-    "composite_norm",
     "damping_term",
     "euler_predict",
     "fit_decay_rate",
     "flow_on_history",
     "generate_partition",
     "hold_control",
-    "initial_composite_norm",
     "integrate_span",
     "observer_correction",
     "pilot_tune",

@@ -22,8 +22,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
                      InsufficientDataError, InsufficientSampleError)
 from .model import SimConfig
@@ -163,9 +161,8 @@ def _sim_config(settings: dict) -> SimConfig:
 
 
 def _initial_data(settings: dict) -> InitialData:
-    # an array, not the settings tuple, which InitialData reads as a table
-    return InitialData(x0=np.asarray(settings["x0"], dtype=float),
-                       z0=settings["z0"], u0_segments=settings["u0_segments"])
+    return InitialData(x0=settings["x0"], z0=settings["z0"],
+                       u0_segments=settings["u0_segments"])
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -180,8 +177,7 @@ def cmd_simulate(settings: dict, out_dir: Path) -> int:
                                    settings["min_frac"])
     traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
     traj.write_csv(out_dir / "trajectory.csv")
-    _write_json(out_dir / "summary.json",
-                run_summary(traj, plant, init, config))
+    _write_json(out_dir / "summary.json", run_summary(traj, config))
     return 0
 
 
@@ -232,7 +228,7 @@ def cmd_sweep(settings: dict, out_dir: Path, n_seeds: int = 20) -> int:
         partition = generate_partition(settings["T_s"], config.horizon, seed,
                                        settings["min_frac"])
         traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
-        summary = run_summary(traj, plant, init, config)
+        summary = run_summary(traj, config)
         ratio, ok = decay_bar(summary, DECAY_RATIO)
         all_pass = all_pass and ok
         runs.append({"seed": seed, "terminal_ratio": ratio, "passed": ok,

@@ -361,18 +361,6 @@ class StateHistory:
         self.states.append(arr)
         self.norms.append(float(np.linalg.norm(arr)))
 
-    @property
-    def t_first(self) -> float:
-        if not self.times:
-            raise CoverageError("empty state record")
-        return self.times[0]
-
-    @property
-    def t_last(self) -> float:
-        if not self.times:
-            raise CoverageError("empty state record")
-        return self.times[-1]
-
     def value(self, t: float) -> np.ndarray:
         """Linearly interpolated state at ``t``; exact at sample times."""
         t = float(t)

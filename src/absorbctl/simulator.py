@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .controller import hold_control
-from .errors import ConfigurationError, CoverageError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory)
 from .observer import BlendingFn, observer_correction
@@ -31,8 +31,6 @@ __all__ = [
     "generate_partition",
     "simulate_closed_loop",
     "coupled_rhs",
-    "composite_norm",
-    "initial_composite_norm",
     "fit_decay_rate",
     "run_summary",
     "decay_bar",
@@ -52,10 +50,11 @@ class InitialData:
     """Initial data for a closed-loop run.
 
     ``x0`` is either a single state (constant history on ``[-r, 0]``) or a
-    pair ``(times, states)`` sampling that interval with ``times[0] = -r``
-    and ``times[-1] = 0``.  ``u0_segments`` are ``(t_start, value)`` pairs
-    covering ``[-r-tau, 0)``; values must lie in the input box.  ``w0`` is
-    the inter-sample state before the reset at time 0 overrides it.
+    pair ``(times, states)`` of sequences sampling that interval with
+    ``times[0] = -r`` and ``times[-1] = 0``.  ``u0_segments`` are
+    ``(t_start, value)`` pairs covering ``[-r-tau, 0)``; values must lie in
+    the input box.  ``w0`` is the inter-sample state before the reset at
+    time 0 overrides it.
     """
 
     x0: object
@@ -65,7 +64,7 @@ class InitialData:
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float).reshape(-1)
-        if isinstance(self.x0, tuple) and len(self.x0) == 2:
+        if isinstance(self.x0, tuple) and len(self.x0) == 2 and np.ndim(self.x0[0]) == 1:
             times = np.asarray(self.x0[0], dtype=float).reshape(-1)
             states = np.atleast_2d(np.asarray(self.x0[1], dtype=float))
             if times.size != states.shape[0]:
@@ -308,52 +307,6 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     )
 
 
-def _interp_rows(times: np.ndarray, table: np.ndarray, t: float) -> np.ndarray:
-    idx = int(np.searchsorted(times, t))
-    if idx < times.size and times[idx] == t:
-        return table[idx]
-    if idx == 0 or idx >= times.size:
-        raise CoverageError(f"time {t!r} outside the recorded range")
-    theta = (t - times[idx - 1]) / (times[idx] - times[idx - 1])
-    return table[idx - 1] + theta * (table[idx] - table[idx - 1])
-
-
-def composite_norm(traj: Trajectory, t: float, r: float, tau: float) -> float:
-    """Windowed closed-loop magnitude at ``t``: the largest recorded plant
-    state over ``[t-r, t]``, plus the observer state at ``t``, plus the
-    largest input applied on ``[t-r-tau, t)``."""
-    times = traj.t
-    if t - r < times[0] - _EVENT_ATOL or t > times[-1] + _EVENT_ATOL:
-        raise CoverageError("window extends beyond the recorded rows")
-    x_sup = max(float(np.linalg.norm(_interp_rows(times, traj.x, t - r))),
-                float(np.linalg.norm(_interp_rows(times, traj.x, t))))
-    lo = int(np.searchsorted(times, t - r, side="right"))
-    hi = int(np.searchsorted(times, t, side="left"))
-    for i in range(lo, hi):
-        x_sup = max(x_sup, float(np.linalg.norm(traj.x[i])))
-    z_val = float(np.linalg.norm(_interp_rows(times, traj.z, t)))
-    u_sup = 0.0
-    if r + tau > 0.0:
-        starts = [s for s, _v in traj.input_segments]
-        values = [v for _s, v in traj.input_segments]
-        if not starts or starts[0] > t - r - tau + _EVENT_ATOL:
-            raise CoverageError("input record does not cover the window")
-        idx = max(0, int(np.searchsorted(starts, t - r - tau, side="right")) - 1)
-        while idx < len(starts) and starts[idx] < t:
-            u_sup = max(u_sup, float(np.linalg.norm(values[idx])))
-            idx += 1
-    return x_sup + z_val + u_sup
-
-
-def initial_composite_norm(init: InitialData, plant: PlantModel) -> float:
-    """Windowed magnitude of the initial data at time 0."""
-    xhist = init.state_history(plant.r)
-    uhist = init.input_history(plant.r, plant.tau, plant.input_box)
-    x_sup = xhist.sup_norm(-plant.r, 0.0)
-    u_sup = uhist.sup_abs(-plant.r - plant.tau, 0.0)
-    return x_sup + float(np.linalg.norm(init.z0)) + u_sup
-
-
 def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float) -> tuple[float, float]:
     """Least-squares exponential rate of the recorded norm on a window.
 
@@ -376,17 +329,18 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float) -> tuple[floa
     return float(-slope), r2
 
 
-def run_summary(traj: Trajectory, plant: PlantModel, init: InitialData,
-                config: SimConfig, fit_window: tuple[float, float] | None = None) -> dict:
-    """JSON-ready digest of one closed-loop run."""
+def run_summary(traj: Trajectory, config: SimConfig,
+                fit_window: tuple[float, float] | None = None) -> dict:
+    """JSON-ready digest of one closed-loop run; the initial and terminal
+    composite norms are the first and last recorded rows."""
     if fit_window is None:
         fit_window = (0.5 * config.horizon, config.horizon)
     sigma_hat, r2 = fit_decay_rate(traj, fit_window[0], fit_window[1])
     return {
         "sigma_hat": sigma_hat,
         "r2": r2,
-        "terminal_norm": composite_norm(traj, config.horizon, plant.r, plant.tau),
-        "initial_norm": initial_composite_norm(init, plant),
+        "terminal_norm": float(traj.norm[-1]),
+        "initial_norm": float(traj.norm[0]),
         "max_Vx": float(np.max(traj.lyap_x)),
         "max_Vz": float(np.max(traj.lyap_z)),
         "partition_seed": config.seed,
@@ -441,7 +395,7 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
         config = replace(base_config, T_H=T_H, N=N, seed=seed)
         partition = generate_partition(T_s, config.horizon, seed, min_frac)
         traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
-        summary = run_summary(traj, plant, init, config, fit_window=fit_window)
+        summary = run_summary(traj, config, fit_window=fit_window)
         ratio, ok = decay_bar(summary, decay_ratio)
         attempts.append({"T_s": T_s, "T_H": T_H, "N": N,
                          "sigma_hat": summary["sigma_hat"],

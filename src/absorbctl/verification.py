@@ -6,7 +6,7 @@ bounding the relevant sublevel sets, rejects points that fail the side
 conditions of the inequality being tested, and reports the worst margin
 found.  Margins are written so that negative means the inequality holds
 with room to spare; a check passes when the worst margin does not exceed
-the tolerance.  Identical seeds give identical reports.
+``TOLERANCE``.  Identical seeds give identical reports.
 """
 
 from __future__ import annotations
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _BATCH = 4096
+TOLERANCE = 1e-9  # largest worst margin a passing check may report
+UPPER_LEVEL = 100.0  # Lyapunov level capping regions unbounded above
+_MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
+_MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 
 
 @dataclass(frozen=True)
@@ -52,17 +56,14 @@ class SampleSpec:
     """How a sampled check draws its points.
 
     ``n_points`` admissible points are evaluated (drawing stops early only
-    when ``max_draw_factor * n_points`` candidates have been rejected).
-    ``upper_level`` caps the Lyapunov level used to bound regions that are
-    unbounded above.  ``min_points`` > 0 turns an all-skipped run into an
-    error instead of a vacuous pass.
+    when ``_MAX_DRAW_FACTOR * n_points`` candidates have been rejected).
+    ``min_points`` > 0 turns an all-skipped run into an error instead of a
+    vacuous pass.
     """
 
     n_points: int = 10_000
     seed: int = 0
-    upper_level: float = 100.0
     min_points: int = 0
-    max_draw_factor: int = 50
 
 
 @dataclass
@@ -102,8 +103,8 @@ def check_zeta_bound(zeta: float) -> bool:
     return 25001.0 * zeta ** 2 + 2.0 * zeta <= 4.0
 
 
-def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float, dim: int,
-                 max_radius: float = 1e9) -> np.ndarray:
+def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float,
+                 dim: int) -> np.ndarray:
     """Axis-aligned box bounding a sublevel set's extent along each axis.
 
     Found by doubling out from the origin and bisecting the crossing on
@@ -121,7 +122,7 @@ def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float, dim: int
             hi = 1.0
             while float(level_fn(hi * axis)) <= level:
                 hi *= 2.0
-                if hi > max_radius:
+                if hi > _MAX_RADIUS:
                     raise ConfigurationError(
                         "sublevel set appears unbounded along a coordinate axis"
                     )
@@ -218,7 +219,7 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
 # --- sampled check driver ---
 
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
-                       sample: SampleSpec, tol: float) -> CheckReport:
+                       sample: SampleSpec) -> CheckReport:
     if sample.n_points < 1:
         raise ConfigurationError("sampler must request at least one point")
     dims = [box.shape[0] for box in boxes]
@@ -231,7 +232,7 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
     skipped = 0
     worst: float | None = None
     worst_pt: tuple | None = None
-    max_draws = max(sample.max_draw_factor * sample.n_points, 100_000)
+    max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, 100_000)
     draws = 0
     while tested < sample.n_points and draws < max_draws:
         batch = halton.random(min(_BATCH, max_draws - draws))
@@ -253,29 +254,27 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
             f"{name}: only {tested} admissible points found "
             f"({skipped} skipped), needed {sample.min_points}"
         )
-    passed = worst is None or worst <= tol
+    passed = worst is None or worst <= TOLERANCE
     return CheckReport(name=name, points_tested=tested, skipped=skipped,
                        worst_margin=worst, worst_point=worst_pt, passed=passed,
-                       tolerance=tol, seed=sample.seed)
+                       tolerance=TOLERANCE, seed=sample.seed)
 
 
 def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec = SampleSpec(),
-                                tol: float = 1e-9) -> CheckReport:
+                                sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Dissipation outside the absorbing set, sampled up to the sampler's
     upper Lyapunov level and over the whole input box."""
-    x_box = sublevel_box(assm.lyapunov, sample.upper_level, plant.n)
+    x_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     return _run_sampled_check(
         "absorbing_dissipation",
         [x_box, plant.input_box],
         lambda x, u: assm.lyapunov(x) >= assm.absorbing_level,
         lambda x, u: absorbing_dissipation_margin(plant, assm, x, u),
-        sample, tol)
+        sample)
 
 
 def check_local_controller(plant: PlantModel, assm: AssumptionData,
-                           sample: SampleSpec = SampleSpec(),
-                           tol: float = 1e-9) -> CheckReport:
+                           sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Local decay and coercivity inside the absorbing set."""
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
@@ -283,12 +282,11 @@ def check_local_controller(plant: PlantModel, assm: AssumptionData,
         [x_box],
         lambda x: assm.lyapunov(x) <= assm.absorbing_level,
         lambda x: local_controller_margin(plant, assm, x),
-        sample, tol)
+        sample)
 
 
 def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
-                               sample: SampleSpec = SampleSpec(),
-                               tol: float = 1e-9) -> CheckReport:
+                               sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Output-injection contraction over observer set x plant set x inputs."""
     z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
@@ -298,12 +296,11 @@ def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
         lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
                          and assm.lyapunov(x) <= assm.absorbing_level),
         lambda z, x, u: observer_contraction_margin(plant, assm, z, x, u),
-        sample, tol)
+        sample)
 
 
 def check_growth_bound(plant: PlantModel, assm: AssumptionData,
-                       sample: SampleSpec = SampleSpec(),
-                       tol: float = 1e-9) -> CheckReport:
+                       sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Conditional growth bound on the blending band.
 
     Points failing any side condition are skipped and counted.  If no
@@ -325,12 +322,11 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
         [z_box, x_box, plant.input_box],
         accept,
         lambda z, x, u: growth_bound_margin(plant, assm, z, x, u),
-        sample, tol)
+        sample)
 
 
 def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-                                sample: SampleSpec = SampleSpec(),
-                                tol: float = 1e-9) -> CheckReport:
+                                sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Corrected-gain contraction over observer set x plant set x inputs."""
     z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
@@ -340,25 +336,24 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: Ble
         lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
                          and assm.lyapunov(x) <= assm.absorbing_level),
         lambda z, x, u: corrected_contraction_margin(plant, assm, fn, z, x, u),
-        sample, tol)
+        sample)
 
 
 def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                                 sample: SampleSpec = SampleSpec(),
-                                tol: float = 1e-9,
                                 zero_damping: bool = False) -> CheckReport:
     """Corrected-observer dissipation above the upper blending level, with
     the measured output free to roam an inflated output box."""
-    z_box = sublevel_box(assm.lyapunov, sample.upper_level, plant.n)
+    z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
     name = "corrected_dissipation_no_damping" if zero_damping else "corrected_dissipation"
     return _run_sampled_check(
         name,
         [z_box, w_box, plant.input_box],
-        lambda z, w, u: assm.blend_hi <= assm.lyapunov(z) <= sample.upper_level,
+        lambda z, w, u: assm.blend_hi <= assm.lyapunov(z) <= UPPER_LEVEL,
         lambda z, w, u: corrected_dissipation_margin(plant, assm, fn, z, w, u,
                                                      zero_damping=zero_damping),
-        sample, tol)
+        sample)
 
 
 def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,

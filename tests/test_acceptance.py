@@ -88,7 +88,7 @@ def sweep(planar, stock_init):
         config = config_for(seed)
         partition = generate_partition(T_S, HORIZON, seed)
         traj = simulate_closed_loop(plant, assm, fn, partition, config, stock_init)
-        summary = run_summary(traj, plant, stock_init, config, fit_window=FIT_WINDOW)
+        summary = run_summary(traj, config, fit_window=FIT_WINDOW)
         runs.append((seed, traj, summary))
     return runs, time.monotonic() - t0
 
@@ -209,7 +209,7 @@ def test_criterion_08_delay_free_loop(stock_init):
     config = config_for(0)
     partition = generate_partition(T_S, HORIZON, seed=0)
     traj = simulate_closed_loop(plant, assm, fn, partition, config, stock_init)
-    summary = run_summary(traj, plant, stock_init, config, fit_window=FIT_WINDOW)
+    summary = run_summary(traj, config, fit_window=FIT_WINDOW)
     clauses = decay_clauses(summary)
 
     degenerate = True

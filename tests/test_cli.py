@@ -100,6 +100,13 @@ class TestSimulate:
                        "--set", "u0_segments=-0.5:0.1; -0.2:-0.1",
                        "--set", "horizon=1.0", "--out", tmp_path) == 0
 
+    def test_horizon_shorter_than_delay_window(self, config_file, tmp_path):
+        # horizon 0.2 < r = 0.25: the summary still reads the last row's norm
+        assert run_cli("simulate", "--config", config_file,
+                       "--set", "horizon=0.2", "--out", tmp_path) == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["terminal_norm"] > 0.0
+
     def test_delay_free_loop(self, config_file, tmp_path):
         assert run_cli("simulate", "--config", config_file,
                        "--set", "r=0", "--set", "tau=0",

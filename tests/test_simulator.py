@@ -9,19 +9,57 @@ from absorbctl import (
     SimConfig,
     Trajectory,
     build_planar_example,
-    composite_norm,
     fit_decay_rate,
     generate_partition,
-    initial_composite_norm,
     pilot_tune,
     run_summary,
     simulate_closed_loop,
 )
 
+EVENT_ATOL = 1e-12
+
 
 @pytest.fixture(scope="module")
 def planar():
     return build_planar_example(0.01, r=0.25, tau=0.25)
+
+
+def _interp_rows(times: np.ndarray, table: np.ndarray, t: float) -> np.ndarray:
+    idx = int(np.searchsorted(times, t))
+    if idx < times.size and times[idx] == t:
+        return table[idx]
+    if idx == 0 or idx >= times.size:
+        raise CoverageError(f"time {t!r} outside the recorded range")
+    theta = (t - times[idx - 1]) / (times[idx] - times[idx - 1])
+    return table[idx - 1] + theta * (table[idx] - table[idx - 1])
+
+
+def composite_norm(traj: Trajectory, t: float, r: float, tau: float) -> float:
+    """Recomputation oracle for the recorded norm column: the largest
+    recorded plant state over ``[t-r, t]``, plus the observer state at
+    ``t``, plus the largest input applied on ``[t-r-tau, t)``, all read from
+    the trajectory's rows rather than the integrator's nodes."""
+    times = traj.t
+    if t - r < times[0] - EVENT_ATOL or t > times[-1] + EVENT_ATOL:
+        raise CoverageError("window extends beyond the recorded rows")
+    x_sup = max(float(np.linalg.norm(_interp_rows(times, traj.x, t - r))),
+                float(np.linalg.norm(_interp_rows(times, traj.x, t))))
+    lo = int(np.searchsorted(times, t - r, side="right"))
+    hi = int(np.searchsorted(times, t, side="left"))
+    for i in range(lo, hi):
+        x_sup = max(x_sup, float(np.linalg.norm(traj.x[i])))
+    z_val = float(np.linalg.norm(_interp_rows(times, traj.z, t)))
+    u_sup = 0.0
+    if r + tau > 0.0:
+        starts = [s for s, _v in traj.input_segments]
+        values = [v for _s, v in traj.input_segments]
+        if not starts or starts[0] > t - r - tau + EVENT_ATOL:
+            raise CoverageError("input record does not cover the window")
+        idx = max(0, int(np.searchsorted(starts, t - r - tau, side="right")) - 1)
+        while idx < len(starts) and starts[idx] < t:
+            u_sup = max(u_sup, float(np.linalg.norm(values[idx])))
+            idx += 1
+    return x_sup + z_val + u_sup
 
 
 def short_config(**kw):
@@ -47,6 +85,16 @@ class TestInitialData:
         assert (hist.value(-0.25) == [1.0, -1.0]).all()
         assert (hist.value(-0.1) == [1.0, -1.0]).all()
         assert (init.initial_x0_at_zero() == [1.0, -1.0]).all()
+
+    def test_tuple_state_is_not_a_table(self, planar):
+        plant, assm, fn = planar
+        config = short_config(horizon=0.5)
+        partition = generate_partition(0.01, config.horizon, seed=0)
+        runs = [simulate_closed_loop(plant, assm, fn, partition, config,
+                                     InitialData(x0=x0, z0=[0.0, 0.0]))
+                for x0 in ((1.0, -1.0), [1.0, -1.0])]
+        for name in ("t", "x", "z", "w", "u_applied", "norm"):
+            assert (getattr(runs[0], name) == getattr(runs[1], name)).all()
 
     def test_table_history(self):
         init = InitialData(x0=([-0.5, -0.2, 0.0], [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
@@ -285,13 +333,21 @@ class TestCompositeNorm:
             composite_norm(traj, 2.5, r=1.0, tau=0.0)
 
     def test_initial_norm(self, planar):
-        plant, _, _ = planar
+        # the summary's initial norm is row 0: the constant state history,
+        # the observer state, and the initial input segment
+        plant, assm, fn = planar
+        config = short_config(horizon=0.5)
+        partition = generate_partition(0.01, config.horizon, seed=0)
+
+        def initial_norm(init):
+            traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+            return run_summary(traj, config)["initial_norm"]
+
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        assert initial_composite_norm(init, plant) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert initial_norm(init) == pytest.approx(np.sqrt(2.0), rel=1e-15)
         init = InitialData(x0=[1.0, -1.0], z0=[0.5, 0.0],
                            u0_segments=[(-0.5, [0.3])])
-        assert initial_composite_norm(init, plant) == pytest.approx(
-            np.sqrt(2.0) + 0.5 + 0.3, rel=1e-15)
+        assert initial_norm(init) == pytest.approx(np.sqrt(2.0) + 0.5 + 0.3, rel=1e-15)
 
 
 class TestDecayFit:
@@ -325,12 +381,24 @@ class TestDecayFit:
 
 class TestSummaryAndTune:
     def test_summary_keys(self, short_run):
-        plant, _assm, config, init, traj = short_run
-        summary = run_summary(traj, plant, init, config)
+        *_, config, _init, traj = short_run
+        summary = run_summary(traj, config)
         assert set(summary) == {"sigma_hat", "r2", "terminal_norm", "initial_norm",
                                 "max_Vx", "max_Vz", "partition_seed", "config"}
         assert summary["initial_norm"] == pytest.approx(np.sqrt(2.0), rel=1e-12)
         assert summary["config"]["N"] == config.N
+
+    def test_summary_reads_recorded_rows_when_horizon_below_window(self):
+        # a horizon shorter than r: the terminal window reaches into the
+        # initial history, which only the recorded row norm covers
+        plant, assm, fn = build_planar_example(0.01, r=1.0, tau=0.5)
+        config = short_config(horizon=0.5)
+        partition = generate_partition(0.01, config.horizon, seed=0)
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+        summary = run_summary(traj, config)
+        assert summary["terminal_norm"] == traj.norm[-1]
+        assert summary["initial_norm"] == traj.norm[0]
 
     def test_tune_accepts_first_workable_triple(self, planar):
         plant, assm, fn = planar
