@@ -2,7 +2,7 @@
 
 The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
 0-2 of the default configuration, and of ``verification.json`` for sample
-seed 0.  A refactor must keep these bytes; a change that alters the
+seeds 0-2.  A refactor must keep these bytes; a change that alters the
 arithmetic order on purpose updates the digests in the same change and
 records the measured deviation of the terminal state.
 """
@@ -24,6 +24,8 @@ GOLDEN = {
 
 GOLDEN_VERIFY = {
     0: "a3b3e0a05ca8fee07e2c6fcce79904eaadf54799bc9b3ee234f62f37510c49fc",
+    1: "8ab7f01d2c2e9b66756b359edf4fdcfcf6c3534cf545521e727797ac41422e33",
+    2: "2fea77743c3053c4542f91a8f9ab20b11f3c41e115c43fcafa72ab22d199e750",
 }
 
 
