@@ -6,7 +6,7 @@ plus samplers that check the certificates the design rests on.
 
 from .controller import hold_control
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
-                     InsufficientDataError, InsufficientSampleError)
+                     InsufficientDataError, InsufficientSampleError, NonFiniteError)
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, clamp_input)
 from .observer import BlendingFn, blend_p, damping_term, observer_correction
@@ -34,6 +34,7 @@ __all__ = [
     "InputHistory",
     "InsufficientDataError",
     "InsufficientSampleError",
+    "NonFiniteError",
     "PlantModel",
     "SampleSpec",
     "SamplingPartition",

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
-                     InsufficientDataError, InsufficientSampleError)
+                     InsufficientDataError, InsufficientSampleError, NonFiniteError)
 from .model import SimConfig
 from .planar import build_planar_example
 from .simulator import (DECAY_RATIO, InitialData, decay_bar, generate_partition,
@@ -286,7 +286,7 @@ def main(argv=None) -> int:
         print(f"absorbctl: configuration error: {exc}", file=sys.stderr)
         return 2
     except (CoverageError, DegenerateGradientError, InsufficientSampleError,
-            InsufficientDataError) as exc:
+            InsufficientDataError, NonFiniteError) as exc:
         print(f"absorbctl: runtime error: {exc}", file=sys.stderr)
         return 3
 

@@ -20,3 +20,7 @@ class InsufficientDataError(ValueError):
 
 class InsufficientSampleError(RuntimeError):
     """A sampled check was asked to guarantee admissible points but found none."""
+
+
+class NonFiniteError(RuntimeError):
+    """A sampled check evaluated a NaN or infinite margin."""

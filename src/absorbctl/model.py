@@ -176,7 +176,10 @@ class AssumptionData:
     The callables take an ``(n,)`` float64 state.  ``lyapunov``,
     ``local_lyapunov`` and ``dissipation`` return a real scalar,
     ``grad_lyapunov`` and ``grad_local_lyapunov`` a float64 ndarray of
-    shape ``(n,)``, and ``local_controller`` a 1-d float64 ndarray.  As for
+    shape ``(n,)``, and ``local_controller`` a 1-d float64 ndarray.
+    ``lyapunov`` and ``grad_lyapunov`` also take an ``(n, B)`` batch of
+    states, one per column, and return shapes ``(B,)`` and ``(n, B)``
+    agreeing with the per-point values to 1e-12 relative.  As for
     ``PlantModel``, construction checks this at probe states and later
     calls trust it.
     """
@@ -219,7 +222,8 @@ class AssumptionData:
             raise ConfigurationError("contraction_frac must lie in (0, 1)")
         if self.contraction_rate <= 0.0 or self.local_decay <= 0.0 or self.coercivity <= 0.0:
             raise ConfigurationError("rates must be positive")
-        for pt in _validation_probes(n):
+        probes = _validation_probes(n)
+        for pt in probes:
             for name in ("lyapunov", "local_lyapunov", "dissipation"):
                 _check_scalar(name, getattr(self, name)(pt))
             _check_array("local_controller", self.local_controller(pt))
@@ -227,6 +231,17 @@ class AssumptionData:
                              ("grad_local_lyapunov", self.local_lyapunov)):
                 grad = _check_array(name, getattr(self, name)(pt), (n,))
                 _check_derivative(name, grad, _fd_jacobian(fn, pt)[0])
+        batch = np.column_stack(probes)  # the sampled checks pass (n, B) column batches
+        for name in ("lyapunov", "grad_lyapunov"):
+            fn = getattr(self, name)
+            pointwise = np.stack([fn(pt) for pt in probes], axis=-1)
+            try:
+                value = fn(batch)
+            except Exception as exc:
+                raise ConfigurationError(f"{name} must accept an (n, B) batch: {exc}") from None
+            _check_array(f"{name} on an (n, B) batch", value, pointwise.shape)
+            if not np.allclose(value, pointwise, rtol=1e-12, atol=0.0):
+                raise ConfigurationError(f"{name} on an (n, B) batch differs from its points")
 
 
 class InputHistory:

@@ -12,13 +12,13 @@ with room to spare; a check passes when the worst margin does not exceed
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import qmc
 
-from .errors import ConfigurationError, InsufficientSampleError
+from .errors import ConfigurationError, InsufficientSampleError, NonFiniteError
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
 from .observer import BlendingFn, observer_correction
 from .predictor import euler_predict
@@ -220,6 +220,10 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
 
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
                        sample: SampleSpec) -> CheckReport:
+    """``accept`` masks Halton batches given as one ``(d_i, B)`` column block per
+    box; ``margin_fn`` then takes one ``(d_i,)`` row per box, in draw order."""
+    from scipy.stats import qmc  # deferred: slow to import, and only the checks use it
+
     if sample.n_points < 1:
         raise ConfigurationError("sampler must request at least one point")
     dims = [box.shape[0] for box in boxes]
@@ -237,18 +241,18 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
     while tested < sample.n_points and draws < max_draws:
         batch = halton.random(min(_BATCH, max_draws - draws))
         draws += batch.shape[0]
-        scaled = lo + batch * (hi - lo)
-        for row in scaled:
-            parts = tuple(np.array(p) for p in np.split(row, splits))
-            if not accept(*parts):
-                skipped += 1
-                continue
-            value = float(margin_fn(*parts))
+        parts = np.split(lo + batch * (hi - lo), splits, axis=1)
+        admitted = np.flatnonzero(accept(*(p.T for p in parts)))[:sample.n_points - tested]
+        stop = admitted[-1] + 1 if tested + admitted.size == sample.n_points else len(batch)
+        skipped += int(stop) - admitted.size
+        tested += admitted.size
+        for point in zip(*(p[admitted] for p in parts)):
+            value = float(margin_fn(*point))
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{name}: margin {value} at point "
+                                     f"{[p.tolist() for p in point]}")
             if worst is None or value > worst:
-                worst, worst_pt = value, parts
-            tested += 1
-            if tested >= sample.n_points:
-                break
+                worst, worst_pt = value, tuple(p.copy() for p in point)
     if tested < sample.min_points:
         raise InsufficientSampleError(
             f"{name}: only {tested} admissible points found "
@@ -293,8 +297,8 @@ def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
     return _run_sampled_check(
         "observer_contraction",
         [z_box, x_box, plant.input_box],
-        lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
-                         and assm.lyapunov(x) <= assm.absorbing_level),
+        lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
+                         & (assm.lyapunov(x) <= assm.absorbing_level)),
         lambda z, x, u: observer_contraction_margin(plant, assm, z, x, u),
         sample)
 
@@ -311,11 +315,10 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
 
     def accept(z, x, u):
-        if not (assm.blend_lo < assm.lyapunov(z) <= assm.blend_hi):
-            return False
-        if assm.lyapunov(x) > assm.absorbing_level:
-            return False
-        return assm.grad_lyapunov(z) @ (assm.error_metric @ (z - x)) < 0.0
+        level = assm.lyapunov(z)
+        descent = (assm.grad_lyapunov(z) * (assm.error_metric @ (z - x))).sum(axis=0)
+        return ((assm.blend_lo < level) & (level <= assm.blend_hi)
+                & (assm.lyapunov(x) <= assm.absorbing_level) & (descent < 0.0))
 
     return _run_sampled_check(
         "observer_growth_bound",
@@ -333,8 +336,8 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: Ble
     return _run_sampled_check(
         "corrected_contraction",
         [z_box, x_box, plant.input_box],
-        lambda z, x, u: (assm.lyapunov(z) <= assm.blend_hi
-                         and assm.lyapunov(x) <= assm.absorbing_level),
+        lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
+                         & (assm.lyapunov(x) <= assm.absorbing_level)),
         lambda z, x, u: corrected_contraction_margin(plant, assm, fn, z, x, u),
         sample)
 
@@ -350,7 +353,8 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: Ble
     return _run_sampled_check(
         name,
         [z_box, w_box, plant.input_box],
-        lambda z, w, u: assm.blend_hi <= assm.lyapunov(z) <= UPPER_LEVEL,
+        lambda z, w, u: ((assm.blend_hi <= assm.lyapunov(z))
+                         & (assm.lyapunov(z) <= UPPER_LEVEL)),
         lambda z, w, u: corrected_dissipation_margin(plant, assm, fn, z, w, u,
                                                      zero_damping=zero_damping),
         sample)

@@ -1,9 +1,14 @@
 import csv
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from absorbctl import ConfigurationError
+from absorbctl import ConfigurationError, cli
 from absorbctl.cli import DEFAULTS, TUNE_GRID, load_settings, main
 
 
@@ -79,6 +84,31 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config_file,
                        "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
         assert not (tmp_path / "trajectory.csv").exists()
+
+
+    def test_non_finite_margin(self, config_file, tmp_path, monkeypatch):
+        build = cli.build_planar_example
+
+        def build_nan_dissipation(*args, **kwargs):
+            plant, assm, fn = build(*args, **kwargs)
+            return plant, dataclasses.replace(assm, dissipation=lambda x: float("nan")), fn
+
+        monkeypatch.setattr(cli, "build_planar_example", build_nan_dissipation)
+        assert run_cli("verify", "--config", config_file, "--out", tmp_path) == 3
+        assert not (tmp_path / "verification.json").exists()
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # only the sampled checks need scipy.stats, and they import it on first use
+    code = ("import sys, absorbctl.cli\n"
+            "from absorbctl.planar import build_planar_example\n"
+            "build_planar_example(0.01, r=0.25, tau=0.25)\n"
+            "print('scipy.stats' in sys.modules)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 class TestSimulate:

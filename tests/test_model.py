@@ -122,6 +122,19 @@ class TestCallableContract:
         with pytest.raises(ConfigurationError, match=f"{name} must return {expected}"):
             dataclasses.replace(assm, **{name: bad})
 
+    @pytest.mark.parametrize("name, point_only, expected", [
+        ("lyapunov", lambda x: 0.5 * float(x @ x), r"lyapunov must accept an \(n, B\) batch"),
+        ("grad_lyapunov", lambda x: np.array([x[0], x[1]]).reshape(-1),
+         r"grad_lyapunov on an \(n, B\) batch must return .* shape \(2, 4\)"),
+        ("lyapunov", lambda x: 0.5 * (x @ x) if x.ndim == 1 else np.zeros(x.shape[1]),
+         r"lyapunov on an \(n, B\) batch differs from its points"),
+    ])
+    def test_assumptions_reject_point_only_lyapunov_pair(self, name, point_only, expected):
+        # the sampled checks evaluate V and grad V on (n, B) column batches
+        _plant, assm, _fn = build_planar_example(0.01)
+        with pytest.raises(ConfigurationError, match=f"^{expected}"):
+            dataclasses.replace(assm, **{name: point_only})
+
 
 class TestInputHistory:
     def make(self):

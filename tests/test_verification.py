@@ -7,6 +7,7 @@ from absorbctl import (
     ConfigurationError,
     InputHistory,
     InsufficientSampleError,
+    NonFiniteError,
     SampleSpec,
     build_planar_example,
     check_absorbing_dissipation,
@@ -30,6 +31,58 @@ def planar():
 # a few thousand points keeps this suite fast; the acceptance tests run the
 # full-size sweeps
 SPEC = SampleSpec(n_points=2000, seed=0)
+
+
+def _row_by_row(name, boxes, accept, margin_fn, sample):
+    """Recomputation oracle for ``V._run_sampled_check``: the same Halton
+    draws, but side conditions and margins evaluated one row at a time."""
+    from scipy.stats import qmc
+
+    dims = [box.shape[0] for box in boxes]
+    lo = np.concatenate([box[:, 0] for box in boxes])
+    hi = np.concatenate([box[:, 1] for box in boxes])
+    halton = qmc.Halton(d=int(sum(dims)), seed=sample.seed)
+    splits = np.cumsum(dims)[:-1]
+    tested = skipped = draws = 0
+    worst = worst_pt = None
+    max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, 100_000)
+    while tested < sample.n_points and draws < max_draws:
+        batch = halton.random(min(V._BATCH, max_draws - draws))
+        draws += batch.shape[0]
+        for row in lo + batch * (hi - lo):
+            parts = tuple(np.array(p) for p in np.split(row, splits))
+            if not accept(*parts):
+                skipped += 1
+                continue
+            value = float(margin_fn(*parts))
+            if worst is None or value > worst:
+                worst, worst_pt = value, parts
+            tested += 1
+            if tested >= sample.n_points:
+                break
+    return V.CheckReport(name=name, points_tested=tested, skipped=skipped,
+                         worst_margin=worst, worst_point=worst_pt,
+                         passed=worst is None or worst <= V.TOLERANCE,
+                         tolerance=V.TOLERANCE, seed=sample.seed)
+
+
+CHECKS = {
+    "absorbing_dissipation":
+        lambda plant, assm, fn, spec: check_absorbing_dissipation(plant, assm, spec),
+    "local_controller":
+        lambda plant, assm, fn, spec: check_local_controller(plant, assm, spec),
+    "observer_contraction":
+        lambda plant, assm, fn, spec: check_observer_contraction(plant, assm, spec),
+    "observer_growth_bound":
+        lambda plant, assm, fn, spec: check_growth_bound(plant, assm, spec),
+    "corrected_contraction":
+        lambda plant, assm, fn, spec: check_corrected_contraction(plant, assm, fn, spec),
+    "corrected_dissipation":
+        lambda plant, assm, fn, spec: check_corrected_dissipation(plant, assm, fn, spec),
+    "corrected_dissipation_no_damping":
+        lambda plant, assm, fn, spec: check_corrected_dissipation(plant, assm, fn, spec,
+                                                                  zero_damping=True),
+}
 
 
 class TestGainBound:
@@ -200,6 +253,54 @@ class TestSampledChecks:
         plant, assm, _ = planar
         with pytest.raises(ConfigurationError):
             check_local_controller(plant, assm, SampleSpec(n_points=0, seed=0))
+
+
+class TestBatchedDriver:
+    """Side conditions run on whole Halton batches; reports equal the
+    row-by-row oracle's."""
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_matches_row_by_row_oracle(self, planar, monkeypatch, check, seed):
+        # observer_growth_bound is the starved case: every one of the
+        # 100000 capped draws is skipped
+        plant, assm, fn = planar
+        spec = SampleSpec(n_points=150, seed=seed)
+        batched = CHECKS[check](plant, assm, fn, spec).to_dict()
+        monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
+        assert CHECKS[check](plant, assm, fn, spec).to_dict() == batched
+        assert batched["name"] == check
+
+    def test_matches_oracle_across_batches(self, planar, monkeypatch):
+        # 5000 points at ~79% acceptance need a second 4096-draw batch
+        plant, assm, fn = planar
+        spec = SampleSpec(n_points=5000, seed=2)
+        batched = check_local_controller(plant, assm, spec).to_dict()
+        assert batched["points_tested"] + batched["skipped"] > V._BATCH
+        monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
+        assert check_local_controller(plant, assm, spec).to_dict() == batched
+
+
+class TestNonFiniteMargin:
+    def test_nan_after_finite_points_raises(self, planar):
+        # the row-by-row driver passed this check: NaN > worst is never true
+        plant, assm, _ = planar
+        dissipation = assm.dissipation
+        holed = dataclasses.replace(
+            assm, dissipation=lambda x: float("nan") if x[0] >= 5.0 else dissipation(x))
+        assert check_absorbing_dissipation(plant, holed, SampleSpec(n_points=1)).passed
+        with pytest.raises(NonFiniteError,
+                           match=r"^absorbing_dissipation: margin nan at point \[\["):
+            check_absorbing_dissipation(plant, holed, SPEC)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_first_point_raises(self, planar, bad):
+        # the row-by-row driver reported it as the worst margin, which
+        # verification.json cannot hold as valid JSON
+        plant, assm, _ = planar
+        broken = dataclasses.replace(assm, dissipation=lambda x: bad)
+        with pytest.raises(NonFiniteError, match=f"margin {bad} at point"):
+            check_absorbing_dissipation(plant, broken, SampleSpec(n_points=1))
 
 
 class TestPredictorStudy:
