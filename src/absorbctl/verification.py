@@ -69,7 +69,8 @@ class SampleSpec:
 @dataclass
 class CheckReport:
     """Outcome of one sampled check; ``passed`` iff the worst margin (if
-    any point was admissible) does not exceed the tolerance."""
+    any point was admissible) does not exceed the tolerance; ``vacuous``
+    marks a pass with no admissible point tested."""
 
     name: str
     points_tested: int
@@ -79,6 +80,10 @@ class CheckReport:
     passed: bool
     tolerance: float
     seed: int
+
+    @property
+    def vacuous(self) -> bool:
+        return self.points_tested == 0
 
     def to_dict(self) -> dict:
         worst_point = None
@@ -91,6 +96,7 @@ class CheckReport:
             "worst_margin": self.worst_margin,
             "worst_point": worst_point,
             "pass": self.passed,
+            "vacuous": self.vacuous,
             "tolerance": self.tolerance,
             "seed": self.seed,
         }

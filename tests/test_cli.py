@@ -160,6 +160,11 @@ class TestAnalysisCommands:
         assert payload["all_pass"] is True
         assert len(payload["checks"]) == 6
         assert all(c["pass"] for c in payload["checks"])
+        # only the growth bound finds no admissible point
+        assert {c["name"]: c["vacuous"] for c in payload["checks"]} == {
+            "absorbing_dissipation": False, "local_controller": False,
+            "observer_contraction": False, "observer_growth_bound": True,
+            "corrected_contraction": False, "corrected_dissipation": False}
 
     def test_sweep_reports_all_runs(self, config_file, tmp_path):
         # 2-second runs cannot hit the decay target, so the sweep fails but

@@ -23,9 +23,9 @@ GOLDEN = {
 }
 
 GOLDEN_VERIFY = {
-    0: "a3b3e0a05ca8fee07e2c6fcce79904eaadf54799bc9b3ee234f62f37510c49fc",
-    1: "8ab7f01d2c2e9b66756b359edf4fdcfcf6c3534cf545521e727797ac41422e33",
-    2: "2fea77743c3053c4542f91a8f9ab20b11f3c41e115c43fcafa72ab22d199e750",
+    0: "e2cea55fe73e4c5da7f3b91f48d4cf47434c82e82d2fa70a92b3092859aa868b",
+    1: "1a1ccc0c22e3c462984d8021e5e66f80d0b1b6c93b8f0e330351e7b13cdcabd6",
+    2: "825e2465473d34c325b85326f96cf72fae74ed08731cfc60027e4a84ac8ff6d9",
 }
 
 
