@@ -85,7 +85,6 @@ class TestExitCodes:
                        "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
         assert not (tmp_path / "trajectory.csv").exists()
 
-
     def test_non_finite_margin(self, config_file, tmp_path, monkeypatch):
         build = cli.build_planar_example
 
