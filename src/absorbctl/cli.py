@@ -54,10 +54,7 @@ DEFAULTS: dict = {
     "min_frac": 0.5,
 }
 
-_INT_KEYS = {"N", "seed"}
-_FLOAT_KEYS = {"zeta", "b", "c", "r", "tau", "T_s", "T_H", "horizon",
-               "dt_max", "record_dt", "min_frac"}
-_VECTOR_KEYS = {"x0", "z0"}
+SWEEP_SEEDS = 20  # partition seeds per `sweep`, counting up from `seed`
 
 # the default grid for `tune`: coarser and finer sampling/hold periods
 # crossed with cheap and accurate predictor step counts
@@ -100,24 +97,18 @@ def _parse_segments(raw: str) -> tuple:
 
 
 def _parse_value(key: str, raw: str):
+    """Parse ``raw`` as the type of the key's default value."""
     raw = raw.strip()
-    if key == "model":
-        return raw
-    if key in _INT_KEYS:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"key {key!r} expects an integer: {exc}") from None
-    if key in _FLOAT_KEYS:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ConfigurationError(f"key {key!r} expects a number: {exc}") from None
-    if key in _VECTOR_KEYS:
-        return _parse_vector(raw)
     if key == "u0_segments":
         return _parse_segments(raw)
-    raise ConfigurationError(f"unknown configuration key: {key!r}")
+    default = DEFAULTS[key]
+    if isinstance(default, tuple):
+        return _parse_vector(raw)
+    try:
+        return type(default)(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"key {key!r} expects a {type(default).__name__}: "
+                                 f"{exc}") from None
 
 
 def _apply_assignment(settings: dict, line: str, origin: str) -> None:
@@ -206,6 +197,7 @@ def cmd_verify(settings: dict, out_dir: Path) -> int:
 def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
     plant, _assm, _fn = _build_model(settings)
     init = _initial_data(settings)
+    init.check(plant)
     hist = init.input_history(plant.r, plant.tau, plant.input_box)
     study = predictor_convergence_study(
         plant, init.x0, hist,
@@ -218,12 +210,12 @@ def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
     return 0
 
 
-def cmd_sweep(settings: dict, out_dir: Path, n_seeds: int = 20) -> int:
+def cmd_sweep(settings: dict, out_dir: Path) -> int:
     plant, assm, fn = _build_model(settings)
     init = _initial_data(settings)
     runs = []
     all_pass = True
-    for seed in range(settings["seed"], settings["seed"] + n_seeds):
+    for seed in range(settings["seed"], settings["seed"] + SWEEP_SEEDS):
         config = replace(_sim_config(settings), seed=seed)
         partition = generate_partition(settings["T_s"], config.horizon, seed,
                                        settings["min_frac"])

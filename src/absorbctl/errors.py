@@ -23,4 +23,5 @@ class InsufficientSampleError(RuntimeError):
 
 
 class NonFiniteError(RuntimeError):
-    """A sampled check evaluated a NaN or infinite margin."""
+    """A NaN or infinite number where a finite one is required: a sampled
+    check's margin, or a simulated state at the end of an integration span."""

@@ -34,37 +34,33 @@ __all__ = [
 
 _ORIGIN_TOL = 1e-12
 _FD_TOL = 1e-6
+_FD_STEP = 1e-6  # central-difference step of the derivative checks
 
 
-def clamp_input(u_raw, input_box) -> np.ndarray:
+def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
     """Project an input onto the admissible box, componentwise.
 
+    ``input_box`` is a validated ``(m, 2)`` box, as ``PlantModel.input_box``.
     Each component becomes ``min(hi_j, max(lo_j, u_j))``.  Idempotent, and
     the identity whenever ``u_raw`` already lies in the box.
     """
-    box = np.asarray(input_box, dtype=float)
-    if box.ndim != 2 or box.shape[1] != 2:
-        raise ConfigurationError("input_box must be an (m, 2) array of (lo, hi) rows")
-    if np.any(box[:, 0] > box[:, 1]):
-        raise ConfigurationError("input_box has a row with lo > hi")
-    u = np.asarray(u_raw, dtype=float).reshape(-1)
-    if u.size != box.shape[0]:
+    u = np.asarray(u_raw, dtype=float)
+    if u.size != input_box.shape[0]:
         raise ConfigurationError(
-            f"input has {u.size} components, box has {box.shape[0]} rows"
+            f"input has {u.size} components, box has {input_box.shape[0]} rows"
         )
-    return np.minimum(box[:, 1], np.maximum(box[:, 0], u))
+    return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                 eps: float = 1e-6) -> np.ndarray:
+def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector or scalar map (one row for a
     scalar), used only for validation."""
     cols = []
     for i in range(x.size):
         step = np.zeros(x.size)
-        step[i] = eps
+        step[i] = _FD_STEP
         cols.append((np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float))
-                    / (2.0 * eps))
+                    / (2.0 * _FD_STEP))
     return np.column_stack(cols)
 
 
@@ -250,29 +246,25 @@ class InputHistory:
     Segments are ``(t_start, value)`` pairs with strictly increasing starts;
     the first start equals ``t_min``.  The value at a query time is the value
     of the segment whose start is the largest one not exceeding it.  Appends
-    may not rewrite the covered past.
+    may not rewrite the covered past.  The constructor appends ``segments``
+    in order; ``t_now`` defaults to the last segment start (``t_min`` for an
+    empty record) and may not precede it.
     """
 
     def __init__(self, t_min: float, segments: Sequence[tuple[float, Sequence[float]]] = (),
                  t_now: float | None = None):
-        self.t_min = float(t_min)
+        self.t_min = self.t_now = float(t_min)
         self.starts: list[float] = []
         self.values: list[np.ndarray] = []
         for t_start, value in segments:
-            t_start = float(t_start)
-            if self.starts and t_start <= self.starts[-1]:
-                raise ConfigurationError("segment starts must be strictly increasing")
-            self.starts.append(t_start)
-            self.values.append(np.asarray(value, dtype=float).reshape(-1))
-        if self.starts and self.starts[0] != self.t_min:
-            raise ConfigurationError("first segment must start at t_min")
-        if len({v.size for v in self.values}) > 1:
-            raise ConfigurationError("all segment values must share a dimension")
-        self.t_now = self.t_min if t_now is None else float(t_now)
-        if self.t_now < self.t_min:
-            raise ConfigurationError("t_now must not precede t_min")
-        if self.t_now > self.t_min and not self.starts:
-            raise ConfigurationError("nonempty coverage requires at least one segment")
+            self.append(t_start, value)
+        if t_now is not None:
+            t_now = float(t_now)
+            if t_now < self.t_now:
+                raise ConfigurationError("t_now must not precede t_min or the last segment start")
+            if t_now > self.t_min and not self.starts:
+                raise ConfigurationError("nonempty coverage requires at least one segment")
+            self.t_now = t_now
 
     def advance(self, t: float) -> None:
         """Extend the covered interval to ``[t_min, t)``; monotone."""
@@ -284,18 +276,21 @@ class InputHistory:
         self.t_now = t
 
     def append(self, t_start: float, value) -> None:
-        """Add a new constant segment starting at ``t_start`` (>= t_now)."""
+        """Add a new constant segment starting at ``t_start`` (>= t_now)
+        whose value has the dimension of the earlier ones."""
         t_start = float(t_start)
-        if t_start < self.t_now:
-            raise ConfigurationError("cannot rewrite already-covered input history")
-        if self.starts and t_start <= self.starts[-1]:
-            raise ConfigurationError("segment starts must be strictly increasing")
+        value = np.asarray(value, dtype=float).reshape(-1)
         if not self.starts and t_start != self.t_min:
             raise ConfigurationError("first segment must start at t_min")
+        if self.starts and t_start <= self.starts[-1]:
+            raise ConfigurationError("segment starts must be strictly increasing")
+        if t_start < self.t_now:
+            raise ConfigurationError("cannot rewrite already-covered input history")
+        if self.values and value.size != self.values[0].size:
+            raise ConfigurationError("all segment values must share a dimension")
         self.starts.append(t_start)
-        self.values.append(np.asarray(value, dtype=float).reshape(-1))
-        if t_start > self.t_now:
-            self.t_now = t_start
+        self.values.append(value)
+        self.t_now = t_start
 
     def value(self, t: float) -> np.ndarray:
         """Input applied at time ``t``; requires ``t_min <= t < t_now``."""
@@ -334,18 +329,6 @@ class InputHistory:
             if seg_hi >= t1:
                 return
             idx += 1
-
-    def integral(self, t0: float, t1: float) -> np.ndarray:
-        """Exact integral of the record over ``[t0, t1]`` (no quadrature)."""
-        total = None
-        for value, length in self.iter_segments(t0, t1):
-            piece = value * length
-            total = piece if total is None else total + piece
-        if total is None:
-            if self.values:
-                return np.zeros_like(self.values[0])
-            return np.zeros(0)
-        return total
 
     def sup_abs(self, t0: float, t1: float) -> float:
         """Largest Euclidean input norm applied on ``[t0, t1)``."""

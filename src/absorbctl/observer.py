@@ -37,9 +37,6 @@ class BlendingFn:
         if not self.lo < self.hi:
             raise ConfigurationError("blending levels must satisfy lo < hi")
 
-    def __call__(self, level: float) -> float:
-        return blend_p(level, self)
-
 
 def blend_p(level: float, fn: BlendingFn) -> float:
     """Evaluate the blending ramp at a Lyapunov level."""
@@ -50,26 +47,27 @@ def blend_p(level: float, fn: BlendingFn) -> float:
     return (level - fn.lo) / (fn.hi - fn.lo)
 
 
-def damping_term(z, u, grad, level, innovation, plant: PlantModel, assm: AssumptionData,
+def damping_term(z, fz, grad, level, innovation, assm: AssumptionData,
                  fn: BlendingFn) -> float:
     """Nonnegative damping coefficient for the observer correction.
 
     Measures how much the innovation-driven observer would violate the
-    dissipation certificate at the observer state ``z`` under the input
-    ``u`` entering the observer copy of the plant; clipped at zero when no
-    violation is possible.  ``grad``, ``level`` and ``innovation`` are
-    grad V(z), V(z) and the output injection L (h(z) - y) for the measured
-    output y, as ``observer_correction`` has already computed them.
+    dissipation certificate at the observer state ``z``, whose plant-copy
+    drift is ``fz = f(z, u)``; clipped at zero when no violation is
+    possible.  ``grad``, ``level`` and ``innovation`` are grad V(z), V(z)
+    and the output injection L (h(z) - y) for the measured output y, as
+    ``observer_correction`` has already computed them.
     """
-    inner = (grad @ plant.f(z, u) + assm.dissipation(z)
+    inner = (grad @ fz + assm.dissipation(z)
              + blend_p(level, fn) * (grad @ innovation))
     return max(0.0, inner)
 
 
-def observer_correction(z, y, u, plant: PlantModel, assm: AssumptionData,
+def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData,
                         fn: BlendingFn) -> np.ndarray:
     """Correction added to the observer drift, for float arrays ``z``
-    (observer state), ``y`` (measured output) and ``u`` (observer input).
+    (observer state), ``y`` (measured output) and ``fz`` (the drift
+    ``f(z, u)`` of the observer's plant copy, which the caller holds).
 
     Inside the absorbing sublevel set this is the plain output-injection
     term; outside, the damping coefficient divided by the squared gradient
@@ -87,5 +85,5 @@ def observer_correction(z, y, u, plant: PlantModel, assm: AssumptionData,
             "Lyapunov gradient vanishes outside the absorbing set; "
             "damping direction undefined"
         )
-    phi = damping_term(z, u, grad, level, innovation, plant, assm, fn)
+    phi = damping_term(z, fz, grad, level, innovation, assm, fn)
     return innovation - (phi / grad_sq) * grad

@@ -59,14 +59,7 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     stepped across.
     """
     x = np.asarray(x0, dtype=float)
-    edges = [t_start]
-    for s in hist.starts:
-        if t_start < s < t_end:
-            edges.append(s)
-    edges.append(t_end)
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        if hi <= lo:
-            continue
-        x = integrate_span(lambda _t, y, u=hist.value(lo): plant.f(y, u),
-                           lo, hi, x, substep)
+    # the right side ignores t, so each piece is integrated over (0, length)
+    for value, length in hist.iter_segments(t_start, t_end):
+        x = integrate_span(lambda _t, y, u=value: plant.f(y, u), 0.0, length, x, substep)
     return x

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .controller import hold_control
-from .errors import ConfigurationError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory)
 from .observer import BlendingFn, observer_correction
@@ -94,16 +94,16 @@ class InitialData:
             hist.append(0.0, self.x0)
         return hist
 
-    def input_history(self, r: float, tau: float, input_box) -> InputHistory:
-        """Applied-input record on ``[-r-tau, 0)``; empty when delay-free."""
+    def input_history(self, r: float, tau: float, input_box: np.ndarray) -> InputHistory:
+        """Applied-input record on ``[-r-tau, 0)``; empty when delay-free.
+        ``input_box`` is the plant's validated ``(m, 2)`` box."""
         window = r + tau
         if window == 0.0:
             if self.u0_segments:
                 raise ConfigurationError("u0_segments must be empty when r = tau = 0")
             return InputHistory(0.0)
-        box = np.asarray(input_box, dtype=float)
         if not self.u0_segments:
-            return InputHistory(-window, [(-window, np.zeros(box.shape[0]))], t_now=0.0)
+            return InputHistory(-window, [(-window, np.zeros(input_box.shape[0]))], t_now=0.0)
         segments = []
         for i, (t, v) in enumerate(self.u0_segments):
             if i == 0:
@@ -112,7 +112,7 @@ class InitialData:
                 t = -window
             if t >= 0.0:
                 raise ConfigurationError("u0 segments must start before time 0")
-            if np.any(v < box[:, 0]) or np.any(v > box[:, 1]):
+            if np.any(v < input_box[:, 0]) or np.any(v > input_box[:, 1]):
                 raise ConfigurationError("u0 segment value outside the input box")
             segments.append((t, v))
         return InputHistory(-window, segments, t_now=0.0)
@@ -128,12 +128,16 @@ class InitialData:
         return (self.x0[1][-1] if isinstance(self.x0, tuple) else self.x0).copy()
 
     def check(self, plant: PlantModel) -> None:
-        """Raise ConfigurationError unless every value is finite and the
-        plant and observer states have the plant's dimension."""
+        """Raise ConfigurationError unless every value is finite, the plant
+        and observer states have the plant's dimension and every input
+        segment value its input dimension."""
         states = self.x0[1] if isinstance(self.x0, tuple) else self.x0
         if states.shape[-1] != plant.n or self.z0.size != plant.n:
             raise ConfigurationError(f"x0 and z0 need {plant.n} components, got "
                                      f"{states.shape[-1]} and {self.z0.size}")
+        if any(v.size != plant.m for _t, v in self.u0_segments):
+            raise ConfigurationError(
+                f"u0_segments values must have the input dimension {plant.m}")
         values = [states, self.z0, self.w0, *(v for _t, v in self.u0_segments)]
         if not all(v is None or np.isfinite(v).all() for v in values):
             raise ConfigurationError("initial data must be finite")
@@ -161,6 +165,14 @@ def generate_partition(T_s: float, horizon: float, seed: int,
     return SamplingPartition(np.asarray(times), T_s)
 
 
+def _grid(step: float, horizon: float) -> list[float]:
+    """The times ``j * step``, j = 0, 1, ..., up to ``horizon`` (within _EVENT_ATOL)."""
+    times = []
+    while (t := len(times) * step) <= horizon + _EVENT_ATOL:
+        times.append(t)
+    return times
+
+
 def _event_groups(partition: SamplingPartition, config: SimConfig,
                   plant: PlantModel, init_starts: Sequence[float]) -> list[tuple[float, set]]:
     horizon = config.horizon
@@ -168,25 +180,10 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     for t in partition.times:
         if t <= horizon + _EVENT_ATOL:
             events.append((float(t), _SAMPLE))
-    hold_times = []
-    j = 0
-    while True:
-        t = j * config.T_H
-        if t > horizon + _EVENT_ATOL:
-            break
-        hold_times.append(t)
-        events.append((t, _HOLD))
-        j += 1
-    k = 0
-    last_record = 0.0
-    while True:
-        t = k * config.record_dt
-        if t > horizon + _EVENT_ATOL:
-            break
-        last_record = t
-        events.append((t, _RECORD))
-        k += 1
-    if abs(last_record - horizon) > _EVENT_ATOL:
+    hold_times = _grid(config.T_H, horizon)
+    record_times = _grid(config.record_dt, horizon)
+    events += [(t, _HOLD) for t in hold_times] + [(t, _RECORD) for t in record_times]
+    if abs(record_times[-1] - horizon) > _EVENT_ATOL:
         events.append((horizon, _RECORD))
     # delayed images of every input switch: where u(t - tau) and
     # u(t - r - tau) jump inside the plant and observer equations
@@ -227,7 +224,7 @@ def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
         fz = plant.f(z, u_obs)
         out = np.empty_like(y)
         out[x_sl] = plant.f(y[x_sl], u_plant)
-        out[z_sl] = fz + observer_correction(z, w, u_obs, plant, assm, fn)
+        out[z_sl] = fz + observer_correction(z, w, fz, plant, assm, fn)
         out[w_sl] = plant.jac_h(z) @ fz
         return out
 
@@ -240,7 +237,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     """Run the full loop over ``[0, horizon]`` and record a trajectory.
 
     Rows are written at every measurement, hold, and recording instant
-    (once per instant when they coincide, after all actions at it).
+    (once per instant when they coincide, after all actions at it).  A
+    state that is not finite at the end of a span raises ``NonFiniteError``.
     """
     init.check(plant)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
@@ -275,6 +273,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
             Y = integrate_span(coupled_rhs(plant, assm, fn, u_plant, u_obs), t_cur, t_g, Y,
                                config.dt_max,
                                on_node=lambda t, y: xhist.append(t, y[x_sl]))
+            if not np.isfinite(Y).all():
+                raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y.tolist()}")
             t_cur = t_g
         if _SAMPLE in kinds:
             y_sample = plant.h(xhist.value(t_g - plant.r))
@@ -329,13 +329,11 @@ def fit_decay_rate(traj: Trajectory, t_start: float, t_end: float) -> tuple[floa
     return float(-slope), r2
 
 
-def run_summary(traj: Trajectory, config: SimConfig,
-                fit_window: tuple[float, float] | None = None) -> dict:
-    """JSON-ready digest of one closed-loop run; the initial and terminal
-    composite norms are the first and last recorded rows."""
-    if fit_window is None:
-        fit_window = (0.5 * config.horizon, config.horizon)
-    sigma_hat, r2 = fit_decay_rate(traj, fit_window[0], fit_window[1])
+def run_summary(traj: Trajectory, config: SimConfig) -> dict:
+    """JSON-ready digest of one closed-loop run; the decay rate is fitted on
+    the second half of the horizon, and the initial and terminal composite
+    norms are the first and last recorded rows."""
+    sigma_hat, r2 = fit_decay_rate(traj, 0.5 * config.horizon, config.horizon)
     return {
         "sigma_hat": sigma_hat,
         "r2": r2,
@@ -376,8 +374,7 @@ class TuneResult:
 def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                init: InitialData, search_grid: Sequence[tuple[float, float, int]],
                base_config: SimConfig, min_frac: float = 0.5, seed: int = 0,
-               decay_ratio: float = DECAY_RATIO,
-               fit_window: tuple[float, float] | None = None) -> TuneResult:
+               decay_ratio: float = DECAY_RATIO) -> TuneResult:
     """Try ``(T_s, T_H, N)`` triples on a fixed-seed run until one meets the
     decay bar (positive fitted rate, terminal norm below ``decay_ratio``
     times the initial norm).
@@ -395,7 +392,7 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
         config = replace(base_config, T_H=T_H, N=N, seed=seed)
         partition = generate_partition(T_s, config.horizon, seed, min_frac)
         traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
-        summary = run_summary(traj, config, fit_window=fit_window)
+        summary = run_summary(traj, config)
         ratio, ok = decay_bar(summary, decay_ratio)
         attempts.append({"T_s": T_s, "T_H": T_H, "N": N,
                          "sigma_hat": summary["sigma_hat"],

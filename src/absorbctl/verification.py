@@ -49,6 +49,8 @@ TOLERANCE = 1e-9  # largest worst margin a passing check may report
 UPPER_LEVEL = 100.0  # Lyapunov level capping regions unbounded above
 _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
+_OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
+_OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
 
 
 @dataclass(frozen=True)
@@ -143,15 +145,14 @@ def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float,
     return box
 
 
-def _output_box(plant: PlantModel, state_box: np.ndarray, pad: float = 1.0,
-                grid: int = 5) -> np.ndarray:
+def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
     """Box for sampled outputs: twice the output amplitude over a lattice
     spanning the state box, plus padding."""
-    axes = [np.linspace(lo, hi, grid) for lo, hi in state_box]
+    axes = [np.linspace(lo, hi, _OUTPUT_GRID) for lo, hi in state_box]
     amp = np.zeros(plant.k_out)
     for pt in itertools.product(*axes):
         amp = np.maximum(amp, np.abs(plant.h(np.array(pt))))
-    half = 2.0 * amp + pad
+    half = 2.0 * amp + _OUTPUT_PAD
     return np.column_stack([-half, half])
 
 
@@ -203,9 +204,10 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     if c_value is None:
         c_value = assm.contraction_frac
-    corr = observer_correction(z, plant.h(x), u, plant, assm, fn)
+    fz = plant.f(z, u)
+    corr = observer_correction(z, plant.h(x), fz, plant, assm, fn)
     d = z - x
-    drift_gap = plant.f(z, u) + corr - plant.f(x, u)
+    drift_gap = fz + corr - plant.f(x, u)
     return float(d @ (assm.error_metric @ drift_gap)
                  + c_value * assm.contraction_rate * (d @ d))
 
@@ -215,11 +217,12 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output; ``zero_damping`` ablates the damping term."""
     z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
+    fz = plant.f(z, u)
     if zero_damping:
         corr = assm.observer_gain @ (plant.h(z) - w)
     else:
-        corr = observer_correction(z, w, u, plant, assm, fn)
-    return float(assm.grad_lyapunov(z) @ (plant.f(z, u) + corr) + assm.dissipation(z))
+        corr = observer_correction(z, w, fz, plant, assm, fn)
+    return float(assm.grad_lyapunov(z) @ (fz + corr) + assm.dissipation(z))
 
 
 # --- sampled check driver ---

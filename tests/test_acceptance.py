@@ -43,7 +43,6 @@ FULL = SampleSpec(n_points=10_000, seed=0)
 # the committed loop parameters exercised by criteria 05-09
 T_S, T_H, N_STEPS = 0.01, 0.05, 64
 HORIZON, DT_MAX = 40.0, 1e-3
-FIT_WINDOW = (20.0, 40.0)
 DECAY_RATIO = 1e-3
 
 
@@ -88,7 +87,7 @@ def sweep(planar, stock_init):
         config = config_for(seed)
         partition = generate_partition(T_S, HORIZON, seed)
         traj = simulate_closed_loop(plant, assm, fn, partition, config, stock_init)
-        summary = run_summary(traj, config, fit_window=FIT_WINDOW)
+        summary = run_summary(traj, config)
         runs.append((seed, traj, summary))
     return runs, time.monotonic() - t0
 
@@ -166,8 +165,7 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
         ok = True
     else:
         tuned = pilot_tune(plant, assm, fn, stock_init, TUNE_GRID,
-                           config_for(0), seed=0, decay_ratio=DECAY_RATIO,
-                           fit_window=FIT_WINDOW)
+                           config_for(0), seed=0, decay_ratio=DECAY_RATIO)
         ok = tuned.passed
     report(5, ok, "closed-loop decay with delays (pilot, then tuning grid)")
     assert pilot_ok or ok, (
@@ -209,7 +207,7 @@ def test_criterion_08_delay_free_loop(stock_init):
     config = config_for(0)
     partition = generate_partition(T_S, HORIZON, seed=0)
     traj = simulate_closed_loop(plant, assm, fn, partition, config, stock_init)
-    summary = run_summary(traj, config, fit_window=FIT_WINDOW)
+    summary = run_summary(traj, config)
     clauses = decay_clauses(summary)
 
     degenerate = True

@@ -85,6 +85,21 @@ class TestExitCodes:
                        "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, output", [("simulate", "trajectory.csv"),
+                                                 ("predictor-study", "predictor_study.csv")])
+    def test_wrong_length_input_segment(self, config_file, tmp_path, command, output):
+        # the planar plant has one input; a two-component value is refused
+        assert run_cli(command, "--config", config_file, "--set", "u0_segments=-0.5:0.1,0.2",
+                       "--set", "horizon=1", "--out", tmp_path) == 2
+        assert not (tmp_path / output).exists()
+
+    def test_runaway_state(self, config_file, tmp_path, capsys):
+        # the cubic term overflows within the first span from this state
+        assert run_cli("simulate", "--config", config_file, "--set", "x0=(100,0)",
+                       "--set", "horizon=1", "--out", tmp_path) == 3
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert "simulated state not finite at t=" in capsys.readouterr().err
+
     def test_non_finite_margin(self, config_file, tmp_path, monkeypatch):
         build = cli.build_planar_example
 

@@ -40,10 +40,6 @@ class TestClampInput:
         with pytest.raises(ConfigurationError):
             clamp_input([1.0], BOX)
 
-    def test_inverted_box(self):
-        with pytest.raises(ConfigurationError):
-            clamp_input([0.0], np.array([[1.0, -1.0]]))
-
 
 class TestPlantModel:
     def test_valid_construction(self):
@@ -82,6 +78,10 @@ class TestPlantModel:
                 h=lambda x: np.array([x[0]]),
                 jac_h=lambda x: np.array([[1.0, 0.0]]),
                 input_box=np.array([[0.5, 1.0]]))
+
+    def test_inverted_box(self):
+        with pytest.raises(ConfigurationError):
+            dataclasses.replace(_planar_plant(), input_box=np.array([[1.0, -1.0]]))
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -167,6 +167,15 @@ class TestInputHistory:
         with pytest.raises(ConfigurationError):
             hist.append(0.0, [0.2])
 
+    def test_append_rejects_wrong_dimension(self):
+        hist = self.make()
+        with pytest.raises(ConfigurationError, match="share a dimension"):
+            hist.append(0.0, [0.1, 0.2])
+
+    def test_constructor_rejects_t_now_before_last_start(self):
+        with pytest.raises(ConfigurationError, match="t_now must not precede"):
+            InputHistory(-1.0, [(-1.0, [0.3]), (-0.4, [-0.2])], t_now=-0.6)
+
     def test_advance_monotone_and_empty_guard(self):
         hist = self.make()
         hist.advance(1.0)
@@ -180,20 +189,6 @@ class TestInputHistory:
         pieces = list(hist.iter_segments(-0.9, -0.1))
         assert sum(length for _v, length in pieces) == pytest.approx(0.8, abs=1e-15)
         assert [v[0] for v, _l in pieces] == [0.3, -0.2]
-
-    def test_integral_exact_on_segments(self):
-        hist = self.make()
-        # 0.3 on [-1,-0.4), -0.2 on [-0.4,0): hand integral over [-1, 0)
-        assert hist.integral(-1.0, 0.0)[0] == pytest.approx(0.3 * 0.6 - 0.2 * 0.4, abs=1e-16)
-
-    @given(st.floats(-1.0, 0.0), st.floats(-1.0, 0.0), st.floats(-1.0, 0.0))
-    @settings(max_examples=200)
-    def test_integral_additive(self, a, b, c):
-        a, b, c = sorted((a, b, c))
-        hist = self.make()
-        whole = hist.integral(a, c)[0]
-        split = hist.integral(a, b)[0] + hist.integral(b, c)[0]
-        assert split == pytest.approx(whole, rel=1e-12, abs=1e-15)
 
     def test_sup_abs(self):
         hist = self.make()

@@ -18,8 +18,14 @@ def planar():
 def damping_at(z, y, u, plant, assm, fn):
     """damping_term at (z, y, u), given the values observer_correction passes it."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return damping_term(z, u, assm.grad_lyapunov(z), assm.lyapunov(z),
-                        assm.observer_gain @ (plant.h(z) - y), plant, assm, fn)
+    return damping_term(z, plant.f(z, u), assm.grad_lyapunov(z), assm.lyapunov(z),
+                        assm.observer_gain @ (plant.h(z) - y), assm, fn)
+
+
+def correction_at(z, y, u, plant, assm, fn):
+    """observer_correction at (z, y) with the plant-copy drift f(z, u)."""
+    z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
+    return observer_correction(z, y, plant.f(z, u), plant, assm, fn)
 
 
 class TestBlending:
@@ -29,11 +35,11 @@ class TestBlending:
 
     def test_ramp_values(self):
         fn = BlendingFn(1.0, 1.5)
-        assert fn(0.3) == 0.0
-        assert fn(1.0) == 0.0
-        assert fn(1.25) == pytest.approx(0.5)
-        assert fn(1.5) == 1.0
-        assert fn(7.0) == 1.0
+        assert blend_p(0.3, fn) == 0.0
+        assert blend_p(1.0, fn) == 0.0
+        assert blend_p(1.25, fn) == pytest.approx(0.5)
+        assert blend_p(1.5, fn) == 1.0
+        assert blend_p(7.0, fn) == 1.0
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     @settings(max_examples=300)
@@ -76,14 +82,14 @@ class TestDampingTerm:
 class TestObserverCorrection:
     def test_innovation_only_inside(self, planar):
         plant, assm, fn = planar
-        corr = observer_correction([0.5, 0.0], [0.2], [0.0], plant, assm, fn)
+        corr = correction_at([0.5, 0.0], [0.2], [0.0], plant, assm, fn)
         expected = assm.observer_gain @ np.array([0.5 - 0.2])
         assert (corr == expected).all()
 
     def test_damped_outside_frozen(self, planar):
         plant, assm, fn = planar
         # innovation L*(0-10) = (0.2, 10); phi = 7.5, |grad|^2 = 4
-        corr = observer_correction([0.0, 2.0], [10.0], [0.0], plant, assm, fn)
+        corr = correction_at([0.0, 2.0], [10.0], [0.0], plant, assm, fn)
         assert corr == pytest.approx([0.2, 10.0 - (7.5 / 4.0) * 2.0], rel=1e-14)
 
     def test_continuous_across_boundary(self, planar):
@@ -91,9 +97,28 @@ class TestObserverCorrection:
         eps = 1e-10
         z_in = np.array([np.sqrt(2.0) - eps, 0.0])
         z_out = np.array([np.sqrt(2.0) + eps, 0.0])
-        c_in = observer_correction(z_in, [5.0], [0.1], plant, assm, fn)
-        c_out = observer_correction(z_out, [5.0], [0.1], plant, assm, fn)
+        c_in = correction_at(z_in, [5.0], [0.1], plant, assm, fn)
+        c_out = correction_at(z_out, [5.0], [0.1], plant, assm, fn)
         assert c_out == pytest.approx(c_in, abs=1e-7)
+
+    def test_damping_reuses_callers_drift(self, planar):
+        # the damping term reads f(z, u) from the caller; the correction
+        # itself never evaluates the plant's vector field
+        plant, assm, fn = planar
+        calls = []
+
+        def counted_f(x, u):
+            calls.append(1)
+            return plant.f(x, u)
+
+        counted = dataclasses.replace(plant, f=counted_f)
+        z = np.array([0.0, 2.0])
+        fz = plant.f(z, np.array([0.0]))
+        calls.clear()  # construction probes f
+        corr = observer_correction(z, np.array([10.0]), fz, counted, assm, fn)
+        assert damping_at(z, [10.0], [0.0], plant, assm, fn) > 0.0  # damping is active
+        assert calls == []
+        assert (corr == correction_at(z, [10.0], [0.0], plant, assm, fn)).all()
 
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
@@ -109,7 +134,7 @@ class TestObserverCorrection:
         )
         z = np.array([np.sqrt(2.0), 0.0])  # V = 1.5 > 1.4, gradient = 0
         with pytest.raises(DegenerateGradientError):
-            observer_correction(z, [0.0], [0.0], plant, ring, fn)
+            correction_at(z, [0.0], [0.0], plant, ring, fn)
 
 
 class TestRhs:
@@ -121,7 +146,7 @@ class TestRhs:
         u_plant, u_obs = np.array([-0.02]), np.array([0.05])
         out = coupled_rhs(plant, assm, fn, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
         assert (out[:2] == plant.f(x, u_plant)).all()
-        expected = plant.f(z, u_obs) + observer_correction(z, w, u_obs, plant, assm, fn)
+        expected = plant.f(z, u_obs) + correction_at(z, w, u_obs, plant, assm, fn)
         assert (out[2:4] == expected).all()
 
     def test_isp_rhs_is_output_derivative(self, planar):

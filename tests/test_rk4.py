@@ -52,4 +52,4 @@ def test_flow_splits_at_input_breakpoints():
                        input_box=np.array([[-2.0, 2.0]]))
     hist = InputHistory(0.0, [(0.0, [0.5]), (0.37, [-1.0]), (0.8, [0.25])], t_now=1.0)
     got = flow_on_history(plant, [0.0], hist, 0.0, 1.0, substep=0.3)[0]
-    assert got == pytest.approx(hist.integral(0.0, 1.0)[0], abs=1e-15)
+    assert got == pytest.approx(0.5 * 0.37 - 1.0 * 0.43 + 0.25 * 0.2, abs=1e-15)

@@ -268,6 +268,7 @@ class TestClosedLoop:
         ("w0", [float("nan")], "finite"),
         ("u0_segments", [(-0.5, [0.1]), (-0.2, [float("nan")])], "finite"),
         ("x0", [1.0, -1.0, 0.0], "x0 and z0 need 2 components, got 3 and 2"),
+        ("u0_segments", [(-0.5, [0.1, 0.2])], "must have the input dimension 1"),
     ])
     def test_bad_initial_data_rejected_at_entry(self, planar, field, value, message):
         plant, assm, fn = planar
