@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import bisect
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -50,6 +51,11 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
             f"input has {u.size} components, box has {input_box.shape[0]} rows"
         )
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
+
+
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a 1-d float64 array; the same bits as ``np.linalg.norm``."""
+    return math.sqrt(v.dot(v))
 
 
 def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
@@ -256,6 +262,7 @@ class InputHistory:
         self.t_min = self.t_now = float(t_min)
         self.starts: list[float] = []
         self.values: list[np.ndarray] = []
+        self.norms: list[float] = []
         for t_start, value in segments:
             self.append(t_start, value)
         if t_now is not None:
@@ -290,6 +297,7 @@ class InputHistory:
             raise ConfigurationError("all segment values must share a dimension")
         self.starts.append(t_start)
         self.values.append(value)
+        self.norms.append(_norm(value))
         self.t_now = t_start
 
     def value(self, t: float) -> np.ndarray:
@@ -308,8 +316,8 @@ class InputHistory:
             raise CoverageError("empty input record")
         return self.values[-1]
 
-    def iter_segments(self, t0: float, t1: float) -> Iterator[tuple[np.ndarray, float]]:
-        """Yield ``(value, length)`` pieces partitioning ``[t0, t1)`` exactly."""
+    def _window(self, t0: float, t1: float) -> tuple[float, float]:
+        """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
         t0 = float(t0)
         t1 = float(t1)
         if t0 > t1:
@@ -318,24 +326,57 @@ class InputHistory:
             raise CoverageError(
                 f"interval [{t0!r}, {t1!r}] outside coverage [{self.t_min!r}, {self.t_now!r})"
             )
+        return t0, t1
+
+    def step_pieces(self, t0: float, t1: float, N: int) -> list[list[tuple[np.ndarray, float]]]:
+        """For each of ``N >= 1`` equal steps of ``[t0, t1)``, the ``(value,
+        length)`` pieces partitioning it exactly, in time order.
+
+        Step ``i`` spans ``[t0 + i*h, t0 + (i+1)*h)`` with ``h = (t1 - t0)/N``,
+        except that the last step ends exactly at ``t1``; a piece is the part
+        of one segment inside a step, and empty parts are left out.  One
+        index walks the record across all steps.
+        """
+        t0, t1 = self._window(t0, t1)
         if t0 == t1:
-            return
-        idx = bisect.bisect_right(self.starts, t0) - 1
-        while idx < len(self.starts):
-            seg_lo = max(t0, self.starts[idx])
-            seg_hi = t1 if idx + 1 >= len(self.starts) else min(t1, self.starts[idx + 1])
-            if seg_hi > seg_lo:
-                yield self.values[idx], seg_hi - seg_lo
-            if seg_hi >= t1:
-                return
-            idx += 1
+            return [[] for _ in range(N)]
+        starts, values = self.starts, self.values
+        last = len(starts) - 1
+        h_step = (t1 - t0) / N
+        # nondecreasing, and t0 + (N-1)*h_step never rounds past t1
+        edges = [t0 + i * h_step for i in range(N)]
+        edges.append(t1)
+        steps = []
+        idx = bisect.bisect_right(starts, t0) - 1
+        for i in range(N):
+            lo, hi = edges[i], edges[i + 1]
+            while idx < last and starts[idx + 1] <= lo:
+                idx += 1
+            # now starts[idx] <= lo < starts[idx + 1]: the pieces are [lo, s),
+            # [s, s') ... up to hi for the starts s < hi, none of them empty
+            pieces = []
+            if hi > lo:
+                while idx < last and starts[idx + 1] < hi:
+                    pieces.append((values[idx], starts[idx + 1] - lo))
+                    idx += 1
+                    lo = starts[idx]
+                pieces.append((values[idx], hi - lo))
+            steps.append(pieces)
+        return steps
+
+    def iter_segments(self, t0: float, t1: float) -> list[tuple[np.ndarray, float]]:
+        """The ``(value, length)`` pieces partitioning ``[t0, t1)`` exactly:
+        ``step_pieces`` with one step."""
+        return self.step_pieces(t0, t1, 1)[0]
 
     def sup_abs(self, t0: float, t1: float) -> float:
-        """Largest Euclidean input norm applied on ``[t0, t1)``."""
-        best = 0.0
-        for value, _length in self.iter_segments(t0, t1):
-            best = max(best, float(np.linalg.norm(value)))
-        return best
+        """Largest Euclidean input norm applied on ``[t0, t1)``, read from the
+        norms stored at ``append``; 0.0 on an empty interval."""
+        t0, t1 = self._window(t0, t1)
+        if t0 == t1:
+            return 0.0
+        lo = bisect.bisect_right(self.starts, t0) - 1
+        return max(self.norms[lo:bisect.bisect_left(self.starts, t1)])
 
 
 class StateHistory:
@@ -357,7 +398,7 @@ class StateHistory:
             raise ConfigurationError("state dimension changed mid-record")
         self.times.append(t)
         self.states.append(arr)
-        self.norms.append(float(np.linalg.norm(arr)))
+        self.norms.append(_norm(arr))
 
     def value(self, t: float) -> np.ndarray:
         """Linearly interpolated state at ``t``; exact at sample times."""
@@ -377,20 +418,17 @@ class StateHistory:
         return self.states[lo] + theta * (self.states[hi] - self.states[lo])
 
     def sup_norm(self, t0: float, t1: float) -> float:
-        """Largest sampled/interpolated state norm over ``[t0, t1]``."""
-        best = max(float(np.linalg.norm(self.value(t0))),
-                   float(np.linalg.norm(self.value(t1))))
+        """Largest sampled/interpolated state norm over ``[t0, t1]``; the
+        interior samples' norms are those stored at ``append``."""
         lo = bisect.bisect_right(self.times, t0)
         hi = bisect.bisect_left(self.times, t1)
-        for i in range(lo, hi):
-            if self.norms[i] > best:
-                best = self.norms[i]
-        return best
+        return max(_norm(self.value(t0)), _norm(self.value(t1)), *self.norms[lo:hi])
 
     def prune_before(self, t: float) -> None:
-        """Drop samples no longer needed to interpolate at times >= ``t``."""
-        while len(self.times) >= 2 and self.times[1] <= t:
-            del self.times[0], self.states[0], self.norms[0]
+        """Drop samples no longer needed to interpolate at times >= ``t``:
+        every sample before the last one at or before ``t``."""
+        k = max(0, bisect.bisect_right(self.times, t) - 1)
+        del self.times[:k], self.states[:k], self.norms[:k]
 
 
 _GAP_SLACK = 1.0 + 1e-12  # float accumulation can push a gap one ulp past T_s
@@ -495,8 +533,7 @@ class Trajectory:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(self.t.size):
-                row = ([self.t[i]] + list(self.x[i]) + list(self.z[i])
-                       + list(self.w[i]) + list(self.u_applied[i])
-                       + [self.lyap_x[i], self.lyap_z[i], self.norm[i]])
-                writer.writerow([f"{v:.17g}" for v in row])
+            table = np.column_stack([self.t, self.x, self.z, self.w, self.u_applied,
+                                     self.lyap_x, self.lyap_z, self.norm])
+            for row in table:
+                writer.writerow([f"{v:.17g}" for v in row.tolist()])

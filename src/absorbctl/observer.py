@@ -9,6 +9,7 @@ the correction stays continuous across the absorbing boundary.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,7 +81,7 @@ def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData,
         return innovation
     grad = assm.grad_lyapunov(z)
     grad_sq = grad @ grad
-    if np.sqrt(grad_sq) < _GRAD_FLOOR:
+    if math.sqrt(grad_sq) < _GRAD_FLOOR:
         raise DegenerateGradientError(
             "Lyapunov gradient vanishes outside the absorbing set; "
             "damping direction undefined"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigurationError, CoverageError
+from .errors import ConfigurationError
 from .model import InputHistory, PlantModel
 
 __all__ = ["euler_predict"]
@@ -20,9 +20,10 @@ def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel,
                   t_pred: float | None = None) -> np.ndarray:
     """Predict the state one delay window ahead of ``t_pred - (r + tau)``.
 
-    ``hist`` must cover ``[t_pred - (r + tau), t_pred)``; ``t_pred``
-    defaults to the record's current time.  With no delay the prediction is
-    the initial state itself, unchanged.
+    ``hist`` must cover ``[t_pred - (r + tau), t_pred)`` (CoverageError
+    otherwise); ``t_pred`` defaults to the record's current time.  The N
+    steps and their input pieces are those of ``hist.step_pieces``.  With
+    no delay the prediction is the initial state itself, unchanged.
     """
     if N < 1:
         raise ConfigurationError("predictor step count N must be at least 1")
@@ -31,14 +32,10 @@ def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel,
         return x
     if t_pred is None:
         t_pred = hist.t_now
-    t_lo = t_pred - plant.delay_window
-    if t_pred > hist.t_now or t_lo < hist.t_min:
-        raise CoverageError("input record does not cover the prediction window")
-    h_step = (t_pred - t_lo) / N
-    for i in range(N):
-        b = t_pred if i == N - 1 else t_lo + (i + 1) * h_step
-        increment = np.zeros_like(x)
-        for value, length in hist.iter_segments(t_lo + i * h_step, b):
-            increment = increment + plant.f(x, value) * length
+    f = plant.f
+    for pieces in hist.step_pieces(t_pred - plant.delay_window, t_pred, N):
+        increment = 0.0
+        for value, length in pieces:
+            increment = increment + f(x, value) * length
         x = x + increment
     return x

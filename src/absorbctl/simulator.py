@@ -218,15 +218,14 @@ def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
     ``jac_h(z) f(z, u_obs)`` shares the observer's ``f(z, u_obs)``."""
     n = plant.n
     x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
+    f, jac_h = plant.f, plant.jac_h
 
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         z, w = y[z_sl], y[w_sl]
-        fz = plant.f(z, u_obs)
-        out = np.empty_like(y)
-        out[x_sl] = plant.f(y[x_sl], u_plant)
-        out[z_sl] = fz + observer_correction(z, w, fz, plant, assm, fn)
-        out[w_sl] = plant.jac_h(z) @ fz
-        return out
+        fz = f(z, u_obs)
+        return np.concatenate((f(y[x_sl], u_plant),
+                               fz + observer_correction(z, w, fz, plant, assm, fn),
+                               jac_h(z) @ fz))
 
     return rhs
 
@@ -262,39 +261,42 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
 
     lookback = plant.r + plant.delay_window + config.T_H + max(config.record_dt, 1.0)
     t_cur = 0.0
-    for t_g, kinds in groups:
-        if t_g > t_cur:
-            uhist.advance(t_g)
-            # span constants queried at the midpoint: the event set keeps
-            # every switch of u(. - tau) and u(. - r - tau) out of the open span
-            t_mid = t_cur + 0.5 * (t_g - t_cur)
-            u_plant = uhist.value(t_mid - plant.tau)
-            u_obs = uhist.value(t_mid - plant.delay_window)
-            Y = integrate_span(coupled_rhs(plant, assm, fn, u_plant, u_obs), t_cur, t_g, Y,
-                               config.dt_max,
-                               on_node=lambda t, y: xhist.append(t, y[x_sl]))
-            if not np.isfinite(Y).all():
-                raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y.tolist()}")
-            t_cur = t_g
-        if _SAMPLE in kinds:
-            y_sample = plant.h(xhist.value(t_g - plant.r))
-            Y[w_sl] = y_sample
-            reset_records.append((t_g, y_sample.copy(), Y[w_sl].copy()))
-        if _HOLD in kinds:
-            uhist.append(t_g, hold_control(Y[z_sl].copy(), uhist, config.N, plant, assm,
-                                           t_hold=t_g))
-        if kinds & {_SAMPLE, _HOLD, _RECORD}:
-            rows_t.append(t_g)
-            rows_x.append(Y[x_sl].copy())
-            rows_z.append(Y[z_sl].copy())
-            rows_w.append(Y[w_sl].copy())
-            rows_u.append(uhist.latest_value().copy())
-            rows_norm.append(
-                xhist.sup_norm(t_g - plant.r, t_g)
-                + float(np.linalg.norm(Y[z_sl]))
-                + uhist.sup_abs(t_g - plant.delay_window, t_g))
-        if _RECORD in kinds:
-            xhist.prune_before(t_g - lookback)
+    # a runaway state overflows inside f; the finite check after each span
+    # reports it as NonFiniteError instead of numpy warnings on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t_g, kinds in groups:
+            if t_g > t_cur:
+                uhist.advance(t_g)
+                # span constants queried at the midpoint: the event set keeps
+                # every switch of u(. - tau) and u(. - r - tau) out of the open span
+                t_mid = t_cur + 0.5 * (t_g - t_cur)
+                u_plant = uhist.value(t_mid - plant.tau)
+                u_obs = uhist.value(t_mid - plant.delay_window)
+                Y = integrate_span(coupled_rhs(plant, assm, fn, u_plant, u_obs), t_cur, t_g, Y,
+                                   config.dt_max,
+                                   on_node=lambda t, y: xhist.append(t, y[x_sl]))
+                if not np.isfinite(Y).all():
+                    raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y.tolist()}")
+                t_cur = t_g
+            if _SAMPLE in kinds:
+                y_sample = plant.h(xhist.value(t_g - plant.r))
+                Y[w_sl] = y_sample
+                reset_records.append((t_g, y_sample.copy(), Y[w_sl].copy()))
+            if _HOLD in kinds:
+                uhist.append(t_g, hold_control(Y[z_sl].copy(), uhist, config.N, plant, assm,
+                                               t_hold=t_g))
+            if kinds & {_SAMPLE, _HOLD, _RECORD}:
+                rows_t.append(t_g)
+                rows_x.append(Y[x_sl].copy())
+                rows_z.append(Y[z_sl].copy())
+                rows_w.append(Y[w_sl].copy())
+                rows_u.append(uhist.latest_value().copy())
+                rows_norm.append(
+                    xhist.sup_norm(t_g - plant.r, t_g)
+                    + float(np.linalg.norm(Y[z_sl]))
+                    + uhist.sup_abs(t_g - plant.delay_window, t_g))
+            if _RECORD in kinds:
+                xhist.prune_before(t_g - lookback)
 
     lyap_x = np.array([assm.lyapunov(x) for x in rows_x])
     lyap_z = np.array([assm.lyapunov(z) for z in rows_z])

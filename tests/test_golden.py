@@ -2,9 +2,10 @@
 
 The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
 0-2 of the default configuration and for seed 0 of a fast-hold
-configuration, and of ``verification.json`` for sample seeds 0-2.  A refactor must keep these bytes; a change that alters the
-arithmetic order on purpose updates the digests in the same change and
-records the measured deviation of the terminal state.
+configuration, and of ``verification.json`` for sample seeds 0-2.  A
+refactor must keep these bytes; a change that alters the arithmetic order
+on purpose updates the digests in the same change and records the
+measured deviation of the terminal state.
 """
 
 import hashlib

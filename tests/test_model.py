@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
+from history_oracles import (input_records, prune_one_at_a_time, segments_scan,
+                             state_records, sup_abs_scan, sup_norm_scan, windows)
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
 
@@ -196,6 +198,43 @@ class TestInputHistory:
         assert hist.sup_abs(-0.4, 0.0) == 0.2
         assert hist.sup_abs(-0.3, -0.3) == 0.0
 
+    @given(input_records(m=2), st.data())
+    @settings(max_examples=300)
+    def test_reads_match_scans(self, hist, data):
+        # iter_segments, its one-step step_pieces, and sup_abs over the norms
+        # stored at append equal a fresh scan of the record
+        t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
+        want = segments_scan(hist, t0, t1)
+        for got in (hist.iter_segments(t0, t1), hist.step_pieces(t0, t1, 1)[0]):
+            assert [(v is w, a == b) for (v, a), (w, b) in zip(got, want)] == \
+                [(True, True)] * len(want)
+            assert len(got) == len(want)
+        assert hist.sup_abs(t0, t1) == sup_abs_scan(hist, t0, t1)
+
+    @given(input_records(), st.data(), st.integers(1, 300))
+    @settings(max_examples=200)
+    def test_step_pieces_match_per_step_scans(self, hist, data, N):
+        t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
+        h_step = (t1 - t0) / N
+        edges = [t0 + i * h_step for i in range(N)] + [t1]
+        steps = hist.step_pieces(t0, t1, N)
+        assert len(steps) == N
+        for i, got in enumerate(steps):
+            want = segments_scan(hist, edges[i], edges[i + 1])
+            assert [(v is w, a == b) for (v, a), (w, b) in zip(got, want)] == \
+                [(True, True)] * len(want)
+            assert len(got) == len(want)
+
+    def test_step_pieces_coverage(self):
+        hist = self.make()
+        with pytest.raises(CoverageError):
+            hist.step_pieces(-1.5, -0.5, 4)
+        with pytest.raises(CoverageError):
+            hist.step_pieces(-0.5, 0.5, 4)
+        with pytest.raises(CoverageError):
+            hist.step_pieces(-0.2, -0.4, 4)
+        assert hist.step_pieces(-0.3, -0.3, 3) == [[], [], []]
+
 
 class TestStateHistory:
     def test_exact_at_nodes_linear_between(self):
@@ -233,6 +272,23 @@ class TestStateHistory:
         hist.prune_before(1.5)
         assert hist.times[0] == 1.0  # still brackets queries at 1.5
         assert hist.value(1.5) == pytest.approx([1.5])
+
+    @given(state_records(), st.data())
+    @settings(max_examples=300)
+    def test_sup_norm_matches_scan(self, hist, data):
+        t0, t1 = data.draw(windows(hist.times[0], hist.times[-1]))
+        assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+
+    @given(state_records(), st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=300)
+    def test_prune_matches_one_at_a_time(self, hist, t):
+        oracle = StateHistory(hist.times, hist.states)
+        hist.prune_before(t)
+        prune_one_at_a_time(oracle, t)
+        assert hist.times == oracle.times
+        assert hist.norms == oracle.norms
+        assert all(a is b or (a == b).all() for a, b in zip(hist.states, oracle.states))
+        assert len(hist.states) == len(oracle.states) >= 1
 
 
 class TestPartitionAndConfig:

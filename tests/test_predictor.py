@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict)
+from history_oracles import euler_per_step, grid_times, input_records
 
 
 def scalar_decay_plant(r=0.5, tau=0.5):
@@ -76,3 +79,15 @@ class TestEulerPredict:
         got = euler_predict([0.0], hist, 1, plant, t_pred=0.0)[0]
         assert got == pytest.approx(0.5 * 0.7 - 1.0 * 0.3, abs=1e-16)
 
+
+    @given(input_records(), grid_times(-1.0, 0.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           st.sampled_from([1, 2, 3, 7, 16, 64, 100, 128, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_step_scan_bit_for_bit(self, hist, t_pred, x0, N):
+        # with a dyadic window, N a power of two and starts on the grid, step
+        # edges land exactly on segment starts
+        plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
+        got = euler_predict(x0, hist, N, plant, t_pred=t_pred)
+        want = euler_per_step(x0, hist, N, plant, t_pred)
+        assert got.tobytes() == want.tobytes()
