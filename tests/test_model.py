@@ -206,9 +206,7 @@ class TestInputHistory:
         t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
         want = segments_scan(hist, t0, t1)
         for got in (hist.iter_segments(t0, t1), hist.step_pieces(t0, t1, 1)[0]):
-            assert [(v is w, a == b) for (v, a), (w, b) in zip(got, want)] == \
-                [(True, True)] * len(want)
-            assert len(got) == len(want)
+            assert [(id(v), a) for v, a in got] == [(id(v), a) for v, a in want]
         assert hist.sup_abs(t0, t1) == sup_abs_scan(hist, t0, t1)
 
     @given(input_records(), st.data(), st.integers(1, 300))
@@ -221,9 +219,7 @@ class TestInputHistory:
         assert len(steps) == N
         for i, got in enumerate(steps):
             want = segments_scan(hist, edges[i], edges[i + 1])
-            assert [(v is w, a == b) for (v, a), (w, b) in zip(got, want)] == \
-                [(True, True)] * len(want)
-            assert len(got) == len(want)
+            assert [(id(v), a) for v, a in got] == [(id(v), a) for v, a in want]
 
     def test_step_pieces_coverage(self):
         hist = self.make()
@@ -285,10 +281,9 @@ class TestStateHistory:
         oracle = StateHistory(hist.times, hist.states)
         hist.prune_before(t)
         prune_one_at_a_time(oracle, t)
-        assert hist.times == oracle.times
+        assert len(hist.times) >= 1 and hist.times == oracle.times
         assert hist.norms == oracle.norms
-        assert all(a is b or (a == b).all() for a, b in zip(hist.states, oracle.states))
-        assert len(hist.states) == len(oracle.states) >= 1
+        assert np.array_equal(hist.states, oracle.states)
 
 
 class TestPartitionAndConfig:
