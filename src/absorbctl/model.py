@@ -393,7 +393,7 @@ class StateHistory:
         t = float(t)
         if self.times and t <= self.times[-1]:
             raise ConfigurationError("sample times must be strictly increasing")
-        arr = np.asarray(x, dtype=float).reshape(-1).copy()
+        arr = np.array(x, dtype=float).reshape(-1)
         if self.states and arr.size != self.states[0].size:
             raise ConfigurationError("state dimension changed mid-record")
         self.times.append(t)

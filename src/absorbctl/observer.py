@@ -59,8 +59,8 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData,
     and the output injection L (h(z) - y) for the measured output y, as
     ``observer_correction`` has already computed them.
     """
-    inner = (grad @ fz + assm.dissipation(z)
-             + blend_p(level, fn) * (grad @ innovation))
+    inner = (grad.dot(fz) + assm.dissipation(z)
+             + blend_p(level, fn) * grad.dot(innovation))
     return max(0.0, inner)
 
 
@@ -75,12 +75,12 @@ def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData,
     norm is subtracted along the Lyapunov gradient.  Raises
     ``DegenerateGradientError`` if that direction is undefined.
     """
-    innovation = assm.observer_gain @ (plant.h(z) - y)
+    innovation = assm.observer_gain.dot(plant.h(z) - y)
     level = assm.lyapunov(z)
     if level <= assm.absorbing_level:
         return innovation
     grad = assm.grad_lyapunov(z)
-    grad_sq = grad @ grad
+    grad_sq = grad.dot(grad)
     if math.sqrt(grad_sq) < _GRAD_FLOOR:
         raise DegenerateGradientError(
             "Lyapunov gradient vanishes outside the absorbing set; "

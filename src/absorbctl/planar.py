@@ -40,14 +40,17 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
     u_max = 50.0 * zeta * math.sqrt(2.0)
 
     def f(x, u):
-        return np.array([zeta * x[0] - 10.0 * x[0] ** 3 + x[1],
-                         -3.25 * x[1] + u[0]])
+        x1, x2 = x[0], x[1]
+        return np.array([zeta * x1 - 10.0 * x1 ** 3 + x2, -3.25 * x2 + u[0]])
 
     def h(x):
         return np.array([x[0]])
 
+    jac = np.array([[1.0, 0.0]])
+    jac.flags.writeable = False
+
     def jac_h(_x):
-        return np.array([[1.0, 0.0]])
+        return jac
 
     plant = PlantModel(n=2, m=1, k_out=1, f=f, h=h, jac_h=jac_h,
                        input_box=np.array([[-u_max, u_max]]), r=r, tau=tau)

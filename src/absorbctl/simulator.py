@@ -220,12 +220,14 @@ def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
     x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
     f, jac_h = plant.f, plant.jac_h
 
+    # one point's products use ndarray.dot: on operands BLAS takes it makes
+    # the call `@` makes, at about half of numpy's per-call dispatch cost
     def rhs(_t: float, y: np.ndarray) -> np.ndarray:
         z, w = y[z_sl], y[w_sl]
         fz = f(z, u_obs)
         return np.concatenate((f(y[x_sl], u_plant),
                                fz + observer_correction(z, w, fz, plant, assm, fn),
-                               jac_h(z) @ fz))
+                               jac_h(z).dot(fz)))
 
     return rhs
 

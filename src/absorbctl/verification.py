@@ -161,7 +161,7 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
     """Drift of the Lyapunov function plus the required dissipation."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    return float(assm.grad_lyapunov(x) @ plant.f(x, u) + assm.dissipation(x))
+    return float(assm.grad_lyapunov(x).dot(plant.f(x, u)) + assm.dissipation(x))
 
 
 def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float:
@@ -169,8 +169,8 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float
     and the coercivity margin of the local Lyapunov function."""
     x = np.asarray(x, dtype=float)
     u = clamp_input(assm.local_controller(x), plant.input_box)
-    xsq = x @ x
-    decay = assm.grad_local_lyapunov(x) @ plant.f(x, u) + 2.0 * assm.local_decay * xsq
+    xsq = x.dot(x)
+    decay = assm.grad_local_lyapunov(x).dot(plant.f(x, u)) + 2.0 * assm.local_decay * xsq
     coercive = assm.coercivity * xsq - assm.local_lyapunov(x)
     return float(max(decay, coercive))
 
@@ -179,9 +179,9 @@ def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u
     """Metric contraction of the plain output-injection error dynamics."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     d = z - x
-    drift_gap = (plant.f(z, u) + assm.observer_gain @ (plant.h(z) - plant.h(x))
+    drift_gap = (plant.f(z, u) + assm.observer_gain.dot(plant.h(z) - plant.h(x))
                  - plant.f(x, u))
-    return float(d @ (assm.error_metric @ drift_gap) + assm.contraction_rate * (d @ d))
+    return float(d.dot(assm.error_metric.dot(drift_gap)) + assm.contraction_rate * d.dot(d))
 
 
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
@@ -189,12 +189,12 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
     the Lyapunov gradient at z opposes the metric error direction."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     grad = assm.grad_lyapunov(z)
-    drift = plant.f(z, u) + assm.observer_gain @ (plant.h(z) - plant.h(x))
+    drift = plant.f(z, u) + assm.observer_gain.dot(plant.h(z) - plant.h(x))
     d = z - x
-    numer = d @ (assm.error_metric @ (drift - plant.f(x, u)))
-    denom = grad @ (assm.error_metric @ d)
-    ratio_term = (1.0 - assm.contraction_frac) * (grad @ grad) * numer / denom
-    return float(grad @ drift + assm.dissipation(z) - ratio_term)
+    numer = d.dot(assm.error_metric.dot(drift - plant.f(x, u)))
+    denom = grad.dot(assm.error_metric.dot(d))
+    ratio_term = (1.0 - assm.contraction_frac) * grad.dot(grad) * numer / denom
+    return float(grad.dot(drift) + assm.dissipation(z) - ratio_term)
 
 
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
@@ -208,8 +208,8 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
     corr = observer_correction(z, plant.h(x), fz, plant, assm, fn)
     d = z - x
     drift_gap = fz + corr - plant.f(x, u)
-    return float(d @ (assm.error_metric @ drift_gap)
-                 + c_value * assm.contraction_rate * (d @ d))
+    return float(d.dot(assm.error_metric.dot(drift_gap))
+                 + c_value * assm.contraction_rate * d.dot(d))
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
@@ -219,10 +219,10 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
     z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
     fz = plant.f(z, u)
     if zero_damping:
-        corr = assm.observer_gain @ (plant.h(z) - w)
+        corr = assm.observer_gain.dot(plant.h(z) - w)
     else:
         corr = observer_correction(z, w, fz, plant, assm, fn)
-    return float(assm.grad_lyapunov(z) @ (fz + corr) + assm.dissipation(z))
+    return float(assm.grad_lyapunov(z).dot(fz + corr) + assm.dissipation(z))
 
 
 # --- sampled check driver ---

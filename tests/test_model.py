@@ -263,6 +263,19 @@ class TestStateHistory:
         with pytest.raises(ConfigurationError):
             hist.append(0.0, [2.0])
 
+    @pytest.mark.parametrize("source", [np.array([1.0, 2.0]), np.array([[1.0], [2.0]]),
+                                        np.array([9.0, 1.0, 9.0, 2.0])[1::2]])
+    def test_append_keeps_own_copy(self, source):
+        # the record owns its sample: writing to the source afterwards
+        # (a flat array, a column, or a strided slice of the RK4 state)
+        # leaves the stored state and its norm as appended
+        hist = StateHistory()
+        hist.append(0.0, source)
+        source[...] = -7.0
+        assert hist.states[0].tolist() == [1.0, 2.0]
+        assert hist.value(0.0).tolist() == [1.0, 2.0]
+        assert hist.norms == [np.sqrt(5.0)]
+
     def test_prune_keeps_bracketing_node(self):
         hist = StateHistory([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
         hist.prune_before(1.5)

@@ -5,14 +5,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorbctl import (BlendingFn, ConfigurationError, DegenerateGradientError,
-                       blend_p, build_planar_example, damping_term, observer_correction)
+from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
+                       DegenerateGradientError, PlantModel, blend_p, build_planar_example,
+                       damping_term, observer_correction)
 from absorbctl.simulator import coupled_rhs
 
 
 @pytest.fixture(scope="module")
 def planar():
     return build_planar_example(0.01, r=0.25, tau=0.25)
+
+
+def _three_state_loop():
+    """A three-state, two-output, two-input loop with a state-dependent
+    output Jacobian and a non-diagonal quadratic Lyapunov function; its
+    certificate constants are only consistent enough to construct, and its
+    drift is expansive enough that the damping is often active."""
+    P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
+    plant = PlantModel(
+        n=3, m=2, k_out=2,
+        f=lambda x, u: np.array([0.5 * x[0] + x[1] - 0.1 * x[0] ** 3, 0.3 * x[1] + u[0],
+                                 0.2 * x[2] + x[0] * x[1] + u[1]]),
+        h=lambda x: np.array([x[0] + 0.25 * x[2] ** 2, x[1] - x[2]]),
+        jac_h=lambda x: np.array([[1.0, 0.0, 0.5 * x[2]], [0.0, 1.0, -1.0]]),
+        input_box=np.array([[-1.0, 1.0], [-2.0, 2.0]]))
+    assm = AssumptionData(
+        lyapunov=lambda x: 0.5 * (x * (P @ x)).sum(axis=0),
+        grad_lyapunov=lambda x: P @ x,
+        dissipation=lambda x: 0.1 * (x * x).sum(),
+        local_lyapunov=lambda x: 0.5 * (x * x).sum(),
+        grad_local_lyapunov=lambda x: 1.0 * x,
+        local_controller=lambda x: np.array([-x[0], -x[2]]),
+        observer_gain=np.array([[-1.5, 0.2], [-0.3, -0.7], [0.1, 0.4]]),
+        error_metric=np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 0.5]]),
+        absorbing_level=1.0, blend_lo=2.0, blend_hi=3.0, contraction_frac=0.5,
+        contraction_rate=0.1, local_decay=0.05, coercivity=0.5)
+    return plant, assm, BlendingFn(assm.blend_lo, assm.blend_hi)
+
+
+def rhs_oracle(plant, assm, fn, x, z, w, u_plant, u_obs):
+    """The coupled (x, z, w) right side written out with ``@``."""
+    fz = plant.f(z, u_obs)
+    corr = assm.observer_gain @ (plant.h(z) - w)
+    level = assm.lyapunov(z)
+    if level > assm.absorbing_level:
+        grad = assm.grad_lyapunov(z)
+        grad_sq = grad @ grad
+        phi = max(0.0, grad @ fz + assm.dissipation(z) + blend_p(level, fn) * (grad @ corr))
+        corr = corr - (phi / grad_sq) * grad
+    return np.concatenate((plant.f(x, u_plant), fz + corr, plant.jac_h(z) @ fz))
+
+
+# Lyapunov levels of the observer state: inside the absorbing set, between
+# it and the ramp, on the ramp, and above it where the damping is full
+LEVEL_BANDS = [(0.0, 0.95), (1.05, 1.95), (2.05, 2.95), (3.05, 40.0)]
+unit = st.floats(-1.0, 1.0, allow_nan=False)
+layouts = st.sampled_from(["C", "F", "strided"])
+
+
+def _laid_out(a: np.ndarray, layout: str) -> np.ndarray:
+    """``a`` as a C-order or Fortran-order array, or as a strided view: every
+    other entry of a vector, every other row of a matrix.  (A matrix with
+    no unit-stride axis is outside BLAS; ``dot`` then takes numpy's own loop,
+    whose last bit may differ from ``@``.)"""
+    if layout == "C":
+        return np.ascontiguousarray(a)
+    if layout == "F":
+        return np.asfortranarray(a)
+    big = np.full((2 * a.shape[0],) + a.shape[1:], np.nan)
+    big[::2] = a
+    return big[::2]
+
+
+def _zero_unsigned(a):
+    """``a`` with a negative zero read as a positive one: a 1x1 ``dot`` is the
+    bare product, while ``@`` adds it to a zero accumulator."""
+    return np.asarray(a) + 0.0
 
 
 def damping_at(z, y, u, plant, assm, fn):
@@ -155,3 +223,40 @@ class TestRhs:
         out = rhs(0.0, np.array([0.0, 0.0, 1.0, -1.0, 0.0]))
         # d/dt h = f_1 = zeta*1 - 10*1 + (-1)
         assert out[4:] == pytest.approx([0.01 - 10.0 - 1.0], rel=1e-15)
+
+
+class TestDotMatchesMatmul:
+    """The closed loop takes one point's small products with ``ndarray.dot``;
+    these properties require the bytes of ``@`` on other plants too."""
+
+    @pytest.fixture(scope="class")
+    def loop3(self):
+        return _three_state_loop()
+
+    @given(st.lists(unit, min_size=3, max_size=3).filter(lambda d: max(map(abs, d)) > 0.05),
+           st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_coupled_rhs_matches_matmul_oracle(self, loop3, direction, band, frac, data):
+        plant, assm, fn = loop3
+        direction = np.array(direction)
+        target = band[0] + frac * (band[1] - band[0])
+        z = direction * np.sqrt(target / assm.lyapunov(direction))
+        level = assm.lyapunov(z)
+        assert band[0] - 1e-9 <= level <= band[1] + 1e-9
+        x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+        w = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+        u_plant, u_obs = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
+                                                       max_size=2))) for _ in range(2))
+        out = coupled_rhs(plant, assm, fn, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
+        expected = rhs_oracle(plant, assm, fn, x, z, w, u_plant, u_obs)
+        assert out.tobytes() == expected.tobytes()
+
+    @given(st.integers(1, 4), st.integers(1, 4), layouts, layouts, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_dot_matches_matmul_bytes(self, k, n, layout_a, layout_v, data):
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False)
+        a = np.array(data.draw(st.lists(values, min_size=k * n, max_size=k * n))).reshape(k, n)
+        v = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+        a, v = _laid_out(a, layout_a), _laid_out(v, layout_v)
+        assert _zero_unsigned(a.dot(v)).tobytes() == _zero_unsigned(a @ v).tobytes()
+        assert np.asarray(v.dot(v)).tobytes() == np.asarray(v @ v).tobytes()

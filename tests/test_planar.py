@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absorbctl import (BlendingFn, ConfigurationError, InputHistory, blend_p,
                        build_planar_example, euler_predict)
@@ -17,6 +19,12 @@ def planar_damping_closed_form(z, y, u, zeta: float, fn: BlendingFn) -> float:
              - 3.125 * z2 ** 2
              - ramp * (2.0 * zeta * z1 + z2) * (z1 - y))
     return max(0.0, inner)
+
+
+def planar_f_oracle(x, u, zeta: float) -> np.ndarray:
+    """The planar vector field as first written, indexing ``x`` per use."""
+    return np.array([zeta * x[0] - 10.0 * x[0] ** 3 + x[1],
+                     -3.25 * x[1] + u[0]])
 
 
 def planar_predictor_step(q, hist: InputHistory, i: int, n_steps: int,
@@ -89,6 +97,35 @@ class TestConstruction:
         expected = max(1.0, (10008.0 / 17.0) * 0.012 ** 2,
                        1251.0 * 0.012 ** 2 + 221.0 / 640.0)
         assert assm.blend_lo == expected
+
+
+class TestVectorField:
+    # |x1| >= 1e103 overflows x1 ** 3; below that the field is finite
+    moderate = st.floats(-1e3, 1e3)
+    huge = st.floats(1e103, 1e300) | st.floats(-1e300, -1e103)
+
+    @given(moderate | huge, moderate, st.floats(-0.8, 0.8))
+    @settings(max_examples=500)
+    def test_f_matches_oracle_bitwise(self, planar, x1, x2, u):
+        plant, _assm, _fn = planar
+        x, u = np.array([x1, x2]), np.array([u])
+        # a runaway state must give inf/nan for the span check, not an
+        # OverflowError from Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = plant.f(x, u)
+            expected = planar_f_oracle(x, u, 0.01)
+        assert out.dtype == np.float64 and out.shape == (2,)
+        assert out.tobytes() == expected.tobytes()
+        assert np.isfinite(out[0]) == (abs(x1) < 1e103)
+
+    def test_jac_h_is_a_read_only_constant(self, planar):
+        plant, _assm, _fn = planar
+        jac = plant.jac_h(np.array([0.3, -2.0]))
+        assert jac.dtype == np.float64 and jac.tolist() == [[1.0, 0.0]]
+        assert plant.jac_h(np.array([5.0, 1.0])) is jac
+        with pytest.raises(ValueError):
+            jac[0, 1] = 2.0
+        assert jac.tolist() == [[1.0, 0.0]]
 
 
 class TestClosedForms:
