@@ -199,9 +199,7 @@ def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
     init = _initial_data(settings)
     init.check(plant)
     hist = init.input_history(plant.r, plant.tau, plant.input_box)
-    study = predictor_convergence_study(
-        plant, init.x0, hist,
-        N_list=[8, 16, 32, 64], ref_substep=1e-4, t_pred=0.0)
+    study = predictor_convergence_study(plant, init.x0, hist, N_list=[8, 16, 32, 64])
     with open(out_dir / "predictor_study.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "error"])

@@ -11,15 +11,15 @@ __all__ = ["hold_control"]
 
 
 def hold_control(z_at_hold, hist: InputHistory, N: int, plant: PlantModel,
-                 assm: AssumptionData, t_hold: float | None = None) -> np.ndarray:
+                 assm: AssumptionData) -> np.ndarray:
     """Input value for the next hold interval.
 
-    Predicts the state one delay window ahead of the observer state at the
-    hold instant, evaluates the local controller there, and projects the
-    result onto the input box.  ``hist`` is the open input record up to the
-    hold instant; the value being computed is not part of it yet.  Without
-    delays the prediction is the observer state itself, so this is the
-    clamped local controller at ``z_at_hold``.
+    Predicts the state one delay window ahead of the observer state
+    ``z_at_hold`` (only read) at the hold instant ``hist.t_now``, evaluates
+    the local controller there, and projects the result onto the input box.
+    ``hist`` is the open input record up to the hold instant.  Without
+    delays the prediction is ``z_at_hold`` itself, so this is the clamped
+    local controller there.
     """
-    predicted = euler_predict(z_at_hold, hist, N, plant, t_pred=t_hold)
+    predicted = euler_predict(z_at_hold, hist, N, plant)
     return clamp_input(assm.local_controller(predicted), plant.input_box)

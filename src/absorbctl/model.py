@@ -75,6 +75,13 @@ def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
         raise ConfigurationError(f"{name} disagrees with finite differences")
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only C-order float64 copy of ``value``: no caller's array aliases it."""
+    arr = np.array(value, dtype=float, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def _describe(value) -> str:
     if isinstance(value, np.ndarray):
         return f"{value.dtype} ndarray of shape {value.shape}"
@@ -119,7 +126,7 @@ class PlantModel:
     jac_h : Jacobian of ``h``, ``(k_out, n)``; checked against finite
         differences at construction.
     input_box : admissible input set, an ``(m, 2)`` array of ``(lo, hi)``
-        rows containing 0.
+        rows containing 0; stored as a read-only C-order copy.
     r, tau : measurement and input delays, both nonnegative.
 
     ``f``, ``h`` and ``jac_h`` take and return float64 ndarrays of the
@@ -141,7 +148,7 @@ class PlantModel:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.k_out < 1:
             raise ConfigurationError("dimensions must be positive")
-        box = np.asarray(self.input_box, dtype=float).reshape(self.m, 2)
+        box = _frozen(np.reshape(self.input_box, (self.m, 2)))
         if np.any(box[:, 0] > 0.0) or np.any(box[:, 1] < 0.0):
             raise ConfigurationError("input_box must contain the zero input")
         object.__setattr__(self, "input_box", box)
@@ -173,7 +180,8 @@ class AssumptionData:
     ``absorbing_level`` is the Lyapunov level whose sublevel set traps the
     plant state; ``blend_lo``/``blend_hi`` bracket the ramp of the blending
     function; ``contraction_frac`` is the fraction of the observer
-    contraction rate retained once damping is active.
+    contraction rate retained once damping is active.  ``observer_gain``
+    and ``error_metric`` are stored as read-only C-order copies.
 
     The callables take an ``(n,)`` float64 state.  ``lyapunov``,
     ``local_lyapunov`` and ``dissipation`` return a real scalar,
@@ -203,8 +211,8 @@ class AssumptionData:
     coercivity: float
 
     def __post_init__(self):
-        gain = np.atleast_2d(np.asarray(self.observer_gain, dtype=float))
-        metric = np.atleast_2d(np.asarray(self.error_metric, dtype=float))
+        gain = _frozen(np.atleast_2d(self.observer_gain))
+        metric = _frozen(np.atleast_2d(self.error_metric))
         object.__setattr__(self, "observer_gain", gain)
         object.__setattr__(self, "error_metric", metric)
         n = metric.shape[0]
@@ -309,12 +317,6 @@ class InputHistory:
             )
         idx = bisect.bisect_right(self.starts, t) - 1
         return self.values[idx]
-
-    def latest_value(self) -> np.ndarray:
-        """Value of the most recently appended segment."""
-        if not self.values:
-            raise CoverageError("empty input record")
-        return self.values[-1]
 
     def _window(self, t0: float, t1: float) -> tuple[float, float]:
         """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
@@ -480,12 +482,12 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Row-per-event record of a closed-loop run.
+    """Row-per-event record of a closed-loop run; the simulator's ``x``,
+    ``z`` and ``w`` are column views of one stacked ``(x, z, w)`` row table.
 
-    Auxiliary fields: ``reset_records`` holds, per measurement time, the
-    inter-sample state right after its reset together with the sampled
-    output it was assigned from; ``input_segments`` is the full applied
-    input record.
+    ``reset_records`` holds, per measurement time, the sampled output and
+    the inter-sample state it was assigned to; ``input_segments`` is the
+    full applied input record.
     """
 
     t: np.ndarray
@@ -521,19 +523,13 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """Dump rows with full double precision (17 significant digits)."""
-        n = self.x.shape[1]
-        k = self.w.shape[1]
-        m = self.u_applied.shape[1]
-        header = (["t"]
-                  + [f"x{i + 1}" for i in range(n)]
-                  + [f"z{i + 1}" for i in range(n)]
-                  + [f"w{i + 1}" for i in range(k)]
-                  + [f"u{i + 1}" for i in range(m)]
-                  + ["Vx", "Vz", "norm"])
+        blocks = {"x": self.x, "z": self.z, "w": self.w, "u": self.u_applied}
+        header = ["t", *(f"{name}{i + 1}" for name, block in blocks.items()
+                         for i in range(block.shape[1])), "Vx", "Vz", "norm"]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            table = np.column_stack([self.t, self.x, self.z, self.w, self.u_applied,
-                                     self.lyap_x, self.lyap_z, self.norm])
+            table = np.column_stack([self.t, *blocks.values(), self.lyap_x, self.lyap_z,
+                                     self.norm])
             for row in table:
                 writer.writerow([f"{v:.17g}" for v in row.tolist()])

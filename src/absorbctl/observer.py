@@ -20,6 +20,7 @@ from .model import AssumptionData, PlantModel
 __all__ = [
     "BlendingFn",
     "blend_p",
+    "check_ramp",
     "damping_term",
     "observer_correction",
 ]
@@ -37,6 +38,14 @@ class BlendingFn:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ConfigurationError("blending levels must satisfy lo < hi")
+
+
+def check_ramp(assm: AssumptionData, fn: BlendingFn) -> None:
+    """Raise ConfigurationError unless ``fn`` ramps from ``assm.blend_lo`` to ``blend_hi``."""
+    if (fn.lo, fn.hi) != (assm.blend_lo, assm.blend_hi):
+        raise ConfigurationError(
+            f"blending ramp ({fn.lo!r}, {fn.hi!r}) differs from the certificate's "
+            f"levels ({assm.blend_lo!r}, {assm.blend_hi!r})")
 
 
 def blend_p(level: float, fn: BlendingFn) -> float:

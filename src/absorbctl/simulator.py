@@ -22,7 +22,7 @@ from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory)
-from .observer import BlendingFn, observer_correction
+from .observer import BlendingFn, check_ramp, observer_correction
 from .rk4 import integrate_span
 
 __all__ = [
@@ -53,14 +53,13 @@ class InitialData:
     pair ``(times, states)`` of sequences sampling that interval with
     ``times[0] = -r`` and ``times[-1] = 0``.  ``u0_segments`` are
     ``(t_start, value)`` pairs covering ``[-r-tau, 0)``; values must lie in
-    the input box.  ``w0`` is the inter-sample state before the reset at
-    time 0 overrides it.
+    the input box.  The inter-sample output state takes no initial value:
+    the schedule begins with a measurement at time 0, whose reset sets it.
     """
 
     x0: object
     z0: np.ndarray
     u0_segments: Sequence[tuple[float, Sequence[float]]] = ()
-    w0: np.ndarray | None = None
 
     def __post_init__(self):
         self.z0 = np.asarray(self.z0, dtype=float).reshape(-1)
@@ -75,8 +74,6 @@ class InitialData:
         self.u0_segments = tuple(
             (float(t), np.asarray(v, dtype=float).reshape(-1)) for t, v in self.u0_segments
         )
-        if self.w0 is not None:
-            self.w0 = np.asarray(self.w0, dtype=float).reshape(-1)
 
     def state_history(self, r: float) -> StateHistory:
         """Plant history on ``[-r, 0]``."""
@@ -117,13 +114,6 @@ class InitialData:
             segments.append((t, v))
         return InputHistory(-window, segments, t_now=0.0)
 
-    def initial_w(self, k_out: int) -> np.ndarray:
-        if self.w0 is None:
-            return np.zeros(k_out)
-        if self.w0.size != k_out:
-            raise ConfigurationError("w0 has the wrong dimension")
-        return self.w0.copy()
-
     def initial_x0_at_zero(self) -> np.ndarray:
         return (self.x0[1][-1] if isinstance(self.x0, tuple) else self.x0).copy()
 
@@ -138,8 +128,8 @@ class InitialData:
         if any(v.size != plant.m for _t, v in self.u0_segments):
             raise ConfigurationError(
                 f"u0_segments values must have the input dimension {plant.m}")
-        values = [states, self.z0, self.w0, *(v for _t, v in self.u0_segments)]
-        if not all(v is None or np.isfinite(v).all() for v in values):
+        values = [states, self.z0, *(v for _t, v in self.u0_segments)]
+        if not all(np.isfinite(v).all() for v in values):
             raise ConfigurationError("initial data must be finite")
 
 
@@ -242,6 +232,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     state that is not finite at the end of a span raises ``NonFiniteError``.
     """
     init.check(plant)
+    check_ramp(assm, fn)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")
     n, k_out = plant.n, plant.k_out
@@ -249,14 +240,12 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     uhist = init.input_history(plant.r, plant.tau, plant.input_box)
     groups = _event_groups(partition, config, plant, uhist.starts)
 
-    Y = np.concatenate([init.initial_x0_at_zero(), init.z0.copy(),
-                        init.initial_w(k_out)])
+    # w is set by the reset at the measurement _event_groups requires at t = 0
+    Y = np.concatenate([init.initial_x0_at_zero(), init.z0, np.zeros(k_out)])
     x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + k_out)
 
     rows_t: list[float] = []
-    rows_x: list[np.ndarray] = []
-    rows_z: list[np.ndarray] = []
-    rows_w: list[np.ndarray] = []
+    rows_y: list[np.ndarray] = []
     rows_u: list[np.ndarray] = []
     rows_norm: list[float] = []
     reset_records: list[tuple[float, np.ndarray, np.ndarray]] = []
@@ -285,14 +274,11 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
                 Y[w_sl] = y_sample
                 reset_records.append((t_g, y_sample.copy(), Y[w_sl].copy()))
             if _HOLD in kinds:
-                uhist.append(t_g, hold_control(Y[z_sl].copy(), uhist, config.N, plant, assm,
-                                               t_hold=t_g))
+                uhist.append(t_g, hold_control(Y[z_sl], uhist, config.N, plant, assm))
             if kinds & {_SAMPLE, _HOLD, _RECORD}:
                 rows_t.append(t_g)
-                rows_x.append(Y[x_sl].copy())
-                rows_z.append(Y[z_sl].copy())
-                rows_w.append(Y[w_sl].copy())
-                rows_u.append(uhist.latest_value().copy())
+                rows_y.append(Y.copy())
+                rows_u.append(uhist.values[-1])  # vstack below copies it
                 rows_norm.append(
                     xhist.sup_norm(t_g - plant.r, t_g)
                     + float(np.linalg.norm(Y[z_sl]))
@@ -300,13 +286,13 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
             if _RECORD in kinds:
                 xhist.prune_before(t_g - lookback)
 
-    lyap_x = np.array([assm.lyapunov(x) for x in rows_x])
-    lyap_z = np.array([assm.lyapunov(z) for z in rows_z])
+    table = np.array(rows_y)
+    x, z = table[:, x_sl], table[:, z_sl]
     return Trajectory(
-        t=np.asarray(rows_t), x=np.vstack(rows_x), z=np.vstack(rows_z),
-        w=np.vstack(rows_w), u_applied=np.vstack(rows_u),
-        lyap_x=lyap_x, lyap_z=lyap_z, norm=np.asarray(rows_norm),
-        reset_records=reset_records,
+        t=np.asarray(rows_t), x=x, z=z, w=table[:, w_sl], u_applied=np.vstack(rows_u),
+        lyap_x=np.array([assm.lyapunov(row) for row in x]),
+        lyap_z=np.array([assm.lyapunov(row) for row in z]),
+        norm=np.asarray(rows_norm), reset_records=reset_records,
         input_segments=[(s, v.copy()) for s, v in zip(uhist.starts, uhist.values)],
     )
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientSampleError, NonFiniteError
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
-from .observer import BlendingFn, observer_correction
+from .observer import BlendingFn, check_ramp, observer_correction
 from .predictor import euler_predict
 from .rk4 import flow_on_history
 
@@ -51,6 +51,7 @@ _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 _OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
 _OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
+_REF_SUBSTEP = 1e-4  # longest RK4 step of the predictor study's reference flow
 
 
 @dataclass(frozen=True)
@@ -198,18 +199,16 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
 
 
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-                                 z, x, u, c_value: float | None = None) -> float:
-    """Metric contraction of the corrected observer against the true state,
-    with the sampled output taken from the true state."""
+                                 z, x, u) -> float:
+    """Metric contraction, at ``contraction_frac`` of the certified rate, of
+    the corrected observer against the true state, whose output it samples."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
-    if c_value is None:
-        c_value = assm.contraction_frac
     fz = plant.f(z, u)
     corr = observer_correction(z, plant.h(x), fz, plant, assm, fn)
     d = z - x
     drift_gap = fz + corr - plant.f(x, u)
     return float(d.dot(assm.error_metric.dot(drift_gap))
-                 + c_value * assm.contraction_rate * d.dot(d))
+                 + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
@@ -340,6 +339,7 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
 def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
                                 sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Corrected-gain contraction over observer set x plant set x inputs."""
+    check_ramp(assm, fn)
     z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
@@ -356,6 +356,7 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: Ble
                                 zero_damping: bool = False) -> CheckReport:
     """Corrected-observer dissipation above the upper blending level, with
     the measured output free to roam an inflated output box."""
+    check_ramp(assm, fn)
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
     name = "corrected_dissipation_no_damping" if zero_damping else "corrected_dissipation"
@@ -370,22 +371,17 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: Ble
 
 
 def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
-                                N_list: Sequence[int], ref_substep: float = 1e-4,
-                                t_pred: float | None = None) -> list[tuple[int, float]]:
+                                N_list: Sequence[int]) -> list[tuple[int, float]]:
     """Predictor error against a reference flow for each step count.
 
-    The reference integrates the plant over the delay window with
-    fourth-order steps no longer than ``ref_substep``, split exactly at the
-    input record's segment boundaries.
+    The reference integrates the plant over the delay window ending at
+    ``hist.t_now`` with fourth-order steps no longer than ``_REF_SUBSTEP``,
+    split exactly at the input record's segment boundaries.
     """
-    if ref_substep <= 0.0:
-        raise ConfigurationError("ref_substep must be positive")
-    if t_pred is None:
-        t_pred = hist.t_now
-    window = plant.delay_window
-    reference = flow_on_history(plant, x0, hist, t_pred - window, t_pred, ref_substep)
+    reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
+                                hist.t_now, _REF_SUBSTEP)
     out = []
     for N in N_list:
-        predicted = euler_predict(x0, hist, int(N), plant, t_pred=t_pred)
+        predicted = euler_predict(x0, hist, int(N), plant)
         out.append((int(N), float(np.linalg.norm(reference - predicted))))
     return out

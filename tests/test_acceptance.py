@@ -164,9 +164,13 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
     if pilot_ok:
         ok = True
     else:
-        tuned = pilot_tune(plant, assm, fn, stock_init, TUNE_GRID,
-                           config_for(0), seed=0, decay_ratio=DECAY_RATIO)
-        ok = tuned.passed
+        # the grid's pilot triple at seed 0 is the sweep's seed-0 run, bit for
+        # bit: judge it by pilot_tune's bar (no fit-quality clause) instead
+        # of simulating it again, and tune over the rest of the grid
+        rest = [triple for triple in TUNE_GRID if triple != (T_S, T_H, N_STEPS)]
+        ok = (clauses["sigma_hat_positive"] and clauses["terminal_ratio"]) or pilot_tune(
+            plant, assm, fn, stock_init, rest, config_for(0), seed=0,
+            decay_ratio=DECAY_RATIO).passed
     report(5, ok, "closed-loop decay with delays (pilot, then tuning grid)")
     assert pilot_ok or ok, (
         f"pilot clauses {clauses} and no tuning-grid triple reached "
@@ -215,8 +219,7 @@ def test_criterion_08_delay_free_loop(stock_init):
         frac = traj.t[i] / T_H
         if abs(frac - round(frac)) > 1e-9:
             continue
-        direct = hold_control(traj.z[i], InputHistory(0.0), N_STEPS, plant,
-                              assm, t_hold=float(traj.t[i]))
+        direct = hold_control(traj.z[i], InputHistory(0.0), N_STEPS, plant, assm)
         degenerate &= (direct == traj.u_applied[i]).all()
 
     ok = (clauses["sigma_hat_positive"] and clauses["fit_quality"]

@@ -25,7 +25,7 @@ def test_hold_control_composes_predict_clamp_law(planar):
     z = np.array([0.4, -0.3])
     predicted = euler_predict(z, hist, 32, plant, t_pred=0.0)
     expected = clamp_input(assm.local_controller(predicted), plant.input_box)
-    got = hold_control(z, hist, 32, plant, assm, t_hold=0.0)
+    got = hold_control(z, hist, 32, plant, assm)
     assert (got == expected).all()
 
 

@@ -89,6 +89,25 @@ class TestPlantModel:
         with pytest.raises(ConfigurationError):
             _planar_plant(r=-0.1)
 
+    def test_stored_matrices_are_read_only_copies(self):
+        # a write to the caller's array must not reach the frozen model (it
+        # could move the box off the zero input), and the stored arrays
+        # refuse writes; a Fortran-order source is stored in C order
+        box = np.array([[-1.0, 1.0]])
+        plant = dataclasses.replace(_planar_plant(), input_box=box)
+        _plant, assm, _fn = build_planar_example(0.01)
+        gain = np.asfortranarray([[-0.02, 0.5], [-1.0, 0.25]])[:, :1]
+        metric = np.asfortranarray([[2.0, 0.5], [0.5, 1.0]])
+        assm = dataclasses.replace(assm, observer_gain=gain, error_metric=metric)
+        box[0, 0], gain[0, 0], metric[0, 0] = 3.0, 7.0, 9.0
+        assert (plant.input_box == [[-1.0, 1.0]]).all()
+        assert (assm.observer_gain == [[-0.02], [-1.0]]).all()
+        assert (assm.error_metric == [[2.0, 0.5], [0.5, 1.0]]).all()
+        for stored in (plant.input_box, assm.observer_gain, assm.error_metric):
+            assert stored.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0, 0] = 3.0
+
 
 class TestCallableContract:
     """Every user callable is checked once, at construction, for its shape."""

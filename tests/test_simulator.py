@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from absorbctl import (
+    BlendingFn,
     ConfigurationError,
     CoverageError,
     InitialData,
@@ -149,13 +150,18 @@ class TestInitialData:
         with pytest.raises(ConfigurationError):
             init.input_history(0.0, 0.0, plant.input_box)
 
-    def test_w0(self):
-        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        assert (init.initial_w(1) == [0.0]).all()
-        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], w0=[0.3])
-        assert (init.initial_w(1) == [0.3]).all()
-        with pytest.raises(ConfigurationError):
-            init.initial_w(2)
+    def test_w_starts_at_the_time_0_measurement(self):
+        # no initial inter-sample state exists: row 0 holds the reset to the
+        # output of the history at -r, for delayed and delay-free plants
+        table = ([-0.25, 0.0], [[0.7, 0.2], [1.0, -1.0]])
+        for (r, tau), x0 in (((0.25, 0.25), table), ((0.0, 0.0), [1.0, -1.0])):
+            plant, assm, fn = build_planar_example(0.01, r=r, tau=tau)
+            init = InitialData(x0=x0, z0=[0.0, 0.0])
+            traj = simulate_closed_loop(plant, assm, fn, generate_partition(0.01, 0.1, seed=0),
+                                        short_config(horizon=0.1), init)
+            want = plant.h(init.state_history(r).value(-r))
+            assert traj.t[0] == 0.0 and (traj.w[0] == want).all()
+            assert (traj.reset_records[0][2] == want).all()
 
 
 class TestPartition:
@@ -265,7 +271,7 @@ class TestClosedLoop:
         ("x0", [float("nan"), 0.0], "finite"),
         ("x0", ([-0.25, 0.0], [[1.0, 0.0], [float("inf"), 0.0]]), "finite"),
         ("z0", [0.0, float("inf")], "finite"),
-        ("w0", [float("nan")], "finite"),
+        ("z0", [0.0, 0.0, 0.0], "x0 and z0 need 2 components, got 2 and 3"),
         ("u0_segments", [(-0.5, [0.1]), (-0.2, [float("nan")])], "finite"),
         ("x0", [1.0, -1.0, 0.0], "x0 and z0 need 2 components, got 3 and 2"),
         ("u0_segments", [(-0.5, [0.1, 0.2])], "must have the input dimension 1"),
@@ -276,6 +282,14 @@ class TestClosedLoop:
         partition = generate_partition(0.01, 1.0, seed=0)
         with pytest.raises(ConfigurationError, match=message):
             simulate_closed_loop(plant, assm, fn, partition, short_config(horizon=1.0), init)
+
+    def test_ramp_must_match_certificate(self, planar):
+        plant, assm, _fn = planar
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        with pytest.raises(ConfigurationError, match=r"ramp \(1.0, 50.0\) differs"):
+            simulate_closed_loop(plant, assm, BlendingFn(1.0, 50.0),
+                                 generate_partition(0.01, 1.0, seed=0),
+                                 short_config(horizon=1.0), init)
 
     def test_dt_refinement_converges(self, planar):
         plant, assm, fn = planar

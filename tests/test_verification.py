@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from absorbctl import (
+    BlendingFn,
     ConfigurationError,
     InputHistory,
     InsufficientSampleError,
@@ -141,11 +142,13 @@ class TestMarginOracles:
         assert m == 0.0
 
     def test_contraction_fraction_is_tight(self, planar):
-        # inflating the certified fraction past 1 flips the sign at points
-        # where the plain contraction margin is nearly saturated
+        # retaining 1.5 times the contraction rate (contraction_frac 0.5 of
+        # a tripled rate) flips the sign at points where the plain
+        # contraction margin is nearly saturated
         plant, assm, fn = planar
         z, x, u = [0.01, 0.3], [0.0, 0.3], [0.0]
-        bad = V.corrected_contraction_margin(plant, assm, fn, z, x, u, c_value=1.5)
+        inflated = dataclasses.replace(assm, contraction_rate=3 * assm.contraction_rate)
+        bad = V.corrected_contraction_margin(plant, inflated, fn, z, x, u)
         good = V.corrected_contraction_margin(plant, assm, fn, z, x, u)
         assert bad == pytest.approx(4.0000000000001015e-07, rel=1e-6)
         assert bad > 1e-9
@@ -249,6 +252,15 @@ class TestSampledChecks:
                                            zero_damping=True)
         assert abs(m - rep.worst_margin) <= 1e-12
 
+    @pytest.mark.parametrize("check", [check_corrected_contraction,
+                                       check_corrected_dissipation])
+    def test_ramp_must_match_certificate(self, planar, check):
+        # a ramp from 1 to 50 against the certificate's (1, 1.5) would fail
+        # the dissipation check and blame the certificate
+        plant, assm, _fn = planar
+        with pytest.raises(ConfigurationError, match=r"ramp \(1.0, 50.0\) differs"):
+            check(plant, assm, BlendingFn(1.0, 50.0), SPEC)
+
     def test_empty_sample_rejected(self, planar):
         plant, assm, _ = planar
         with pytest.raises(ConfigurationError):
@@ -325,10 +337,3 @@ class TestPredictorStudy:
         hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
         study = predictor_convergence_study(plant, [0.0, 0.0], hist, [8, 16])
         assert all(err == 0.0 for _, err in study)
-
-    def test_reference_step_validated(self):
-        plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.3])], t_now=0.0)
-        with pytest.raises(ConfigurationError):
-            predictor_convergence_study(plant, [0.5, -0.3], hist, [8],
-                                        ref_substep=0.0)
