@@ -136,13 +136,14 @@ def load_settings(config_path: str, overrides: list[str]) -> dict:
 
 
 def _build_model(settings: dict):
+    """``(plant, assm)``; the example's third item only repeats ``assm``'s ramp."""
     if settings["model"] != "planar":
         raise ConfigurationError(
             f"unknown model {settings['model']!r}; the only built-in is 'planar'"
         )
     return build_planar_example(settings["zeta"], b_level=settings["b"],
                                 c_frac=settings["c"], r=settings["r"],
-                                tau=settings["tau"])
+                                tau=settings["tau"])[:2]
 
 
 def _sim_config(settings: dict) -> SimConfig:
@@ -161,27 +162,27 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def cmd_simulate(settings: dict, out_dir: Path) -> int:
-    plant, assm, fn = _build_model(settings)
+    plant, assm = _build_model(settings)
     config = _sim_config(settings)
     init = _initial_data(settings)
     partition = generate_partition(settings["T_s"], config.horizon, config.seed,
                                    settings["min_frac"])
-    traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+    traj = simulate_closed_loop(plant, assm, partition, config, init)
     traj.write_csv(out_dir / "trajectory.csv")
     _write_json(out_dir / "summary.json", run_summary(traj, config))
     return 0
 
 
 def cmd_verify(settings: dict, out_dir: Path) -> int:
-    plant, assm, fn = _build_model(settings)
+    plant, assm = _build_model(settings)
     sample = SampleSpec(seed=settings["seed"])
     reports = [
         check_absorbing_dissipation(plant, assm, sample),
         check_local_controller(plant, assm, sample),
         check_observer_contraction(plant, assm, sample),
         check_growth_bound(plant, assm, sample),
-        check_corrected_contraction(plant, assm, fn, sample),
-        check_corrected_dissipation(plant, assm, fn, sample),
+        check_corrected_contraction(plant, assm, sample),
+        check_corrected_dissipation(plant, assm, sample),
     ]
     gate = check_zeta_bound(settings["zeta"])
     all_pass = gate and all(rep.passed for rep in reports)
@@ -195,7 +196,7 @@ def cmd_verify(settings: dict, out_dir: Path) -> int:
 
 
 def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
-    plant, _assm, _fn = _build_model(settings)
+    plant, _assm = _build_model(settings)
     init = _initial_data(settings)
     init.check(plant)
     hist = init.input_history(plant.r, plant.tau, plant.input_box)
@@ -209,7 +210,7 @@ def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
 
 
 def cmd_sweep(settings: dict, out_dir: Path) -> int:
-    plant, assm, fn = _build_model(settings)
+    plant, assm = _build_model(settings)
     init = _initial_data(settings)
     runs = []
     all_pass = True
@@ -217,7 +218,7 @@ def cmd_sweep(settings: dict, out_dir: Path) -> int:
         config = replace(_sim_config(settings), seed=seed)
         partition = generate_partition(settings["T_s"], config.horizon, seed,
                                        settings["min_frac"])
-        traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+        traj = simulate_closed_loop(plant, assm, partition, config, init)
         summary = run_summary(traj, config)
         ratio, ok = decay_bar(summary, DECAY_RATIO)
         all_pass = all_pass and ok
@@ -228,10 +229,10 @@ def cmd_sweep(settings: dict, out_dir: Path) -> int:
 
 
 def cmd_tune(settings: dict, out_dir: Path) -> int:
-    plant, assm, fn = _build_model(settings)
+    plant, assm = _build_model(settings)
     init = _initial_data(settings)
     base_config = _sim_config(settings)
-    result = pilot_tune(plant, assm, fn, init, TUNE_GRID, base_config,
+    result = pilot_tune(plant, assm, init, TUNE_GRID, base_config,
                         min_frac=settings["min_frac"], seed=settings["seed"])
     _write_json(out_dir / "tune.json", {
         "passed": result.passed,

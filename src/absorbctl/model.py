@@ -152,8 +152,8 @@ class PlantModel:
         if np.any(box[:, 0] > 0.0) or np.any(box[:, 1] < 0.0):
             raise ConfigurationError("input_box must contain the zero input")
         object.__setattr__(self, "input_box", box)
-        if self.r < 0.0 or self.tau < 0.0:
-            raise ConfigurationError("delays must be nonnegative")
+        if not (0.0 <= self.r < math.inf and 0.0 <= self.tau < math.inf):
+            raise ConfigurationError("delays must be nonnegative and finite")
         zero_u = np.zeros(self.m)
         for i, pt in enumerate(_validation_probes(self.n)):  # probe 0 is the origin
             fx = _check_array("f", self.f(pt, zero_u), (self.n,))
@@ -224,14 +224,15 @@ class AssumptionData:
             raise ConfigurationError("error_metric must be positive definite") from None
         if gain.shape[0] != n:
             raise ConfigurationError("observer_gain must have one row per state")
-        if not (self.absorbing_level <= self.blend_lo < self.blend_hi):
+        if not (-math.inf < self.absorbing_level <= self.blend_lo < self.blend_hi < math.inf):
             raise ConfigurationError(
-                "levels must satisfy absorbing_level <= blend_lo < blend_hi"
+                "levels must be finite and satisfy absorbing_level <= blend_lo < blend_hi"
             )
         if not (0.0 < self.contraction_frac < 1.0):
             raise ConfigurationError("contraction_frac must lie in (0, 1)")
-        if self.contraction_rate <= 0.0 or self.local_decay <= 0.0 or self.coercivity <= 0.0:
-            raise ConfigurationError("rates must be positive")
+        if not all(0.0 < v < math.inf
+                   for v in (self.contraction_rate, self.local_decay, self.coercivity)):
+            raise ConfigurationError("rates must be positive and finite")
         probes = _validation_probes(n)
         for pt in probes:
             for name in ("lyapunov", "local_lyapunov", "dissipation"):
@@ -446,12 +447,13 @@ class SamplingPartition:
     def __post_init__(self):
         times = np.asarray(self.times, dtype=float).reshape(-1)
         object.__setattr__(self, "times", times)
-        if self.T_s <= 0.0:
-            raise ConfigurationError("T_s must be positive")
+        if not 0.0 < self.T_s < math.inf:
+            raise ConfigurationError("T_s must be positive and finite")
         if times.size == 0 or times[0] != 0.0:
             raise ConfigurationError("partition must start at time 0")
         gaps = np.diff(times)
-        if times.size > 1 and (np.any(gaps <= 0.0) or np.any(gaps > self.T_s * _GAP_SLACK)):
+        # written so that a NaN gap fails it too
+        if not np.all((gaps > 0.0) & (gaps <= self.T_s * _GAP_SLACK)):
             raise ConfigurationError("partition gaps must lie in (0, T_s]")
 
 
@@ -468,16 +470,15 @@ class SimConfig:
     record_dt: float = 0.05
 
     def __post_init__(self):
-        if self.T_H <= 0.0:
-            raise ConfigurationError("T_H must be positive")
+        for name in ("T_H", "horizon", "record_dt"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite")
         if self.N < 1:
             raise ConfigurationError("N must be at least 1")
-        if self.horizon <= 0.0:
-            raise ConfigurationError("horizon must be positive")
         if not (0.0 < self.dt_max <= self.T_H):
             raise ConfigurationError("dt_max must lie in (0, T_H]")
-        if self.record_dt <= 0.0:
-            raise ConfigurationError("record_dt must be positive")
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass
@@ -485,9 +486,9 @@ class Trajectory:
     """Row-per-event record of a closed-loop run; the simulator's ``x``,
     ``z`` and ``w`` are column views of one stacked ``(x, z, w)`` row table.
 
-    ``reset_records`` holds, per measurement time, the sampled output and
-    the inter-sample state it was assigned to; ``input_segments`` is the
-    full applied input record.
+    ``reset_records`` holds one ``(t, y)`` pair per measurement time ``t``:
+    the sampled output ``y = h(x(t - r))`` that resets ``w`` at ``t``.
+    ``input_segments`` is the full applied input record.
     """
 
     t: np.ndarray

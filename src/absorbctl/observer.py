@@ -20,7 +20,6 @@ from .model import AssumptionData, PlantModel
 __all__ = [
     "BlendingFn",
     "blend_p",
-    "check_ramp",
     "damping_term",
     "observer_correction",
 ]
@@ -30,7 +29,8 @@ _GRAD_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class BlendingFn:
-    """Piecewise-linear ramp: 0 below ``lo``, 1 above ``hi``, linear between."""
+    """Piecewise-linear ramp: 0 below ``lo``, 1 above ``hi``, linear between;
+    ``build_planar_example`` returns its certificate's levels as one."""
 
     lo: float
     hi: float
@@ -40,25 +40,18 @@ class BlendingFn:
             raise ConfigurationError("blending levels must satisfy lo < hi")
 
 
-def check_ramp(assm: AssumptionData, fn: BlendingFn) -> None:
-    """Raise ConfigurationError unless ``fn`` ramps from ``assm.blend_lo`` to ``blend_hi``."""
-    if (fn.lo, fn.hi) != (assm.blend_lo, assm.blend_hi):
-        raise ConfigurationError(
-            f"blending ramp ({fn.lo!r}, {fn.hi!r}) differs from the certificate's "
-            f"levels ({assm.blend_lo!r}, {assm.blend_hi!r})")
-
-
-def blend_p(level: float, fn: BlendingFn) -> float:
-    """Evaluate the blending ramp at a Lyapunov level."""
-    if level <= fn.lo:
+def blend_p(level: float, assm: AssumptionData) -> float:
+    """The certificate's blending ramp at a Lyapunov level: 0 up to
+    ``assm.blend_lo``, 1 from ``assm.blend_hi``, linear between."""
+    lo, hi = assm.blend_lo, assm.blend_hi
+    if level <= lo:
         return 0.0
-    if level >= fn.hi:
+    if level >= hi:
         return 1.0
-    return (level - fn.lo) / (fn.hi - fn.lo)
+    return (level - lo) / (hi - lo)
 
 
-def damping_term(z, fz, grad, level, innovation, assm: AssumptionData,
-                 fn: BlendingFn) -> float:
+def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
     """Nonnegative damping coefficient for the observer correction.
 
     Measures how much the innovation-driven observer would violate the
@@ -69,12 +62,11 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData,
     ``observer_correction`` has already computed them.
     """
     inner = (grad.dot(fz) + assm.dissipation(z)
-             + blend_p(level, fn) * grad.dot(innovation))
+             + blend_p(level, assm) * grad.dot(innovation))
     return max(0.0, inner)
 
 
-def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData,
-                        fn: BlendingFn) -> np.ndarray:
+def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> np.ndarray:
     """Correction added to the observer drift, for float arrays ``z``
     (observer state), ``y`` (measured output) and ``fz`` (the drift
     ``f(z, u)`` of the observer's plant copy, which the caller holds).
@@ -95,5 +87,5 @@ def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData,
             "Lyapunov gradient vanishes outside the absorbing set; "
             "damping direction undefined"
         )
-    phi = damping_term(z, fz, grad, level, innovation, assm, fn)
+    phi = damping_term(z, fz, grad, level, innovation, assm)
     return innovation - (phi / grad_sq) * grad

@@ -22,7 +22,7 @@ from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory)
-from .observer import BlendingFn, check_ramp, observer_correction
+from .observer import observer_correction
 from .rk4 import integrate_span
 
 __all__ = [
@@ -137,8 +137,8 @@ def generate_partition(T_s: float, horizon: float, seed: int,
                        min_frac: float = 0.5) -> SamplingPartition:
     """Seeded measurement schedule: gaps uniform on [min_frac*T_s, T_s],
     first time 0, last time >= horizon."""
-    if T_s <= 0.0 or horizon <= 0.0:
-        raise ConfigurationError("T_s and horizon must be positive")
+    if not (0.0 < T_s < math.inf and 0.0 < horizon < math.inf):
+        raise ConfigurationError("T_s and horizon must be positive and finite")
     if not (0.0 < min_frac <= 1.0):
         raise ConfigurationError("min_frac must lie in (0, 1]")
     if min_frac == 1.0:
@@ -199,8 +199,8 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     return groups
 
 
-def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-                u_plant: np.ndarray, u_obs: np.ndarray):
+def coupled_rhs(plant: PlantModel, assm: AssumptionData, u_plant: np.ndarray,
+                u_obs: np.ndarray):
     """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``
     on a span with constant plant input ``u_plant`` and observer input
     ``u_obs``: the plant, the observer (plant copy plus correction driven
@@ -216,13 +216,13 @@ def coupled_rhs(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
         z, w = y[z_sl], y[w_sl]
         fz = f(z, u_obs)
         return np.concatenate((f(y[x_sl], u_plant),
-                               fz + observer_correction(z, w, fz, plant, assm, fn),
+                               fz + observer_correction(z, w, fz, plant, assm),
                                jac_h(z).dot(fz)))
 
     return rhs
 
 
-def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
+def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                          partition: SamplingPartition, config: SimConfig,
                          init: InitialData) -> Trajectory:
     """Run the full loop over ``[0, horizon]`` and record a trajectory.
@@ -232,7 +232,6 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     state that is not finite at the end of a span raises ``NonFiniteError``.
     """
     init.check(plant)
-    check_ramp(assm, fn)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")
     n, k_out = plant.n, plant.k_out
@@ -248,7 +247,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
     rows_y: list[np.ndarray] = []
     rows_u: list[np.ndarray] = []
     rows_norm: list[float] = []
-    reset_records: list[tuple[float, np.ndarray, np.ndarray]] = []
+    reset_records: list[tuple[float, np.ndarray]] = []
 
     lookback = plant.r + plant.delay_window + config.T_H + max(config.record_dt, 1.0)
     t_cur = 0.0
@@ -263,7 +262,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
                 t_mid = t_cur + 0.5 * (t_g - t_cur)
                 u_plant = uhist.value(t_mid - plant.tau)
                 u_obs = uhist.value(t_mid - plant.delay_window)
-                Y = integrate_span(coupled_rhs(plant, assm, fn, u_plant, u_obs), t_cur, t_g, Y,
+                Y = integrate_span(coupled_rhs(plant, assm, u_plant, u_obs), t_cur, t_g, Y,
                                    config.dt_max,
                                    on_node=lambda t, y: xhist.append(t, y[x_sl]))
                 if not np.isfinite(Y).all():
@@ -272,7 +271,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData, fn: BlendingFn
             if _SAMPLE in kinds:
                 y_sample = plant.h(xhist.value(t_g - plant.r))
                 Y[w_sl] = y_sample
-                reset_records.append((t_g, y_sample.copy(), Y[w_sl].copy()))
+                reset_records.append((t_g, y_sample))
             if _HOLD in kinds:
                 uhist.append(t_g, hold_control(Y[z_sl], uhist, config.N, plant, assm))
             if kinds & {_SAMPLE, _HOLD, _RECORD}:
@@ -361,8 +360,8 @@ class TuneResult:
     attempts: list[dict]
 
 
-def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-               init: InitialData, search_grid: Sequence[tuple[float, float, int]],
+def pilot_tune(plant: PlantModel, assm: AssumptionData, init: InitialData,
+               search_grid: Sequence[tuple[float, float, int]],
                base_config: SimConfig, min_frac: float = 0.5, seed: int = 0,
                decay_ratio: float = DECAY_RATIO) -> TuneResult:
     """Try ``(T_s, T_H, N)`` triples on a fixed-seed run until one meets the
@@ -381,7 +380,7 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
     for T_s, T_H, N in grid:
         config = replace(base_config, T_H=T_H, N=N, seed=seed)
         partition = generate_partition(T_s, config.horizon, seed, min_frac)
-        traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+        traj = simulate_closed_loop(plant, assm, partition, config, init)
         summary = run_summary(traj, config)
         ratio, ok = decay_bar(summary, decay_ratio)
         attempts.append({"T_s": T_s, "T_H": T_H, "N": N,

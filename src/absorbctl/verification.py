@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InsufficientSampleError, NonFiniteError
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
-from .observer import BlendingFn, check_ramp, observer_correction
+from .observer import observer_correction
 from .predictor import euler_predict
 from .rk4 import flow_on_history
 
@@ -67,6 +67,10 @@ class SampleSpec:
     n_points: int = 10_000
     seed: int = 0
     min_points: int = 0
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigurationError("seed must be nonnegative")
 
 
 @dataclass
@@ -198,21 +202,20 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
     return float(grad.dot(drift) + assm.dissipation(z) - ratio_term)
 
 
-def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-                                 z, x, u) -> float:
+def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     fz = plant.f(z, u)
-    corr = observer_correction(z, plant.h(x), fz, plant, assm, fn)
+    corr = observer_correction(z, plant.h(x), fz, plant, assm)
     d = z - x
     drift_gap = fz + corr - plant.f(x, u)
     return float(d.dot(assm.error_metric.dot(drift_gap))
                  + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
 
-def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
-                                 z, w, u, zero_damping: bool = False) -> float:
+def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u,
+                                 zero_damping: bool = False) -> float:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output; ``zero_damping`` ablates the damping term."""
     z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
@@ -220,7 +223,7 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, fn: Bl
     if zero_damping:
         corr = assm.observer_gain.dot(plant.h(z) - w)
     else:
-        corr = observer_correction(z, w, fz, plant, assm, fn)
+        corr = observer_correction(z, w, fz, plant, assm)
     return float(assm.grad_lyapunov(z).dot(fz + corr) + assm.dissipation(z))
 
 
@@ -336,10 +339,9 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
         sample)
 
 
-def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
+def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
                                 sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Corrected-gain contraction over observer set x plant set x inputs."""
-    check_ramp(assm, fn)
     z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
@@ -347,16 +349,15 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData, fn: Ble
         [z_box, x_box, plant.input_box],
         lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
                          & (assm.lyapunov(x) <= assm.absorbing_level)),
-        lambda z, x, u: corrected_contraction_margin(plant, assm, fn, z, x, u),
+        lambda z, x, u: corrected_contraction_margin(plant, assm, z, x, u),
         sample)
 
 
-def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: BlendingFn,
+def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
                                 sample: SampleSpec = SampleSpec(),
                                 zero_damping: bool = False) -> CheckReport:
     """Corrected-observer dissipation above the upper blending level, with
     the measured output free to roam an inflated output box."""
-    check_ramp(assm, fn)
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
     name = "corrected_dissipation_no_damping" if zero_damping else "corrected_dissipation"
@@ -365,7 +366,7 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData, fn: Ble
         [z_box, w_box, plant.input_box],
         lambda z, w, u: ((assm.blend_hi <= assm.lyapunov(z))
                          & (assm.lyapunov(z) <= UPPER_LEVEL)),
-        lambda z, w, u: corrected_dissipation_margin(plant, assm, fn, z, w, u,
+        lambda z, w, u: corrected_dissipation_margin(plant, assm, z, w, u,
                                                      zero_damping=zero_damping),
         sample)
 

@@ -86,6 +86,20 @@ class TestExitCodes:
                        "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
         assert not (tmp_path / "trajectory.csv").exists()
 
+    @pytest.mark.parametrize("command, setting", [
+        ("simulate", "T_s=nan"), ("simulate", "T_s=inf"), ("simulate", "horizon=nan"),
+        ("simulate", "horizon=inf"), ("simulate", "record_dt=nan"), ("simulate", "T_H=inf"),
+        ("simulate", "r=inf"), ("simulate", "tau=inf"), ("simulate", "b=inf"),
+        ("simulate", "seed=-1"), ("verify", "seed=-1"),
+    ])
+    def test_non_finite_or_negative_seed_setting(self, config_file, tmp_path, capsys,
+                                                 command, setting):
+        # each is refused where it is stored, before any run or output file
+        assert run_cli(command, "--config", config_file, "--set", setting,
+                       "--out", tmp_path) == 2
+        assert "absorbctl: configuration error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config_file]
+
     @pytest.mark.parametrize("command, output", [("simulate", "trajectory.csv"),
                                                  ("predictor-study", "predictor_study.csv")])
     def test_wrong_length_input_segment(self, config_file, tmp_path, command, output):

@@ -157,6 +157,43 @@ class TestCallableContract:
             dataclasses.replace(assm, **{name: point_only})
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+class TestFiniteSettings:
+    """Non-finite numbers and negative seeds are refused where they are stored."""
+
+    @pytest.mark.parametrize("field, value", [("r", INF), ("tau", NAN)])
+    def test_plant_delays(self, field, value):
+        with pytest.raises(ConfigurationError, match="delays must be nonnegative and finite"):
+            _planar_plant(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("absorbing_level", -INF, "levels"), ("blend_hi", INF, "levels"),
+        ("contraction_rate", NAN, "rates"), ("local_decay", INF, "rates"),
+        ("coercivity", NAN, "rates"),
+    ])
+    def test_certificate_levels_and_rates(self, field, value, message):
+        _plant, assm, _fn = build_planar_example(0.01)
+        with pytest.raises(ConfigurationError, match=f"^{message} must be .*finite"):
+            dataclasses.replace(assm, **{field: value})
+
+    @pytest.mark.parametrize("times, T_s", [([0.0, 0.05, NAN, 0.1], 0.1), ([0.0, 0.05], INF),
+                                            ([0.0, 0.05], NAN)])
+    def test_sampling_partition(self, times, T_s):
+        # a NaN time used to pass the gap check, and the loop skipped it
+        with pytest.raises(ConfigurationError, match="T_s must be positive and finite|gaps"):
+            SamplingPartition(np.array(times), T_s)
+
+    @pytest.mark.parametrize("field, value", [
+        ("T_H", INF), ("horizon", INF), ("horizon", NAN), ("record_dt", NAN),
+        ("record_dt", INF), ("seed", -1),
+    ])
+    def test_sim_config(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            SimConfig(**{"T_H": 0.05, "N": 4, "horizon": 1.0, "dt_max": 1e-3, field: value})
+
+
 class TestInputHistory:
     def make(self):
         return InputHistory(-1.0, [(-1.0, [0.3]), (-0.4, [-0.2])], t_now=0.0)

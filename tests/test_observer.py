@@ -13,7 +13,7 @@ from absorbctl.simulator import coupled_rhs
 
 @pytest.fixture(scope="module")
 def planar():
-    return build_planar_example(0.01, r=0.25, tau=0.25)
+    return build_planar_example(0.01, r=0.25, tau=0.25)[:2]
 
 
 def _three_state_loop():
@@ -40,10 +40,10 @@ def _three_state_loop():
         error_metric=np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 0.5]]),
         absorbing_level=1.0, blend_lo=2.0, blend_hi=3.0, contraction_frac=0.5,
         contraction_rate=0.1, local_decay=0.05, coercivity=0.5)
-    return plant, assm, BlendingFn(assm.blend_lo, assm.blend_hi)
+    return plant, assm
 
 
-def rhs_oracle(plant, assm, fn, x, z, w, u_plant, u_obs):
+def rhs_oracle(plant, assm, x, z, w, u_plant, u_obs):
     """The coupled (x, z, w) right side written out with ``@``."""
     fz = plant.f(z, u_obs)
     corr = assm.observer_gain @ (plant.h(z) - w)
@@ -51,7 +51,7 @@ def rhs_oracle(plant, assm, fn, x, z, w, u_plant, u_obs):
     if level > assm.absorbing_level:
         grad = assm.grad_lyapunov(z)
         grad_sq = grad @ grad
-        phi = max(0.0, grad @ fz + assm.dissipation(z) + blend_p(level, fn) * (grad @ corr))
+        phi = max(0.0, grad @ fz + assm.dissipation(z) + blend_p(level, assm) * (grad @ corr))
         corr = corr - (phi / grad_sq) * grad
     return np.concatenate((plant.f(x, u_plant), fz + corr, plant.jac_h(z) @ fz))
 
@@ -83,37 +83,41 @@ def _zero_unsigned(a):
     return np.asarray(a) + 0.0
 
 
-def damping_at(z, y, u, plant, assm, fn):
+def damping_at(z, y, u, plant, assm):
     """damping_term at (z, y, u), given the values observer_correction passes it."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
     return damping_term(z, plant.f(z, u), assm.grad_lyapunov(z), assm.lyapunov(z),
-                        assm.observer_gain @ (plant.h(z) - y), assm, fn)
+                        assm.observer_gain @ (plant.h(z) - y), assm)
 
 
-def correction_at(z, y, u, plant, assm, fn):
+def correction_at(z, y, u, plant, assm):
     """observer_correction at (z, y) with the plant-copy drift f(z, u)."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return observer_correction(z, y, plant.f(z, u), plant, assm, fn)
+    return observer_correction(z, y, plant.f(z, u), plant, assm)
 
 
 class TestBlending:
+    """The ramp is read from the certificate's ``blend_lo``/``blend_hi``."""
+
+    @pytest.fixture(scope="class")
+    def ramp(self, planar):
+        return dataclasses.replace(planar[1], blend_lo=1.0, blend_hi=1.5)
+
     def test_levels_must_be_ordered(self):
         with pytest.raises(ConfigurationError):
             BlendingFn(2.0, 2.0)
 
-    def test_ramp_values(self):
-        fn = BlendingFn(1.0, 1.5)
-        assert blend_p(0.3, fn) == 0.0
-        assert blend_p(1.0, fn) == 0.0
-        assert blend_p(1.25, fn) == pytest.approx(0.5)
-        assert blend_p(1.5, fn) == 1.0
-        assert blend_p(7.0, fn) == 1.0
+    def test_ramp_values(self, ramp):
+        assert blend_p(0.3, ramp) == 0.0
+        assert blend_p(1.0, ramp) == 0.0
+        assert blend_p(1.25, ramp) == pytest.approx(0.5)
+        assert blend_p(1.5, ramp) == 1.0
+        assert blend_p(7.0, ramp) == 1.0
 
     @given(st.floats(-10.0, 10.0), st.floats(-10.0, 10.0))
     @settings(max_examples=300)
-    def test_bounded_and_monotone(self, a, b):
-        fn = BlendingFn(1.0, 1.5)
-        pa, pb = blend_p(a, fn), blend_p(b, fn)
+    def test_bounded_and_monotone(self, ramp, a, b):
+        pa, pb = blend_p(a, ramp), blend_p(b, ramp)
         assert 0.0 <= pa <= 1.0
         if a <= b:
             assert pa <= pb
@@ -121,19 +125,19 @@ class TestBlending:
 
 class TestDampingTerm:
     def test_frozen_positive_value(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         # drift 2*(-6.5) = -13, dissipation 0.5, innovation 20 -> clipped sum 7.5
-        assert damping_at([0.0, 2.0], [10.0], [0.0], plant, assm, fn) == 7.5
+        assert damping_at([0.0, 2.0], [10.0], [0.0], plant, assm) == 7.5
 
     def test_clipped_at_zero(self, planar):
-        plant, assm, fn = planar
-        assert damping_at([2.0, 2.0], [0.0], [0.0], plant, assm, fn) == 0.0
+        plant, assm = planar
+        assert damping_at([2.0, 2.0], [0.0], [0.0], plant, assm) == 0.0
 
     def test_vanishes_on_absorbing_boundary(self, planar):
         # on the absorbing level set the ramp is 0 and the plant dissipates
         # for every admissible input, so the clip is always active: the
         # correction stays continuous across the boundary
-        plant, assm, fn = planar
+        plant, assm = planar
         radius = np.sqrt(2.0)
         u_max = plant.input_box[0, 1]
         angles = np.linspace(0.0, 2.0 * np.pi, 250, endpoint=False)
@@ -142,37 +146,47 @@ class TestDampingTerm:
             z = radius * np.array([np.cos(ang), np.sin(ang)])
             for u in (-u_max, 0.0, u_max):
                 for y in (-3.0, 0.0, 3.0):
-                    assert damping_at(z, [y], [u], plant, assm, fn) == 0.0
+                    assert damping_at(z, [y], [u], plant, assm) == 0.0
                     count += 1
         assert count >= 1000
 
 
 class TestObserverCorrection:
     def test_innovation_only_inside(self, planar):
-        plant, assm, fn = planar
-        corr = correction_at([0.5, 0.0], [0.2], [0.0], plant, assm, fn)
+        plant, assm = planar
+        corr = correction_at([0.5, 0.0], [0.2], [0.0], plant, assm)
         expected = assm.observer_gain @ np.array([0.5 - 0.2])
         assert (corr == expected).all()
 
     def test_damped_outside_frozen(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         # innovation L*(0-10) = (0.2, 10); phi = 7.5, |grad|^2 = 4
-        corr = correction_at([0.0, 2.0], [10.0], [0.0], plant, assm, fn)
+        corr = correction_at([0.0, 2.0], [10.0], [0.0], plant, assm)
         assert corr == pytest.approx([0.2, 10.0 - (7.5 / 4.0) * 2.0], rel=1e-14)
 
+    def test_follows_the_certificates_ramp(self, planar):
+        # V(z) = 2 is above the default ramp (1, 1.5) but 3/4 of the way up
+        # a ramp (1.25, 2.25): phi = -13 + 0.5 + 0.75 * 20 = 2.5 instead of 7.5
+        plant, assm = planar
+        moved = dataclasses.replace(assm, blend_lo=1.25, blend_hi=2.25)
+        assert blend_p(2.0, moved) == 0.75
+        assert damping_at([0.0, 2.0], [10.0], [0.0], plant, moved) == 2.5
+        corr = correction_at([0.0, 2.0], [10.0], [0.0], plant, moved)
+        assert corr == pytest.approx([0.2, 10.0 - (2.5 / 4.0) * 2.0], rel=1e-14)
+
     def test_continuous_across_boundary(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         eps = 1e-10
         z_in = np.array([np.sqrt(2.0) - eps, 0.0])
         z_out = np.array([np.sqrt(2.0) + eps, 0.0])
-        c_in = correction_at(z_in, [5.0], [0.1], plant, assm, fn)
-        c_out = correction_at(z_out, [5.0], [0.1], plant, assm, fn)
+        c_in = correction_at(z_in, [5.0], [0.1], plant, assm)
+        c_out = correction_at(z_out, [5.0], [0.1], plant, assm)
         assert c_out == pytest.approx(c_in, abs=1e-7)
 
     def test_damping_reuses_callers_drift(self, planar):
         # the damping term reads f(z, u) from the caller; the correction
         # itself never evaluates the plant's vector field
-        plant, assm, fn = planar
+        plant, assm = planar
         calls = []
 
         def counted_f(x, u):
@@ -183,17 +197,17 @@ class TestObserverCorrection:
         z = np.array([0.0, 2.0])
         fz = plant.f(z, np.array([0.0]))
         calls.clear()  # construction probes f
-        corr = observer_correction(z, np.array([10.0]), fz, counted, assm, fn)
-        assert damping_at(z, [10.0], [0.0], plant, assm, fn) > 0.0  # damping is active
+        corr = observer_correction(z, np.array([10.0]), fz, counted, assm)
+        assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
         assert calls == []
-        assert (corr == correction_at(z, [10.0], [0.0], plant, assm, fn)).all()
+        assert (corr == correction_at(z, [10.0], [0.0], plant, assm)).all()
 
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
         # absorbing set: the damping direction is undefined there
-        plant, _assm, fn = build_planar_example(0.01)
+        plant, assm = build_planar_example(0.01)[:2]
         ring = dataclasses.replace(
-            _assm,
+            assm,
             lyapunov=lambda x: 1.5 + 0.25 * (x[0] ** 2 + x[1] ** 2 - 2.0) ** 2,
             grad_lyapunov=lambda x: (x[0] ** 2 + x[1] ** 2 - 2.0) * np.array([x[0], x[1]]),
             absorbing_level=1.4,
@@ -202,24 +216,24 @@ class TestObserverCorrection:
         )
         z = np.array([np.sqrt(2.0), 0.0])  # V = 1.5 > 1.4, gradient = 0
         with pytest.raises(DegenerateGradientError):
-            correction_at(z, [0.0], [0.0], plant, ring, fn)
+            correction_at(z, [0.0], [0.0], plant, ring)
 
 
 class TestRhs:
     """The simulator's coupled right side of (x, z, w)."""
 
     def test_observer_rhs_composes(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         x, z, w = np.array([0.2, 0.1]), np.array([0.3, -0.4]), np.array([0.1])
         u_plant, u_obs = np.array([-0.02]), np.array([0.05])
-        out = coupled_rhs(plant, assm, fn, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
+        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
         assert (out[:2] == plant.f(x, u_plant)).all()
-        expected = plant.f(z, u_obs) + correction_at(z, w, u_obs, plant, assm, fn)
+        expected = plant.f(z, u_obs) + correction_at(z, w, u_obs, plant, assm)
         assert (out[2:4] == expected).all()
 
     def test_isp_rhs_is_output_derivative(self, planar):
-        plant, assm, fn = planar
-        rhs = coupled_rhs(plant, assm, fn, np.array([0.0]), np.array([0.3]))
+        plant, assm = planar
+        rhs = coupled_rhs(plant, assm, np.array([0.0]), np.array([0.3]))
         out = rhs(0.0, np.array([0.0, 0.0, 1.0, -1.0, 0.0]))
         # d/dt h = f_1 = zeta*1 - 10*1 + (-1)
         assert out[4:] == pytest.approx([0.01 - 10.0 - 1.0], rel=1e-15)
@@ -237,7 +251,7 @@ class TestDotMatchesMatmul:
            st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.data())
     @settings(max_examples=300, deadline=None)
     def test_coupled_rhs_matches_matmul_oracle(self, loop3, direction, band, frac, data):
-        plant, assm, fn = loop3
+        plant, assm = loop3
         direction = np.array(direction)
         target = band[0] + frac * (band[1] - band[0])
         z = direction * np.sqrt(target / assm.lyapunov(direction))
@@ -247,8 +261,8 @@ class TestDotMatchesMatmul:
         w = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
         u_plant, u_obs = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
                                                        max_size=2))) for _ in range(2))
-        out = coupled_rhs(plant, assm, fn, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
-        expected = rhs_oracle(plant, assm, fn, x, z, w, u_plant, u_obs)
+        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
+        expected = rhs_oracle(plant, assm, x, z, w, u_plant, u_obs)
         assert out.tobytes() == expected.tobytes()
 
     @given(st.integers(1, 4), st.integers(1, 4), layouts, layouts, st.data())

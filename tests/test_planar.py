@@ -1,19 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorbctl import (BlendingFn, ConfigurationError, InputHistory, blend_p,
-                       build_planar_example, euler_predict)
+from absorbctl import ConfigurationError, InputHistory, build_planar_example, euler_predict
 from absorbctl.observer import damping_term
 
 
-def planar_damping_closed_form(z, y, u, zeta: float, fn: BlendingFn) -> float:
-    """Damping coefficient for the planar example, expanded by hand."""
+def planar_damping_closed_form(z, y, u, zeta: float, lo: float, hi: float) -> float:
+    """Damping coefficient for the planar example, expanded by hand, with
+    the blending ramp rising from level ``lo`` to level ``hi``."""
     z1, z2 = float(z[0]), float(z[1])
     y = float(y[0])
     u = float(u[0])
-    ramp = blend_p(0.5 * (z1 ** 2 + z2 ** 2), fn)
+    ramp = min(1.0, max(0.0, (0.5 * (z1 ** 2 + z2 ** 2) - lo) / (hi - lo)))
     inner = ((zeta + 0.125 - 10.0 * z1 ** 2) * z1 ** 2
              + (z1 + u) * z2
              - 3.125 * z2 ** 2
@@ -130,18 +132,26 @@ class TestVectorField:
 
 class TestClosedForms:
     def test_damping_matches_module(self, planar):
-        plant, assm, fn = planar
+        plant, assm, _fn = planar
         rng = np.random.default_rng(42)
         worst = 0.0
-        for _ in range(10_000):
-            z = rng.uniform(-3.0, 3.0, 2)
-            y = rng.uniform(-3.0, 3.0, 1)
-            u = rng.uniform(-0.7, 0.7, 1)
-            a = damping_term(z, plant.f(z, u), assm.grad_lyapunov(z), assm.lyapunov(z),
-                             assm.observer_gain @ (plant.h(z) - y), assm, fn)
-            b = planar_damping_closed_form(z, y, u, 0.01, fn)
-            worst = max(worst, abs(a - b))
+        on_ramp = 0
+        # the example's own ramp over the whole box, then a ramp (2, 6) drawn
+        # where the damping acts on it: z1 near 0 and large innovations
+        for lo, hi, z_max, y_max in ((assm.blend_lo, assm.blend_hi, [3.0, 3.0], 3.0),
+                                     (2.0, 6.0, [0.5, 3.5], 15.0)):
+            ramped = dataclasses.replace(assm, blend_lo=lo, blend_hi=hi)
+            for _ in range(10_000):
+                z = rng.uniform(-np.array(z_max), z_max)
+                y = rng.uniform(-y_max, y_max, 1)
+                u = rng.uniform(-0.7, 0.7, 1)
+                a = damping_term(z, plant.f(z, u), assm.grad_lyapunov(z), assm.lyapunov(z),
+                                 assm.observer_gain @ (plant.h(z) - y), ramped)
+                b = planar_damping_closed_form(z, y, u, 0.01, lo, hi)
+                worst = max(worst, abs(a - b))
+                on_ramp += b > 0.0 and lo < assm.lyapunov(z) < hi
         assert worst <= 1e-12
+        assert on_ramp >= 50
 
     def test_predictor_step_composition_bitwise(self, planar):
         plant, _assm, _fn = planar

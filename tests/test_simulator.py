@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from absorbctl import (
-    BlendingFn,
     ConfigurationError,
     CoverageError,
     InitialData,
@@ -22,7 +21,7 @@ EVENT_ATOL = 1e-12
 
 @pytest.fixture(scope="module")
 def planar():
-    return build_planar_example(0.01, r=0.25, tau=0.25)
+    return build_planar_example(0.01, r=0.25, tau=0.25)[:2]
 
 
 def _interp_rows(times: np.ndarray, table: np.ndarray, t: float) -> np.ndarray:
@@ -71,11 +70,11 @@ def short_config(**kw):
 
 @pytest.fixture(scope="module")
 def short_run(planar):
-    plant, assm, fn = planar
+    plant, assm = planar
     config = short_config()
     partition = generate_partition(0.01, config.horizon, seed=0)
     init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-    traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+    traj = simulate_closed_loop(plant, assm, partition, config, init)
     return plant, assm, config, init, traj
 
 
@@ -88,10 +87,10 @@ class TestInitialData:
         assert (init.initial_x0_at_zero() == [1.0, -1.0]).all()
 
     def test_tuple_state_is_not_a_table(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         config = short_config(horizon=0.5)
         partition = generate_partition(0.01, config.horizon, seed=0)
-        runs = [simulate_closed_loop(plant, assm, fn, partition, config,
+        runs = [simulate_closed_loop(plant, assm, partition, config,
                                      InitialData(x0=x0, z0=[0.0, 0.0]))
                 for x0 in ((1.0, -1.0), [1.0, -1.0])]
         for name in ("t", "x", "z", "w", "u_applied", "norm"):
@@ -114,14 +113,14 @@ class TestInitialData:
             InitialData(x0=([-0.5, 0.0], [[1.0, 0.0]]), z0=[0.0, 0.0])
 
     def test_default_input_history_is_zero(self, planar):
-        plant, _, _ = planar
+        plant, _ = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         hist = init.input_history(0.25, 0.25, plant.input_box)
         assert hist.value(-0.5)[0] == 0.0
         assert hist.value(-1e-9)[0] == 0.0
 
     def test_segments_validated(self, planar):
-        plant, _, _ = planar
+        plant, _ = planar
         box = plant.input_box
         good = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0],
                            u0_segments=[(-0.5, [0.1]), (-0.2, [-0.1])])
@@ -145,7 +144,7 @@ class TestInitialData:
             late.input_history(0.25, 0.25, box)
 
     def test_delay_free_forbids_segments(self, planar):
-        plant, _, _ = planar
+        plant, _ = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=[(-0.5, [0.1])])
         with pytest.raises(ConfigurationError):
             init.input_history(0.0, 0.0, plant.input_box)
@@ -155,13 +154,13 @@ class TestInitialData:
         # output of the history at -r, for delayed and delay-free plants
         table = ([-0.25, 0.0], [[0.7, 0.2], [1.0, -1.0]])
         for (r, tau), x0 in (((0.25, 0.25), table), ((0.0, 0.0), [1.0, -1.0])):
-            plant, assm, fn = build_planar_example(0.01, r=r, tau=tau)
+            plant, assm, _fn = build_planar_example(0.01, r=r, tau=tau)
             init = InitialData(x0=x0, z0=[0.0, 0.0])
-            traj = simulate_closed_loop(plant, assm, fn, generate_partition(0.01, 0.1, seed=0),
+            traj = simulate_closed_loop(plant, assm, generate_partition(0.01, 0.1, seed=0),
                                         short_config(horizon=0.1), init)
             want = plant.h(init.state_history(r).value(-r))
             assert traj.t[0] == 0.0 and (traj.w[0] == want).all()
-            assert (traj.reset_records[0][2] == want).all()
+            assert traj.reset_records[0][0] == 0.0 and (traj.reset_records[0][1] == want).all()
 
 
 class TestPartition:
@@ -198,13 +197,21 @@ class TestPartition:
             generate_partition(0.01, 1.0, seed=0, min_frac=1.5)
 
 
+    @pytest.mark.parametrize("T_s, horizon", [(float("nan"), 1.0), (float("inf"), 1.0),
+                                              (0.01, float("nan")), (0.01, float("inf"))])
+    def test_non_finite_rejected(self, T_s, horizon):
+        # an infinite horizon would draw measurement times forever
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            generate_partition(T_s, horizon, seed=0)
+
+
 class TestClosedLoop:
     def test_equilibrium_stays_exactly_zero(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         config = short_config(horizon=1.0)
         partition = generate_partition(0.01, 1.0, seed=0)
         init = InitialData(x0=[0.0, 0.0], z0=[0.0, 0.0])
-        traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+        traj = simulate_closed_loop(plant, assm, partition, config, init)
         assert np.all(traj.x == 0.0)
         assert np.all(traj.z == 0.0)
         assert np.all(traj.w == 0.0)
@@ -227,11 +234,23 @@ class TestClosedLoop:
         plant, *_ , traj = short_run
         assert traj.check_inputs_in_box(plant.input_box)
 
-    def test_resets_bit_exact(self, short_run):
-        *_, traj = short_run
-        assert len(traj.reset_records) > 100
-        for _t, y_sample, w_after in traj.reset_records:
-            assert (w_after == y_sample).all()
+    def test_reset_samples_are_delayed_outputs(self, planar):
+        # on a uniform schedule with T_s = record_dt and r a multiple of it,
+        # each measurement time less r is a row time (or in the constant
+        # initial history), so every sample can be checked against h there
+        plant, assm = planar
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        partition = generate_partition(0.05, 4.0, seed=0, min_frac=1.0)
+        traj = simulate_closed_loop(plant, assm, partition, short_config(record_dt=0.05), init)
+        assert len(traj.reset_records) == partition.times.size == 81
+        for t, y_sample in traj.reset_records:
+            if t < plant.r:
+                want = plant.h(init.initial_x0_at_zero())
+            else:
+                i = int(np.searchsorted(traj.t, t - plant.r - 1e-9))
+                assert abs(traj.t[i] - (t - plant.r)) <= 1e-12
+                want = plant.h(traj.x[i])
+            assert y_sample == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_input_constant_between_holds(self, short_run):
         *_, config, _init, traj = short_run
@@ -252,20 +271,20 @@ class TestClosedLoop:
         assert recomputed == pytest.approx(traj.norm[idx], rel=1e-6)
 
     def test_partition_must_cover_horizon(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         config = short_config(horizon=4.0)
         partition = generate_partition(0.01, 2.0, seed=0)
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            simulate_closed_loop(plant, assm, fn, partition, config, init)
+            simulate_closed_loop(plant, assm, partition, config, init)
 
     def test_z0_dimension_checked(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         config = short_config(horizon=1.0)
         partition = generate_partition(0.01, 1.0, seed=0)
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            simulate_closed_loop(plant, assm, fn, partition, config, init)
+            simulate_closed_loop(plant, assm, partition, config, init)
 
     @pytest.mark.parametrize("field, value, message", [
         ("x0", [float("nan"), 0.0], "finite"),
@@ -277,27 +296,19 @@ class TestClosedLoop:
         ("u0_segments", [(-0.5, [0.1, 0.2])], "must have the input dimension 1"),
     ])
     def test_bad_initial_data_rejected_at_entry(self, planar, field, value, message):
-        plant, assm, fn = planar
+        plant, assm = planar
         init = InitialData(**{"x0": [1.0, -1.0], "z0": [0.0, 0.0], field: value})
         partition = generate_partition(0.01, 1.0, seed=0)
         with pytest.raises(ConfigurationError, match=message):
-            simulate_closed_loop(plant, assm, fn, partition, short_config(horizon=1.0), init)
-
-    def test_ramp_must_match_certificate(self, planar):
-        plant, assm, _fn = planar
-        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        with pytest.raises(ConfigurationError, match=r"ramp \(1.0, 50.0\) differs"):
-            simulate_closed_loop(plant, assm, BlendingFn(1.0, 50.0),
-                                 generate_partition(0.01, 1.0, seed=0),
-                                 short_config(horizon=1.0), init)
+            simulate_closed_loop(plant, assm, partition, short_config(horizon=1.0), init)
 
     def test_dt_refinement_converges(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         partition = generate_partition(0.01, 4.0, seed=0)
-        coarse = simulate_closed_loop(plant, assm, fn, partition,
+        coarse = simulate_closed_loop(plant, assm, partition,
                                       short_config(dt_max=1e-3), init)
-        fine = simulate_closed_loop(plant, assm, fn, partition,
+        fine = simulate_closed_loop(plant, assm, partition,
                                     short_config(dt_max=5e-4), init)
         ref = np.linalg.norm(fine.x[-1])
         assert np.linalg.norm(coarse.x[-1] - fine.x[-1]) <= 1e-6 * max(ref, 1.0)
@@ -350,12 +361,12 @@ class TestCompositeNorm:
     def test_initial_norm(self, planar):
         # the summary's initial norm is row 0: the constant state history,
         # the observer state, and the initial input segment
-        plant, assm, fn = planar
+        plant, assm = planar
         config = short_config(horizon=0.5)
         partition = generate_partition(0.01, config.horizon, seed=0)
 
         def initial_norm(init):
-            traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+            traj = simulate_closed_loop(plant, assm, partition, config, init)
             return run_summary(traj, config)["initial_norm"]
 
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
@@ -406,21 +417,21 @@ class TestSummaryAndTune:
     def test_summary_reads_recorded_rows_when_horizon_below_window(self):
         # a horizon shorter than r: the terminal window reaches into the
         # initial history, which only the recorded row norm covers
-        plant, assm, fn = build_planar_example(0.01, r=1.0, tau=0.5)
+        plant, assm, _fn = build_planar_example(0.01, r=1.0, tau=0.5)
         config = short_config(horizon=0.5)
         partition = generate_partition(0.01, config.horizon, seed=0)
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        traj = simulate_closed_loop(plant, assm, fn, partition, config, init)
+        traj = simulate_closed_loop(plant, assm, partition, config, init)
         summary = run_summary(traj, config)
         assert summary["terminal_norm"] == traj.norm[-1]
         assert summary["initial_norm"] == traj.norm[0]
 
     def test_tune_accepts_first_workable_triple(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         base = short_config(horizon=2.0)
         grid = [(0.01, 0.05, 16), (0.02, 0.1, 16), (0.01, 0.05, 64)]
-        result = pilot_tune(plant, assm, fn, init, grid, base, decay_ratio=0.9)
+        result = pilot_tune(plant, assm, init, grid, base, decay_ratio=0.9)
         assert result.passed
         # cheapest first: fewest predictor steps, then the larger periods
         assert result.triple == (0.02, 0.1, 16)
@@ -428,10 +439,10 @@ class TestSummaryAndTune:
         assert result.attempts[0]["passed"] is True
 
     def test_tune_reports_failure(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         base = short_config(horizon=2.0)
-        result = pilot_tune(plant, assm, fn, init, [(0.01, 0.05, 16)], base,
+        result = pilot_tune(plant, assm, init, [(0.01, 0.05, 16)], base,
                             decay_ratio=1e-12)
         assert not result.passed
         assert result.triple is None
@@ -440,7 +451,7 @@ class TestSummaryAndTune:
         assert result.attempts[0]["terminal_ratio"] > 1e-12
 
     def test_tune_rejects_empty_grid(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         with pytest.raises(ConfigurationError):
-            pilot_tune(plant, assm, fn, init, [], short_config(horizon=2.0))
+            pilot_tune(plant, assm, init, [], short_config(horizon=2.0))

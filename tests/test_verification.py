@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from absorbctl import (
-    BlendingFn,
     ConfigurationError,
     InputHistory,
     InsufficientSampleError,
@@ -26,7 +25,7 @@ from absorbctl import verification as V
 
 @pytest.fixture(scope="module")
 def planar():
-    return build_planar_example(0.01, r=0.25, tau=0.25)
+    return build_planar_example(0.01, r=0.25, tau=0.25)[:2]
 
 
 # a few thousand points keeps this suite fast; the acceptance tests run the
@@ -68,21 +67,15 @@ def _row_by_row(name, boxes, accept, margin_fn, sample):
 
 
 CHECKS = {
-    "absorbing_dissipation":
-        lambda plant, assm, fn, spec: check_absorbing_dissipation(plant, assm, spec),
-    "local_controller":
-        lambda plant, assm, fn, spec: check_local_controller(plant, assm, spec),
-    "observer_contraction":
-        lambda plant, assm, fn, spec: check_observer_contraction(plant, assm, spec),
-    "observer_growth_bound":
-        lambda plant, assm, fn, spec: check_growth_bound(plant, assm, spec),
-    "corrected_contraction":
-        lambda plant, assm, fn, spec: check_corrected_contraction(plant, assm, fn, spec),
-    "corrected_dissipation":
-        lambda plant, assm, fn, spec: check_corrected_dissipation(plant, assm, fn, spec),
+    "absorbing_dissipation": check_absorbing_dissipation,
+    "local_controller": check_local_controller,
+    "observer_contraction": check_observer_contraction,
+    "observer_growth_bound": check_growth_bound,
+    "corrected_contraction": check_corrected_contraction,
+    "corrected_dissipation": check_corrected_dissipation,
     "corrected_dissipation_no_damping":
-        lambda plant, assm, fn, spec: check_corrected_dissipation(plant, assm, fn, spec,
-                                                                  zero_damping=True),
+        lambda plant, assm, spec: check_corrected_dissipation(plant, assm, spec,
+                                                              zero_damping=True),
 }
 
 
@@ -105,7 +98,7 @@ class TestMarginOracles:
     """Hand-evaluated margins, frozen bitwise where the arithmetic is exact."""
 
     def test_absorbing_dissipation(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         m = V.absorbing_dissipation_margin(plant, assm, [3.0, 0.0], [0.0])
         assert m == pytest.approx(-808.7850000000001, rel=1e-12)
 
@@ -119,37 +112,36 @@ class TestMarginOracles:
         assert m > 0.0
 
     def test_observer_contraction(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         m = V.observer_contraction_margin(plant, assm, [1.0, 1.0], [0.0, 0.0], [0.0])
         assert m == -13.24
         assert V.observer_contraction_margin(plant, assm, [0.3, -0.2],
                                              [0.3, -0.2], [0.1]) == 0.0
 
     def test_growth_bound(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         m = V.growth_bound_margin(plant, assm, [0.0, 1.8], [0.0, 0.5], [0.0])
         assert m == pytest.approx(-6.3225, rel=1e-12)
 
     def test_corrected_dissipation(self, planar):
-        plant, assm, fn = planar
-        m = V.corrected_dissipation_margin(plant, assm, fn, [2.0, 0.0], [0.0], [0.0])
+        plant, assm = planar
+        m = V.corrected_dissipation_margin(plant, assm, [2.0, 0.0], [0.0], [0.0])
         assert m == pytest.approx(-159.54, rel=1e-12)
 
     def test_corrected_contraction_zero_error(self, planar):
-        plant, assm, fn = planar
-        m = V.corrected_contraction_margin(plant, assm, fn,
-                                           [0.4, -0.1], [0.4, -0.1], [0.2])
+        plant, assm = planar
+        m = V.corrected_contraction_margin(plant, assm, [0.4, -0.1], [0.4, -0.1], [0.2])
         assert m == 0.0
 
     def test_contraction_fraction_is_tight(self, planar):
         # retaining 1.5 times the contraction rate (contraction_frac 0.5 of
         # a tripled rate) flips the sign at points where the plain
         # contraction margin is nearly saturated
-        plant, assm, fn = planar
+        plant, assm = planar
         z, x, u = [0.01, 0.3], [0.0, 0.3], [0.0]
         inflated = dataclasses.replace(assm, contraction_rate=3 * assm.contraction_rate)
-        bad = V.corrected_contraction_margin(plant, inflated, fn, z, x, u)
-        good = V.corrected_contraction_margin(plant, assm, fn, z, x, u)
+        bad = V.corrected_contraction_margin(plant, inflated, z, x, u)
+        good = V.corrected_contraction_margin(plant, assm, z, x, u)
         assert bad == pytest.approx(4.0000000000001015e-07, rel=1e-6)
         assert bad > 1e-9
         assert good < 0.0
@@ -157,7 +149,7 @@ class TestMarginOracles:
     def test_wrong_controller_detected(self, planar):
         # sign-flipped feedback destabilizes a thin band near the origin;
         # the stock controller keeps the margin negative at the same point
-        plant, assm, _ = planar
+        plant, assm = planar
         orig = assm.local_controller
         flipped = dataclasses.replace(assm, local_controller=lambda x: -orig(x))
         bad = V.local_controller_margin(plant, flipped, [0.06, 0.0])
@@ -168,7 +160,7 @@ class TestMarginOracles:
 
 class TestSublevelBox:
     def test_disc_radius(self, planar):
-        _, assm, _ = planar
+        _, assm = planar
         box = sublevel_box(assm.lyapunov, 1.0, 2)
         assert np.max(np.abs(np.abs(box) - np.sqrt(2.0))) <= 1e-9
         assert (box[:, 0] < 0).all() and (box[:, 1] > 0).all()
@@ -184,14 +176,14 @@ class TestSublevelBox:
 
 class TestSampledChecks:
     def test_all_pass(self, planar):
-        plant, assm, fn = planar
+        plant, assm = planar
         reports = [
             check_absorbing_dissipation(plant, assm, SPEC),
             check_local_controller(plant, assm, SPEC),
             check_observer_contraction(plant, assm, SPEC),
             check_growth_bound(plant, assm, SPEC),
-            check_corrected_contraction(plant, assm, fn, SPEC),
-            check_corrected_dissipation(plant, assm, fn, SPEC),
+            check_corrected_contraction(plant, assm, SPEC),
+            check_corrected_dissipation(plant, assm, SPEC),
         ]
         for rep in reports:
             assert rep.passed, f"{rep.name}: worst {rep.worst_margin}"
@@ -199,25 +191,25 @@ class TestSampledChecks:
         assert len(set(names)) == 6
 
     def test_determinism(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         a = check_observer_contraction(plant, assm, SampleSpec(n_points=500, seed=7))
         b = check_observer_contraction(plant, assm, SampleSpec(n_points=500, seed=7))
         assert a.to_dict() == b.to_dict()
 
     def test_seed_changes_sample(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         a = check_observer_contraction(plant, assm, SampleSpec(n_points=500, seed=1))
         b = check_observer_contraction(plant, assm, SampleSpec(n_points=500, seed=2))
         assert a.worst_margin != b.worst_margin
 
     def test_worst_point_reproduces_margin(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         rep = check_observer_contraction(plant, assm, SPEC)
         m = V.observer_contraction_margin(plant, assm, *rep.worst_point)
         assert abs(m - rep.worst_margin) <= 1e-12
 
     def test_report_serialization(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         rep = check_absorbing_dissipation(plant, assm, SampleSpec(n_points=200, seed=0))
         d = rep.to_dict()
         assert d["pass"] is True
@@ -228,7 +220,7 @@ class TestSampledChecks:
     def test_growth_bound_side_condition_starves_sampler(self, planar):
         # the admissible cone for this geometry is empty, so every draw is
         # skipped and the check passes vacuously by default
-        plant, assm, _ = planar
+        plant, assm = planar
         rep = check_growth_bound(plant, assm, SampleSpec(n_points=100, seed=0))
         assert rep.points_tested == 0
         assert rep.skipped == 100000  # draw cap: max(50 * n, 100000)
@@ -236,33 +228,27 @@ class TestSampledChecks:
         assert rep.passed
 
     def test_growth_bound_min_points(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         with pytest.raises(InsufficientSampleError):
             check_growth_bound(plant, assm,
                                SampleSpec(n_points=100, seed=0, min_points=1))
 
     def test_damping_ablation_fails(self, planar):
-        plant, assm, fn = planar
-        rep = check_corrected_dissipation(plant, assm, fn, SPEC, zero_damping=True)
+        plant, assm = planar
+        rep = check_corrected_dissipation(plant, assm, SPEC, zero_damping=True)
         assert rep.name == "corrected_dissipation_no_damping"
         assert not rep.passed
         assert rep.worst_margin > 1.0
         # the reported witness reproduces outside the sampler
-        m = V.corrected_dissipation_margin(plant, assm, fn, *rep.worst_point,
-                                           zero_damping=True)
+        m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point, zero_damping=True)
         assert abs(m - rep.worst_margin) <= 1e-12
 
-    @pytest.mark.parametrize("check", [check_corrected_contraction,
-                                       check_corrected_dissipation])
-    def test_ramp_must_match_certificate(self, planar, check):
-        # a ramp from 1 to 50 against the certificate's (1, 1.5) would fail
-        # the dissipation check and blame the certificate
-        plant, assm, _fn = planar
-        with pytest.raises(ConfigurationError, match=r"ramp \(1.0, 50.0\) differs"):
-            check(plant, assm, BlendingFn(1.0, 50.0), SPEC)
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
+            SampleSpec(seed=-1)
 
     def test_empty_sample_rejected(self, planar):
-        plant, assm, _ = planar
+        plant, assm = planar
         with pytest.raises(ConfigurationError):
             check_local_controller(plant, assm, SampleSpec(n_points=0, seed=0))
 
@@ -276,16 +262,16 @@ class TestBatchedDriver:
     def test_matches_row_by_row_oracle(self, planar, monkeypatch, check, seed):
         # observer_growth_bound is the starved case: every one of the
         # 100000 capped draws is skipped
-        plant, assm, fn = planar
+        plant, assm = planar
         spec = SampleSpec(n_points=150, seed=seed)
-        batched = CHECKS[check](plant, assm, fn, spec).to_dict()
+        batched = CHECKS[check](plant, assm, spec).to_dict()
         monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
-        assert CHECKS[check](plant, assm, fn, spec).to_dict() == batched
+        assert CHECKS[check](plant, assm, spec).to_dict() == batched
         assert batched["name"] == check
 
     def test_matches_oracle_across_batches(self, planar, monkeypatch):
         # 5000 points at ~79% acceptance need a second 4096-draw batch
-        plant, assm, fn = planar
+        plant, assm = planar
         spec = SampleSpec(n_points=5000, seed=2)
         batched = check_local_controller(plant, assm, spec).to_dict()
         assert batched["points_tested"] + batched["skipped"] > V._BATCH
@@ -296,7 +282,7 @@ class TestBatchedDriver:
 class TestNonFiniteMargin:
     def test_nan_after_finite_points_raises(self, planar):
         # the row-by-row driver passed this check: NaN > worst is never true
-        plant, assm, _ = planar
+        plant, assm = planar
         dissipation = assm.dissipation
         holed = dataclasses.replace(
             assm, dissipation=lambda x: float("nan") if x[0] >= 5.0 else dissipation(x))
@@ -309,7 +295,7 @@ class TestNonFiniteMargin:
     def test_non_finite_first_point_raises(self, planar, bad):
         # the row-by-row driver reported it as the worst margin, which
         # verification.json cannot hold as valid JSON
-        plant, assm, _ = planar
+        plant, assm = planar
         broken = dataclasses.replace(assm, dissipation=lambda x: bad)
         with pytest.raises(NonFiniteError, match=f"margin {bad} at point"):
             check_absorbing_dissipation(plant, broken, SampleSpec(n_points=1))
