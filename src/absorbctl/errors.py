@@ -24,4 +24,4 @@ class InsufficientSampleError(RuntimeError):
 
 class NonFiniteError(RuntimeError):
     """A NaN or infinite number where a finite one is required: a sampled
-    check's margin, or a simulated state at the end of an integration span."""
+    check's margin, or a simulated state, also where a callable overflowed."""

@@ -3,7 +3,8 @@ sampling schedules, and closed-loop run records.
 
 Conventions used throughout the package:
 
-* states, inputs, and outputs are 1-d ``numpy`` arrays of ``float``;
+* states, inputs, and outputs are lists of floats inside the closed loop
+  and 1-d ``numpy`` arrays of ``float`` elsewhere;
 * an input record is piecewise constant and right-open: the value at a
   segment start belongs to that segment;
 * a state record is a table of time-stamped samples interpolated linearly.
@@ -31,6 +32,7 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "clamp_input",
+    "matvec",
 ]
 
 _ORIGIN_TOL = 1e-12
@@ -51,6 +53,18 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
             f"input has {u.size} components, box has {input_box.shape[0]} rows"
         )
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
+
+
+def matvec(rows, v) -> list[float]:
+    """The list of ``0.0 + row[0]*v[0] + row[1]*v[1] + ...``, summed left to
+    right, for each row; one-term rows give the bits of ``ndarray.dot``."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for a, b in zip(row, v):
+            acc += a * b
+        out.append(acc)
+    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -85,24 +99,43 @@ def _frozen(value) -> np.ndarray:
 def _describe(value) -> str:
     if isinstance(value, np.ndarray):
         return f"{value.dtype} ndarray of shape {value.shape}"
-    return f"{type(value).__name__} of shape {np.shape(value)}"
+    return f"{type(value).__name__} of shape {np.array(value, dtype=object).shape}"
 
 
-def _check_array(name: str, value, shape: tuple | None = None) -> np.ndarray:
-    """Return ``value`` if it is a float64 ndarray of ``shape`` (1-d of any
-    length when ``shape`` is None); raise ConfigurationError otherwise."""
-    if shape is None:
-        ok, expected = np.ndim(value) == 1, "a 1-d float64 ndarray"
+def _check(name: str, value, shape: tuple | None, kind: str = "ndarray"):
+    """Return ``value`` if it is a real scalar for ``shape == ()``, else a
+    float64 ndarray or a list (of rows) of reals, as ``kind`` says, of
+    ``shape`` (1-d for None); raise ConfigurationError otherwise."""
+    if shape == ():
+        ok, expected = isinstance(value, numbers.Real), "a real scalar"
+    elif kind == "list":
+        cells = np.array(value, dtype=object)
+        ok = (type(value) is list and cells.shape == shape
+              and all(isinstance(v, numbers.Real) for v in cells.flat))
+        expected = f"a list of real numbers of shape {shape} for list arguments"
     else:
-        ok, expected = np.shape(value) == shape, f"a float64 ndarray of shape {shape}"
-    if not (ok and isinstance(value, np.ndarray) and value.dtype == np.float64):
+        ok = (isinstance(value, np.ndarray) and value.dtype == np.float64
+              and (value.ndim == 1 if shape is None else value.shape == shape))
+        expected = ("a 1-d float64 ndarray" if shape is None
+                    else f"a float64 ndarray of shape {shape}")
+    if not ok:
         raise ConfigurationError(f"{name} must return {expected}, got {_describe(value)}")
     return value
 
 
-def _check_scalar(name: str, value) -> None:
-    if not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must return a real scalar, got {_describe(value)}")
+def _probe(name: str, fn: Callable, shape: tuple | None, *args: np.ndarray):
+    """``fn(*args)`` at float64 ndarray probes, checked by ``_check``; on the
+    probes as lists of floats ``fn`` must return the list kind of the same
+    shape and values to 1e-12.  Raises ConfigurationError naming ``fn``."""
+    value = _check(name, fn(*args), shape)
+    try:
+        as_list = fn(*(a.tolist() for a in args))
+    except Exception as exc:
+        raise ConfigurationError(f"{name} must accept list arguments: {exc!r}") from None
+    _check(name, as_list, np.shape(value), "list")
+    if not np.allclose(as_list, value, rtol=1e-12, atol=1e-12, equal_nan=True):
+        raise ConfigurationError(f"{name} on lists differs from {name} on ndarrays")
+    return value
 
 
 def _validation_probes(dim: int) -> list[np.ndarray]:
@@ -129,10 +162,11 @@ class PlantModel:
         rows containing 0; stored as a read-only C-order copy.
     r, tau : measurement and input delays, both nonnegative.
 
-    ``f``, ``h`` and ``jac_h`` take and return float64 ndarrays of the
-    shapes above.  Construction calls them at a few probe states and raises
-    ``ConfigurationError`` on any other return; afterwards their results
-    are used as returned, without conversion.
+    ``f``, ``h`` and ``jac_h`` return the kind they are given: float64
+    ndarrays of the shapes above for ndarrays, lists of floats (rows for
+    ``jac_h``) for the lists the closed loop passes.  Construction checks
+    both kinds at a few probe states, raising ``ConfigurationError``;
+    afterwards their results are used as returned, without conversion.
     """
 
     n: int
@@ -156,9 +190,9 @@ class PlantModel:
             raise ConfigurationError("delays must be nonnegative and finite")
         zero_u = np.zeros(self.m)
         for i, pt in enumerate(_validation_probes(self.n)):  # probe 0 is the origin
-            fx = _check_array("f", self.f(pt, zero_u), (self.n,))
-            hx = _check_array("h", self.h(pt), (self.k_out,))
-            jac = _check_array("jac_h", self.jac_h(pt), (self.k_out, self.n))
+            fx = _probe("f", self.f, (self.n,), pt, zero_u)
+            hx = _probe("h", self.h, (self.k_out,), pt)
+            jac = _probe("jac_h", self.jac_h, (self.k_out, self.n), pt)
             if i == 0 and np.max(np.abs(fx)) > _ORIGIN_TOL:
                 raise ConfigurationError("f(0, 0) must vanish (origin equilibrium)")
             if i == 0 and np.max(np.abs(hx)) > _ORIGIN_TOL:
@@ -181,17 +215,17 @@ class AssumptionData:
     plant state; ``blend_lo``/``blend_hi`` bracket the ramp of the blending
     function; ``contraction_frac`` is the fraction of the observer
     contraction rate retained once damping is active.  ``observer_gain``
-    and ``error_metric`` are stored as read-only C-order copies.
+    and ``error_metric`` are stored as read-only C-order copies, and
+    ``gain_rows`` holds the gain's rows as tuples of floats.
 
-    The callables take an ``(n,)`` float64 state.  ``lyapunov``,
-    ``local_lyapunov`` and ``dissipation`` return a real scalar,
-    ``grad_lyapunov`` and ``grad_local_lyapunov`` a float64 ndarray of
-    shape ``(n,)``, and ``local_controller`` a 1-d float64 ndarray.
-    ``lyapunov`` and ``grad_lyapunov`` also take an ``(n, B)`` batch of
-    states, one per column, and return shapes ``(B,)`` and ``(n, B)``
-    agreeing with the per-point values to 1e-12 relative.  As for
-    ``PlantModel``, construction checks this at probe states and later
-    calls trust it.
+    The callables take an ``(n,)`` float64 state or a list of n floats.
+    ``lyapunov``, ``local_lyapunov`` and ``dissipation`` return a real
+    scalar; the gradients n entries and ``local_controller`` one per input,
+    of the kind given.  ``lyapunov`` and ``grad_lyapunov`` also take an
+    ``(n, B)`` batch of states, one per column, and return shapes ``(B,)``
+    and ``(n, B)`` agreeing with the per-point values to 1e-12 relative.
+    As for ``PlantModel``, construction checks this at probe states and
+    later calls trust it.
     """
 
     lyapunov: Callable[[np.ndarray], float]
@@ -215,6 +249,7 @@ class AssumptionData:
         metric = _frozen(np.atleast_2d(self.error_metric))
         object.__setattr__(self, "observer_gain", gain)
         object.__setattr__(self, "error_metric", metric)
+        object.__setattr__(self, "gain_rows", tuple(map(tuple, gain.tolist())))
         n = metric.shape[0]
         if metric.shape != (n, n) or not np.allclose(metric, metric.T, atol=1e-12):
             raise ConfigurationError("error_metric must be square and symmetric")
@@ -236,11 +271,11 @@ class AssumptionData:
         probes = _validation_probes(n)
         for pt in probes:
             for name in ("lyapunov", "local_lyapunov", "dissipation"):
-                _check_scalar(name, getattr(self, name)(pt))
-            _check_array("local_controller", self.local_controller(pt))
+                _probe(name, getattr(self, name), (), pt)
+            _probe("local_controller", self.local_controller, None, pt)
             for name, fn in (("grad_lyapunov", self.lyapunov),
                              ("grad_local_lyapunov", self.local_lyapunov)):
-                grad = _check_array(name, getattr(self, name)(pt), (n,))
+                grad = _probe(name, getattr(self, name), (n,), pt)
                 _check_derivative(name, grad, _fd_jacobian(fn, pt)[0])
         batch = np.column_stack(probes)  # the sampled checks pass (n, B) column batches
         for name in ("lyapunov", "grad_lyapunov"):
@@ -250,7 +285,7 @@ class AssumptionData:
                 value = fn(batch)
             except Exception as exc:
                 raise ConfigurationError(f"{name} must accept an (n, B) batch: {exc}") from None
-            _check_array(f"{name} on an (n, B) batch", value, pointwise.shape)
+            _check(f"{name} on an (n, B) batch", value, pointwise.shape)
             if not np.allclose(value, pointwise, rtol=1e-12, atol=0.0):
                 raise ConfigurationError(f"{name} on an (n, B) batch differs from its points")
 
@@ -263,14 +298,14 @@ class InputHistory:
     of the segment whose start is the largest one not exceeding it.  Appends
     may not rewrite the covered past.  The constructor appends ``segments``
     in order; ``t_now`` defaults to the last segment start (``t_min`` for an
-    empty record) and may not precede it.
+    empty record) and may not precede it.  Values are kept as lists of floats.
     """
 
     def __init__(self, t_min: float, segments: Sequence[tuple[float, Sequence[float]]] = (),
                  t_now: float | None = None):
         self.t_min = self.t_now = float(t_min)
         self.starts: list[float] = []
-        self.values: list[np.ndarray] = []
+        self.values: list[list[float]] = []
         self.norms: list[float] = []
         for t_start, value in segments:
             self.append(t_start, value)
@@ -302,14 +337,14 @@ class InputHistory:
             raise ConfigurationError("segment starts must be strictly increasing")
         if t_start < self.t_now:
             raise ConfigurationError("cannot rewrite already-covered input history")
-        if self.values and value.size != self.values[0].size:
+        if self.values and value.size != len(self.values[0]):
             raise ConfigurationError("all segment values must share a dimension")
         self.starts.append(t_start)
-        self.values.append(value)
+        self.values.append(value.tolist())
         self.norms.append(_norm(value))
         self.t_now = t_start
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> list[float]:
         """Input applied at time ``t``; requires ``t_min <= t < t_now``."""
         t = float(t)
         if not (self.t_min <= t < self.t_now):
@@ -331,7 +366,7 @@ class InputHistory:
             )
         return t0, t1
 
-    def step_pieces(self, t0: float, t1: float, N: int) -> list[list[tuple[np.ndarray, float]]]:
+    def step_pieces(self, t0: float, t1: float, N: int) -> list[list[tuple[list, float]]]:
         """For each of ``N >= 1`` equal steps of ``[t0, t1)``, the ``(value,
         length)`` pieces partitioning it exactly, in time order.
 
@@ -367,7 +402,7 @@ class InputHistory:
             steps.append(pieces)
         return steps
 
-    def iter_segments(self, t0: float, t1: float) -> list[tuple[np.ndarray, float]]:
+    def iter_segments(self, t0: float, t1: float) -> list[tuple[list, float]]:
         """The ``(value, length)`` pieces partitioning ``[t0, t1)`` exactly:
         ``step_pieces`` with one step."""
         return self.step_pieces(t0, t1, 1)[0]

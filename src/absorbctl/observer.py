@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGradientError
-from .model import AssumptionData, PlantModel
+from .model import AssumptionData, PlantModel, matvec
 
 __all__ = [
     "BlendingFn",
@@ -59,33 +59,34 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
     drift is ``fz = f(z, u)``; clipped at zero when no violation is
     possible.  ``grad``, ``level`` and ``innovation`` are grad V(z), V(z)
     and the output injection L (h(z) - y) for the measured output y, as
-    ``observer_correction`` has already computed them.
+    ``observer_correction`` has already computed them (``grad`` an ndarray).
     """
     inner = (grad.dot(fz) + assm.dissipation(z)
              + blend_p(level, assm) * grad.dot(innovation))
-    return max(0.0, inner)
+    return max(0.0, float(inner))
 
 
-def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> np.ndarray:
-    """Correction added to the observer drift, for float arrays ``z``
+def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> list[float]:
+    """Correction added to the observer drift, as a list, for ``z``
     (observer state), ``y`` (measured output) and ``fz`` (the drift
     ``f(z, u)`` of the observer's plant copy, which the caller holds).
 
     Inside the absorbing sublevel set this is the plain output-injection
-    term; outside, the damping coefficient divided by the squared gradient
-    norm is subtracted along the Lyapunov gradient.  Raises
+    term ``matvec(assm.gain_rows, h(z) - y)``; outside, the damping
+    coefficient over the squared gradient norm (products by ``ndarray.dot``)
+    is subtracted along the Lyapunov gradient.  Raises
     ``DegenerateGradientError`` if that direction is undefined.
     """
-    innovation = assm.observer_gain.dot(plant.h(z) - y)
+    innovation = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
     level = assm.lyapunov(z)
     if level <= assm.absorbing_level:
         return innovation
-    grad = assm.grad_lyapunov(z)
-    grad_sq = grad.dot(grad)
+    grad = np.asarray(assm.grad_lyapunov(z))
+    grad_sq = float(grad.dot(grad))
     if math.sqrt(grad_sq) < _GRAD_FLOOR:
         raise DegenerateGradientError(
             "Lyapunov gradient vanishes outside the absorbing set; "
             "damping direction undefined"
         )
-    phi = damping_term(z, fz, grad, level, innovation, assm)
-    return innovation - (phi / grad_sq) * grad
+    scale = damping_term(z, fz, grad, level, innovation, assm) / grad_sq
+    return [a - scale * g for a, g in zip(innovation, grad.tolist())]

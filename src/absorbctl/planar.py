@@ -20,6 +20,11 @@ from .verification import check_zeta_bound
 __all__ = ["build_planar_example"]
 
 
+def _as_kind_of(x, values: list):
+    """``values`` as given for a list ``x``, else as a float64 ndarray."""
+    return values if type(x) is list else np.array(values)
+
+
 def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
                          r: float = 0.0, tau: float = 0.0,
                          enforce_zeta_bound: bool = True
@@ -39,18 +44,17 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
         )
     u_max = 50.0 * zeta * math.sqrt(2.0)
 
+    # each callable returns the kind it is given; on floats x1 ** 3 has numpy's
+    # bits, but raises OverflowError where numpy's scalar power gives inf
     def f(x, u):
         x1, x2 = x[0], x[1]
-        return np.array([zeta * x1 - 10.0 * x1 ** 3 + x2, -3.25 * x2 + u[0]])
+        return _as_kind_of(x, [zeta * x1 - 10.0 * x1 ** 3 + x2, -3.25 * x2 + u[0]])
 
     def h(x):
-        return np.array([x[0]])
+        return _as_kind_of(x, [x[0]])
 
-    jac = np.array([[1.0, 0.0]])
-    jac.flags.writeable = False
-
-    def jac_h(_x):
-        return jac
+    def jac_h(x):
+        return _as_kind_of(x, [[1.0, 0.0]])
 
     plant = PlantModel(n=2, m=1, k_out=1, f=f, h=h, jac_h=jac_h,
                        input_box=np.array([[-u_max, u_max]]), r=r, tau=tau)
@@ -59,7 +63,7 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
         return 0.5 * (x[0] ** 2 + x[1] ** 2)
 
     def grad_lyapunov(x):
-        return np.array([x[0], x[1]])
+        return _as_kind_of(x, [x[0], x[1]])
 
     def dissipation(x):
         return 0.125 * (x[0] ** 2 + x[1] ** 2)
@@ -71,11 +75,11 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
 
     def grad_local_lyapunov(x):
         mixed = x[1] + 2.0 * zeta * x[0]
-        return np.array([x[0] + 4.0 * zeta * beta * mixed, 2.0 * beta * mixed])
+        return _as_kind_of(x, [x[0] + 4.0 * zeta * beta * mixed, 2.0 * beta * mixed])
 
     def local_controller(x):
-        return np.array([-0.75 * zeta * (13.0 - 4.0 * zeta) * x[0]
-                         + 20.0 * zeta * x[0] ** 3])
+        return _as_kind_of(x, [-0.75 * zeta * (13.0 - 4.0 * zeta) * x[0]
+                               + 20.0 * zeta * x[0] ** 3])
 
     # quadratic form of the local Lyapunov function; its smallest eigenvalue
     # gives the coercivity constant, and the decay identity

@@ -21,7 +21,7 @@ import numpy as np
 from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
-                    SimConfig, StateHistory, Trajectory)
+                    SimConfig, StateHistory, Trajectory, matvec)
 from .observer import observer_correction
 from .rk4 import integrate_span
 
@@ -199,25 +199,22 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     return groups
 
 
-def coupled_rhs(plant: PlantModel, assm: AssumptionData, u_plant: np.ndarray,
-                u_obs: np.ndarray):
-    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``
-    on a span with constant plant input ``u_plant`` and observer input
-    ``u_obs``: the plant, the observer (plant copy plus correction driven
-    by ``w``), and the inter-sample output state ``w``, whose drift
-    ``jac_h(z) f(z, u_obs)`` shares the observer's ``f(z, u_obs)``."""
+def coupled_rhs(plant: PlantModel, assm: AssumptionData, u_plant: list[float],
+                u_obs: list[float]):
+    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``,
+    lists of floats, on a span with constant plant input ``u_plant`` and
+    observer input ``u_obs``: the plant, the observer (plant copy plus
+    correction driven by ``w``), and the inter-sample output state ``w``,
+    whose drift ``matvec(jac_h(z), f(z, u_obs))`` shares ``f(z, u_obs)``."""
     n = plant.n
-    x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, None)
     f, jac_h = plant.f, plant.jac_h
 
-    # one point's products use ndarray.dot: on operands BLAS takes it makes
-    # the call `@` makes, at about half of numpy's per-call dispatch cost
-    def rhs(_t: float, y: np.ndarray) -> np.ndarray:
-        z, w = y[z_sl], y[w_sl]
+    def rhs(_t: float, y: list[float]) -> list[float]:
+        z = y[n:2 * n]
         fz = f(z, u_obs)
-        return np.concatenate((f(y[x_sl], u_plant),
-                               fz + observer_correction(z, w, fz, plant, assm),
-                               jac_h(z).dot(fz)))
+        corr = observer_correction(z, y[2 * n:], fz, plant, assm)
+        return [*f(y[:n], u_plant), *[a + b for a, b in zip(fz, corr)],
+                *matvec(jac_h(z), fz)]
 
     return rhs
 
@@ -229,70 +226,75 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
 
     Rows are written at every measurement, hold, and recording instant
     (once per instant when they coincide, after all actions at it).  A
-    state that is not finite at the end of a span raises ``NonFiniteError``.
+    state that is not finite at the end of a span raises ``NonFiniteError``,
+    as does an ``OverflowError`` from a callable on a span or at a hold.
     """
     init.check(plant)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")
-    n, k_out = plant.n, plant.k_out
+    n = plant.n
     xhist = init.state_history(plant.r)
     uhist = init.input_history(plant.r, plant.tau, plant.input_box)
     groups = _event_groups(partition, config, plant, uhist.starts)
 
     # w is set by the reset at the measurement _event_groups requires at t = 0
-    Y = np.concatenate([init.initial_x0_at_zero(), init.z0, np.zeros(k_out)])
-    x_sl, z_sl, w_sl = slice(0, n), slice(n, 2 * n), slice(2 * n, 2 * n + k_out)
+    Y = [*init.initial_x0_at_zero().tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
 
     rows_t: list[float] = []
-    rows_y: list[np.ndarray] = []
-    rows_u: list[np.ndarray] = []
+    rows_y: list[list[float]] = []
+    rows_u: list[list[float]] = []
     rows_norm: list[float] = []
-    reset_records: list[tuple[float, np.ndarray]] = []
+    reset_records: list[tuple[float, list[float]]] = []
 
     lookback = plant.r + plant.delay_window + config.T_H + max(config.record_dt, 1.0)
     t_cur = 0.0
-    # a runaway state overflows inside f; the finite check after each span
-    # reports it as NonFiniteError instead of numpy warnings on stderr
+    # a runaway state gives inf or nan, caught after each span, or Python's
+    # OverflowError on a span or at a hold: both end in NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        for t_g, kinds in groups:
-            if t_g > t_cur:
-                uhist.advance(t_g)
-                # span constants queried at the midpoint: the event set keeps
-                # every switch of u(. - tau) and u(. - r - tau) out of the open span
-                t_mid = t_cur + 0.5 * (t_g - t_cur)
-                u_plant = uhist.value(t_mid - plant.tau)
-                u_obs = uhist.value(t_mid - plant.delay_window)
-                Y = integrate_span(coupled_rhs(plant, assm, u_plant, u_obs), t_cur, t_g, Y,
-                                   config.dt_max,
-                                   on_node=lambda t, y: xhist.append(t, y[x_sl]))
-                if not np.isfinite(Y).all():
-                    raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y.tolist()}")
-                t_cur = t_g
-            if _SAMPLE in kinds:
-                y_sample = plant.h(xhist.value(t_g - plant.r))
-                Y[w_sl] = y_sample
-                reset_records.append((t_g, y_sample))
-            if _HOLD in kinds:
-                uhist.append(t_g, hold_control(Y[z_sl], uhist, config.N, plant, assm))
-            if kinds & {_SAMPLE, _HOLD, _RECORD}:
-                rows_t.append(t_g)
-                rows_y.append(Y.copy())
-                rows_u.append(uhist.values[-1])  # vstack below copies it
-                rows_norm.append(
-                    xhist.sup_norm(t_g - plant.r, t_g)
-                    + float(np.linalg.norm(Y[z_sl]))
-                    + uhist.sup_abs(t_g - plant.delay_window, t_g))
-            if _RECORD in kinds:
-                xhist.prune_before(t_g - lookback)
+        try:
+            for t_g, kinds in groups:
+                if t_g > t_cur:
+                    uhist.advance(t_g)
+                    # span constants queried at the midpoint: the event set keeps
+                    # every switch of u(. - tau) and u(. - r - tau) out of the open span
+                    t_mid = t_cur + 0.5 * (t_g - t_cur)
+                    u_plant = uhist.value(t_mid - plant.tau)
+                    u_obs = uhist.value(t_mid - plant.delay_window)
+                    Y = integrate_span(coupled_rhs(plant, assm, u_plant, u_obs), t_cur, t_g,
+                                       Y, config.dt_max,
+                                       on_node=lambda t, y: xhist.append(t, y[:n]))
+                    if not all(map(math.isfinite, Y)):
+                        raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y}")
+                    t_cur = t_g
+                if _SAMPLE in kinds:
+                    y_sample = plant.h(xhist.value(t_g - plant.r).tolist())
+                    Y[2 * n:] = y_sample
+                    reset_records.append((t_g, y_sample))
+                if _HOLD in kinds:
+                    uhist.append(t_g, hold_control(Y[n:2 * n], uhist, config.N, plant, assm))
+                if kinds & {_SAMPLE, _HOLD, _RECORD}:
+                    rows_t.append(t_g)
+                    rows_y.append(list(Y))
+                    rows_u.append(uhist.values[-1])
+                    rows_norm.append(
+                        xhist.sup_norm(t_g - plant.r, t_g)
+                        + float(np.linalg.norm(Y[n:2 * n]))
+                        + uhist.sup_abs(t_g - plant.delay_window, t_g))
+                if _RECORD in kinds:
+                    xhist.prune_before(t_g - lookback)
+        except OverflowError as exc:
+            raise NonFiniteError(f"simulated state not finite at t={t_g!r}: "
+                                 f"a callable overflowed ({exc})") from None
 
     table = np.array(rows_y)
-    x, z = table[:, x_sl], table[:, z_sl]
+    x, z = table[:, :n], table[:, n:2 * n]
     return Trajectory(
-        t=np.asarray(rows_t), x=x, z=z, w=table[:, w_sl], u_applied=np.vstack(rows_u),
+        t=np.asarray(rows_t), x=x, z=z, w=table[:, 2 * n:], u_applied=np.array(rows_u),
         lyap_x=np.array([assm.lyapunov(row) for row in x]),
         lyap_z=np.array([assm.lyapunov(row) for row in z]),
-        norm=np.asarray(rows_norm), reset_records=reset_records,
-        input_segments=[(s, v.copy()) for s, v in zip(uhist.starts, uhist.values)],
+        norm=np.asarray(rows_norm),
+        reset_records=[(t, np.array(y)) for t, y in reset_records],
+        input_segments=[(s, np.array(v)) for s, v in zip(uhist.starts, uhist.values)],
     )
 
 

@@ -207,7 +207,7 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, 
     the corrected observer against the true state, whose output it samples."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     fz = plant.f(z, u)
-    corr = observer_correction(z, plant.h(x), fz, plant, assm)
+    corr = observer_correction(z.tolist(), plant.h(x.tolist()), fz.tolist(), plant, assm)
     d = z - x
     drift_gap = fz + corr - plant.f(x, u)
     return float(d.dot(assm.error_metric.dot(drift_gap))
@@ -223,7 +223,7 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
     if zero_damping:
         corr = assm.observer_gain.dot(plant.h(z) - w)
     else:
-        corr = observer_correction(z, w, fz, plant, assm)
+        corr = observer_correction(z.tolist(), w.tolist(), fz.tolist(), plant, assm)
     return float(assm.grad_lyapunov(z).dot(fz + corr) + assm.dissipation(z))
 
 
@@ -377,12 +377,14 @@ def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
 
     The reference integrates the plant over the delay window ending at
     ``hist.t_now`` with fourth-order steps no longer than ``_REF_SUBSTEP``,
-    split exactly at the input record's segment boundaries.
+    split exactly at the input record's segment boundaries.  An overflow in
+    ``f`` raises ``NonFiniteError``.
     """
-    reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
-                                hist.t_now, _REF_SUBSTEP)
-    out = []
-    for N in N_list:
-        predicted = euler_predict(x0, hist, int(N), plant)
-        out.append((int(N), float(np.linalg.norm(reference - predicted))))
-    return out
+    try:
+        reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
+                                    hist.t_now, _REF_SUBSTEP)
+        predictions = [euler_predict(x0, hist, int(N), plant) for N in N_list]
+    except OverflowError as exc:
+        raise NonFiniteError(f"predictor study: a state overflowed ({exc})") from None
+    return [(int(N), float(np.linalg.norm(np.subtract(reference, predicted))))
+            for N, predicted in zip(N_list, predictions)]

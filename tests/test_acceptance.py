@@ -37,6 +37,7 @@ from absorbctl import (
     simulate_closed_loop,
 )
 from absorbctl.cli import TUNE_GRID
+from loop_oracles import as_kind_of
 
 FULL = SampleSpec(n_points=10_000, seed=0)
 
@@ -137,9 +138,9 @@ def test_criterion_04_predictor_order():
     ratio = errs[-2] / errs[-1]
 
     scalar = PlantModel(n=1, m=1, k_out=1,
-                        f=lambda x, u: np.array([-x[0] + 0.0 * u[0]]),
-                        h=lambda x: np.array([x[0]]),
-                        jac_h=lambda x: np.array([[1.0]]),
+                        f=lambda x, u: as_kind_of(x, [-x[0] + 0.0 * u[0]]),
+                        h=lambda x: as_kind_of(x, [x[0]]),
+                        jac_h=lambda x: as_kind_of(x, [[1.0]]),
                         input_box=np.array([[-1.0, 1.0]]),
                         r=0.5, tau=0.5)
     zero_hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)

@@ -108,16 +108,25 @@ class TestExitCodes:
                        "--set", "horizon=1", "--out", tmp_path) == 2
         assert not (tmp_path / output).exists()
 
-    def test_runaway_state(self, config_file, tmp_path, capsys):
-        # the cubic term overflows within the first span from this state; the
-        # run reports that once, as its exit-3 message, with no numpy warning
+    @pytest.mark.parametrize("command, setting, output, message", [
+        ("simulate", "x0=(100,0)", "trajectory.csv", "simulated state not finite at t="),
+        ("simulate", "z0=(1e103,0)", "trajectory.csv", "simulated state not finite at t="),
+        ("predictor-study", "x0=(1e103,0)", "predictor_study.csv",
+         "predictor study: a state overflowed"),
+    ], ids=["x0=(100,0)", "z0=(1e103,0)", "predictor-study"])
+    def test_runaway_state(self, config_file, tmp_path, capsys, command, setting, output,
+                           message):
+        # from x0=(100,0) the cubic term overflows within the first span; from
+        # z0=(1e103,0) it overflows (as Python's OverflowError) in the predictor
+        # at the hold at t = 0, before any span; in the study, at the first f.
+        # Each run reports that once, as its exit-3 message, with no numpy warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            assert run_cli("simulate", "--config", config_file, "--set", "x0=(100,0)",
+            assert run_cli(command, "--config", config_file, "--set", setting,
                            "--set", "horizon=1", "--out", tmp_path) == 3
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        assert not (tmp_path / "trajectory.csv").exists()
-        assert "simulated state not finite at t=" in capsys.readouterr().err
+        assert not (tmp_path / output).exists()
+        assert message in capsys.readouterr().err
 
     def test_non_finite_margin(self, config_file, tmp_path, monkeypatch):
         build = cli.build_planar_example

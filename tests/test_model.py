@@ -10,16 +10,21 @@ from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantMod
                        build_planar_example, clamp_input)
 from history_oracles import (input_records, prune_one_at_a_time, segments_scan,
                              state_records, sup_abs_scan, sup_norm_scan, windows)
+from loop_oracles import as_kind_of
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
+
+
+def _oscillator_f(x, u):
+    return as_kind_of(x, [x[1], -x[0] + u[0]])
 
 
 def _planar_plant(**kw):
     return PlantModel(
         n=2, m=1, k_out=1,
-        f=lambda x, u: np.array([x[1], -x[0] + u[0]]),
-        h=lambda x: np.array([x[0]]),
-        jac_h=lambda x: np.array([[1.0, 0.0]]),
+        f=_oscillator_f,
+        h=lambda x: as_kind_of(x, [x[0]]),
+        jac_h=lambda x: as_kind_of(x, [[1.0, 0.0]]),
         input_box=np.array([[-1.0, 1.0]]),
         **kw,
     )
@@ -144,10 +149,13 @@ class TestCallableContract:
             dataclasses.replace(assm, **{name: bad})
 
     @pytest.mark.parametrize("name, point_only, expected", [
-        ("lyapunov", lambda x: 0.5 * float(x @ x), r"lyapunov must accept an \(n, B\) batch"),
-        ("grad_lyapunov", lambda x: np.array([x[0], x[1]]).reshape(-1),
+        ("lyapunov", lambda x: 0.5 * float(np.dot(x, x)),
+         r"lyapunov must accept an \(n, B\) batch"),
+        ("grad_lyapunov", lambda x: as_kind_of(x, [x[0], x[1]]).reshape(-1)
+         if type(x) is not list else [x[0], x[1]],
          r"grad_lyapunov on an \(n, B\) batch must return .* shape \(2, 4\)"),
-        ("lyapunov", lambda x: 0.5 * (x @ x) if x.ndim == 1 else np.zeros(x.shape[1]),
+        ("lyapunov", lambda x: 0.5 * float(np.dot(x, x)) if np.ndim(x) == 1
+         else np.zeros(np.shape(x)[1]),
          r"lyapunov on an \(n, B\) batch differs from its points"),
     ])
     def test_assumptions_reject_point_only_lyapunov_pair(self, name, point_only, expected):
@@ -155,6 +163,42 @@ class TestCallableContract:
         _plant, assm, _fn = build_planar_example(0.01)
         with pytest.raises(ConfigurationError, match=f"^{expected}"):
             dataclasses.replace(assm, **{name: point_only})
+
+
+    @pytest.mark.parametrize("name, numpy_only, expected", [
+        ("f", lambda x, u: [x[1], -x[0] + u[0], 0.0] if type(x) is list
+         else _oscillator_f(x, u), r"f must return a list of real numbers of shape \(2,\) "
+         r"for list arguments, got list of shape \(3,\)"),
+        ("h", lambda x: [complex(x[0])] if type(x) is list else np.array([x[0]]),
+         r"h must return a list of real numbers of shape \(1,\)"),
+        ("jac_h", lambda x: [1.0, 0.0] if type(x) is list else np.array([[1.0, 0.0]]),
+         r"jac_h must return a list of real numbers of shape \(1, 2\)"),
+        ("h", lambda x: np.array([x[0]]), r"h must return a list .* got float64 ndarray"),
+        ("f", lambda x, u: np.array([x[1], -x[0] + u[0]]) + 0.0 * x.sum(),
+         "f must accept list arguments: AttributeError"),
+        ("f", lambda x, u: [x[1], 0.5 * x[0]] if type(x) is list else _oscillator_f(x, u),
+         "f on lists differs from f on ndarrays"),
+    ])
+    def test_plant_rejects_callables_off_the_list_contract(self, name, numpy_only, expected):
+        # the closed loop calls f, h and jac_h with lists of floats
+        with pytest.raises(ConfigurationError, match=f"^{expected}"):
+            dataclasses.replace(_planar_plant(), **{name: numpy_only})
+
+    @pytest.mark.parametrize("name, numpy_only, expected", [
+        ("dissipation", lambda x: 0.1 * (x * x).sum(),
+         "dissipation must accept list arguments: TypeError"),
+        ("local_controller", lambda x: np.array([-x[0]]),
+         r"local_controller must return a list of real numbers of shape \(1,\)"),
+        ("grad_local_lyapunov", lambda x: [x[0]] if type(x) is list else np.array(x),
+         r"grad_local_lyapunov must return a list of real numbers of shape \(2,\)"),
+        ("lyapunov", lambda x: [0.5 * (x[0] ** 2 + x[1] ** 2)] if type(x) is list
+         else 0.5 * (x[0] ** 2 + x[1] ** 2), "lyapunov must return a real scalar, got list"),
+    ])
+    def test_assumptions_reject_callables_off_the_list_contract(self, name, numpy_only,
+                                                                 expected):
+        _plant, assm, _fn = build_planar_example(0.01)
+        with pytest.raises(ConfigurationError, match=f"^{expected}"):
+            dataclasses.replace(assm, **{name: numpy_only})
 
 
 NAN, INF = float("nan"), float("inf")
@@ -200,7 +244,7 @@ class TestInputHistory:
 
     def test_right_open_value_semantics(self):
         hist = self.make()
-        assert hist.value(-1.0) == pytest.approx(0.3)
+        assert hist.value(-1.0) == [0.3]
         assert hist.value(-0.4000000001)[0] == 0.3
         assert hist.value(-0.4)[0] == -0.2  # segment start belongs to the segment
         with pytest.raises(CoverageError):

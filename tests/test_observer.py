@@ -9,6 +9,7 @@ from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        DegenerateGradientError, PlantModel, blend_p, build_planar_example,
                        damping_term, observer_correction)
 from absorbctl.simulator import coupled_rhs
+from loop_oracles import as_kind_of, listwise
 
 
 @pytest.fixture(scope="module")
@@ -20,22 +21,24 @@ def _three_state_loop():
     """A three-state, two-output, two-input loop with a state-dependent
     output Jacobian and a non-diagonal quadratic Lyapunov function; its
     certificate constants are only consistent enough to construct, and its
-    drift is expansive enough that the damping is often active."""
+    drift is expansive enough that the damping is often active.  Its gain
+    and Jacobian rows have several terms, so sums of products differ from
+    BLAS's in the last bit."""
     P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
     plant = PlantModel(
         n=3, m=2, k_out=2,
-        f=lambda x, u: np.array([0.5 * x[0] + x[1] - 0.1 * x[0] ** 3, 0.3 * x[1] + u[0],
-                                 0.2 * x[2] + x[0] * x[1] + u[1]]),
-        h=lambda x: np.array([x[0] + 0.25 * x[2] ** 2, x[1] - x[2]]),
-        jac_h=lambda x: np.array([[1.0, 0.0, 0.5 * x[2]], [0.0, 1.0, -1.0]]),
+        f=lambda x, u: as_kind_of(x, [0.5 * x[0] + x[1] - 0.1 * x[0] ** 3, 0.3 * x[1] + u[0],
+                                      0.2 * x[2] + x[0] * x[1] + u[1]]),
+        h=lambda x: as_kind_of(x, [x[0] + 0.25 * x[2] ** 2, x[1] - x[2]]),
+        jac_h=lambda x: as_kind_of(x, [[1.0, 0.0, 0.5 * x[2]], [0.0, 1.0, -1.0]]),
         input_box=np.array([[-1.0, 1.0], [-2.0, 2.0]]))
     assm = AssumptionData(
-        lyapunov=lambda x: 0.5 * (x * (P @ x)).sum(axis=0),
-        grad_lyapunov=lambda x: P @ x,
-        dissipation=lambda x: 0.1 * (x * x).sum(),
-        local_lyapunov=lambda x: 0.5 * (x * x).sum(),
-        grad_local_lyapunov=lambda x: 1.0 * x,
-        local_controller=lambda x: np.array([-x[0], -x[2]]),
+        lyapunov=listwise(lambda x: 0.5 * (x * (P @ x)).sum(axis=0)),
+        grad_lyapunov=listwise(lambda x: P @ x),
+        dissipation=listwise(lambda x: 0.1 * (x * x).sum()),
+        local_lyapunov=listwise(lambda x: 0.5 * (x * x).sum()),
+        grad_local_lyapunov=listwise(lambda x: 1.0 * x),
+        local_controller=lambda x: as_kind_of(x, [-x[0], -x[2]]),
         observer_gain=np.array([[-1.5, 0.2], [-0.3, -0.7], [0.1, 0.4]]),
         error_metric=np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 0.5]]),
         absorbing_level=1.0, blend_lo=2.0, blend_hi=3.0, contraction_frac=0.5,
@@ -54,6 +57,34 @@ def rhs_oracle(plant, assm, x, z, w, u_plant, u_obs):
         phi = max(0.0, grad @ fz + assm.dissipation(z) + blend_p(level, assm) * (grad @ corr))
         corr = corr - (phi / grad_sq) * grad
     return np.concatenate((plant.f(x, u_plant), fz + corr, plant.jac_h(z) @ fz))
+
+
+def _row_sums(rows, v):
+    """Each row's products with ``v`` summed from 0.0, left to right."""
+    out = []
+    for row in rows:
+        total = 0.0
+        for a, b in zip(row, v):
+            total = total + a * b
+        out.append(total)
+    return out
+
+
+def rhs_float_oracle(plant, assm, x, z, w, u_plant, u_obs):
+    """The coupled right side in the float arithmetic the loop documents,
+    for lists of floats: the innovation and the Jacobian's product as
+    left-to-right sums from 0.0, and in the damping branch ``np.dot``."""
+    fz = plant.f(z, u_obs)
+    corr = _row_sums(assm.observer_gain.tolist(), [a - b for a, b in zip(plant.h(z), w)])
+    level = assm.lyapunov(z)
+    if level > assm.absorbing_level:
+        grad = assm.grad_lyapunov(z)
+        grad_sq = float(np.dot(grad, grad))
+        phi = max(0.0, float(np.dot(grad, fz) + assm.dissipation(z)
+                             + blend_p(level, assm) * np.dot(grad, corr)))
+        corr = [c - (phi / grad_sq) * g for c, g in zip(corr, grad)]
+    return (plant.f(x, u_plant) + [a + b for a, b in zip(fz, corr)]
+            + _row_sums(plant.jac_h(z), fz))
 
 
 # Lyapunov levels of the observer state: inside the absorbing set, between
@@ -200,7 +231,7 @@ class TestObserverCorrection:
         corr = observer_correction(z, np.array([10.0]), fz, counted, assm)
         assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
         assert calls == []
-        assert (corr == correction_at(z, [10.0], [0.0], plant, assm)).all()
+        assert corr == correction_at(z, [10.0], [0.0], plant, assm)
 
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
@@ -209,7 +240,8 @@ class TestObserverCorrection:
         ring = dataclasses.replace(
             assm,
             lyapunov=lambda x: 1.5 + 0.25 * (x[0] ** 2 + x[1] ** 2 - 2.0) ** 2,
-            grad_lyapunov=lambda x: (x[0] ** 2 + x[1] ** 2 - 2.0) * np.array([x[0], x[1]]),
+            grad_lyapunov=lambda x: as_kind_of(x, [(x[0] ** 2 + x[1] ** 2 - 2.0) * x[0],
+                                                   (x[0] ** 2 + x[1] ** 2 - 2.0) * x[1]]),
             absorbing_level=1.4,
             blend_lo=1.45,
             blend_hi=1.55,
@@ -220,50 +252,74 @@ class TestObserverCorrection:
 
 
 class TestRhs:
-    """The simulator's coupled right side of (x, z, w)."""
+    """The simulator's coupled right side of (x, z, w), on lists of floats."""
 
     def test_observer_rhs_composes(self, planar):
         plant, assm = planar
-        x, z, w = np.array([0.2, 0.1]), np.array([0.3, -0.4]), np.array([0.1])
-        u_plant, u_obs = np.array([-0.02]), np.array([0.05])
-        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
-        assert (out[:2] == plant.f(x, u_plant)).all()
-        expected = plant.f(z, u_obs) + correction_at(z, w, u_obs, plant, assm)
-        assert (out[2:4] == expected).all()
+        x, z, w = [0.2, 0.1], [0.3, -0.4], [0.1]
+        u_plant, u_obs = [-0.02], [0.05]
+        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, [*x, *z, *w])
+        assert all(type(v) is float for v in out)
+        assert out[:2] == plant.f(x, u_plant)
+        fz = plant.f(z, u_obs)
+        corr = observer_correction(z, w, fz, plant, assm)
+        assert out[2:4] == [a + b for a, b in zip(fz, corr)]
+        assert corr == correction_at(z, w, u_obs, plant, assm)
 
     def test_isp_rhs_is_output_derivative(self, planar):
         plant, assm = planar
-        rhs = coupled_rhs(plant, assm, np.array([0.0]), np.array([0.3]))
-        out = rhs(0.0, np.array([0.0, 0.0, 1.0, -1.0, 0.0]))
+        rhs = coupled_rhs(plant, assm, [0.0], [0.3])
+        out = rhs(0.0, [0.0, 0.0, 1.0, -1.0, 0.0])
         # d/dt h = f_1 = zeta*1 - 10*1 + (-1)
         assert out[4:] == pytest.approx([0.01 - 10.0 - 1.0], rel=1e-15)
 
 
 class TestDotMatchesMatmul:
-    """The closed loop takes one point's small products with ``ndarray.dot``;
-    these properties require the bytes of ``@`` on other plants too."""
+    """The closed loop takes one point's products as left-to-right float
+    sums, and in the damping branch with ``ndarray.dot``.  On the planar plant
+    (one-term rows) these are the bytes of ``@``; on a plant with longer
+    rows they may differ from BLAS in the last bit, and no more."""
 
     @pytest.fixture(scope="class")
     def loop3(self):
         return _three_state_loop()
+
+    @staticmethod
+    def _draw(loop3, direction, band, frac, data):
+        """``(x, z, w, u_plant, u_obs)`` as float64 arrays, with V(z) in ``band``."""
+        _plant, assm = loop3
+        direction = np.array(direction)
+        target = band[0] + frac * (band[1] - band[0])
+        z = direction * np.sqrt(target / assm.lyapunov(direction))
+        assert band[0] - 1e-9 <= assm.lyapunov(z) <= band[1] + 1e-9
+        x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+        w = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
+        u_plant, u_obs = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
+                                                       max_size=2))) for _ in range(2))
+        return x, z, w, u_plant, u_obs
+
+    @given(st.lists(unit, min_size=3, max_size=3).filter(lambda d: max(map(abs, d)) > 0.05),
+           st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_coupled_rhs_matches_float_oracle(self, loop3, direction, band, frac, data):
+        plant, assm = loop3
+        x, z, w, u_plant, u_obs = (v.tolist() for v in
+                                   self._draw(loop3, direction, band, frac, data))
+        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, x + z + w)
+        expected = rhs_float_oracle(plant, assm, x, z, w, u_plant, u_obs)
+        assert all(type(v) is float for v in out)
+        assert np.array(out).tobytes() == np.array(expected).tobytes()
 
     @given(st.lists(unit, min_size=3, max_size=3).filter(lambda d: max(map(abs, d)) > 0.05),
            st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.data())
     @settings(max_examples=300, deadline=None)
     def test_coupled_rhs_matches_matmul_oracle(self, loop3, direction, band, frac, data):
         plant, assm = loop3
-        direction = np.array(direction)
-        target = band[0] + frac * (band[1] - band[0])
-        z = direction * np.sqrt(target / assm.lyapunov(direction))
-        level = assm.lyapunov(z)
-        assert band[0] - 1e-9 <= level <= band[1] + 1e-9
-        x = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
-        w = np.array(data.draw(st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2)))
-        u_plant, u_obs = (np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=2,
-                                                       max_size=2))) for _ in range(2))
-        out = coupled_rhs(plant, assm, u_plant, u_obs)(0.0, np.concatenate([x, z, w]))
+        x, z, w, u_plant, u_obs = self._draw(loop3, direction, band, frac, data)
+        out = coupled_rhs(plant, assm, u_plant.tolist(), u_obs.tolist())(
+            0.0, np.concatenate([x, z, w]).tolist())
         expected = rhs_oracle(plant, assm, x, z, w, u_plant, u_obs)
-        assert out.tobytes() == expected.tobytes()
+        assert np.max(np.abs(np.array(out) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @given(st.integers(1, 4), st.integers(1, 4), layouts, layouts, st.data())
     @settings(max_examples=400, deadline=None)

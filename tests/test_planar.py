@@ -110,24 +110,35 @@ class TestVectorField:
     @settings(max_examples=500)
     def test_f_matches_oracle_bitwise(self, planar, x1, x2, u):
         plant, _assm, _fn = planar
-        x, u = np.array([x1, x2]), np.array([u])
-        # a runaway state must give inf/nan for the span check, not an
-        # OverflowError from Python float arithmetic
+        x, u_arr = np.array([x1, x2]), np.array([u])
+        # on an ndarray a runaway state gives inf/nan for the span check, as
+        # numpy's scalar power overflows to inf
         with np.errstate(over="ignore", invalid="ignore"):
-            out = plant.f(x, u)
-            expected = planar_f_oracle(x, u, 0.01)
+            out = plant.f(x, u_arr)
+            expected = planar_f_oracle(x, u_arr, 0.01)
         assert out.dtype == np.float64 and out.shape == (2,)
         assert out.tobytes() == expected.tobytes()
         assert np.isfinite(out[0]) == (abs(x1) < 1e103)
+        # on a list the same floats, or Python's OverflowError from x1 ** 3,
+        # which the closed loop reports as a non-finite state
+        if abs(x1) < 1e103:
+            got = plant.f([x1, x2], [u])
+            assert type(got) is list and all(type(v) is float for v in got)
+            assert np.array(got).tobytes() == expected.tobytes()
+        else:
+            with pytest.raises(OverflowError):
+                plant.f([x1, x2], [u])
 
-    def test_jac_h_is_a_read_only_constant(self, planar):
+    def test_jac_h_is_constant_in_both_kinds(self, planar):
         plant, _assm, _fn = planar
-        jac = plant.jac_h(np.array([0.3, -2.0]))
-        assert jac.dtype == np.float64 and jac.tolist() == [[1.0, 0.0]]
-        assert plant.jac_h(np.array([5.0, 1.0])) is jac
-        with pytest.raises(ValueError):
-            jac[0, 1] = 2.0
-        assert jac.tolist() == [[1.0, 0.0]]
+        for x in (np.array([0.3, -2.0]), np.array([5.0, 1.0])):
+            jac = plant.jac_h(x)
+            assert jac.dtype == np.float64 and jac.tolist() == [[1.0, 0.0]]
+            rows = plant.jac_h(x.tolist())
+            assert rows == [[1.0, 0.0]] and type(rows[0][0]) is float
+        # each call builds its own rows, so a caller's write stays its own
+        rows[0][1] = 2.0
+        assert plant.jac_h([0.3, -2.0]) == [[1.0, 0.0]]
 
 
 class TestClosedForms:

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict)
 from history_oracles import euler_per_step, grid_times, input_records
+from loop_oracles import as_kind_of, euler_predict_numpy
 
 
 def scalar_decay_plant(r=0.5, tau=0.5):
     return PlantModel(n=1, m=1, k_out=1,
-                      f=lambda x, u: np.array([-x[0]]),
-                      h=lambda x: np.array([x[0]]),
-                      jac_h=lambda x: np.array([[1.0]]),
+                      f=lambda x, u: as_kind_of(x, [-x[0]]),
+                      h=lambda x: as_kind_of(x, [x[0]]),
+                      jac_h=lambda x: as_kind_of(x, [[1.0]]),
                       input_box=np.array([[-1.0, 1.0]]),
                       r=r, tau=tau)
 
@@ -37,8 +38,8 @@ class TestEulerPredict:
 
     def test_delay_free_is_identity(self):
         plant = scalar_decay_plant(r=0.0, tau=0.0)
-        got = euler_predict([0.7], InputHistory(0.0), 16, plant)
-        assert (got == np.array([0.7])).all()
+        got = euler_predict(np.array([0.7]), InputHistory(0.0), 16, plant)
+        assert got == [0.7] and type(got[0]) is float
 
     def test_coverage_errors(self):
         plant = scalar_decay_plant()
@@ -52,7 +53,7 @@ class TestEulerPredict:
     def test_zero_data_stays_zero(self):
         plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
         got = euler_predict([0.0, 0.0], zero_hist(1.0), 32, plant, t_pred=0.0)
-        assert (got == 0.0).all()
+        assert got == [0.0, 0.0]
 
     def test_equal_split_bit_identity(self):
         # splitting a constant segment at the midpoint must not change a
@@ -64,15 +65,15 @@ class TestEulerPredict:
         for N in (1, 3, 16, 64):
             p1 = euler_predict([0.3, 0.1], one, N, plant, t_pred=0.0)
             p2 = euler_predict([0.3, 0.1], two, N, plant, t_pred=0.0)
-            assert (p1 == p2).all()
+            assert p1 == p2
 
     def test_segment_boundaries_integrated_exactly(self):
         # piecewise-constant input on a single Euler step: the increment is
         # f evaluated once per segment, weighted by exact segment lengths
         plant = PlantModel(n=1, m=1, k_out=1,
-                           f=lambda x, u: np.array([u[0]]),
-                           h=lambda x: np.array([x[0]]),
-                           jac_h=lambda x: np.array([[1.0]]),
+                           f=lambda x, u: as_kind_of(x, [u[0]]),
+                           h=lambda x: as_kind_of(x, [x[0]]),
+                           jac_h=lambda x: as_kind_of(x, [[1.0]]),
                            input_box=np.array([[-2.0, 2.0]]),
                            r=0.5, tau=0.5)
         hist = InputHistory(-1.0, [(-1.0, [0.5]), (-0.3, [-1.0])], t_now=0.0)
@@ -90,4 +91,16 @@ class TestEulerPredict:
         plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
         got = euler_predict(x0, hist, N, plant, t_pred=t_pred)
         want = euler_per_step(x0, hist, N, plant, t_pred)
-        assert got.tobytes() == want.tobytes()
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @given(input_records(), grid_times(-1.0, 0.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           st.sampled_from([1, 3, 16, 64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_numpy_oracle_bit_for_bit(self, hist, t_pred, x0, N):
+        # the list form against the per-point NumPy form it replaced
+        plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
+        got = euler_predict(x0, hist, N, plant, t_pred=t_pred)
+        want = euler_predict_numpy(x0, hist, N, plant, t_pred=t_pred)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == want.tobytes()

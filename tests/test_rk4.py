@@ -2,25 +2,32 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from absorbctl import CoverageError, InputHistory, PlantModel
+from absorbctl import CoverageError, InputHistory, PlantModel, build_planar_example
 from absorbctl.rk4 import flow_on_history, integrate_span, rk4_step
+from absorbctl.simulator import coupled_rhs
+from loop_oracles import as_kind_of, coupled_rhs_numpy, rk4_step_numpy
+
+
+def decay(_t, y):
+    return [-v for v in y]
 
 
 def test_single_step_matches_taylor_polynomial():
     # for ydot = a*y one RK4 step is exactly the degree-4 Taylor polynomial
     a, h, y0 = -1.3, 0.01, 2.0
-    got = rk4_step(lambda t, y: a * y, 0.0, np.array([y0]), h)[0]
+    got = rk4_step(lambda t, y: [a * y[0]], 0.0, [y0], h)[0]
     ah = a * h
     poly = y0 * (1.0 + ah + ah ** 2 / 2.0 + ah ** 3 / 6.0 + ah ** 4 / 24.0)
     assert got == pytest.approx(poly, rel=1e-15)
 
 
 def test_fourth_order_convergence():
-    rhs = lambda t, y: -y
     errs = []
     for dt in (0.05, 0.025):
-        got = integrate_span(rhs, 0.0, 1.0, np.array([1.0]), dt)[0]
+        got = integrate_span(decay, 0.0, 1.0, [1.0], dt)[0]
         errs.append(abs(got - math.exp(-1.0)))
     ratio = errs[0] / errs[1]
     assert 14.0 < ratio < 18.0
@@ -28,17 +35,16 @@ def test_fourth_order_convergence():
 
 def test_span_nodes_and_endpoint():
     nodes = []
-    integrate_span(lambda t, y: -y, 0.0, 1.0, np.array([1.0]), 0.3,
-                   on_node=lambda t, y: nodes.append(t))
+    integrate_span(decay, 0.0, 1.0, [1.0], 0.3, on_node=lambda t, y: nodes.append(t))
     assert len(nodes) == 4  # ceil(1/0.3)
     assert nodes[-1] == 1.0  # lands exactly on the right endpoint
 
 
 def test_empty_and_reversed_spans():
-    y0 = np.array([1.0])
-    assert integrate_span(lambda t, y: -y, 2.0, 2.0, y0, 0.1) is y0
+    y0 = [1.0]
+    assert integrate_span(decay, 2.0, 2.0, y0, 0.1) is y0
     with pytest.raises(CoverageError):
-        integrate_span(lambda t, y: -y, 1.0, 0.0, y0, 0.1)
+        integrate_span(decay, 1.0, 0.0, y0, 0.1)
 
 
 def test_flow_splits_at_input_breakpoints():
@@ -46,10 +52,33 @@ def test_flow_splits_at_input_breakpoints():
     # constant right side is integrated exactly and spans never straddle
     # a switch
     plant = PlantModel(n=1, m=1, k_out=1,
-                       f=lambda x, u: np.array([u[0]]),
-                       h=lambda x: np.array([x[0]]),
-                       jac_h=lambda x: np.array([[1.0]]),
+                       f=lambda x, u: as_kind_of(x, [u[0]]),
+                       h=lambda x: as_kind_of(x, [x[0]]),
+                       jac_h=lambda x: as_kind_of(x, [[1.0]]),
                        input_box=np.array([[-2.0, 2.0]]))
     hist = InputHistory(0.0, [(0.0, [0.5]), (0.37, [-1.0]), (0.8, [0.25])], t_now=1.0)
     got = flow_on_history(plant, [0.0], hist, 0.0, 1.0, substep=0.3)[0]
     assert got == pytest.approx(0.5 * 0.37 - 1.0 * 0.43 + 0.25 * 0.2, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def planar():
+    return build_planar_example(0.01, r=0.25, tau=0.25)[:2]
+
+
+coordinate = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@given(st.lists(coordinate, min_size=5, max_size=5), st.lists(st.floats(-0.7, 0.7),
+       min_size=2, max_size=2), st.sampled_from([1e-3, 0.01, 0.05]))
+@settings(max_examples=300, deadline=None)
+def test_planar_step_matches_numpy_oracle_bytes(planar, y, inputs, dt):
+    # the observer state ranges over the absorbing set, the ramp and beyond,
+    # so both branches of the correction are taken
+    plant, assm = planar
+    u_plant, u_obs = [inputs[0]], [inputs[1]]
+    got = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, y, dt)
+    want = rk4_step_numpy(coupled_rhs_numpy(plant, assm, np.array(u_plant), np.array(u_obs)),
+                          0.0, np.array(y), dt)
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == want.tobytes()

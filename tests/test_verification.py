@@ -21,6 +21,7 @@ from absorbctl import (
     sublevel_box,
 )
 from absorbctl import verification as V
+from loop_oracles import as_kind_of
 
 
 @pytest.fixture(scope="module")
@@ -151,7 +152,8 @@ class TestMarginOracles:
         # the stock controller keeps the margin negative at the same point
         plant, assm = planar
         orig = assm.local_controller
-        flipped = dataclasses.replace(assm, local_controller=lambda x: -orig(x))
+        flipped = dataclasses.replace(assm,
+                                      local_controller=lambda x: as_kind_of(x, [-v for v in orig(x)]))
         bad = V.local_controller_margin(plant, flipped, [0.06, 0.0])
         assert bad == pytest.approx(0.00015562956861713163, rel=1e-6)
         assert bad > 1e-9
