@@ -15,7 +15,6 @@ from __future__ import annotations
 import bisect
 import csv
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -96,43 +95,36 @@ def _frozen(value) -> np.ndarray:
     return arr
 
 
-def _describe(value) -> str:
-    if isinstance(value, np.ndarray):
-        return f"{value.dtype} ndarray of shape {value.shape}"
-    return f"{type(value).__name__} of shape {np.array(value, dtype=object).shape}"
-
-
-def _check(name: str, value, shape: tuple | None, kind: str = "ndarray"):
-    """Return ``value`` if it is a real scalar for ``shape == ()``, else a
-    float64 ndarray or a list (of rows) of reals, as ``kind`` says, of
-    ``shape`` (1-d for None); raise ConfigurationError otherwise."""
-    if shape == ():
-        ok, expected = isinstance(value, numbers.Real), "a real scalar"
-    elif kind == "list":
-        cells = np.array(value, dtype=object)
-        ok = (type(value) is list and cells.shape == shape
-              and all(isinstance(v, numbers.Real) for v in cells.flat))
-        expected = f"a list of real numbers of shape {shape} for list arguments"
-    else:
-        ok = (isinstance(value, np.ndarray) and value.dtype == np.float64
-              and (value.ndim == 1 if shape is None else value.shape == shape))
-        expected = ("a 1-d float64 ndarray" if shape is None
-                    else f"a float64 ndarray of shape {shape}")
+def _check(name: str, value, shape: tuple | None):
+    """Return ``value`` if ``np.asarray`` makes it float64 or integer values of
+    ``shape`` (any 1-d shape for None): a real scalar for ``()``, else a list,
+    tuple or ndarray of reals.  Raise ConfigurationError otherwise."""
+    expected = {(): "a real scalar", None: "a 1-d sequence of reals"}.get(
+        shape, f"reals of shape {shape}")
+    try:
+        cells = np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise ConfigurationError(f"{name} must return {expected}, got a ragged "
+                                 f"{type(value).__name__}") from None
+    # a float32 result would keep float32 through the loop's float arithmetic
+    ok = ((cells.dtype == np.float64 or cells.dtype.kind in "iu")
+          and (cells.ndim == 1 if shape is None else cells.shape == shape))
     if not ok:
-        raise ConfigurationError(f"{name} must return {expected}, got {_describe(value)}")
+        raise ConfigurationError(
+            f"{name} must return {expected}, got {cells.dtype} values of shape {cells.shape}")
     return value
 
 
 def _probe(name: str, fn: Callable, shape: tuple | None, *args: np.ndarray):
     """``fn(*args)`` at float64 ndarray probes, checked by ``_check``; on the
-    probes as lists of floats ``fn`` must return the list kind of the same
-    shape and values to 1e-12.  Raises ConfigurationError naming ``fn``."""
+    probes as lists of floats ``fn`` must return the same shape and values
+    to 1e-12.  Raises ConfigurationError naming ``fn``."""
     value = _check(name, fn(*args), shape)
     try:
         as_list = fn(*(a.tolist() for a in args))
     except Exception as exc:
         raise ConfigurationError(f"{name} must accept list arguments: {exc!r}") from None
-    _check(name, as_list, np.shape(value), "list")
+    _check(name, as_list, np.shape(value))
     if not np.allclose(as_list, value, rtol=1e-12, atol=1e-12, equal_nan=True):
         raise ConfigurationError(f"{name} on lists differs from {name} on ndarrays")
     return value
@@ -162,11 +154,11 @@ class PlantModel:
         rows containing 0; stored as a read-only C-order copy.
     r, tau : measurement and input delays, both nonnegative.
 
-    ``f``, ``h`` and ``jac_h`` return the kind they are given: float64
-    ndarrays of the shapes above for ndarrays, lists of floats (rows for
-    ``jac_h``) for the lists the closed loop passes.  Construction checks
-    both kinds at a few probe states, raising ``ConfigurationError``;
-    afterwards their results are used as returned, without conversion.
+    ``f``, ``h`` and ``jac_h`` take float64 ndarrays or lists of floats,
+    as the closed loop passes, and return reals of the shapes above: a
+    list, tuple or float64 ndarray, whatever the argument kind.
+    Construction checks both argument kinds at a few probe states, raising
+    ``ConfigurationError``; afterwards their results are used as returned.
     """
 
     n: int
@@ -220,9 +212,10 @@ class AssumptionData:
 
     The callables take an ``(n,)`` float64 state or a list of n floats.
     ``lyapunov``, ``local_lyapunov`` and ``dissipation`` return a real
-    scalar; the gradients n entries and ``local_controller`` one per input,
-    of the kind given.  ``lyapunov`` and ``grad_lyapunov`` also take an
-    ``(n, B)`` batch of states, one per column, and return shapes ``(B,)``
+    scalar; the gradients n reals and ``local_controller`` one per input,
+    as a list, tuple or float64 ndarray for either argument kind.
+    ``lyapunov`` and ``grad_lyapunov`` also take an ``(n, B)`` batch of
+    states, one per column, and return reals of shapes ``(B,)``
     and ``(n, B)`` agreeing with the per-point values to 1e-12 relative.
     As for ``PlantModel``, construction checks this at probe states and
     later calls trust it.

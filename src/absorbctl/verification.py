@@ -162,11 +162,13 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 
 
 # --- margins: negative means the certified inequality holds at the point ---
+# the callables may return lists, so products and sums of their results are
+# taken with np.dot, np.add and np.subtract
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
     """Drift of the Lyapunov function plus the required dissipation."""
     x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
-    return float(assm.grad_lyapunov(x).dot(plant.f(x, u)) + assm.dissipation(x))
+    return float(np.dot(assm.grad_lyapunov(x), plant.f(x, u)) + assm.dissipation(x))
 
 
 def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float:
@@ -175,7 +177,7 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float
     x = np.asarray(x, dtype=float)
     u = clamp_input(assm.local_controller(x), plant.input_box)
     xsq = x.dot(x)
-    decay = assm.grad_local_lyapunov(x).dot(plant.f(x, u)) + 2.0 * assm.local_decay * xsq
+    decay = np.dot(assm.grad_local_lyapunov(x), plant.f(x, u)) + 2.0 * assm.local_decay * xsq
     coercive = assm.coercivity * xsq - assm.local_lyapunov(x)
     return float(max(decay, coercive))
 
@@ -184,8 +186,8 @@ def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u
     """Metric contraction of the plain output-injection error dynamics."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     d = z - x
-    drift_gap = (plant.f(z, u) + assm.observer_gain.dot(plant.h(z) - plant.h(x))
-                 - plant.f(x, u))
+    drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
+    drift_gap = np.subtract(drift, plant.f(x, u))
     return float(d.dot(assm.error_metric.dot(drift_gap)) + assm.contraction_rate * d.dot(d))
 
 
@@ -193,10 +195,10 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
-    grad = assm.grad_lyapunov(z)
-    drift = plant.f(z, u) + assm.observer_gain.dot(plant.h(z) - plant.h(x))
+    grad = np.asarray(assm.grad_lyapunov(z))
+    drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
     d = z - x
-    numer = d.dot(assm.error_metric.dot(drift - plant.f(x, u)))
+    numer = d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
     denom = grad.dot(assm.error_metric.dot(d))
     ratio_term = (1.0 - assm.contraction_frac) * grad.dot(grad) * numer / denom
     return float(grad.dot(drift) + assm.dissipation(z) - ratio_term)
@@ -207,9 +209,9 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, 
     the corrected observer against the true state, whose output it samples."""
     z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     fz = plant.f(z, u)
-    corr = observer_correction(z.tolist(), plant.h(x.tolist()), fz.tolist(), plant, assm)
+    corr = observer_correction(z.tolist(), plant.h(x.tolist()), fz, plant, assm)
     d = z - x
-    drift_gap = fz + corr - plant.f(x, u)
+    drift_gap = np.subtract(np.add(fz, corr), plant.f(x, u))
     return float(d.dot(assm.error_metric.dot(drift_gap))
                  + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
@@ -221,10 +223,10 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
     z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
     fz = plant.f(z, u)
     if zero_damping:
-        corr = assm.observer_gain.dot(plant.h(z) - w)
+        corr = assm.observer_gain.dot(np.subtract(plant.h(z), w))
     else:
-        corr = observer_correction(z.tolist(), w.tolist(), fz.tolist(), plant, assm)
-    return float(assm.grad_lyapunov(z).dot(fz + corr) + assm.dissipation(z))
+        corr = observer_correction(z.tolist(), w.tolist(), fz, plant, assm)
+    return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
 
 
 # --- sampled check driver ---
@@ -327,7 +329,7 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
 
     def accept(z, x, u):
         level = assm.lyapunov(z)
-        descent = (assm.grad_lyapunov(z) * (assm.error_metric @ (z - x))).sum(axis=0)
+        descent = (np.asarray(assm.grad_lyapunov(z)) * (assm.error_metric @ (z - x))).sum(axis=0)
         return ((assm.blend_lo < level) & (level <= assm.blend_hi)
                 & (assm.lyapunov(x) <= assm.absorbing_level) & (descent < 0.0))
 
@@ -378,7 +380,8 @@ def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
     The reference integrates the plant over the delay window ending at
     ``hist.t_now`` with fourth-order steps no longer than ``_REF_SUBSTEP``,
     split exactly at the input record's segment boundaries.  An overflow in
-    ``f`` raises ``NonFiniteError``.
+    ``f``, or a reference or prediction that is not finite, raises
+    ``NonFiniteError``.
     """
     try:
         reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
@@ -386,5 +389,8 @@ def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
         predictions = [euler_predict(x0, hist, int(N), plant) for N in N_list]
     except OverflowError as exc:
         raise NonFiniteError(f"predictor study: a state overflowed ({exc})") from None
+    # an inf from a product, such as 10 * x1 ** 3, raises nothing on floats
+    if not all(map(math.isfinite, itertools.chain(reference, *predictions))):
+        raise NonFiniteError("predictor study: a state is not finite")
     return [(int(N), float(np.linalg.norm(np.subtract(reference, predicted))))
             for N, predicted in zip(N_list, predictions)]

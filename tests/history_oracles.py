@@ -65,7 +65,7 @@ def euler_per_step(x0, hist: InputHistory, N: int, plant, t_pred: float) -> np.n
         b = t_pred if i == N - 1 else t_lo + (i + 1) * h_step
         increment = np.zeros_like(x)
         for value, length in segments_scan(hist, t_lo + i * h_step, b):
-            increment = increment + plant.f(x, value) * length
+            increment = increment + np.asarray(plant.f(x, value)) * length
         x = x + increment
     return x
 

@@ -1,10 +1,11 @@
-"""NumPy reference versions of the closed loop's per-point kernels, and
-helpers that let a test's callables take both kinds of state.
+"""NumPy reference versions of the closed loop's per-point kernels, and a
+helper that lets a test's callables take list states.
 
 The library runs the loop on lists of floats.  The oracles below are the
 per-point NumPy forms it replaced, kept as written then: RK4 stages and the
 Euler predictor as array expressions, and the coupled right side with the
-observer correction taking its products with ``ndarray.dot``.  The
+observer correction taking its products with ``ndarray.dot``, on the
+callables' results as float64 arrays.  The
 properties in ``test_rk4.py``, ``test_observer.py`` and ``test_predictor.py``
 require the list forms to return the same bits on the planar plant.
 """
@@ -14,19 +15,12 @@ import numpy as np
 from absorbctl import blend_p
 
 
-def as_kind_of(x, values):
-    """``values`` as a list for a list state ``x``, else as a float64 ndarray."""
-    return values if type(x) is list else np.array(values, dtype=float)
-
-
 def listwise(fn):
-    """``fn``, written for float64 ndarrays, made to return lists of floats
-    (or a float) when its first argument is a list."""
-    def both_kinds(x, *rest):
-        if type(x) is not list:
-            return fn(x, *rest)
-        return np.asarray(fn(np.array(x), *(np.array(a) for a in rest))).tolist()
-    return both_kinds
+    """``fn``, written for float64 ndarrays, made to take lists of floats
+    too: each argument is converted to a float64 ndarray."""
+    def on_arrays(*args):
+        return fn(*(np.asarray(a, dtype=float) for a in args))
+    return on_arrays
 
 
 def rk4_step_numpy(rhs, t, y, dt):
@@ -38,11 +32,11 @@ def rk4_step_numpy(rhs, t, y, dt):
 
 
 def observer_correction_numpy(z, y, fz, plant, assm):
-    innovation = assm.observer_gain.dot(plant.h(z) - y)
+    innovation = assm.observer_gain.dot(np.subtract(plant.h(z), y))
     level = assm.lyapunov(z)
     if level <= assm.absorbing_level:
         return innovation
-    grad = assm.grad_lyapunov(z)
+    grad = np.asarray(assm.grad_lyapunov(z))
     grad_sq = grad.dot(grad)
     phi = max(0.0, grad.dot(fz) + assm.dissipation(z)
               + blend_p(level, assm) * grad.dot(innovation))
@@ -54,10 +48,10 @@ def coupled_rhs_numpy(plant, assm, u_plant, u_obs):
 
     def rhs(_t, y):
         z, w = y[n:2 * n], y[2 * n:]
-        fz = plant.f(z, u_obs)
+        fz = np.asarray(plant.f(z, u_obs))
         return np.concatenate((plant.f(y[:n], u_plant),
                                fz + observer_correction_numpy(z, w, fz, plant, assm),
-                               plant.jac_h(z).dot(fz)))
+                               np.asarray(plant.jac_h(z)).dot(fz)))
 
     return rhs
 
@@ -71,6 +65,6 @@ def euler_predict_numpy(x0, hist, N, plant, t_pred=None):
     for pieces in hist.step_pieces(t_pred - plant.delay_window, t_pred, N):
         increment = 0.0
         for value, length in pieces:
-            increment = increment + plant.f(x, np.asarray(value)) * length
+            increment = increment + np.asarray(plant.f(x, np.asarray(value))) * length
         x = x + increment
     return x

@@ -113,12 +113,16 @@ class TestExitCodes:
         ("simulate", "z0=(1e103,0)", "trajectory.csv", "simulated state not finite at t="),
         ("predictor-study", "x0=(1e103,0)", "predictor_study.csv",
          "predictor study: a state overflowed"),
-    ], ids=["x0=(100,0)", "z0=(1e103,0)", "predictor-study"])
+        ("predictor-study", "x0=(4e102,0)", "predictor_study.csv",
+         "predictor study: a state is not finite"),
+    ], ids=["x0=(100,0)", "z0=(1e103,0)", "predictor-study", "predictor-study-inf"])
     def test_runaway_state(self, config_file, tmp_path, capsys, command, setting, output,
                            message):
         # from x0=(100,0) the cubic term overflows within the first span; from
         # z0=(1e103,0) it overflows (as Python's OverflowError) in the predictor
         # at the hold at t = 0, before any span; in the study, at the first f.
+        # From x0=(4e102,0) x1 ** 3 is finite but 10 * x1 ** 3 is inf, which
+        # raises nothing, and the study's states end in inf and nan.
         # Each run reports that once, as its exit-3 message, with no numpy warning
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -9,7 +9,7 @@ from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        DegenerateGradientError, PlantModel, blend_p, build_planar_example,
                        damping_term, observer_correction)
 from absorbctl.simulator import coupled_rhs
-from loop_oracles import as_kind_of, listwise
+from loop_oracles import listwise
 
 
 @pytest.fixture(scope="module")
@@ -27,10 +27,10 @@ def _three_state_loop():
     P = np.array([[2.0, 0.5, 0.0], [0.5, 1.0, 0.2], [0.0, 0.2, 1.5]])
     plant = PlantModel(
         n=3, m=2, k_out=2,
-        f=lambda x, u: as_kind_of(x, [0.5 * x[0] + x[1] - 0.1 * x[0] ** 3, 0.3 * x[1] + u[0],
-                                      0.2 * x[2] + x[0] * x[1] + u[1]]),
-        h=lambda x: as_kind_of(x, [x[0] + 0.25 * x[2] ** 2, x[1] - x[2]]),
-        jac_h=lambda x: as_kind_of(x, [[1.0, 0.0, 0.5 * x[2]], [0.0, 1.0, -1.0]]),
+        f=lambda x, u: [0.5 * x[0] + x[1] - 0.1 * x[0] ** 3, 0.3 * x[1] + u[0],
+                        0.2 * x[2] + x[0] * x[1] + u[1]],
+        h=lambda x: [x[0] + 0.25 * x[2] ** 2, x[1] - x[2]],
+        jac_h=lambda x: [[1.0, 0.0, 0.5 * x[2]], [0.0, 1.0, -1.0]],
         input_box=np.array([[-1.0, 1.0], [-2.0, 2.0]]))
     assm = AssumptionData(
         lyapunov=listwise(lambda x: 0.5 * (x * (P @ x)).sum(axis=0)),
@@ -38,7 +38,7 @@ def _three_state_loop():
         dissipation=listwise(lambda x: 0.1 * (x * x).sum()),
         local_lyapunov=listwise(lambda x: 0.5 * (x * x).sum()),
         grad_local_lyapunov=listwise(lambda x: 1.0 * x),
-        local_controller=lambda x: as_kind_of(x, [-x[0], -x[2]]),
+        local_controller=lambda x: [-x[0], -x[2]],
         observer_gain=np.array([[-1.5, 0.2], [-0.3, -0.7], [0.1, 0.4]]),
         error_metric=np.array([[1.0, 0.1, 0.0], [0.1, 2.0, 0.0], [0.0, 0.0, 0.5]]),
         absorbing_level=1.0, blend_lo=2.0, blend_hi=3.0, contraction_frac=0.5,
@@ -47,16 +47,17 @@ def _three_state_loop():
 
 
 def rhs_oracle(plant, assm, x, z, w, u_plant, u_obs):
-    """The coupled (x, z, w) right side written out with ``@``."""
-    fz = plant.f(z, u_obs)
-    corr = assm.observer_gain @ (plant.h(z) - w)
+    """The coupled (x, z, w) right side written out with ``@``, on the
+    callables' results as arrays."""
+    fz = np.asarray(plant.f(z, u_obs))
+    corr = assm.observer_gain @ np.subtract(plant.h(z), w)
     level = assm.lyapunov(z)
     if level > assm.absorbing_level:
-        grad = assm.grad_lyapunov(z)
+        grad = np.asarray(assm.grad_lyapunov(z))
         grad_sq = grad @ grad
         phi = max(0.0, grad @ fz + assm.dissipation(z) + blend_p(level, assm) * (grad @ corr))
         corr = corr - (phi / grad_sq) * grad
-    return np.concatenate((plant.f(x, u_plant), fz + corr, plant.jac_h(z) @ fz))
+    return np.concatenate((plant.f(x, u_plant), fz + corr, np.asarray(plant.jac_h(z)) @ fz))
 
 
 def _row_sums(rows, v):
@@ -117,8 +118,8 @@ def _zero_unsigned(a):
 def damping_at(z, y, u, plant, assm):
     """damping_term at (z, y, u), given the values observer_correction passes it."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return damping_term(z, plant.f(z, u), assm.grad_lyapunov(z), assm.lyapunov(z),
-                        assm.observer_gain @ (plant.h(z) - y), assm)
+    return damping_term(z, plant.f(z, u), np.asarray(assm.grad_lyapunov(z)), assm.lyapunov(z),
+                        assm.observer_gain @ np.subtract(plant.h(z), y), assm)
 
 
 def correction_at(z, y, u, plant, assm):
@@ -240,8 +241,8 @@ class TestObserverCorrection:
         ring = dataclasses.replace(
             assm,
             lyapunov=lambda x: 1.5 + 0.25 * (x[0] ** 2 + x[1] ** 2 - 2.0) ** 2,
-            grad_lyapunov=lambda x: as_kind_of(x, [(x[0] ** 2 + x[1] ** 2 - 2.0) * x[0],
-                                                   (x[0] ** 2 + x[1] ** 2 - 2.0) * x[1]]),
+            grad_lyapunov=lambda x: [(x[0] ** 2 + x[1] ** 2 - 2.0) * x[0],
+                                     (x[0] ** 2 + x[1] ** 2 - 2.0) * x[1]],
             absorbing_level=1.4,
             blend_lo=1.45,
             blend_hi=1.55,

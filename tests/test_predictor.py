@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict)
 from history_oracles import euler_per_step, grid_times, input_records
-from loop_oracles import as_kind_of, euler_predict_numpy
+from loop_oracles import euler_predict_numpy
 
 
 def scalar_decay_plant(r=0.5, tau=0.5):
     return PlantModel(n=1, m=1, k_out=1,
-                      f=lambda x, u: as_kind_of(x, [-x[0]]),
-                      h=lambda x: as_kind_of(x, [x[0]]),
-                      jac_h=lambda x: as_kind_of(x, [[1.0]]),
+                      f=lambda x, u: [-x[0]],
+                      h=lambda x: [x[0]],
+                      jac_h=lambda x: [[1.0]],
                       input_box=np.array([[-1.0, 1.0]]),
                       r=r, tau=tau)
 
@@ -71,9 +71,9 @@ class TestEulerPredict:
         # piecewise-constant input on a single Euler step: the increment is
         # f evaluated once per segment, weighted by exact segment lengths
         plant = PlantModel(n=1, m=1, k_out=1,
-                           f=lambda x, u: as_kind_of(x, [u[0]]),
-                           h=lambda x: as_kind_of(x, [x[0]]),
-                           jac_h=lambda x: as_kind_of(x, [[1.0]]),
+                           f=lambda x, u: [u[0]],
+                           h=lambda x: [x[0]],
+                           jac_h=lambda x: [[1.0]],
                            input_box=np.array([[-2.0, 2.0]]),
                            r=0.5, tau=0.5)
         hist = InputHistory(-1.0, [(-1.0, [0.5]), (-0.3, [-1.0])], t_now=0.0)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from absorbctl import CoverageError, InputHistory, PlantModel, build_planar_example
 from absorbctl.rk4 import flow_on_history, integrate_span, rk4_step
 from absorbctl.simulator import coupled_rhs
-from loop_oracles import as_kind_of, coupled_rhs_numpy, rk4_step_numpy
+from loop_oracles import coupled_rhs_numpy, rk4_step_numpy
 
 
 def decay(_t, y):
@@ -52,9 +52,9 @@ def test_flow_splits_at_input_breakpoints():
     # constant right side is integrated exactly and spans never straddle
     # a switch
     plant = PlantModel(n=1, m=1, k_out=1,
-                       f=lambda x, u: as_kind_of(x, [u[0]]),
-                       h=lambda x: as_kind_of(x, [x[0]]),
-                       jac_h=lambda x: as_kind_of(x, [[1.0]]),
+                       f=lambda x, u: [u[0]],
+                       h=lambda x: [x[0]],
+                       jac_h=lambda x: [[1.0]],
                        input_box=np.array([[-2.0, 2.0]]))
     hist = InputHistory(0.0, [(0.0, [0.5]), (0.37, [-1.0]), (0.8, [0.25])], t_now=1.0)
     got = flow_on_history(plant, [0.0], hist, 0.0, 1.0, substep=0.3)[0]
