@@ -96,9 +96,9 @@ def _frozen(value) -> np.ndarray:
 
 
 def _check(name: str, value, shape: tuple | None):
-    """Return ``value`` if ``np.asarray`` makes it float64 or integer values of
-    ``shape`` (any 1-d shape for None): a real scalar for ``()``, else a list,
-    tuple or ndarray of reals.  Raise ConfigurationError otherwise."""
+    """Return ``value`` if ``np.asarray`` makes it float64 values of ``shape``
+    (any 1-d shape for None): a real scalar for ``()``, else a list, tuple
+    or float64 ndarray of reals.  Raise ConfigurationError otherwise."""
     expected = {(): "a real scalar", None: "a 1-d sequence of reals"}.get(
         shape, f"reals of shape {shape}")
     try:
@@ -106,12 +106,13 @@ def _check(name: str, value, shape: tuple | None):
     except ValueError:  # a ragged sequence
         raise ConfigurationError(f"{name} must return {expected}, got a ragged "
                                  f"{type(value).__name__}") from None
-    # a float32 result would keep float32 through the loop's float arithmetic
-    ok = ((cells.dtype == np.float64 or cells.dtype.kind in "iu")
-          and (cells.ndim == 1 if shape is None else cells.shape == shape))
+    # float64 only: a float32 result would keep float32 through the loop's
+    # float arithmetic, and an unsigned one would wrap round in subtraction
+    ok = cells.dtype == np.float64 and (cells.ndim == 1 if shape is None
+                                        else cells.shape == shape)
     if not ok:
-        raise ConfigurationError(
-            f"{name} must return {expected}, got {cells.dtype} values of shape {cells.shape}")
+        raise ConfigurationError(f"{name} must return {expected}, got {cells.dtype} "
+                                 f"{type(value).__name__} of shape {cells.shape}")
     return value
 
 

@@ -57,14 +57,15 @@ def config_for(seed: int, dt_max: float = DT_MAX) -> SimConfig:
 
 
 def decay_clauses(summary: dict) -> dict:
-    """The library's decay bar split into its clauses, plus this test's own
-    fit-quality clause."""
-    ratio, _meets_bar = decay_bar(summary, DECAY_RATIO)
+    """The library's decay bar (positive fitted rate, terminal ratio below
+    ``DECAY_RATIO``), this test's own fit-quality clause, and the figures
+    behind them for failure messages."""
+    ratio, meets_bar = decay_bar(summary, DECAY_RATIO)
     return {
-        "sigma_hat_positive": summary["sigma_hat"] > 0.0,
+        "meets_bar": meets_bar,
         "fit_quality": summary["r2"] > 0.9,
-        "terminal_ratio": ratio < DECAY_RATIO,
         "ratio_value": ratio,
+        "sigma_hat": summary["sigma_hat"],
     }
 
 
@@ -161,8 +162,7 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
     plant, assm = planar
     runs, _wall = sweep
     clauses = decay_clauses(runs[0][2])
-    pilot_ok = (clauses["sigma_hat_positive"] and clauses["fit_quality"]
-                and clauses["terminal_ratio"])
+    pilot_ok = clauses["meets_bar"] and clauses["fit_quality"]
     if pilot_ok:
         ok = True
     else:
@@ -170,7 +170,7 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
         # bit: judge it by pilot_tune's bar (no fit-quality clause) instead
         # of simulating it again, and tune over the rest of the grid
         rest = [triple for triple in TUNE_GRID if triple != (T_S, T_H, N_STEPS)]
-        ok = (clauses["sigma_hat_positive"] and clauses["terminal_ratio"]) or pilot_tune(
+        ok = clauses["meets_bar"] or pilot_tune(
             plant, assm, stock_init, rest, config_for(0), seed=0,
             decay_ratio=DECAY_RATIO).passed
     report(5, ok, "closed-loop decay with delays (pilot, then tuning grid)")
@@ -182,9 +182,9 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
 
 def test_criterion_06_schedule_robustness(sweep):
     runs, wall = sweep
-    failures = {seed: decay_clauses(summary) for seed, _traj, summary in runs
-                if not all(v for k, v in decay_clauses(summary).items()
-                           if k != "ratio_value")}
+    clauses = {seed: decay_clauses(summary) for seed, _traj, summary in runs}
+    failures = {seed: c for seed, c in clauses.items()
+                if not (c["meets_bar"] and c["fit_quality"])}
     ok = not failures and wall < 300.0
     report(6, ok, "decay across 20 measurement schedules")
     assert wall < 300.0, f"sweep took {wall:.0f} s"
@@ -225,12 +225,11 @@ def test_criterion_08_delay_free_loop(stock_init):
         direct = hold_control(traj.z[i], InputHistory(0.0), N_STEPS, plant, assm)
         degenerate &= (direct == traj.u_applied[i]).all()
 
-    ok = (clauses["sigma_hat_positive"] and clauses["fit_quality"]
-          and clauses["terminal_ratio"] and degenerate)
+    ok = clauses["meets_bar"] and clauses["fit_quality"] and degenerate
     report(8, ok, "delay-free loop decay and bit-exact hold degeneration")
     assert degenerate, "hold value differs from the direct state feedback"
-    assert clauses["sigma_hat_positive"] and clauses["fit_quality"], clauses
-    assert clauses["terminal_ratio"], f"terminal ratio {clauses['ratio_value']}"
+    assert clauses["fit_quality"], clauses
+    assert clauses["meets_bar"], f"terminal ratio {clauses['ratio_value']}"
 
 
 def test_criterion_09_numerical_soundness(planar, stock_init, sweep, tmp_path):

@@ -122,7 +122,7 @@ class TestCallableContract:
             _planar_plant(),
             f=lambda x, u: (x[1], -x[0] + u[0]),
             h=lambda x: np.array([x[0]], dtype=float),
-            jac_h=lambda x: [[1, 0]])
+            jac_h=lambda x: [[1.0, 0.0]])
         assert plant.h([0.5, 0.0]).tolist() == [0.5]
         _plant, assm, _fn = build_planar_example(0.01)
         dataclasses.replace(assm, grad_lyapunov=lambda x: np.array([x[0], x[1]], dtype=float),
@@ -131,7 +131,7 @@ class TestCallableContract:
     def test_plant_rejects_wrong_shapes(self):
         with pytest.raises(ConfigurationError,
                            match=r"f must return reals of shape \(1,\), "
-                                 r"got float64 values of shape \(1, 1\)"):
+                                 r"got float64 list of shape \(1, 1\)"):
             PlantModel(n=1, m=1, k_out=1, f=lambda x, u: [[-x[0]]],
                        h=lambda x: x[0], jac_h=lambda x: 1.0,
                        input_box=np.array([[-1.0, 1.0]]))
@@ -141,19 +141,25 @@ class TestCallableContract:
         with pytest.raises(ConfigurationError, match=r"jac_h must return reals of shape \(1, 2\)"):
             dataclasses.replace(plant, jac_h=lambda x: np.array([1.0, 0.0]))
         with pytest.raises(ConfigurationError,
-                           match=r"^f must return reals of shape \(2,\), got float64 values "
+                           match=r"^f must return reals of shape \(2,\), got float64 list "
                                  r"of shape \(3,\)"):
             dataclasses.replace(plant, f=lambda x, u: [x[1], -x[0] + u[0], 0.0])
+
+    def test_plant_rejects_non_float_arrays(self):
+        with pytest.raises(ConfigurationError, match="got int64 ndarray of shape"):
+            dataclasses.replace(_planar_plant(),
+                                jac_h=lambda x: np.array([[1, 0]], dtype=np.int64))
 
     @pytest.mark.parametrize("name, bad, expected", [
         # NumPy 2 keeps float32 through float32 * float, so the loop would
         # silently run in single precision
         ("f", lambda x, u: np.array(_oscillator_f(x, u), dtype=np.float32),
-         r"f must return reals of shape \(2,\), got float32 values"),
-        ("h", lambda x: "x1", r"h must return reals of shape \(1,\), got <U2 values"),
-        ("h", lambda x: [complex(x[0])], r"h must return .* got complex128 values"),
+         r"f must return reals of shape \(2,\), got float32 ndarray"),
+        ("h", lambda x: "x1", r"h must return reals of shape \(1,\), got <U2 str"),
+        ("h", lambda x: [complex(x[0])], r"h must return .* got complex128 list"),
         ("jac_h", lambda x: [[1.0, 0.0], [1.0]], r"jac_h must return .* got a ragged list"),
-        ("jac_h", lambda x: np.array([[True, False]]), r"jac_h must return .* got bool values"),
+        ("jac_h", lambda x: np.array([[True, False]]), r"jac_h must return .* got bool ndarray"),
+        ("jac_h", lambda x: [[1, 0]], r"jac_h must return .* got int64 list"),
     ])
     def test_plant_rejects_non_real_results(self, name, bad, expected):
         with pytest.raises(ConfigurationError, match=f"^{expected}"):
@@ -161,13 +167,13 @@ class TestCallableContract:
 
     @pytest.mark.parametrize("name, bad, expected", [
         ("lyapunov", lambda x: np.array([0.5 * float(x @ x)]), "a real scalar"),
-        ("lyapunov", lambda x: "0.5", "a real scalar, got <U3 values"),
+        ("lyapunov", lambda x: "0.5", "a real scalar, got <U3 str"),
         ("dissipation", lambda x: [0.0], "a real scalar"),
         ("grad_lyapunov", lambda x: np.array([[x[0], x[1]]]), r"reals of shape \(2,\)"),
         ("grad_local_lyapunov", lambda x: [x[0]], r"reals of shape \(2,\)"),
         ("local_controller", lambda x: -x[0], "a 1-d sequence of reals"),
         ("local_controller", lambda x: np.array([-x[0]], dtype=np.float32),
-         "a 1-d sequence of reals, got float32 values"),
+         "a 1-d sequence of reals, got float32 ndarray"),
     ])
     def test_assumptions_reject_wrong_shapes(self, name, bad, expected):
         _plant, assm, _fn = build_planar_example(0.01)
@@ -179,7 +185,7 @@ class TestCallableContract:
          r"lyapunov must accept an \(n, B\) batch"),
         ("grad_lyapunov", lambda x: np.reshape([x[0], x[1]], -1),
          r"grad_lyapunov on an \(n, B\) batch must return reals of shape \(2, 4\), "
-         r"got float64 values of shape \(8,\)"),
+         r"got float64 ndarray of shape \(8,\)"),
         ("lyapunov", lambda x: 0.5 * float(np.dot(x, x)) if np.ndim(x) == 1
          else np.zeros(np.shape(x)[1]),
          r"lyapunov on an \(n, B\) batch differs from its points"),
@@ -194,7 +200,7 @@ class TestCallableContract:
         ("f", lambda x, u: np.array([x[1], -x[0] + u[0]]) + 0.0 * x.sum(),
          "f must accept list arguments: AttributeError"),
         ("jac_h", lambda x: [1.0, 0.0] if type(x) is list else np.array([[1.0, 0.0]]),
-         r"jac_h must return reals of shape \(1, 2\), got float64 values of shape \(2,\)"),
+         r"jac_h must return reals of shape \(1, 2\), got float64 list of shape \(2,\)"),
         ("f", lambda x, u: [x[1], 0.5 * x[0]] if type(x) is list else _oscillator_f(x, u),
          "f on lists differs from f on ndarrays"),
     ])
@@ -210,7 +216,7 @@ class TestCallableContract:
          r"grad_local_lyapunov must return reals of shape \(2,\)"),
         ("lyapunov", lambda x: [0.5 * (x[0] ** 2 + x[1] ** 2)] if type(x) is list
          else 0.5 * (x[0] ** 2 + x[1] ** 2),
-         r"lyapunov must return a real scalar, got float64 values of shape \(1,\)"),
+         r"lyapunov must return a real scalar, got float64 list of shape \(1,\)"),
     ])
     def test_assumptions_reject_callables_off_the_list_contract(self, name, numpy_only,
                                                                  expected):
