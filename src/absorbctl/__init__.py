@@ -6,7 +6,7 @@ plus samplers that check the certificates the design rests on.
 
 from .controller import hold_control
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
-                     InsufficientDataError, InsufficientSampleError, NonFiniteError)
+                     InsufficientDataError, NonFiniteError)
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, clamp_input)
 from .observer import BlendingFn, blend_p, damping_term, observer_correction
@@ -33,7 +33,6 @@ __all__ = [
     "InitialData",
     "InputHistory",
     "InsufficientDataError",
-    "InsufficientSampleError",
     "NonFiniteError",
     "PlantModel",
     "SampleSpec",

@@ -23,7 +23,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
-                     InsufficientDataError, InsufficientSampleError, NonFiniteError)
+                     InsufficientDataError, NonFiniteError)
 from .model import SimConfig
 from .planar import build_planar_example
 from .simulator import (DECAY_RATIO, InitialData, decay_bar, generate_partition,
@@ -35,7 +35,6 @@ from .verification import (SampleSpec, check_absorbing_dissipation,
                            predictor_convergence_study)
 
 DEFAULTS: dict = {
-    "model": "planar",
     "zeta": 0.01,
     "b": 1.5,
     "c": 0.5,
@@ -137,10 +136,6 @@ def load_settings(config_path: str, overrides: list[str]) -> dict:
 
 def _build_model(settings: dict):
     """``(plant, assm)``; the example's third item only repeats ``assm``'s ramp."""
-    if settings["model"] != "planar":
-        raise ConfigurationError(
-            f"unknown model {settings['model']!r}; the only built-in is 'planar'"
-        )
     return build_planar_example(settings["zeta"], b_level=settings["b"],
                                 c_frac=settings["c"], r=settings["r"],
                                 tau=settings["tau"])[:2]
@@ -197,10 +192,8 @@ def cmd_verify(settings: dict, out_dir: Path) -> int:
 
 def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
     plant, _assm = _build_model(settings)
-    init = _initial_data(settings)
-    init.check(plant)
-    hist = init.input_history(plant.r, plant.tau, plant.input_box)
-    study = predictor_convergence_study(plant, init.x0, hist, N_list=[8, 16, 32, 64])
+    xhist, hist = _initial_data(settings).histories(plant)
+    study = predictor_convergence_study(plant, xhist.value(0.0), hist, N_list=[8, 16, 32, 64])
     with open(out_dir / "predictor_study.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "error"])
@@ -276,8 +269,8 @@ def main(argv=None) -> int:
     except (ConfigurationError, OSError) as exc:
         print(f"absorbctl: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (CoverageError, DegenerateGradientError, InsufficientSampleError,
-            InsufficientDataError, NonFiniteError) as exc:
+    except (CoverageError, DegenerateGradientError, InsufficientDataError,
+            NonFiniteError) as exc:
         print(f"absorbctl: runtime error: {exc}", file=sys.stderr)
         return 3
 

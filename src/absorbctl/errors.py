@@ -18,10 +18,6 @@ class InsufficientDataError(ValueError):
     """Not enough usable rows for a fit."""
 
 
-class InsufficientSampleError(RuntimeError):
-    """A sampled check was asked to guarantee admissible points but found none."""
-
-
 class NonFiniteError(RuntimeError):
     """A NaN or infinite number where a finite one is required: a sampled
     check's margin, or a simulated state, also where a callable overflowed."""

@@ -468,13 +468,14 @@ _GAP_SLACK = 1.0 + 1e-12  # float accumulation can push a gap one ulp past T_s
 
 @dataclass(frozen=True)
 class SamplingPartition:
-    """Strictly increasing measurement times starting at 0 with gaps in (0, T_s]."""
+    """Strictly increasing measurement times starting at 0 with gaps in (0, T_s];
+    ``times`` is stored as a read-only C-order copy."""
 
     times: np.ndarray
     T_s: float
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).reshape(-1)
+        times = _frozen(np.reshape(self.times, -1))
         object.__setattr__(self, "times", times)
         if not 0.0 < self.T_s < math.inf:
             raise ConfigurationError("T_s must be positive and finite")

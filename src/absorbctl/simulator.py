@@ -75,52 +75,17 @@ class InitialData:
             (float(t), np.asarray(v, dtype=float).reshape(-1)) for t, v in self.u0_segments
         )
 
-    def state_history(self, r: float) -> StateHistory:
-        """Plant history on ``[-r, 0]``."""
-        hist = StateHistory()
-        if isinstance(self.x0, tuple):
-            times, states = self.x0
-            if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
-                raise ConfigurationError("x0 table must cover exactly [-r, 0]")
-            for i, t in enumerate(times):
-                t_snap = -r if i == 0 else (0.0 if i == times.size - 1 else float(t))
-                hist.append(t_snap, states[i])
-        else:
-            if r > 0.0:
-                hist.append(-r, self.x0)
-            hist.append(0.0, self.x0)
-        return hist
+    def histories(self, plant: PlantModel) -> tuple[StateHistory, InputHistory]:
+        """The plant history on ``[-r, 0]`` and the applied-input record on
+        ``[-r-tau, 0)``, empty when delay-free: the one place a run's initial
+        data is checked.
 
-    def input_history(self, r: float, tau: float, input_box: np.ndarray) -> InputHistory:
-        """Applied-input record on ``[-r-tau, 0)``; empty when delay-free.
-        ``input_box`` is the plant's validated ``(m, 2)`` box."""
-        window = r + tau
-        if window == 0.0:
-            if self.u0_segments:
-                raise ConfigurationError("u0_segments must be empty when r = tau = 0")
-            return InputHistory(0.0)
-        if not self.u0_segments:
-            return InputHistory(-window, [(-window, np.zeros(input_box.shape[0]))], t_now=0.0)
-        segments = []
-        for i, (t, v) in enumerate(self.u0_segments):
-            if i == 0:
-                if abs(t + window) > _EVENT_ATOL:
-                    raise ConfigurationError("first u0 segment must start at -(r + tau)")
-                t = -window
-            if t >= 0.0:
-                raise ConfigurationError("u0 segments must start before time 0")
-            if np.any(v < input_box[:, 0]) or np.any(v > input_box[:, 1]):
-                raise ConfigurationError("u0 segment value outside the input box")
-            segments.append((t, v))
-        return InputHistory(-window, segments, t_now=0.0)
-
-    def initial_x0_at_zero(self) -> np.ndarray:
-        return (self.x0[1][-1] if isinstance(self.x0, tuple) else self.x0).copy()
-
-    def check(self, plant: PlantModel) -> None:
-        """Raise ConfigurationError unless every value is finite, the plant
-        and observer states have the plant's dimension and every input
-        segment value its input dimension."""
+        Raises ConfigurationError unless every value is finite, ``x0`` and
+        ``z0`` have the plant's dimension and every segment value its input
+        dimension, an ``x0`` table covers exactly ``[-r, 0]``, the first
+        segment starts at ``-(r + tau)`` and every one before 0 with a value
+        in the input box, and ``r = tau = 0`` comes with no segments.
+        """
         states = self.x0[1] if isinstance(self.x0, tuple) else self.x0
         if states.shape[-1] != plant.n or self.z0.size != plant.n:
             raise ConfigurationError(f"x0 and z0 need {plant.n} components, got "
@@ -131,6 +96,39 @@ class InitialData:
         values = [states, self.z0, *(v for _t, v in self.u0_segments)]
         if not all(np.isfinite(v).all() for v in values):
             raise ConfigurationError("initial data must be finite")
+
+        r, window, box = plant.r, plant.delay_window, plant.input_box
+        xhist = StateHistory()
+        if isinstance(self.x0, tuple):
+            times = self.x0[0]
+            if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
+                raise ConfigurationError("x0 table must cover exactly [-r, 0]")
+            for i, t in enumerate(times):
+                t_snap = -r if i == 0 else (0.0 if i == times.size - 1 else float(t))
+                xhist.append(t_snap, states[i])
+        else:
+            if r > 0.0:
+                xhist.append(-r, self.x0)
+            xhist.append(0.0, self.x0)
+
+        if window == 0.0:
+            if self.u0_segments:
+                raise ConfigurationError("u0_segments must be empty when r = tau = 0")
+            return xhist, InputHistory(0.0)
+        if not self.u0_segments:
+            return xhist, InputHistory(-window, [(-window, np.zeros(plant.m))], t_now=0.0)
+        segments = []
+        for i, (t, v) in enumerate(self.u0_segments):
+            if i == 0:
+                if abs(t + window) > _EVENT_ATOL:
+                    raise ConfigurationError("first u0 segment must start at -(r + tau)")
+                t = -window
+            if t >= 0.0:
+                raise ConfigurationError("u0 segments must start before time 0")
+            if np.any(v < box[:, 0]) or np.any(v > box[:, 1]):
+                raise ConfigurationError("u0 segment value outside the input box")
+            segments.append((t, v))
+        return xhist, InputHistory(-window, segments, t_now=0.0)
 
 
 def generate_partition(T_s: float, horizon: float, seed: int,
@@ -194,8 +192,6 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
             groups[-1][1].add(kind)
         else:
             groups.append((t, {kind}))
-    if not groups or groups[0][0] != 0.0 or _SAMPLE not in groups[0][1]:
-        raise ConfigurationError("schedule must begin with a measurement at time 0")
     return groups
 
 
@@ -229,16 +225,14 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     state that is not finite at the end of a span raises ``NonFiniteError``,
     as does an ``OverflowError`` from a callable on a span or at a hold.
     """
-    init.check(plant)
+    xhist, uhist = init.histories(plant)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")
     n = plant.n
-    xhist = init.state_history(plant.r)
-    uhist = init.input_history(plant.r, plant.tau, plant.input_box)
     groups = _event_groups(partition, config, plant, uhist.starts)
 
-    # w is set by the reset at the measurement _event_groups requires at t = 0
-    Y = [*init.initial_x0_at_zero().tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
+    # w is set by the reset at the measurement every partition begins with at t = 0
+    Y = [*xhist.value(0.0).tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
 
     rows_t: list[float] = []
     rows_y: list[list[float]] = []

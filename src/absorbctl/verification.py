@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, InsufficientSampleError, NonFiniteError
+from .errors import ConfigurationError, NonFiniteError
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
 from .observer import observer_correction
 from .predictor import euler_predict
@@ -58,17 +58,17 @@ _REF_SUBSTEP = 1e-4  # longest RK4 step of the predictor study's reference flow
 class SampleSpec:
     """How a sampled check draws its points.
 
-    ``n_points`` admissible points are evaluated (drawing stops early only
-    when ``_MAX_DRAW_FACTOR * n_points`` candidates have been rejected).
-    ``min_points`` > 0 turns an all-skipped run into an error instead of a
-    vacuous pass.
+    ``n_points`` (at least 1) admissible points are evaluated; drawing stops
+    early only when ``_MAX_DRAW_FACTOR * n_points`` candidates have been
+    rejected, and a check that admits none reports itself ``vacuous``.
     """
 
     n_points: int = 10_000
     seed: int = 0
-    min_points: int = 0
 
     def __post_init__(self):
+        if self.n_points < 1:
+            raise ConfigurationError("sampler must request at least one point")
         if self.seed < 0:
             raise ConfigurationError("seed must be nonnegative")
 
@@ -237,8 +237,6 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
     box; ``margin_fn`` then takes one ``(d_i,)`` row per box, in draw order."""
     from scipy.stats import qmc  # deferred: slow to import, and only the checks use it
 
-    if sample.n_points < 1:
-        raise ConfigurationError("sampler must request at least one point")
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
@@ -266,11 +264,6 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
                                      f"{[p.tolist() for p in point]}")
             if worst is None or value > worst:
                 worst, worst_pt = value, tuple(p.copy() for p in point)
-    if tested < sample.min_points:
-        raise InsufficientSampleError(
-            f"{name}: only {tested} admissible points found "
-            f"({skipped} skipped), needed {sample.min_points}"
-        )
     passed = worst is None or worst <= TOLERANCE
     return CheckReport(name=name, points_tested=tested, skipped=skipped,
                        worst_margin=worst, worst_point=worst_pt, passed=passed,
@@ -302,16 +295,26 @@ def check_local_controller(plant: PlantModel, assm: AssumptionData,
         sample)
 
 
+def _observer_region(plant: PlantModel, assm: AssumptionData):
+    """Boxes ``[z_box, x_box, input_box]`` and side condition of the checks on
+    an observer state in the upper blending sublevel set and a plant state
+    in the absorbing set."""
+    boxes = [sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
+             sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n),
+             plant.input_box]
+
+    def inside(z, x, u):
+        return (assm.lyapunov(z) <= assm.blend_hi) & (assm.lyapunov(x) <= assm.absorbing_level)
+
+    return boxes, inside
+
+
 def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
                                sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Output-injection contraction over observer set x plant set x inputs."""
-    z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
-    x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
         "observer_contraction",
-        [z_box, x_box, plant.input_box],
-        lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
-                         & (assm.lyapunov(x) <= assm.absorbing_level)),
+        *_observer_region(plant, assm),
         lambda z, x, u: observer_contraction_margin(plant, assm, z, x, u),
         sample)
 
@@ -320,22 +323,21 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
                        sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Conditional growth bound on the blending band.
 
-    Points failing any side condition are skipped and counted.  If no
-    admissible point exists the bound holds vacuously and the report
-    passes with zero points tested (set ``min_points`` to demand more).
+    Drawn over the two contraction checks' region; beyond their side
+    condition, points with ``V(z) <= blend_lo`` or where the Lyapunov
+    gradient at z does not oppose the metric error direction are skipped
+    and counted.  If no admissible point exists the bound holds vacuously:
+    the report passes with zero points tested and is marked ``vacuous``.
     """
-    z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
-    x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
+    boxes, inside = _observer_region(plant, assm)
 
     def accept(z, x, u):
-        level = assm.lyapunov(z)
         descent = (np.asarray(assm.grad_lyapunov(z)) * (assm.error_metric @ (z - x))).sum(axis=0)
-        return ((assm.blend_lo < level) & (level <= assm.blend_hi)
-                & (assm.lyapunov(x) <= assm.absorbing_level) & (descent < 0.0))
+        return inside(z, x, u) & (assm.blend_lo < assm.lyapunov(z)) & (descent < 0.0)
 
     return _run_sampled_check(
         "observer_growth_bound",
-        [z_box, x_box, plant.input_box],
+        boxes,
         accept,
         lambda z, x, u: growth_bound_margin(plant, assm, z, x, u),
         sample)
@@ -344,13 +346,9 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
 def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
                                 sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Corrected-gain contraction over observer set x plant set x inputs."""
-    z_box = sublevel_box(assm.lyapunov, assm.blend_hi, plant.n)
-    x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
         "corrected_contraction",
-        [z_box, x_box, plant.input_box],
-        lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
-                         & (assm.lyapunov(x) <= assm.absorbing_level)),
+        *_observer_region(plant, assm),
         lambda z, x, u: corrected_contraction_margin(plant, assm, z, x, u),
         sample)
 

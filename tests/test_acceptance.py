@@ -194,7 +194,7 @@ def test_criterion_06_schedule_robustness(sweep):
 def test_criterion_07_trajectory_invariants(planar, stock_init, sweep):
     plant, assm = planar
     runs, _wall = sweep
-    v0 = float(assm.lyapunov(stock_init.initial_x0_at_zero()))
+    v0 = float(assm.lyapunov(stock_init.histories(plant)[0].value(0.0)))
     vz0 = float(assm.lyapunov(stock_init.z0))
     ok = True
     for _seed, traj, _summary in runs:

@@ -81,11 +81,6 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", config_file,
                        "--set", "N=-1", "--out", tmp_path) == 2
 
-    def test_non_finite_initial_state(self, config_file, tmp_path):
-        assert run_cli("simulate", "--config", config_file,
-                       "--set", "x0=(nan, 0)", "--out", tmp_path) == 2
-        assert not (tmp_path / "trajectory.csv").exists()
-
     @pytest.mark.parametrize("command, setting", [
         ("simulate", "T_s=nan"), ("simulate", "T_s=inf"), ("simulate", "horizon=nan"),
         ("simulate", "horizon=inf"), ("simulate", "record_dt=nan"), ("simulate", "T_H=inf"),
@@ -100,13 +95,30 @@ class TestExitCodes:
         assert "absorbctl: configuration error" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config_file]
 
-    @pytest.mark.parametrize("command, output", [("simulate", "trajectory.csv"),
-                                                 ("predictor-study", "predictor_study.csv")])
-    def test_wrong_length_input_segment(self, config_file, tmp_path, command, output):
+    @pytest.mark.parametrize("settings, message", [
+        (["x0=(nan, 0)"], "initial data must be finite"),
+        (["z0=(0, 0, 0)"], "x0 and z0 need 2 components, got 2 and 3"),
         # the planar plant has one input; a two-component value is refused
-        assert run_cli(command, "--config", config_file, "--set", "u0_segments=-0.5:0.1,0.2",
-                       "--set", "horizon=1", "--out", tmp_path) == 2
-        assert not (tmp_path / output).exists()
+        (["u0_segments=-0.5:0.1,0.2"], "u0_segments values must have the input dimension 1"),
+        (["u0_segments=-0.5:5.0"], "u0 segment value outside the input box"),
+        (["u0_segments=-0.4:0.1"], "first u0 segment must start at -(r + tau)"),
+        (["u0_segments=-0.5:0.1; 0:0.1"], "u0 segments must start before time 0"),
+        (["r=0", "tau=0", "u0_segments=-0.5:0.1"],
+         "u0_segments must be empty when r = tau = 0"),
+    ], ids=["non-finite-x0", "z0-length", "segment-length", "outside-box", "first-start",
+            "start-at-0", "delay-free-segments"])
+    def test_initial_data_refusals(self, config_file, tmp_path, capsys, settings, message):
+        # simulate and predictor-study check their initial data in one place,
+        # InitialData.histories, and refuse it alike before writing anything
+        errors = []
+        for command, output in (("simulate", "trajectory.csv"),
+                                ("predictor-study", "predictor_study.csv")):
+            sets = [arg for item in settings for arg in ("--set", item)]
+            assert run_cli(command, "--config", config_file, *sets,
+                           "--out", tmp_path) == 2
+            assert not (tmp_path / output).exists()
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"absorbctl: configuration error: {message}\n"
 
     @pytest.mark.parametrize("command, setting, output, message", [
         ("simulate", "x0=(100,0)", "trajectory.csv", "simulated state not finite at t="),
@@ -198,6 +210,17 @@ class TestAnalysisCommands:
         assert [int(row["N"]) for row in rows] == [8, 16, 32, 64]
         errs = [float(row["error"]) for row in rows]
         assert all(a > b for a, b in zip(errs, errs[1:]))
+
+    def test_predictor_study_starts_from_a_table_last_row(self, tmp_path):
+        # the study predicts from x(0); for an x0 table, a library-only
+        # setting, that is the table's last row
+        outputs = []
+        for x0 in (((-0.25, -0.1, 0.0), ((0.2, 0.3), (0.9, 0.0), (1.0, -1.0))), (1.0, -1.0)):
+            out = tmp_path / str(len(outputs))
+            out.mkdir()
+            assert cli.cmd_predictor_study({**DEFAULTS, "x0": x0}, out) == 0
+            outputs.append((out / "predictor_study.csv").read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_verify_passes_at_default_settings(self, config_file, tmp_path):
         assert run_cli("verify", "--config", config_file, "--out", tmp_path) == 0

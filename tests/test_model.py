@@ -112,6 +112,16 @@ class TestPlantModel:
             with pytest.raises(ValueError, match="read-only"):
                 stored[0, 0] = 3.0
 
+    def test_partition_times_are_a_read_only_copy(self):
+        # a write to the caller's array would skip the partition's gap check
+        times = np.array([0.0, 0.01, 0.02])
+        partition = SamplingPartition(times, 0.01)
+        times[1] = 5.0
+        assert partition.times.tolist() == [0.0, 0.01, 0.02]
+        assert partition.times.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            partition.times[1] = 5.0
+
 
 class TestCallableContract:
     """Every user callable is checked once, at construction, for its shape;

@@ -78,13 +78,20 @@ def short_run(planar):
     return plant, assm, config, init, traj
 
 
+def _plant(r, tau):
+    return build_planar_example(0.01, r=r, tau=tau)[0]
+
+
 class TestInitialData:
-    def test_constant_history(self):
-        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        hist = init.state_history(0.25)
-        assert (hist.value(-0.25) == [1.0, -1.0]).all()
-        assert (hist.value(-0.1) == [1.0, -1.0]).all()
-        assert (init.initial_x0_at_zero() == [1.0, -1.0]).all()
+    """``histories(plant)`` checks a run's initial data and builds its two
+    records: the plant history on [-r, 0] and the input on [-r-tau, 0)."""
+
+    def test_constant_history(self, planar):
+        plant, _ = planar
+        xhist, _uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
+        assert xhist.times == [-0.25, 0.0]
+        for t in (-0.25, -0.1, 0.0):
+            assert (xhist.value(t) == [1.0, -1.0]).all()
 
     def test_tuple_state_is_not_a_table(self, planar):
         plant, assm = planar
@@ -99,55 +106,73 @@ class TestInitialData:
     def test_table_history(self):
         init = InitialData(x0=([-0.5, -0.2, 0.0], [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
                            z0=[0.0, 0.0])
-        hist = init.state_history(0.5)
-        assert (hist.value(-0.2) == [0.5, 0.0]).all()
-        assert (init.initial_x0_at_zero() == [0.0, 0.0]).all()
+        xhist, _uhist = init.histories(_plant(0.5, 0.25))
+        assert (xhist.value(-0.2) == [0.5, 0.0]).all()
+        assert (xhist.value(0.0) == [0.0, 0.0]).all()
+
+    def test_table_last_row_is_x_at_zero(self):
+        # end times within 1e-12 of -r and 0 are snapped onto them, so x(0)
+        # is an exact sample: the table's last row
+        init = InitialData(x0=([-0.5 - 1e-13, -0.2, -1e-13],
+                               [[1.0, 0.0], [0.5, 0.0], [0.3, -0.7]]), z0=[0.0, 0.0])
+        xhist, _uhist = init.histories(_plant(0.5, 0.25))
+        assert xhist.times == [-0.5, -0.2, 0.0]
+        assert xhist.value(0.0).tolist() == [0.3, -0.7]
 
     def test_table_must_cover_window(self):
         init = InitialData(x0=([-0.3, 0.0], [[1.0, 0.0], [0.0, 0.0]]), z0=[0.0, 0.0])
-        with pytest.raises(ConfigurationError):
-            init.state_history(0.5)
+        with pytest.raises(ConfigurationError, match=r"cover exactly \[-r, 0\]"):
+            init.histories(_plant(0.5, 0.25))
 
     def test_table_length_mismatch(self):
         with pytest.raises(ConfigurationError):
             InitialData(x0=([-0.5, 0.0], [[1.0, 0.0]]), z0=[0.0, 0.0])
 
+    @pytest.mark.parametrize("kwargs, message", [
+        (dict(x0=[1.0, float("nan")]), "initial data must be finite"),
+        (dict(z0=[0.0, float("inf")]), "initial data must be finite"),
+        (dict(u0_segments=[(-0.5, [float("nan")])]), "initial data must be finite"),
+        (dict(x0=[1.0, -1.0, 0.0]), "x0 and z0 need 2 components, got 3 and 2"),
+        (dict(z0=[0.0]), "x0 and z0 need 2 components, got 2 and 1"),
+        (dict(x0=([-0.25, 0.0], [[1.0], [0.0]])), "x0 and z0 need 2 components"),
+        (dict(u0_segments=[(-0.5, [0.1, 0.2])]), "input dimension 1"),
+    ])
+    def test_dimensions_and_finiteness(self, planar, kwargs, message):
+        plant, _ = planar
+        init = InitialData(**{"x0": [1.0, -1.0], "z0": [0.0, 0.0], **kwargs})
+        with pytest.raises(ConfigurationError, match=message):
+            init.histories(plant)
+
     def test_default_input_history_is_zero(self, planar):
         plant, _ = planar
-        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        hist = init.input_history(0.25, 0.25, plant.input_box)
-        assert hist.value(-0.5)[0] == 0.0
-        assert hist.value(-1e-9)[0] == 0.0
+        _xhist, uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
+        assert (uhist.t_min, uhist.t_now, uhist.starts) == (-0.5, 0.0, [-0.5])
+        assert uhist.value(-0.5)[0] == 0.0
+        assert uhist.value(-1e-9)[0] == 0.0
 
     def test_segments_validated(self, planar):
         plant, _ = planar
-        box = plant.input_box
         good = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0],
                            u0_segments=[(-0.5, [0.1]), (-0.2, [-0.1])])
-        hist = good.input_history(0.25, 0.25, box)
-        assert hist.value(-0.3)[0] == 0.1
-        assert hist.value(-0.1)[0] == -0.1
+        _xhist, uhist = good.histories(plant)
+        assert uhist.value(-0.3)[0] == 0.1
+        assert uhist.value(-0.1)[0] == -0.1
 
-        bad_start = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0],
-                                u0_segments=[(-0.4, [0.1])])
-        with pytest.raises(ConfigurationError):
-            bad_start.input_history(0.25, 0.25, box)
+        for segments, message in (([(-0.4, [0.1])], r"start at -\(r \+ tau\)"),
+                                  ([(-0.5, [5.0])], "outside the input box"),
+                                  ([(-0.5, [0.1]), (0.0, [0.1])], "start before time 0")):
+            bad = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=segments)
+            with pytest.raises(ConfigurationError, match=message):
+                bad.histories(plant)
 
-        out_of_box = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0],
-                                 u0_segments=[(-0.5, [5.0])])
-        with pytest.raises(ConfigurationError):
-            out_of_box.input_history(0.25, 0.25, box)
-
-        late = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0],
-                           u0_segments=[(-0.5, [0.1]), (0.0, [0.1])])
-        with pytest.raises(ConfigurationError):
-            late.input_history(0.25, 0.25, box)
-
-    def test_delay_free_forbids_segments(self, planar):
-        plant, _ = planar
+    def test_delay_free_forbids_segments(self):
+        plant = _plant(0.0, 0.0)
+        xhist, uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
+        assert xhist.times == [0.0] and (xhist.value(0.0) == [1.0, -1.0]).all()
+        assert (uhist.t_min, uhist.t_now, uhist.starts) == (0.0, 0.0, [])
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=[(-0.5, [0.1])])
-        with pytest.raises(ConfigurationError):
-            init.input_history(0.0, 0.0, plant.input_box)
+        with pytest.raises(ConfigurationError, match="empty when r = tau = 0"):
+            init.histories(plant)
 
     def test_w_starts_at_the_time_0_measurement(self):
         # no initial inter-sample state exists: row 0 holds the reset to the
@@ -158,7 +183,7 @@ class TestInitialData:
             init = InitialData(x0=x0, z0=[0.0, 0.0])
             traj = simulate_closed_loop(plant, assm, generate_partition(0.01, 0.1, seed=0),
                                         short_config(horizon=0.1), init)
-            want = plant.h(init.state_history(r).value(-r))
+            want = plant.h(init.histories(plant)[0].value(-r))
             assert traj.t[0] == 0.0 and (traj.w[0] == want).all()
             assert traj.reset_records[0][0] == 0.0 and (traj.reset_records[0][1] == want).all()
 
@@ -225,7 +250,7 @@ class TestClosedLoop:
 
     def test_sublevel_invariants(self, short_run):
         plant, assm, _config, init, traj = short_run
-        v0 = float(assm.lyapunov(init.initial_x0_at_zero()))
+        v0 = float(assm.lyapunov(init.histories(plant)[0].value(0.0)))
         vz0 = float(assm.lyapunov(init.z0))
         assert np.max(traj.lyap_x) <= max(v0, assm.absorbing_level) + 1e-6
         assert np.max(traj.lyap_z) <= max(vz0, assm.blend_hi) + 1e-6
@@ -245,7 +270,7 @@ class TestClosedLoop:
         assert len(traj.reset_records) == partition.times.size == 81
         for t, y_sample in traj.reset_records:
             if t < plant.r:
-                want = plant.h(init.initial_x0_at_zero())
+                want = plant.h(init.histories(plant)[0].value(0.0))
             else:
                 i = int(np.searchsorted(traj.t, t - plant.r - 1e-9))
                 assert abs(traj.t[i] - (t - plant.r)) <= 1e-12

@@ -6,7 +6,6 @@ import pytest
 from absorbctl import (
     ConfigurationError,
     InputHistory,
-    InsufficientSampleError,
     NonFiniteError,
     SampleSpec,
     build_planar_example,
@@ -220,19 +219,13 @@ class TestSampledChecks:
 
     def test_growth_bound_side_condition_starves_sampler(self, planar):
         # the admissible cone for this geometry is empty, so every draw is
-        # skipped and the check passes vacuously by default
+        # skipped and the check passes, reported as vacuous
         plant, assm = planar
         rep = check_growth_bound(plant, assm, SampleSpec(n_points=100, seed=0))
         assert rep.points_tested == 0
         assert rep.skipped == 100000  # draw cap: max(50 * n, 100000)
         assert rep.worst_margin is None
-        assert rep.passed
-
-    def test_growth_bound_min_points(self, planar):
-        plant, assm = planar
-        with pytest.raises(InsufficientSampleError):
-            check_growth_bound(plant, assm,
-                               SampleSpec(n_points=100, seed=0, min_points=1))
+        assert rep.passed and rep.vacuous and rep.to_dict()["vacuous"] is True
 
     def test_damping_ablation_fails(self, planar):
         plant, assm = planar
@@ -247,6 +240,11 @@ class TestSampledChecks:
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
             SampleSpec(seed=-1)
+
+    @pytest.mark.parametrize("n_points", [0, -5])
+    def test_empty_sample_refused_at_construction(self, n_points):
+        with pytest.raises(ConfigurationError, match="at least one point"):
+            SampleSpec(n_points=n_points)
 
     def test_empty_sample_rejected(self, planar):
         plant, assm = planar
@@ -278,6 +276,44 @@ class TestBatchedDriver:
         assert batched["points_tested"] + batched["skipped"] > V._BATCH
         monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
         assert check_local_controller(plant, assm, spec).to_dict() == batched
+
+
+class TestSideConditions:
+    """What the three (z, x, u) checks admit, against the planar example's
+    side conditions written out here: V(x) = |x|^2 / 2, grad V(z) = z and
+    the identity error metric."""
+
+    @staticmethod
+    def oracle_counts(plant, assm, sample, growth):
+        from scipy.stats import qmc
+
+        boxes = [sublevel_box(assm.lyapunov, assm.blend_hi, 2),
+                 sublevel_box(assm.lyapunov, assm.absorbing_level, 2), plant.input_box]
+        lo = np.concatenate([box[:, 0] for box in boxes])
+        hi = np.concatenate([box[:, 1] for box in boxes])
+        max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, 100_000)
+        pts = lo + qmc.Halton(d=5, seed=sample.seed).random(max_draws) * (hi - lo)
+        z1, z2, x1, x2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
+        vz = 0.5 * (z1 ** 2 + z2 ** 2)
+        mask = (vz <= assm.blend_hi) & (0.5 * (x1 ** 2 + x2 ** 2) <= 1.0)
+        if growth:
+            mask &= (assm.blend_lo < vz) & (z1 * (z1 - x1) + z2 * (z2 - x2) < 0.0)
+        admitted = np.flatnonzero(mask)
+        if admitted.size < sample.n_points:
+            return admitted.size, max_draws - admitted.size
+        return sample.n_points, int(admitted[sample.n_points - 1]) + 1 - sample.n_points
+
+    @pytest.mark.parametrize("seed", [0, 3, 11])
+    @pytest.mark.parametrize("check", ["observer_contraction", "observer_growth_bound",
+                                       "corrected_contraction"])
+    def test_counts_match_written_out_mask(self, planar, check, seed):
+        plant, assm = planar
+        spec = SampleSpec(n_points=1000, seed=seed)
+        rep = CHECKS[check](plant, assm, spec)
+        want = self.oracle_counts(plant, assm, spec, growth=check == "observer_growth_bound")
+        assert (rep.points_tested, rep.skipped) == want
+        if check != "observer_growth_bound":
+            assert rep.points_tested == 1000 and rep.skipped > 0
 
 
 class TestNonFiniteMargin:
