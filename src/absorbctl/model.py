@@ -3,8 +3,8 @@ sampling schedules, and closed-loop run records.
 
 Conventions used throughout the package:
 
-* states, inputs, and outputs are lists of floats inside the closed loop
-  and 1-d ``numpy`` arrays of ``float`` elsewhere;
+* every pointwise call of a user callable, in the closed loop and in the
+  checks alike, passes states, inputs and outputs as lists of floats;
 * an input record is piecewise constant and right-open: the value at a
   segment start belongs to that segment;
 * a state record is a table of time-stamped samples interpolated linearly.
@@ -71,15 +71,15 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-def _fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
+def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:
     """Central-difference Jacobian of a vector or scalar map (one row for a
-    scalar), used only for validation."""
+    scalar) at ``x``, evaluated on lists of floats; used only for validation."""
     cols = []
     for i in range(x.size):
         step = np.zeros(x.size)
         step[i] = _FD_STEP
-        cols.append((np.asarray(fn(x + step), float) - np.asarray(fn(x - step), float))
-                    / (2.0 * _FD_STEP))
+        cols.append((np.asarray(fn((x + step).tolist()), float)
+                     - np.asarray(fn((x - step).tolist()), float)) / (2.0 * _FD_STEP))
     return np.column_stack(cols)
 
 
@@ -116,19 +116,15 @@ def _check(name: str, value, shape: tuple | None):
     return value
 
 
-def _probe(name: str, fn: Callable, shape: tuple | None, *args: np.ndarray):
-    """``fn(*args)`` at float64 ndarray probes, checked by ``_check``; on the
-    probes as lists of floats ``fn`` must return the same shape and values
-    to 1e-12.  Raises ConfigurationError naming ``fn``."""
-    value = _check(name, fn(*args), shape)
+def _probe(name: str, fn: Callable, shape: tuple | None, *args: list):
+    """``fn(*args)`` at probe states given as lists of floats, checked by
+    ``_check``.  Raises ConfigurationError naming ``fn``, also when the
+    call raises."""
     try:
-        as_list = fn(*(a.tolist() for a in args))
+        value = fn(*args)
     except Exception as exc:
         raise ConfigurationError(f"{name} must accept list arguments: {exc!r}") from None
-    _check(name, as_list, np.shape(value))
-    if not np.allclose(as_list, value, rtol=1e-12, atol=1e-12, equal_nan=True):
-        raise ConfigurationError(f"{name} on lists differs from {name} on ndarrays")
-    return value
+    return _check(name, value, shape)
 
 
 def _validation_probes(dim: int) -> list[np.ndarray]:
@@ -155,19 +151,18 @@ class PlantModel:
         rows containing 0; stored as a read-only C-order copy.
     r, tau : measurement and input delays, both nonnegative.
 
-    ``f``, ``h`` and ``jac_h`` take float64 ndarrays or lists of floats,
-    as the closed loop passes, and return reals of the shapes above: a
-    list, tuple or float64 ndarray, whatever the argument kind.
-    Construction checks both argument kinds at a few probe states, raising
-    ``ConfigurationError``; afterwards their results are used as returned.
+    ``f``, ``h`` and ``jac_h`` take lists of floats and return reals of
+    the shapes above: a list, tuple or float64 ndarray.  Construction
+    calls them at a few probe states, raising ``ConfigurationError``;
+    afterwards their results are used as returned.
     """
 
     n: int
     m: int
     k_out: int
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    h: Callable[[np.ndarray], np.ndarray]
-    jac_h: Callable[[np.ndarray], np.ndarray]
+    f: Callable[[list, list], Sequence[float]]
+    h: Callable[[list], Sequence[float]]
+    jac_h: Callable[[list], Sequence[Sequence[float]]]
     input_box: np.ndarray
     r: float = 0.0
     tau: float = 0.0
@@ -181,11 +176,11 @@ class PlantModel:
         object.__setattr__(self, "input_box", box)
         if not (0.0 <= self.r < math.inf and 0.0 <= self.tau < math.inf):
             raise ConfigurationError("delays must be nonnegative and finite")
-        zero_u = np.zeros(self.m)
+        zero_u = [0.0] * self.m
         for i, pt in enumerate(_validation_probes(self.n)):  # probe 0 is the origin
-            fx = _probe("f", self.f, (self.n,), pt, zero_u)
-            hx = _probe("h", self.h, (self.k_out,), pt)
-            jac = _probe("jac_h", self.jac_h, (self.k_out, self.n), pt)
+            fx = _probe("f", self.f, (self.n,), pt.tolist(), zero_u)
+            hx = _probe("h", self.h, (self.k_out,), pt.tolist())
+            jac = _probe("jac_h", self.jac_h, (self.k_out, self.n), pt.tolist())
             if i == 0 and np.max(np.abs(fx)) > _ORIGIN_TOL:
                 raise ConfigurationError("f(0, 0) must vanish (origin equilibrium)")
             if i == 0 and np.max(np.abs(hx)) > _ORIGIN_TOL:
@@ -211,23 +206,23 @@ class AssumptionData:
     and ``error_metric`` are stored as read-only C-order copies, and
     ``gain_rows`` holds the gain's rows as tuples of floats.
 
-    The callables take an ``(n,)`` float64 state or a list of n floats.
-    ``lyapunov``, ``local_lyapunov`` and ``dissipation`` return a real
-    scalar; the gradients n reals and ``local_controller`` one per input,
-    as a list, tuple or float64 ndarray for either argument kind.
-    ``lyapunov`` and ``grad_lyapunov`` also take an ``(n, B)`` batch of
-    states, one per column, and return reals of shapes ``(B,)``
-    and ``(n, B)`` agreeing with the per-point values to 1e-12 relative.
+    The callables take a state as a list of n floats.  ``lyapunov``,
+    ``local_lyapunov`` and ``dissipation`` return a real scalar; the
+    gradients n reals and ``local_controller`` one per input, as a list,
+    tuple or float64 ndarray.  ``lyapunov`` and ``grad_lyapunov`` also
+    take an ``(n, B)`` float64 batch of states, one per column, and return
+    reals of shapes ``(B,)`` and ``(n, B)`` agreeing with the per-point
+    values to 1e-12 relative.
     As for ``PlantModel``, construction checks this at probe states and
     later calls trust it.
     """
 
-    lyapunov: Callable[[np.ndarray], float]
-    grad_lyapunov: Callable[[np.ndarray], np.ndarray]
-    dissipation: Callable[[np.ndarray], float]
-    local_lyapunov: Callable[[np.ndarray], float]
-    grad_local_lyapunov: Callable[[np.ndarray], np.ndarray]
-    local_controller: Callable[[np.ndarray], np.ndarray]
+    lyapunov: Callable[[list | np.ndarray], float | np.ndarray]
+    grad_lyapunov: Callable[[list | np.ndarray], Sequence[float] | np.ndarray]
+    dissipation: Callable[[list], float]
+    local_lyapunov: Callable[[list], float]
+    grad_local_lyapunov: Callable[[list], Sequence[float]]
+    local_controller: Callable[[list], Sequence[float]]
     observer_gain: np.ndarray
     error_metric: np.ndarray
     absorbing_level: float
@@ -265,16 +260,16 @@ class AssumptionData:
         probes = _validation_probes(n)
         for pt in probes:
             for name in ("lyapunov", "local_lyapunov", "dissipation"):
-                _probe(name, getattr(self, name), (), pt)
-            _probe("local_controller", self.local_controller, None, pt)
+                _probe(name, getattr(self, name), (), pt.tolist())
+            _probe("local_controller", self.local_controller, None, pt.tolist())
             for name, fn in (("grad_lyapunov", self.lyapunov),
                              ("grad_local_lyapunov", self.local_lyapunov)):
-                grad = _probe(name, getattr(self, name), (n,), pt)
+                grad = _probe(name, getattr(self, name), (n,), pt.tolist())
                 _check_derivative(name, grad, _fd_jacobian(fn, pt)[0])
         batch = np.column_stack(probes)  # the sampled checks pass (n, B) column batches
         for name in ("lyapunov", "grad_lyapunov"):
             fn = getattr(self, name)
-            pointwise = np.stack([fn(pt) for pt in probes], axis=-1)
+            pointwise = np.stack([fn(pt.tolist()) for pt in probes], axis=-1)
             try:
                 value = fn(batch)
             except Exception as exc:

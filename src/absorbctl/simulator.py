@@ -281,11 +281,11 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                                  f"a callable overflowed ({exc})") from None
 
     table = np.array(rows_y)
-    x, z = table[:, :n], table[:, n:2 * n]
     return Trajectory(
-        t=np.asarray(rows_t), x=x, z=z, w=table[:, 2 * n:], u_applied=np.array(rows_u),
-        lyap_x=np.array([assm.lyapunov(row) for row in x]),
-        lyap_z=np.array([assm.lyapunov(row) for row in z]),
+        t=np.asarray(rows_t), x=table[:, :n], z=table[:, n:2 * n], w=table[:, 2 * n:],
+        u_applied=np.array(rows_u),
+        lyap_x=np.array([assm.lyapunov(y[:n]) for y in rows_y]),
+        lyap_z=np.array([assm.lyapunov(y[n:2 * n]) for y in rows_y]),
         norm=np.asarray(rows_norm),
         reset_records=[(t, np.array(y)) for t, y in reset_records],
         input_segments=[(s, np.array(v)) for s, v in zip(uhist.starts, uhist.values)],

@@ -116,16 +116,16 @@ def check_zeta_bound(zeta: float) -> bool:
     return 25001.0 * zeta ** 2 + 2.0 * zeta <= 4.0
 
 
-def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float,
+def sublevel_box(level_fn: Callable[[list], float], level: float,
                  dim: int) -> np.ndarray:
     """Axis-aligned box bounding a sublevel set's extent along each axis.
 
     Found by doubling out from the origin and bisecting the crossing on
-    every half-axis.  For level functions whose sublevel sets bulge between
-    the axes the box may under-cover; for radially monotone ones it is
-    tight.
+    every half-axis; ``level_fn`` takes each point as a list of floats.
+    For level functions whose sublevel sets bulge between the axes the box
+    may under-cover; for radially monotone ones it is tight.
     """
-    if float(level_fn(np.zeros(dim))) > level:
+    if float(level_fn([0.0] * dim)) > level:
         raise ConfigurationError("origin must belong to the sublevel set")
     box = np.empty((dim, 2))
     for i in range(dim):
@@ -133,7 +133,7 @@ def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float,
             axis = np.zeros(dim)
             axis[i] = sign
             hi = 1.0
-            while float(level_fn(hi * axis)) <= level:
+            while float(level_fn((hi * axis).tolist())) <= level:
                 hi *= 2.0
                 if hi > _MAX_RADIUS:
                     raise ConfigurationError(
@@ -142,7 +142,7 @@ def sublevel_box(level_fn: Callable[[np.ndarray], float], level: float,
             lo = 0.0
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if float(level_fn(mid * axis)) <= level:
+                if float(level_fn((mid * axis).tolist())) <= level:
                     lo = mid
                 else:
                     hi = mid
@@ -156,27 +156,25 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
     axes = [np.linspace(lo, hi, _OUTPUT_GRID) for lo, hi in state_box]
     amp = np.zeros(plant.k_out)
     for pt in itertools.product(*axes):
-        amp = np.maximum(amp, np.abs(plant.h(np.array(pt))))
+        amp = np.maximum(amp, np.abs(plant.h([float(v) for v in pt])))
     half = 2.0 * amp + _OUTPUT_PAD
     return np.column_stack([-half, half])
 
 
 # --- margins: negative means the certified inequality holds at the point ---
-# the callables may return lists, so products and sums of their results are
-# taken with np.dot, np.add and np.subtract
+# the points arrive as lists of floats and the callables may return lists, so
+# products, sums and differences are taken with np.dot, np.add and np.subtract
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
     """Drift of the Lyapunov function plus the required dissipation."""
-    x, u = np.asarray(x, dtype=float), np.asarray(u, dtype=float)
     return float(np.dot(assm.grad_lyapunov(x), plant.f(x, u)) + assm.dissipation(x))
 
 
 def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float:
     """Worse of the local decay margin (under the clamped local controller)
     and the coercivity margin of the local Lyapunov function."""
-    x = np.asarray(x, dtype=float)
-    u = clamp_input(assm.local_controller(x), plant.input_box)
-    xsq = x.dot(x)
+    u = clamp_input(assm.local_controller(x), plant.input_box).tolist()
+    xsq = np.dot(x, x)
     decay = np.dot(assm.grad_local_lyapunov(x), plant.f(x, u)) + 2.0 * assm.local_decay * xsq
     coercive = assm.coercivity * xsq - assm.local_lyapunov(x)
     return float(max(decay, coercive))
@@ -184,8 +182,7 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float
 
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction of the plain output-injection error dynamics."""
-    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
-    d = z - x
+    d = np.subtract(z, x)
     drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
     drift_gap = np.subtract(drift, plant.f(x, u))
     return float(d.dot(assm.error_metric.dot(drift_gap)) + assm.contraction_rate * d.dot(d))
@@ -194,10 +191,9 @@ def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
-    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     grad = np.asarray(assm.grad_lyapunov(z))
     drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
-    d = z - x
+    d = np.subtract(z, x)
     numer = d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
     denom = grad.dot(assm.error_metric.dot(d))
     ratio_term = (1.0 - assm.contraction_frac) * grad.dot(grad) * numer / denom
@@ -207,10 +203,9 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
-    z, x, u = (np.asarray(v, dtype=float) for v in (z, x, u))
     fz = plant.f(z, u)
-    corr = observer_correction(z.tolist(), plant.h(x.tolist()), fz, plant, assm)
-    d = z - x
+    corr = observer_correction(z, plant.h(x), fz, plant, assm)
+    d = np.subtract(z, x)
     drift_gap = np.subtract(np.add(fz, corr), plant.f(x, u))
     return float(d.dot(assm.error_metric.dot(drift_gap))
                  + assm.contraction_frac * assm.contraction_rate * d.dot(d))
@@ -220,12 +215,11 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
                                  zero_damping: bool = False) -> float:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output; ``zero_damping`` ablates the damping term."""
-    z, w, u = (np.asarray(v, dtype=float) for v in (z, w, u))
     fz = plant.f(z, u)
     if zero_damping:
         corr = assm.observer_gain.dot(np.subtract(plant.h(z), w))
     else:
-        corr = observer_correction(z.tolist(), w.tolist(), fz, plant, assm)
+        corr = observer_correction(z, w, fz, plant, assm)
     return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
 
 
@@ -234,7 +228,7 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
                        sample: SampleSpec) -> CheckReport:
     """``accept`` masks Halton batches given as one ``(d_i, B)`` column block per
-    box; ``margin_fn`` then takes one ``(d_i,)`` row per box, in draw order."""
+    box; ``margin_fn`` then takes one row per box as a list, in draw order."""
     from scipy.stats import qmc  # deferred: slow to import, and only the checks use it
 
     dims = [box.shape[0] for box in boxes]
@@ -257,13 +251,12 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
         stop = admitted[-1] + 1 if tested + admitted.size == sample.n_points else len(batch)
         skipped += int(stop) - admitted.size
         tested += admitted.size
-        for point in zip(*(p[admitted] for p in parts)):
+        for point in zip(*(p[admitted].tolist() for p in parts)):
             value = float(margin_fn(*point))
             if not math.isfinite(value):
-                raise NonFiniteError(f"{name}: margin {value} at point "
-                                     f"{[p.tolist() for p in point]}")
+                raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
             if worst is None or value > worst:
-                worst, worst_pt = value, tuple(p.copy() for p in point)
+                worst, worst_pt = value, point
     passed = worst is None or worst <= TOLERANCE
     return CheckReport(name=name, points_tested=tested, skipped=skipped,
                        worst_margin=worst, worst_point=worst_pt, passed=passed,

@@ -171,7 +171,7 @@ class TestSublevelBox:
 
     def test_origin_outside_rejected(self):
         with pytest.raises(ConfigurationError):
-            sublevel_box(lambda x: float(x @ x) + 2.0, 1.0, 2)
+            sublevel_box(lambda x: x[0] ** 2 + x[1] ** 2 + 2.0, 1.0, 2)
 
 
 class TestSampledChecks:
