@@ -45,7 +45,7 @@ DECAY_RATIO = 1e-3  # terminal-to-initial composite norm ratio a run must reach
 _SAMPLE, _HOLD, _RECORD, _BREAK = 0, 1, 2, 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class InitialData:
     """Initial data for a closed-loop run.
 
@@ -62,18 +62,18 @@ class InitialData:
     u0_segments: Sequence[tuple[float, Sequence[float]]] = ()
 
     def __post_init__(self):
-        self.z0 = np.asarray(self.z0, dtype=float).reshape(-1)
+        object.__setattr__(self, "z0", np.asarray(self.z0, dtype=float).reshape(-1))
         if isinstance(self.x0, tuple) and len(self.x0) == 2 and np.ndim(self.x0[0]) == 1:
             times = np.asarray(self.x0[0], dtype=float).reshape(-1)
             states = np.atleast_2d(np.asarray(self.x0[1], dtype=float))
             if times.size != states.shape[0]:
                 raise ConfigurationError("x0 table times and states disagree in length")
-            self.x0 = (times, states)
+            object.__setattr__(self, "x0", (times, states))
         else:
-            self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
-        self.u0_segments = tuple(
+            object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float).reshape(-1))
+        object.__setattr__(self, "u0_segments", tuple(
             (float(t), np.asarray(v, dtype=float).reshape(-1)) for t, v in self.u0_segments
-        )
+        ))
 
     def histories(self, plant: PlantModel) -> tuple[StateHistory, InputHistory]:
         """The plant history on ``[-r, 0]`` and the applied-input record on

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,6 +144,20 @@ class TestInitialData:
         init = InitialData(**{"x0": [1.0, -1.0], "z0": [0.0, 0.0], **kwargs})
         with pytest.raises(ConfigurationError, match=message):
             init.histories(plant)
+
+    def test_fields_cannot_be_reassigned(self, planar):
+        # a reassigned field would skip the conversion __post_init__ makes;
+        # replace builds a new, converted instance, whose refusals still hold
+        plant, _ = planar
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        for name, value in (("x0", [float("nan"), 0.0]), ("z0", [0.0, 0.0]),
+                            ("u0_segments", [(-0.5, [9.0])])):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(init, name, value)
+        with pytest.raises(ConfigurationError, match="initial data must be finite"):
+            dataclasses.replace(init, x0=[float("nan"), 0.0]).histories(plant)
+        with pytest.raises(ConfigurationError, match="outside the input box"):
+            dataclasses.replace(init, u0_segments=[(-0.5, [9.0])]).histories(plant)
 
     def test_default_input_history_is_zero(self, planar):
         plant, _ = planar
