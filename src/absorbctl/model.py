@@ -278,6 +278,12 @@ class AssumptionData:
             if not np.allclose(value, pointwise, rtol=1e-12, atol=0.0):
                 raise ConfigurationError(f"{name} on an (n, B) batch differs from its points")
 
+    def check_dimensions(self, plant: PlantModel) -> None:
+        """Raise ConfigurationError unless the gain (so the metric) fits ``plant``."""
+        if self.observer_gain.shape != (plant.n, plant.k_out):
+            raise ConfigurationError(f"observer_gain has shape {self.observer_gain.shape}, "
+                                     f"the plant needs ({plant.n}, {plant.k_out})")
+
 
 class InputHistory:
     """Right-open piecewise-constant input record covering ``[t_min, t_now)``.

@@ -225,6 +225,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     state that is not finite at the end of a span raises ``NonFiniteError``,
     as does an ``OverflowError`` from a callable on a span or at a hold.
     """
+    assm.check_dimensions(plant)
     xhist, uhist = init.histories(plant)
     if partition.times[-1] < config.horizon - _EVENT_ATOL:
         raise ConfigurationError("partition must cover the simulation horizon")

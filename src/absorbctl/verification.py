@@ -267,6 +267,7 @@ def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
                                 sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Dissipation outside the absorbing set, sampled up to the sampler's
     upper Lyapunov level and over the whole input box."""
+    assm.check_dimensions(plant)
     x_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     return _run_sampled_check(
         "absorbing_dissipation",
@@ -279,6 +280,7 @@ def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
 def check_local_controller(plant: PlantModel, assm: AssumptionData,
                            sample: SampleSpec = SampleSpec()) -> CheckReport:
     """Local decay and coercivity inside the absorbing set."""
+    assm.check_dimensions(plant)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
     return _run_sampled_check(
         "local_controller",
@@ -292,6 +294,7 @@ def _observer_region(plant: PlantModel, assm: AssumptionData):
     """Boxes ``[z_box, x_box, input_box]`` and side condition of the checks on
     an observer state in the upper blending sublevel set and a plant state
     in the absorbing set."""
+    assm.check_dimensions(plant)
     boxes = [sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
              sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n),
              plant.input_box]
@@ -351,6 +354,7 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
                                 zero_damping: bool = False) -> CheckReport:
     """Corrected-observer dissipation above the upper blending level, with
     the measured output free to roam an inflated output box."""
+    assm.check_dimensions(plant)
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
     name = "corrected_dissipation_no_damping" if zero_damping else "corrected_dissipation"

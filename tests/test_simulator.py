@@ -259,6 +259,16 @@ class TestClosedLoop:
         assert np.all(traj.u_applied == 0.0)
         assert np.all(traj.norm == 0.0)
 
+    def test_gain_must_fit_the_plant(self, planar):
+        # planar k_out = 1: matvec's zip would drop a second gain column
+        plant, assm = planar
+        wide = dataclasses.replace(assm, observer_gain=np.array([[-0.02, 5.0], [-1.0, 7.0]]))
+        with pytest.raises(ConfigurationError,
+                           match=r"^observer_gain has shape \(2, 2\), the plant needs \(2, 1\)$"):
+            simulate_closed_loop(plant, wide, generate_partition(0.01, 0.1, seed=0),
+                                 short_config(horizon=0.1),
+                                 InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]))
+
     def test_rows_cover_endpoints(self, short_run):
         *_, config, _init, traj = short_run
         assert traj.t[0] == 0.0

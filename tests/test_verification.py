@@ -251,6 +251,15 @@ class TestSampledChecks:
         with pytest.raises(ConfigurationError):
             check_local_controller(plant, assm, SampleSpec(n_points=0, seed=0))
 
+    @pytest.mark.parametrize("check", list(CHECKS.values()), ids=list(CHECKS))
+    def test_gain_must_fit_the_plant(self, planar, check):
+        # planar k_out = 1: a second gain column has no output to multiply
+        plant, assm = planar
+        wide = dataclasses.replace(assm, observer_gain=np.array([[-0.02, 5.0], [-1.0, 7.0]]))
+        with pytest.raises(ConfigurationError,
+                           match=r"^observer_gain has shape \(2, 2\), the plant needs \(2, 1\)$"):
+            check(plant, wide, SampleSpec(n_points=10, seed=0))
+
 
 class TestBatchedDriver:
     """Side conditions run on whole Halton batches; reports equal the
