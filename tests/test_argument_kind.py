@@ -4,6 +4,7 @@ the ``(n, B)`` batch that ``lyapunov`` and ``grad_lyapunov`` get in the
 sampled checks' side conditions."""
 
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -20,23 +21,24 @@ CERTIFICATE_CALLABLES = ("lyapunov", "grad_lyapunov", "dissipation", "local_lyap
 BATCHED = ("lyapunov", "grad_lyapunov")
 
 
-def _kind(name, args, n=2):
+def _kind(name, args):
     if all(type(a) is list and all(type(v) is float for v in a) for a in args):
         return "lists"
+    # an (n, B) float64 batch, n = 2 for the planar example
     if (name in BATCHED and len(args) == 1 and type(args[0]) is np.ndarray
-            and args[0].dtype == np.float64 and args[0].ndim == 2 and args[0].shape[0] == n):
+            and args[0].dtype == np.float64 and args[0].ndim == 2 and args[0].shape[0] == 2):
         return "batch"
     return f"other: {[type(a).__name__ for a in args]}"
 
 
-def _recording(name, fn, calls):
+def _recording(calls, name, fn):
     def wrapped(*args):
         calls.append((name, _kind(name, args)))
         return fn(*args)
     return wrapped
 
 
-def _refusing_non_lists(name, fn, _calls):
+def _refusing_non_lists(name, fn):
     def wrapped(*args):
         kind = _kind(name, args)
         if kind.startswith("other"):
@@ -45,20 +47,20 @@ def _refusing_non_lists(name, fn, _calls):
     return wrapped
 
 
-def _wrapped_planar(wrap, calls):
+def _wrapped_planar(wrap):
     """The planar plant and certificate (r = tau = 0.25) with ``wrap`` around
     each of the nine callables, installed by ``dataclasses.replace``."""
     plant, assm = build_planar_example(0.01, r=0.25, tau=0.25)[:2]
-    plant = dataclasses.replace(plant, **{name: wrap(name, getattr(plant, name), calls)
+    plant = dataclasses.replace(plant, **{name: wrap(name, getattr(plant, name))
                                           for name in PLANT_CALLABLES})
-    assm = dataclasses.replace(assm, **{name: wrap(name, getattr(assm, name), calls)
+    assm = dataclasses.replace(assm, **{name: wrap(name, getattr(assm, name))
                                         for name in CERTIFICATE_CALLABLES})
     return plant, assm
 
 
 def _spied(calls):
     """The wrapped planar pair, with the construction calls forgotten."""
-    plant, assm = _wrapped_planar(_recording, calls)
+    plant, assm = _wrapped_planar(partial(_recording, calls))
     calls.clear()
     return plant, assm
 
@@ -80,21 +82,20 @@ def _predictor_study(plant, assm):
 SAMPLE = SampleSpec(n_points=300, seed=3)
 WORKLOADS = {
     "simulate": _simulate,
-    **{check.__name__: (lambda check: lambda plant, assm: check(plant, assm, SAMPLE))(check)
+    **{check.__name__: partial(check, sample=SAMPLE)
        for check in (check_absorbing_dissipation, check_local_controller,
                      check_observer_contraction, check_growth_bound,
                      check_corrected_contraction, check_corrected_dissipation)},
-    "zero_damping": lambda plant, assm: check_corrected_dissipation(plant, assm, SAMPLE,
-                                                                    zero_damping=True),
+    "zero_damping": partial(check_corrected_dissipation, sample=SAMPLE, zero_damping=True),
     "sublevel_box": lambda plant, assm: sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
     "predictor_study": _predictor_study,
 }
 
 
 def test_construction_accepts_callables_refusing_non_lists():
-    _wrapped_planar(_refusing_non_lists, None)
+    _wrapped_planar(_refusing_non_lists)
     calls = []
-    _wrapped_planar(_recording, calls)
+    _wrapped_planar(partial(_recording, calls))
     assert {name for name, _kind in calls} == {*PLANT_CALLABLES, *CERTIFICATE_CALLABLES}
     assert {name for name, kind in calls if kind != "lists"} == set(BATCHED)
     assert {kind for _name, kind in calls} == {"lists", "batch"}
