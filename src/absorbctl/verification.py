@@ -19,6 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
+from .halton import Halton
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
 from .observer import observer_correction
 from .predictor import euler_predict
@@ -123,9 +124,16 @@ def sublevel_box(level_fn: Callable[[list], float], level: float,
     Found by doubling out from the origin and bisecting the crossing on
     every half-axis; ``level_fn`` takes each point as a list of floats.
     For level functions whose sublevel sets bulge between the axes the box
-    may under-cover; for radially monotone ones it is tight.
+    may under-cover; for radially monotone ones it is tight.  A value that
+    is not finite raises ``NonFiniteError``.
     """
-    if float(level_fn([0.0] * dim)) > level:
+    def level_at(point: list) -> float:
+        value = float(level_fn(point))
+        if not math.isfinite(value):
+            raise NonFiniteError(f"sublevel_box: level function is {value} at point {point}")
+        return value
+
+    if level_at([0.0] * dim) > level:
         raise ConfigurationError("origin must belong to the sublevel set")
     box = np.empty((dim, 2))
     for i in range(dim):
@@ -133,7 +141,7 @@ def sublevel_box(level_fn: Callable[[list], float], level: float,
             axis = np.zeros(dim)
             axis[i] = sign
             hi = 1.0
-            while float(level_fn((hi * axis).tolist())) <= level:
+            while level_at((hi * axis).tolist()) <= level:
                 hi *= 2.0
                 if hi > _MAX_RADIUS:
                     raise ConfigurationError(
@@ -142,7 +150,7 @@ def sublevel_box(level_fn: Callable[[list], float], level: float,
             lo = 0.0
             for _ in range(80):
                 mid = 0.5 * (lo + hi)
-                if float(level_fn((mid * axis).tolist())) <= level:
+                if level_at((mid * axis).tolist()) <= level:
                     lo = mid
                 else:
                     hi = mid
@@ -229,12 +237,10 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
                        sample: SampleSpec) -> CheckReport:
     """``accept`` masks Halton batches given as one ``(d_i, B)`` column block per
     box; ``margin_fn`` then takes one row per box as a list, in draw order."""
-    from scipy.stats import qmc  # deferred: slow to import, and only the checks use it
-
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
-    halton = qmc.Halton(d=int(sum(dims)), seed=sample.seed)
+    halton = Halton(int(sum(dims)), sample.seed)
     splits = np.cumsum(dims)[:-1]
 
     tested = 0

@@ -7,6 +7,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from absorbctl import ConfigurationError, cli
@@ -155,18 +156,42 @@ class TestExitCodes:
         assert run_cli("verify", "--config", config_file, "--out", tmp_path) == 3
         assert not (tmp_path / "verification.json").exists()
 
+    def test_non_finite_level(self, config_file, tmp_path, monkeypatch, capsys):
+        # NaN beyond V = 12.5 used to shrink the sampled boxes to that level
+        build = cli.build_planar_example
+
+        def build_holed_lyapunov(*args, **kwargs):
+            plant, assm, fn = build(*args, **kwargs)
+
+            def lyapunov(x):
+                value = assm.lyapunov(x)
+                return np.where(value > 12.5, np.nan, value)
+
+            return plant, dataclasses.replace(assm, lyapunov=lyapunov), fn
+
+        monkeypatch.setattr(cli, "build_planar_example", build_holed_lyapunov)
+        assert run_cli("verify", "--config", config_file, "--out", tmp_path) == 3
+        assert not (tmp_path / "verification.json").exists()
+        assert "sublevel_box: level function is nan at point" in capsys.readouterr().err
+
 
 def test_import_leaves_scipy_stats_unloaded():
-    # only the sampled checks need scipy.stats, and they import it on first use
+    # the sampled checks draw their points with absorbctl.halton, so no
+    # command, not even verify, needs scipy at run time
     code = ("import sys, absorbctl.cli\n"
+            "from absorbctl import SampleSpec, verification as V\n"
             "from absorbctl.planar import build_planar_example\n"
-            "build_planar_example(0.01, r=0.25, tau=0.25)\n"
-            "print('scipy.stats' in sys.modules)\n")
+            "plant, assm, _ = build_planar_example(0.01, r=0.25, tau=0.25)\n"
+            "for check in (V.check_absorbing_dissipation, V.check_local_controller,\n"
+            "              V.check_observer_contraction, V.check_growth_bound,\n"
+            "              V.check_corrected_contraction, V.check_corrected_dissipation):\n"
+            "    assert check(plant, assm, SampleSpec(300, 0)).passed\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 class TestSimulate:

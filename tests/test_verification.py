@@ -173,6 +173,21 @@ class TestSublevelBox:
         with pytest.raises(ConfigurationError):
             sublevel_box(lambda x: x[0] ** 2 + x[1] ** 2 + 2.0, 1.0, 2)
 
+    def test_non_finite_level_raises(self, planar):
+        # both used to return a box: [-5, 5]^2 for the first, which
+        # check_absorbing_dissipation then sampled and passed, and a zero
+        # box for the second
+        plant, assm = planar
+        lyapunov = assm.lyapunov
+        holed = dataclasses.replace(
+            assm, lyapunov=lambda x: np.where(lyapunov(x) > 12.5, np.nan, lyapunov(x)))
+        with pytest.raises(NonFiniteError, match=r"^sublevel_box: level function is nan at point"):
+            sublevel_box(holed.lyapunov, 100.0, 2)
+        with pytest.raises(NonFiniteError, match=r"nan at point \[0\.0, 0\.0\]$"):
+            sublevel_box(lambda x: float("nan"), 1.0, 2)
+        with pytest.raises(NonFiniteError):
+            check_absorbing_dissipation(plant, holed, SPEC)
+
 
 class TestSampledChecks:
     def test_all_pass(self, planar):
