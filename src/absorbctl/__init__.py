@@ -10,16 +10,15 @@ from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, clamp_input)
 from .observer import BlendingFn, blend_p, damping_term, observer_correction
-from .planar import build_planar_example
-from .predictor import euler_predict
+from .planar import build_planar_example, check_zeta_bound
+from .predictor import euler_predict, predictor_convergence_study
 from .rk4 import flow_on_history, integrate_span, rk4_step
 from .simulator import (InitialData, TuneResult, fit_decay_rate, generate_partition,
                         pilot_tune, run_summary, simulate_closed_loop)
 from .verification import (CheckReport, SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
-                           check_observer_contraction, check_zeta_bound,
-                           predictor_convergence_study, sublevel_box)
+                           check_observer_contraction, sublevel_box)
 
 __version__ = "0.1.0"
 

@@ -26,13 +26,13 @@ from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
                      InsufficientDataError, NonFiniteError)
 from .model import SimConfig
 from .planar import build_planar_example
+from .predictor import predictor_convergence_study
 from .simulator import (DECAY_RATIO, InitialData, decay_bar, generate_partition,
                         pilot_tune, run_summary, simulate_closed_loop)
 from .verification import (SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
-                           check_observer_contraction, check_zeta_bound,
-                           predictor_convergence_study)
+                           check_observer_contraction)
 
 DEFAULTS: dict = {
     "zeta": 0.01,
@@ -179,11 +179,10 @@ def cmd_verify(settings: dict, out_dir: Path) -> int:
         check_corrected_contraction(plant, assm, sample),
         check_corrected_dissipation(plant, assm, sample),
     ]
-    gate = check_zeta_bound(settings["zeta"])
-    all_pass = gate and all(rep.passed for rep in reports)
+    all_pass = all(rep.passed for rep in reports)
     _write_json(out_dir / "verification.json", {
         "zeta": settings["zeta"],
-        "zeta_bound_pass": gate,
+        "zeta_bound_pass": True,  # _build_model refuses a zeta beyond the bound
         "checks": [rep.to_dict() for rep in reports],
         "all_pass": all_pass,
     })

@@ -84,7 +84,7 @@ def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:
 
 
 def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
-    if np.max(np.abs(exact - fd)) > _FD_TOL * (1.0 + np.max(np.abs(exact))):
+    if not np.max(np.abs(exact - fd)) <= _FD_TOL * (1.0 + np.max(np.abs(exact))):
         raise ConfigurationError(f"{name} disagrees with finite differences")
 
 
@@ -171,7 +171,7 @@ class PlantModel:
         if self.n < 1 or self.m < 1 or self.k_out < 1:
             raise ConfigurationError("dimensions must be positive")
         box = _frozen(np.reshape(self.input_box, (self.m, 2)))
-        if np.any(box[:, 0] > 0.0) or np.any(box[:, 1] < 0.0):
+        if not (np.all(box[:, 0] <= 0.0) and np.all(box[:, 1] >= 0.0)):
             raise ConfigurationError("input_box must contain the zero input")
         object.__setattr__(self, "input_box", box)
         if not (0.0 <= self.r < math.inf and 0.0 <= self.tau < math.inf):
@@ -181,9 +181,9 @@ class PlantModel:
             fx = _probe("f", self.f, (self.n,), pt.tolist(), zero_u)
             hx = _probe("h", self.h, (self.k_out,), pt.tolist())
             jac = _probe("jac_h", self.jac_h, (self.k_out, self.n), pt.tolist())
-            if i == 0 and np.max(np.abs(fx)) > _ORIGIN_TOL:
+            if i == 0 and not np.max(np.abs(fx)) <= _ORIGIN_TOL:
                 raise ConfigurationError("f(0, 0) must vanish (origin equilibrium)")
-            if i == 0 and np.max(np.abs(hx)) > _ORIGIN_TOL:
+            if i == 0 and not np.max(np.abs(hx)) <= _ORIGIN_TOL:
                 raise ConfigurationError("h(0) must vanish")
             _check_derivative("jac_h", jac, _fd_jacobian(self.h, pt))
 
@@ -239,6 +239,8 @@ class AssumptionData:
         object.__setattr__(self, "observer_gain", gain)
         object.__setattr__(self, "error_metric", metric)
         object.__setattr__(self, "gain_rows", tuple(map(tuple, gain.tolist())))
+        if not (np.isfinite(gain).all() and np.isfinite(metric).all()):
+            raise ConfigurationError("observer_gain and error_metric must be finite")
         n = metric.shape[0]
         if metric.shape != (n, n) or not np.allclose(metric, metric.T, atol=1e-12):
             raise ConfigurationError("error_metric must be square and symmetric")
@@ -548,10 +550,6 @@ class Trajectory:
             if arr.size != rows:
                 raise ConfigurationError(f"column {name} has wrong row count")
             setattr(self, name, arr)
-
-    def check_inputs_in_box(self, input_box) -> bool:
-        box = np.asarray(input_box, dtype=float)
-        return bool(np.all(self.u_applied >= box[:, 0]) and np.all(self.u_applied <= box[:, 1]))
 
     def write_csv(self, path) -> None:
         """Dump rows with full double precision (17 significant digits)."""

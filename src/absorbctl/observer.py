@@ -22,6 +22,7 @@ __all__ = [
     "blend_p",
     "damping_term",
     "observer_correction",
+    "output_injection",
 ]
 
 _GRAD_FLOOR = 1e-12
@@ -66,18 +67,23 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
     return max(0.0, float(inner))
 
 
+def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[float]:
+    """The output injection ``L (h(z) - y)`` as a list, in ``matvec``'s order."""
+    return matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
+
+
 def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> list[float]:
     """Correction added to the observer drift, as a list, for ``z``
     (observer state), ``y`` (measured output) and ``fz`` (the drift
     ``f(z, u)`` of the observer's plant copy, which the caller holds).
 
     Inside the absorbing sublevel set this is the plain output-injection
-    term ``matvec(assm.gain_rows, h(z) - y)``; outside, the damping
+    term ``output_injection(z, y, plant, assm)``; outside, the damping
     coefficient over the squared gradient norm (products by ``ndarray.dot``)
     is subtracted along the Lyapunov gradient.  Raises
     ``DegenerateGradientError`` if that direction is undefined.
     """
-    innovation = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
+    innovation = output_injection(z, y, plant, assm)
     level = assm.lyapunov(z)
     if level <= assm.absorbing_level:
         return innovation

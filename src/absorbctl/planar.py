@@ -3,7 +3,7 @@ damping, certified by hand for every assumption the scheme needs.
 
 The single free parameter ``zeta`` sets the unstable linear drift of the
 first state, the size of the input box, and every derived gain.  It must
-satisfy the smallness bound checked by ``check_zeta_bound``.
+be positive and satisfy the smallness bound of ``check_zeta_bound``.
 """
 
 from __future__ import annotations
@@ -15,9 +15,16 @@ import numpy as np
 from .errors import ConfigurationError
 from .model import AssumptionData, PlantModel
 from .observer import BlendingFn
-from .verification import check_zeta_bound
 
-__all__ = ["build_planar_example"]
+__all__ = ["build_planar_example", "check_zeta_bound"]
+
+
+def check_zeta_bound(zeta: float) -> bool:
+    """Whether ``25001 zeta**2 + 2 zeta <= 4``, the example's smallness bound;
+    a zeta that is not positive raises ``ConfigurationError``."""
+    if not zeta > 0.0:
+        raise ConfigurationError("zeta must be positive")
+    return 25001.0 * zeta ** 2 + 2.0 * zeta <= 4.0
 
 
 def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
@@ -31,9 +38,7 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
     rate.  Delays are forwarded to the plant unchanged.
     """
     zeta = float(zeta)
-    if zeta <= 0.0:
-        raise ConfigurationError("zeta must be positive")
-    if enforce_zeta_bound and not check_zeta_bound(zeta):
+    if not check_zeta_bound(zeta) and enforce_zeta_bound:
         raise ConfigurationError(
             f"zeta={zeta!r} violates the gain bound 25001*zeta**2 + 2*zeta <= 4"
         )

@@ -1,5 +1,4 @@
-"""Sampled certificate checks with reproducible reports, plus the predictor
-convergence study.
+"""Sampled certificate checks with reproducible reports.
 
 Every check draws a seeded low-discrepancy sample over axis-aligned boxes
 bounding the relevant sublevel sets, rejects points that fail the side
@@ -20,16 +19,13 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
 from .halton import Halton
-from .model import AssumptionData, InputHistory, PlantModel, clamp_input
-from .observer import observer_correction
-from .predictor import euler_predict
-from .rk4 import flow_on_history
+from .model import AssumptionData, PlantModel, clamp_input
+from .observer import observer_correction, output_injection
 
 __all__ = [
     "SampleSpec",
     "CheckReport",
     "sublevel_box",
-    "check_zeta_bound",
     "absorbing_dissipation_margin",
     "local_controller_margin",
     "observer_contraction_margin",
@@ -42,7 +38,6 @@ __all__ = [
     "check_growth_bound",
     "check_corrected_contraction",
     "check_corrected_dissipation",
-    "predictor_convergence_study",
 ]
 
 _BATCH = 4096
@@ -52,7 +47,6 @@ _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 _OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
 _OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
-_REF_SUBSTEP = 1e-4  # longest RK4 step of the predictor study's reference flow
 
 
 @dataclass(frozen=True)
@@ -110,13 +104,6 @@ class CheckReport:
         }
 
 
-def check_zeta_bound(zeta: float) -> bool:
-    """Gate on the planar example's gain parameter."""
-    if zeta <= 0.0:
-        raise ConfigurationError("zeta must be positive")
-    return 25001.0 * zeta ** 2 + 2.0 * zeta <= 4.0
-
-
 def sublevel_box(level_fn: Callable[[list], float], level: float,
                  dim: int) -> np.ndarray:
     """Axis-aligned box bounding a sublevel set's extent along each axis.
@@ -170,8 +157,8 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 
 
 # --- margins: negative means the certified inequality holds at the point ---
-# the points arrive as lists of floats and the callables may return lists, so
-# products, sums and differences are taken with np.dot, np.add and np.subtract
+# points arrive as lists of floats and callables may return lists, so products, sums and
+# differences are np.dot, np.add and np.subtract, and L (h(z) - y) is ``output_injection``
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
     """Drift of the Lyapunov function plus the required dissipation."""
@@ -191,7 +178,7 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction of the plain output-injection error dynamics."""
     d = np.subtract(z, x)
-    drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
+    drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
     drift_gap = np.subtract(drift, plant.f(x, u))
     return float(d.dot(assm.error_metric.dot(drift_gap)) + assm.contraction_rate * d.dot(d))
 
@@ -200,7 +187,7 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
     grad = np.asarray(assm.grad_lyapunov(z))
-    drift = np.add(plant.f(z, u), assm.observer_gain.dot(np.subtract(plant.h(z), plant.h(x))))
+    drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
     d = np.subtract(z, x)
     numer = d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
     denom = grad.dot(assm.error_metric.dot(d))
@@ -225,7 +212,7 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
     output; ``zero_damping`` ablates the damping term."""
     fz = plant.f(z, u)
     if zero_damping:
-        corr = assm.observer_gain.dot(np.subtract(plant.h(z), w))
+        corr = output_injection(z, w, plant, assm)
     else:
         corr = observer_correction(z, w, fz, plant, assm)
     return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
@@ -373,25 +360,3 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
                                                      zero_damping=zero_damping),
         sample)
 
-
-def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
-                                N_list: Sequence[int]) -> list[tuple[int, float]]:
-    """Predictor error against a reference flow for each step count.
-
-    The reference integrates the plant over the delay window ending at
-    ``hist.t_now`` with fourth-order steps no longer than ``_REF_SUBSTEP``,
-    split exactly at the input record's segment boundaries.  An overflow in
-    ``f``, or a reference or prediction that is not finite, raises
-    ``NonFiniteError``.
-    """
-    try:
-        reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
-                                    hist.t_now, _REF_SUBSTEP)
-        predictions = [euler_predict(x0, hist, int(N), plant) for N in N_list]
-    except OverflowError as exc:
-        raise NonFiniteError(f"predictor study: a state overflowed ({exc})") from None
-    # an inf from a product, such as 10 * x1 ** 3, raises nothing on floats
-    if not all(map(math.isfinite, itertools.chain(reference, *predictions))):
-        raise NonFiniteError("predictor study: a state is not finite")
-    return [(int(N), float(np.linalg.norm(np.subtract(reference, predicted))))
-            for N, predicted in zip(N_list, predictions)]

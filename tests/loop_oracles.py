@@ -1,5 +1,6 @@
-"""NumPy reference versions of the closed loop's per-point kernels, and a
-helper that lets a test's callables take list states.
+"""NumPy reference versions of the closed loop's per-point kernels, a
+helper that lets a test's callables take list states, and a check that a
+run's applied inputs stay in the input box.
 
 The library runs the loop on lists of floats.  The oracles below are the
 per-point NumPy forms it replaced, kept as written then: RK4 stages and the
@@ -21,6 +22,12 @@ def listwise(fn):
     def on_arrays(*args):
         return fn(*(np.asarray(a, dtype=float) for a in args))
     return on_arrays
+
+
+def inputs_in_box(traj, input_box) -> bool:
+    """Whether every applied input of ``traj`` lies in the ``(m, 2)`` box."""
+    box = np.asarray(input_box, dtype=float)
+    return bool(np.all(traj.u_applied >= box[:, 0]) and np.all(traj.u_applied <= box[:, 1]))
 
 
 def rk4_step_numpy(rhs, t, y, dt):

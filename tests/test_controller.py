@@ -23,7 +23,7 @@ def test_hold_control_composes_predict_clamp_law(planar):
     plant, assm, _fn = planar
     hist = InputHistory(-0.5, [(-0.5, [0.1]), (-0.2, [-0.05])], t_now=0.0)
     z = np.array([0.4, -0.3])
-    predicted = euler_predict(z, hist, 32, plant, t_pred=0.0)
+    predicted = euler_predict(z, hist, 32, plant)
     expected = clamp_input(assm.local_controller(predicted), plant.input_box)
     got = hold_control(z, hist, 32, plant, assm)
     assert (got == expected).all()

@@ -10,6 +10,7 @@ from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantMod
                        build_planar_example, clamp_input)
 from history_oracles import (input_records, prune_one_at_a_time, segments_scan,
                              state_records, sup_abs_scan, sup_norm_scan, windows)
+from loop_oracles import inputs_in_box
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
 
@@ -254,6 +255,27 @@ class TestFiniteSettings:
         with pytest.raises(ConfigurationError, match=f"^{message} must be .*finite"):
             dataclasses.replace(assm, **{field: value})
 
+    # each comparison below used to be false for a NaN, so the NaN passed it
+    @pytest.mark.parametrize("field, value, message", [
+        ("f", lambda x, u: [x[1] * NAN, -x[0] + u[0]], r"f\(0, 0\) must vanish"),
+        ("h", lambda x: [x[0] + NAN], r"h\(0\) must vanish"),
+        ("jac_h", lambda x: [[NAN, 0.0]], "jac_h disagrees"),
+        ("input_box", np.array([[NAN, 1.0]]), "input_box must contain the zero input"),
+    ], ids=["f", "h", "jac_h", "input_box"])
+    def test_plant_construction(self, field, value, message):
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(_planar_plant(), **{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("observer_gain", [[NAN], [-1.0]], "observer_gain and error_metric must be finite"),
+        ("error_metric", [[INF, 0.0], [0.0, 1.0]], "observer_gain and error_metric must be finite"),
+        ("grad_local_lyapunov", lambda x: [NAN, 0.0], "grad_local_lyapunov disagrees"),
+    ], ids=["observer_gain", "error_metric", "grad_local_lyapunov"])
+    def test_certificate_construction(self, field, value, message):
+        _plant, assm, _fn = build_planar_example(0.01)
+        with pytest.raises(ConfigurationError, match=message):
+            dataclasses.replace(assm, **{field: value})
+
     @pytest.mark.parametrize("times, T_s", [([0.0, 0.05, NAN, 0.1], 0.1), ([0.0, 0.05], INF),
                                             ([0.0, 0.05], NAN)])
     def test_sampling_partition(self, times, T_s):
@@ -480,8 +502,8 @@ class TestTrajectory:
 
     def test_inputs_in_box(self):
         traj = self.make()
-        assert traj.check_inputs_in_box(np.array([[-0.5, 0.5]]))
-        assert not traj.check_inputs_in_box(np.array([[-0.1, 0.1]]))
+        assert inputs_in_box(traj, np.array([[-0.5, 0.5]]))
+        assert not inputs_in_box(traj, np.array([[-0.1, 0.1]]))
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
         traj = self.make()

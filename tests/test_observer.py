@@ -9,6 +9,7 @@ from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        DegenerateGradientError, PlantModel, blend_p, build_planar_example,
                        damping_term, observer_correction)
 from absorbctl.simulator import coupled_rhs
+from absorbctl.verification import corrected_dissipation_margin
 from loop_oracles import listwise
 
 
@@ -321,6 +322,24 @@ class TestDotMatchesMatmul:
             0.0, np.concatenate([x, z, w]).tolist())
         expected = rhs_oracle(plant, assm, x, z, w, u_plant, u_obs)
         assert np.max(np.abs(np.array(out) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    def test_checks_apply_the_loops_injection(self, loop3):
+        # inside the absorbing set the correction is the bare injection, so
+        # the damping ablation of the dissipation margin keeps every bit;
+        # an injection taken with ndarray.dot would not, on two-term rows
+        plant, assm = loop3
+        rng = np.random.default_rng(0)
+        tested = 0
+        for _ in range(3000):
+            z = rng.uniform(-1.0, 1.0, 3).tolist()
+            w, u = rng.uniform(-3.0, 3.0, 2).tolist(), rng.uniform(-1.0, 1.0, 2).tolist()
+            if assm.lyapunov(z) <= assm.absorbing_level:
+                tested += 1
+                damped, ablated = (corrected_dissipation_margin(plant, assm, z, w, u,
+                                                                zero_damping=flag)
+                                   for flag in (False, True))
+                assert np.float64(damped).tobytes() == np.float64(ablated).tobytes()
+        assert tested >= 1000
 
     @given(st.integers(1, 4), st.integers(1, 4), layouts, layouts, st.data())
     @settings(max_examples=400, deadline=None)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorbctl import ConfigurationError, InputHistory, build_planar_example, euler_predict
+from absorbctl import (ConfigurationError, InputHistory, build_planar_example, check_zeta_bound,
+                       euler_predict)
 from absorbctl.observer import damping_term
 
 
@@ -52,6 +53,23 @@ def planar_predictor_step(q, hist: InputHistory, i: int, n_steps: int,
 @pytest.fixture(scope="module")
 def planar():
     return build_planar_example(0.01, r=0.25, tau=0.25)
+
+
+class TestGainBound:
+    def test_admissible(self):
+        assert check_zeta_bound(0.01) is True
+        assert check_zeta_bound(0.012) is True
+
+    def test_violated(self):
+        assert check_zeta_bound(0.02) is False
+
+    def test_nonpositive_rejected(self):
+        with pytest.raises(ConfigurationError):
+            check_zeta_bound(0.0)
+        with pytest.raises(ConfigurationError):
+            check_zeta_bound(-1.0)
+        with pytest.raises(ConfigurationError):
+            check_zeta_bound(float("nan"))
 
 
 class TestConstruction:
@@ -171,5 +189,5 @@ class TestClosedForms:
             q = np.array([0.4, -0.2])
             for i in range(N):
                 q = planar_predictor_step(q, hist, i, N, 0.01)
-            generic = euler_predict([0.4, -0.2], hist, N, plant, t_pred=0.0)
+            generic = euler_predict([0.4, -0.2], hist, N, plant)
             assert (q == generic).all()

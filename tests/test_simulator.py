@@ -17,6 +17,7 @@ from absorbctl import (
     run_summary,
     simulate_closed_loop,
 )
+from loop_oracles import inputs_in_box
 
 EVENT_ATOL = 1e-12
 
@@ -283,7 +284,7 @@ class TestClosedLoop:
 
     def test_inputs_in_box(self, short_run):
         plant, *_ , traj = short_run
-        assert traj.check_inputs_in_box(plant.input_box)
+        assert inputs_in_box(traj, plant.input_box)
 
     def test_reset_samples_are_delayed_outputs(self, planar):
         # on a uniform schedule with T_s = record_dt and r a multiple of it,

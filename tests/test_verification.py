@@ -5,7 +5,6 @@ import pytest
 
 from absorbctl import (
     ConfigurationError,
-    InputHistory,
     NonFiniteError,
     SampleSpec,
     build_planar_example,
@@ -15,8 +14,6 @@ from absorbctl import (
     check_growth_bound,
     check_local_controller,
     check_observer_contraction,
-    check_zeta_bound,
-    predictor_convergence_study,
     sublevel_box,
 )
 from absorbctl import verification as V
@@ -76,21 +73,6 @@ CHECKS = {
         lambda plant, assm, spec: check_corrected_dissipation(plant, assm, spec,
                                                               zero_damping=True),
 }
-
-
-class TestGainBound:
-    def test_admissible(self):
-        assert check_zeta_bound(0.01) is True
-        assert check_zeta_bound(0.012) is True
-
-    def test_violated(self):
-        assert check_zeta_bound(0.02) is False
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ConfigurationError):
-            check_zeta_bound(0.0)
-        with pytest.raises(ConfigurationError):
-            check_zeta_bound(-1.0)
 
 
 class TestMarginOracles:
@@ -360,27 +342,3 @@ class TestNonFiniteMargin:
         broken = dataclasses.replace(assm, dissipation=lambda x: bad)
         with pytest.raises(NonFiniteError, match=f"margin {bad} at point"):
             check_absorbing_dissipation(plant, broken, SampleSpec(n_points=1))
-
-
-class TestPredictorStudy:
-    def test_planar_window(self):
-        plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])],
-                            t_now=0.0)
-        study = predictor_convergence_study(plant, [0.5, -0.3], hist,
-                                            [8, 16, 32, 64])
-        ns = [n for n, _ in study]
-        errs = [e for _, e in study]
-        assert ns == [8, 16, 32, 64]
-        assert errs == pytest.approx([0.017993482316142027, 0.007890297818139855,
-                                      0.0037993083165242052, 0.001879514618151831],
-                                     rel=1e-9)
-        assert all(a > b for a, b in zip(errs, errs[1:]))
-        # first-order method: halving the step roughly halves the error
-        assert 1.6 <= errs[-2] / errs[-1] <= 2.4
-
-    def test_equilibrium_is_exact(self):
-        plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
-        study = predictor_convergence_study(plant, [0.0, 0.0], hist, [8, 16])
-        assert all(err == 0.0 for _, err in study)
