@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,11 @@ import pytest
 from absorbctl import ConfigurationError, cli
 from absorbctl.cli import DEFAULTS, TUNE_GRID, load_settings, main
 
+# sha256 of sweep.json and tune.json for the config_file settings (horizon 2.0);
+# a refactor of the sweep keeps these bytes
+SWEEP_DIGEST = "eb518106a71d0a03b3d0128eb953bcf8fefac9a7bc661b41bcf2e8fb8a2f4ae2"
+TUNE_DIGEST = "fe7187f9e5dbf63756c8f679ad736e7c3f55a2072a9fc0fb37258bf10c245000"
+
 
 @pytest.fixture()
 def config_file(tmp_path):
@@ -23,6 +29,10 @@ def config_file(tmp_path):
 
 def run_cli(*args):
     return main([str(a) for a in args])
+
+
+def sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 class TestSettings:
@@ -269,6 +279,7 @@ class TestAnalysisCommands:
         assert len(payload["runs"]) == 20
         assert payload["all_pass"] is False
         assert [run["seed"] for run in payload["runs"]] == list(range(20))
+        assert sha256(tmp_path / "sweep.json") == SWEEP_DIGEST
 
     def test_tune_exhausts_grid(self, config_file, tmp_path):
         code = run_cli("tune", "--config", config_file, "--out", tmp_path)
@@ -277,3 +288,4 @@ class TestAnalysisCommands:
         assert payload["passed"] is False
         assert payload["triple"] is None
         assert len(payload["attempts"]) == len(TUNE_GRID)
+        assert sha256(tmp_path / "tune.json") == TUNE_DIGEST
