@@ -14,7 +14,7 @@ from .planar import build_planar_example, check_zeta_bound
 from .predictor import euler_predict, predictor_convergence_study
 from .rk4 import flow_on_history, integrate_span, rk4_step
 from .simulator import (InitialData, TuneResult, fit_decay_rate, generate_partition,
-                        pilot_tune, run_summary, simulate_closed_loop)
+                        pilot_tune, run_summary, simulate_closed_loop, sweep)
 from .verification import (CheckReport, SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
@@ -64,5 +64,6 @@ __all__ = [
     "run_summary",
     "simulate_closed_loop",
     "sublevel_box",
+    "sweep",
     "__version__",
 ]

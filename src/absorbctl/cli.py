@@ -27,8 +27,8 @@ from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
 from .model import SimConfig
 from .planar import build_planar_example
 from .predictor import predictor_convergence_study
-from .simulator import (DECAY_RATIO, InitialData, decay_bar, generate_partition,
-                        pilot_tune, run_summary, simulate_closed_loop)
+from .simulator import (InitialData, generate_partition, pilot_tune, run_summary,
+                        simulate_closed_loop, sweep)
 from .verification import (SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
@@ -203,29 +203,20 @@ def cmd_predictor_study(settings: dict, out_dir: Path) -> int:
 
 def cmd_sweep(settings: dict, out_dir: Path) -> int:
     plant, assm = _build_model(settings)
-    init = _initial_data(settings)
-    runs = []
-    all_pass = True
-    for seed in range(settings["seed"], settings["seed"] + SWEEP_SEEDS):
-        config = replace(_sim_config(settings), seed=seed)
-        partition = generate_partition(settings["T_s"], config.horizon, seed,
-                                       settings["min_frac"])
-        traj = simulate_closed_loop(plant, assm, partition, config, init)
-        summary = run_summary(traj, config)
-        ratio, ok = decay_bar(summary, DECAY_RATIO)
-        all_pass = all_pass and ok
-        runs.append({"seed": seed, "terminal_ratio": ratio, "passed": ok,
-                     **summary})
+    seeds = range(settings["seed"], settings["seed"] + SWEEP_SEEDS)
+    configs = [(settings["T_s"], replace(_sim_config(settings), seed=seed)) for seed in seeds]
+    results = sweep(plant, assm, _initial_data(settings), configs, settings["min_frac"])
+    runs = [{"seed": summary["partition_seed"], "terminal_ratio": ratio, "passed": ok,
+             **summary} for _traj, summary, ratio, ok in results]
+    all_pass = all(run["passed"] for run in runs)
     _write_json(out_dir / "sweep.json", {"runs": runs, "all_pass": all_pass})
     return 0 if all_pass else 1
 
 
 def cmd_tune(settings: dict, out_dir: Path) -> int:
     plant, assm = _build_model(settings)
-    init = _initial_data(settings)
-    base_config = _sim_config(settings)
-    result = pilot_tune(plant, assm, init, TUNE_GRID, base_config,
-                        min_frac=settings["min_frac"], seed=settings["seed"])
+    result = pilot_tune(plant, assm, _initial_data(settings), TUNE_GRID,
+                        _sim_config(settings), settings["min_frac"])
     _write_json(out_dir / "tune.json", {
         "passed": result.passed,
         "triple": list(result.triple) if result.triple else None,

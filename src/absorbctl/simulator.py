@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ __all__ = [
     "coupled_rhs",
     "fit_decay_rate",
     "run_summary",
-    "decay_bar",
+    "sweep",
     "pilot_tune",
 ]
 
@@ -339,12 +339,23 @@ def run_summary(traj: Trajectory, config: SimConfig) -> dict:
     }
 
 
-def decay_bar(summary: dict, decay_ratio: float) -> tuple[float, bool]:
-    """Terminal-to-initial composite norm ratio of a ``run_summary``, and
-    whether the run meets the decay bar: a positive fitted rate and that
-    ratio below ``decay_ratio``."""
-    ratio = summary["terminal_norm"] / summary["initial_norm"]
-    return ratio, summary["sigma_hat"] > 0.0 and ratio < decay_ratio
+def sweep(plant: PlantModel, assm: AssumptionData, init: InitialData,
+          runs: Iterable[tuple[float, SimConfig]],
+          min_frac: float) -> Iterator[tuple[Trajectory, dict, float, bool]]:
+    """Run the loop once per ``(T_s, config)`` pair, in order, on the schedule
+    ``generate_partition(T_s, config.horizon, config.seed, min_frac)``.
+
+    Lazily yields ``(traj, summary, ratio, passed)``: the trajectory, its
+    ``run_summary``, the terminal-to-initial composite norm ratio, and
+    whether the run meets the decay bar, a positive fitted rate and that
+    ratio below ``DECAY_RATIO``.
+    """
+    for T_s, config in runs:
+        partition = generate_partition(T_s, config.horizon, config.seed, min_frac)
+        traj = simulate_closed_loop(plant, assm, partition, config, init)
+        summary = run_summary(traj, config)
+        ratio = summary["terminal_norm"] / summary["initial_norm"]
+        yield traj, summary, ratio, summary["sigma_hat"] > 0.0 and ratio < DECAY_RATIO
 
 
 @dataclass
@@ -359,11 +370,9 @@ class TuneResult:
 
 def pilot_tune(plant: PlantModel, assm: AssumptionData, init: InitialData,
                search_grid: Sequence[tuple[float, float, int]],
-               base_config: SimConfig, min_frac: float = 0.5, seed: int = 0,
-               decay_ratio: float = DECAY_RATIO) -> TuneResult:
-    """Try ``(T_s, T_H, N)`` triples on a fixed-seed run until one meets the
-    decay bar (positive fitted rate, terminal norm below ``decay_ratio``
-    times the initial norm).
+               base_config: SimConfig, min_frac: float = 0.5) -> TuneResult:
+    """Try ``(T_s, T_H, N)`` triples on runs at ``base_config``'s seed until
+    one meets the decay bar of ``sweep``.
 
     Candidates are ordered cheapest first: fewest predictor steps, then
     largest sampling and hold periods.  Failure to find one is reported,
@@ -373,13 +382,10 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, init: InitialData,
                   key=lambda g: (g[2], -g[0], -g[1]))
     if not grid:
         raise ConfigurationError("tuning grid must be nonempty")
+    runs = ((T_s, replace(base_config, T_H=T_H, N=N)) for T_s, T_H, N in grid)
     attempts = []
-    for T_s, T_H, N in grid:
-        config = replace(base_config, T_H=T_H, N=N, seed=seed)
-        partition = generate_partition(T_s, config.horizon, seed, min_frac)
-        traj = simulate_closed_loop(plant, assm, partition, config, init)
-        summary = run_summary(traj, config)
-        ratio, ok = decay_bar(summary, decay_ratio)
+    for (T_s, T_H, N), (_traj, summary, ratio, ok) in zip(
+            grid, sweep(plant, assm, init, runs, min_frac)):
         attempts.append({"T_s": T_s, "T_H": T_H, "N": N,
                          "sigma_hat": summary["sigma_hat"],
                          "terminal_ratio": ratio, "passed": ok})

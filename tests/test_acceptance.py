@@ -33,11 +33,10 @@ from absorbctl import (
     hold_control,
     pilot_tune,
     predictor_convergence_study,
-    run_summary,
     simulate_closed_loop,
+    simulator,
 )
 from absorbctl.cli import TUNE_GRID
-from absorbctl.simulator import DECAY_RATIO, decay_bar
 from loop_oracles import inputs_in_box
 
 FULL = SampleSpec(n_points=10_000, seed=0)
@@ -57,11 +56,12 @@ def config_for(seed: int, dt_max: float = DT_MAX) -> SimConfig:
                      seed=seed, record_dt=0.05)
 
 
-def decay_clauses(summary: dict) -> dict:
-    """The library's decay bar (positive fitted rate, terminal ratio below
-    ``DECAY_RATIO``), this test's own fit-quality clause, and the figures
-    behind them for failure messages."""
-    ratio, meets_bar = decay_bar(summary, DECAY_RATIO)
+def decay_clauses(run: tuple) -> dict:
+    """The library's decay bar, as ``simulator.sweep`` judged the run
+    (positive fitted rate, terminal ratio below ``DECAY_RATIO``), this
+    test's own fit-quality clause, and the figures behind them for failure
+    messages."""
+    _traj, summary, ratio, meets_bar = run
     return {
         "meets_bar": meets_bar,
         "fit_quality": summary["r2"] > 0.9,
@@ -85,14 +85,9 @@ def sweep(planar, stock_init):
     """Criterion-5 run repeated over partition seeds 0-19; seed 0 doubles
     as the pilot run for criteria 5 and 9."""
     plant, assm = planar
-    runs = []
     t0 = time.monotonic()
-    for seed in range(20):
-        config = config_for(seed)
-        partition = generate_partition(T_S, HORIZON, seed)
-        traj = simulate_closed_loop(plant, assm, partition, config, stock_init)
-        summary = run_summary(traj, config)
-        runs.append((seed, traj, summary))
+    runs = list(simulator.sweep(plant, assm, stock_init,
+                                [(T_S, config_for(seed)) for seed in range(20)], 0.5))
     return runs, time.monotonic() - t0
 
 
@@ -162,7 +157,7 @@ def test_criterion_04_predictor_order():
 def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
     plant, assm = planar
     runs, _wall = sweep
-    clauses = decay_clauses(runs[0][2])
+    clauses = decay_clauses(runs[0])
     pilot_ok = clauses["meets_bar"] and clauses["fit_quality"]
     if pilot_ok:
         ok = True
@@ -172,18 +167,17 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
         # of simulating it again, and tune over the rest of the grid
         rest = [triple for triple in TUNE_GRID if triple != (T_S, T_H, N_STEPS)]
         ok = clauses["meets_bar"] or pilot_tune(
-            plant, assm, stock_init, rest, config_for(0), seed=0,
-            decay_ratio=DECAY_RATIO).passed
+            plant, assm, stock_init, rest, config_for(0)).passed
     report(5, ok, "closed-loop decay with delays (pilot, then tuning grid)")
     assert pilot_ok or ok, (
         f"pilot clauses {clauses} and no tuning-grid triple reached "
-        f"a {DECAY_RATIO} terminal contraction"
+        f"a {simulator.DECAY_RATIO} terminal contraction"
     )
 
 
 def test_criterion_06_schedule_robustness(sweep):
     runs, wall = sweep
-    clauses = {seed: decay_clauses(summary) for seed, _traj, summary in runs}
+    clauses = {seed: decay_clauses(run) for seed, run in enumerate(runs)}
     failures = {seed: c for seed, c in clauses.items()
                 if not (c["meets_bar"] and c["fit_quality"])}
     ok = not failures and wall < 300.0
@@ -198,7 +192,7 @@ def test_criterion_07_trajectory_invariants(planar, stock_init, sweep):
     v0 = float(assm.lyapunov(stock_init.histories(plant)[0].value(0.0)))
     vz0 = float(assm.lyapunov(stock_init.z0))
     ok = True
-    for _seed, traj, _summary in runs:
+    for traj, *_judged in runs:
         ok &= float(np.max(traj.lyap_x)) <= max(v0, assm.absorbing_level) + 1e-6
         ok &= float(np.max(traj.lyap_z)) <= max(vz0, assm.blend_hi) + 1e-6
         ok &= inputs_in_box(traj, plant.input_box)
@@ -212,11 +206,9 @@ def test_criterion_07_trajectory_invariants(planar, stock_init, sweep):
 def test_criterion_08_delay_free_loop(stock_init):
     plant, assm, _fn = build_planar_example(0.01, b_level=1.5, c_frac=0.5,
                                             r=0.0, tau=0.0)
-    config = config_for(0)
-    partition = generate_partition(T_S, HORIZON, seed=0)
-    traj = simulate_closed_loop(plant, assm, partition, config, stock_init)
-    summary = run_summary(traj, config)
-    clauses = decay_clauses(summary)
+    (run,) = simulator.sweep(plant, assm, stock_init, [(T_S, config_for(0))], 0.5)
+    traj = run[0]
+    clauses = decay_clauses(run)
 
     degenerate = True
     for i in range(traj.t.size):
@@ -236,7 +228,7 @@ def test_criterion_08_delay_free_loop(stock_init):
 def test_criterion_09_numerical_soundness(planar, stock_init, sweep, tmp_path):
     plant, assm = planar
     runs, _wall = sweep
-    coarse = runs[0][1]
+    coarse = runs[0][0]
     partition = generate_partition(T_S, HORIZON, seed=0)
     fine = simulate_closed_loop(plant, assm, partition,
                                 config_for(0, dt_max=DT_MAX / 2.0), stock_init)

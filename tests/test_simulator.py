@@ -16,6 +16,7 @@ from absorbctl import (
     pilot_tune,
     run_summary,
     simulate_closed_loop,
+    simulator,
 )
 from loop_oracles import inputs_in_box
 
@@ -478,24 +479,25 @@ class TestSummaryAndTune:
         assert summary["terminal_norm"] == traj.norm[-1]
         assert summary["initial_norm"] == traj.norm[0]
 
-    def test_tune_accepts_first_workable_triple(self, planar):
+    def test_tune_accepts_first_workable_triple(self, planar, monkeypatch):
+        monkeypatch.setattr(simulator, "DECAY_RATIO", 0.9)
         plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         base = short_config(horizon=2.0)
         grid = [(0.01, 0.05, 16), (0.02, 0.1, 16), (0.01, 0.05, 64)]
-        result = pilot_tune(plant, assm, init, grid, base, decay_ratio=0.9)
+        result = pilot_tune(plant, assm, init, grid, base)
         assert result.passed
         # cheapest first: fewest predictor steps, then the larger periods
         assert result.triple == (0.02, 0.1, 16)
         assert len(result.attempts) == 1
         assert result.attempts[0]["passed"] is True
 
-    def test_tune_reports_failure(self, planar):
+    def test_tune_reports_failure(self, planar, monkeypatch):
+        monkeypatch.setattr(simulator, "DECAY_RATIO", 1e-12)
         plant, assm = planar
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
         base = short_config(horizon=2.0)
-        result = pilot_tune(plant, assm, init, [(0.01, 0.05, 16)], base,
-                            decay_ratio=1e-12)
+        result = pilot_tune(plant, assm, init, [(0.01, 0.05, 16)], base)
         assert not result.passed
         assert result.triple is None
         assert len(result.attempts) == 1
