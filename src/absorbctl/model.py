@@ -147,8 +147,8 @@ class PlantModel:
     h : output map ``h(x) -> (k_out,)`` with ``h(0) = 0``.
     jac_h : Jacobian of ``h``, ``(k_out, n)``; checked against finite
         differences at construction.
-    input_box : admissible input set, an ``(m, 2)`` array of ``(lo, hi)``
-        rows containing 0; stored as a read-only C-order copy.
+    input_box : admissible input set, an ``(m, 2)`` array of finite
+        ``(lo, hi)`` rows containing 0; stored as a read-only C-order copy.
     r, tau : measurement and input delays, both nonnegative.
 
     ``f``, ``h`` and ``jac_h`` take lists of floats and return reals of
@@ -173,6 +173,8 @@ class PlantModel:
         box = _frozen(np.reshape(self.input_box, (self.m, 2)))
         if not (np.all(box[:, 0] <= 0.0) and np.all(box[:, 1] >= 0.0)):
             raise ConfigurationError("input_box must contain the zero input")
+        if not np.isfinite(box).all():  # the checks sample the whole box
+            raise ConfigurationError("input_box must be finite")
         object.__setattr__(self, "input_box", box)
         if not (0.0 <= self.r < math.inf and 0.0 <= self.tau < math.inf):
             raise ConfigurationError("delays must be nonnegative and finite")

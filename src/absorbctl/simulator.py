@@ -75,6 +75,7 @@ class InitialData:
             (float(t), np.asarray(v, dtype=float).reshape(-1)) for t, v in self.u0_segments
         ))
 
+    @np.errstate(over="ignore")  # a norm that overflows is stored as inf, judged by the run
     def histories(self, plant: PlantModel) -> tuple[StateHistory, InputHistory]:
         """The plant history on ``[-r, 0]`` and the applied-input record on
         ``[-r-tau, 0)``, empty when delay-free: the one place a run's initial
@@ -223,7 +224,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     Rows are written at every measurement, hold, and recording instant
     (once per instant when they coincide, after all actions at it).  A
     state that is not finite at the end of a span raises ``NonFiniteError``,
-    as does an ``OverflowError`` from a callable on a span or at a hold.
+    as do an ``OverflowError`` from a callable on a span or at a hold and a
+    row whose composite norm is not finite.
     """
     assm.check_dimensions(plant)
     xhist, uhist = init.histories(plant)
@@ -275,6 +277,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                         xhist.sup_norm(t_g - plant.r, t_g)
                         + float(np.linalg.norm(Y[n:2 * n]))
                         + uhist.sup_abs(t_g - plant.delay_window, t_g))
+                    if not math.isfinite(rows_norm[-1]):
+                        raise NonFiniteError(f"composite norm not finite at t={t_g!r}")
                 if _RECORD in kinds:
                     xhist.prune_before(t_g - lookback)
         except OverflowError as exc:

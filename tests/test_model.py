@@ -261,7 +261,9 @@ class TestFiniteSettings:
         ("h", lambda x: [x[0] + NAN], r"h\(0\) must vanish"),
         ("jac_h", lambda x: [[NAN, 0.0]], "jac_h disagrees"),
         ("input_box", np.array([[NAN, 1.0]]), "input_box must contain the zero input"),
-    ], ids=["f", "h", "jac_h", "input_box"])
+        # an infinite box: the checks would sample lo + t * (hi - lo) as NaN
+        ("input_box", np.array([[-INF, INF]]), "input_box must be finite"),
+    ], ids=["f", "h", "jac_h", "input_box", "input_box-infinite"])
     def test_plant_construction(self, field, value, message):
         with pytest.raises(ConfigurationError, match=message):
             dataclasses.replace(_planar_plant(), **{field: value})

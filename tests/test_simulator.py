@@ -1,13 +1,17 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
 
 from absorbctl import (
+    AssumptionData,
     ConfigurationError,
     CoverageError,
     InitialData,
     InsufficientDataError,
+    NonFiniteError,
+    PlantModel,
     SimConfig,
     Trajectory,
     build_planar_example,
@@ -260,6 +264,26 @@ class TestClosedLoop:
         assert np.all(traj.w == 0.0)
         assert np.all(traj.u_applied == 0.0)
         assert np.all(traj.norm == 0.0)
+
+    def test_non_finite_composite_norm(self):
+        # the field cannot overflow, but the norm of x0 = 1e155 squares past
+        # the float range: the row at t = 0 is refused, with no numpy warning
+        plant = PlantModel(n=1, m=1, k_out=1, f=lambda x, u: [0.0 * x[0] + 0.0 * u[0]],
+                           h=lambda x: [x[0]], jac_h=lambda x: [[1.0]],
+                           input_box=np.array([[-1.0, 1.0]]), r=0.25, tau=0.25)
+        assm = AssumptionData(
+            lyapunov=lambda x: 0.5 * x[0] * x[0], grad_lyapunov=lambda x: [1.0 * x[0]],
+            dissipation=lambda x: 0.1 * x[0] * x[0], local_lyapunov=lambda x: 0.5 * x[0] * x[0],
+            grad_local_lyapunov=lambda x: [1.0 * x[0]], local_controller=lambda x: [-x[0]],
+            observer_gain=[[-1.0]], error_metric=[[1.0]], absorbing_level=1.0, blend_lo=2.0,
+            blend_hi=3.0, contraction_frac=0.5, contraction_rate=0.1, local_decay=0.05,
+            coercivity=0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match=r"^composite norm not finite at t=0\.0$"):
+                simulate_closed_loop(plant, assm, generate_partition(0.01, 1.0, seed=0),
+                                     short_config(horizon=1.0),
+                                     InitialData(x0=[1e155], z0=[0.0]))
 
     def test_gain_must_fit_the_plant(self, planar):
         # planar k_out = 1: matvec's zip would drop a second gain column
