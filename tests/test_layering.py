@@ -1,4 +1,5 @@
-"""The package's intended import layering, read statically.
+"""The package's intended import layering and its count of settable
+values, read statically.
 
 Importing ``absorbctl.planar`` runs the package ``__init__``, which loads
 every module, so ``sys.modules`` cannot tell which module imports which;
@@ -11,6 +12,10 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
+
+# defaulted parameters and dataclass fields across the package; a new knob
+# must replace an old one
+MAX_SETTABLE = 30
 
 
 def absorbctl_imports(source: str) -> set[str]:
@@ -56,3 +61,32 @@ def test_every_import_names_a_module_of_the_package():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
     for path in PACKAGE.glob("*.py"):
         assert absorbctl_imports(path.read_text()) <= modules, path.name
+
+
+def settable_values(source: str) -> int:
+    """Defaulted parameters of the functions (lambdas not counted) and
+    defaulted fields of the dataclasses in the module ``source``."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += len(node.args.defaults)
+            count += sum(default is not None for default in node.args.kw_defaults)
+        elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(deco) for deco in node.decorator_list):
+            count += sum(isinstance(stmt, ast.AnnAssign) and stmt.value is not None
+                         for stmt in node.body)
+    return count
+
+
+def test_counter_sees_every_settable_form():
+    source = ("from dataclasses import dataclass, field\n"
+              "def f(a, b=1, *, c=2, d):\n    return lambda x=0: x\n"
+              "@dataclass(frozen=True)\nclass C:\n    x: int\n    y: int = 0\n"
+              "    z: list = field(default_factory=list)\n    def m(self, k=3): pass\n"
+              "class Plain:\n    w: int = 1\n")
+    assert settable_values(source) == 5
+
+
+def test_settable_values_are_capped():
+    total = sum(settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
+    assert total <= MAX_SETTABLE
