@@ -163,8 +163,9 @@ def test_criterion_05_closed_loop_decay(planar, stock_init, sweep):
         ok = True
     else:
         # the grid's pilot triple at seed 0 is the sweep's seed-0 run, bit for
-        # bit: judge it by pilot_tune's bar (no fit-quality clause) instead
-        # of simulating it again, and tune over the rest of the grid
+        # bit: judge it by the bar sweep applied, as pilot_tune would (no
+        # fit-quality clause), instead of simulating it again, and tune over
+        # the rest of the grid
         rest = [triple for triple in TUNE_GRID if triple != (T_S, T_H, N_STEPS)]
         ok = clauses["meets_bar"] or pilot_tune(
             plant, assm, stock_init, rest, config_for(0)).passed
