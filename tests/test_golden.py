@@ -2,7 +2,8 @@
 
 The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
 0-2 of the default configuration and for seed 0 of a fast-hold
-configuration, and of ``verification.json`` for sample seeds 0-2.  A
+configuration, at the delay pairs with a zero delay over a 2 s horizon,
+and of ``verification.json`` for sample seeds 0-2.  A
 refactor must keep these bytes; a change that alters the arithmetic order
 on purpose updates the digests in the same change and records the
 measured deviation of the terminal state.
@@ -29,6 +30,18 @@ FAST_HOLD = ("T_H=0.01", "dt_max=0.01", "N=256", "horizon=20")
 GOLDEN_FAST_HOLD = {
     0: ("34e236412ff9afadc0b23dcb460e8d19a7e8b7139919e61cc1b7cf752ff4e0d8",
         "f6cfc923ea06a5a40151e16688bbd45c88f8db35cfc7a1ca497e5157b9f16d38"),
+}
+
+# (r, tau) with a zero delay, seed 0, horizon 2: an input switch's delayed
+# image falls on the switch itself, and r = 0 samples the current state
+ZERO_DELAY = ("horizon=2",)
+GOLDEN_ZERO_DELAY = {
+    (0.25, 0.0): ("91611ba3b8e1d15b092fb847f5a187665235be756be2e6e8fad6c94568958d68",
+                  "9daf66955e9eccc304b58a06c735aaae10ab9296d294fd071376e59dcc474fef"),
+    (0.0, 0.25): ("5e8eaa4d59f57f0f5deca3f98cbc3bae8b2eb4b4150460a3278ea8ef51c15412",
+                  "bbde4f9a425c7173219b582404115fb3855f2a647cd112e6f1da4c48b686efa9"),
+    (0.0, 0.0): ("ff9a1fba0d78b69b0724480f3e60db85578708b7e006812794529957db2c400f",
+                 "e70e713ab01fe700a7a659ba4d283fc25620fe2e2bb1100a032e03d63be0ff89"),
 }
 
 GOLDEN_VERIFY = {
@@ -62,6 +75,12 @@ def test_default_run_matches_golden_digest(tmp_path, seed):
 @pytest.mark.parametrize("seed", sorted(GOLDEN_FAST_HOLD))
 def test_fast_hold_run_matches_golden_digest(tmp_path, seed):
     _check_simulate(tmp_path, seed, FAST_HOLD, GOLDEN_FAST_HOLD[seed])
+
+
+@pytest.mark.parametrize("r, tau", sorted(GOLDEN_ZERO_DELAY))
+def test_zero_delay_run_matches_golden_digest(tmp_path, r, tau):
+    _check_simulate(tmp_path, 0, (*ZERO_DELAY, f"r={r}", f"tau={tau}"),
+                    GOLDEN_ZERO_DELAY[r, tau])
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))

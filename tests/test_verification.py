@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -126,6 +127,23 @@ class TestMarginOracles:
         assert bad == pytest.approx(4.0000000000001015e-07, rel=1e-6)
         assert bad > 1e-9
         assert good < 0.0
+
+    @pytest.mark.parametrize("margin, digest", [
+        (V.observer_contraction_margin,
+         "2e2025050821858351a9a5906fb1be18ef7a69d8cf59bf1bebcc5517e3e5c50a"),
+        (V.growth_bound_margin,
+         "5bc1420f353de3f4fb3bb39ab3c69066652877fd1f3db1efff5781d1559deff2"),
+        (V.corrected_contraction_margin,
+         "993ed53058fa9e6a2e67f5b98382ae79eeb5cf27f88f6e658c62eab01d58414a"),
+    ], ids=["observer_contraction", "growth_bound", "corrected_contraction"])
+    def test_contraction_type_margins_keep_their_bits(self, planar, margin, digest):
+        # sha256 of the float64 margins at 400 seeded (z, x, u) points, 247 of
+        # them with V(z) above the absorbing level; verify never evaluates the
+        # growth bound on this example, where its side conditions admit no point
+        plant, assm = planar
+        points = np.random.default_rng(18).uniform(-2.0, 2.0, size=(400, 5)).tolist()
+        values = np.array([margin(plant, assm, p[:2], p[2:4], p[4:]) for p in points])
+        assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     def test_wrong_controller_detected(self, planar):
         # sign-flipped feedback destabilizes a thin band near the origin;
