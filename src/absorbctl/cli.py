@@ -19,7 +19,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
@@ -217,11 +217,7 @@ def cmd_tune(settings: dict, out_dir: Path) -> int:
     plant, assm = _build_model(settings)
     result = pilot_tune(plant, assm, _initial_data(settings), TUNE_GRID,
                         _sim_config(settings), settings["min_frac"])
-    _write_json(out_dir / "tune.json", {
-        "passed": result.passed,
-        "triple": list(result.triple) if result.triple else None,
-        "attempts": result.attempts,
-    })
+    _write_json(out_dir / "tune.json", asdict(result))
     return 0 if result.passed else 1
 
 

@@ -13,7 +13,7 @@ measurement reset, then hold update, then recording.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -99,27 +99,23 @@ class InitialData:
             raise ConfigurationError("initial data must be finite")
 
         r, window, box = plant.r, plant.delay_window, plant.input_box
-        xhist = StateHistory()
         if isinstance(self.x0, tuple):
             times = self.x0[0]
             if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
                 raise ConfigurationError("x0 table must cover exactly [-r, 0]")
-            for i, t in enumerate(times):
-                t_snap = -r if i == 0 else (0.0 if i == times.size - 1 else float(t))
-                xhist.append(t_snap, states[i])
-        else:
-            if r > 0.0:
-                xhist.append(-r, self.x0)
-            xhist.append(0.0, self.x0)
+        else:  # a constant history is the table of x0 at -r and 0
+            times = [0.0] if r == 0.0 else [-r, 0.0]
+            states = [self.x0] * len(times)
+        xhist = StateHistory()
+        for i, t in enumerate(times):  # the end times snap onto -r and 0
+            xhist.append(0.0 if i == len(times) - 1 else (-r if i == 0 else t), states[i])
 
         if window == 0.0:
             if self.u0_segments:
                 raise ConfigurationError("u0_segments must be empty when r = tau = 0")
             return xhist, InputHistory(0.0)
-        if not self.u0_segments:
-            return xhist, InputHistory(-window, [(-window, np.zeros(plant.m))], t_now=0.0)
         segments = []
-        for i, (t, v) in enumerate(self.u0_segments):
+        for i, (t, v) in enumerate(self.u0_segments or [(-window, np.zeros(plant.m))]):
             if i == 0:
                 if abs(t + window) > _EVENT_ATOL:
                     raise ConfigurationError("first u0 segment must start at -(r + tau)")
@@ -175,15 +171,10 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     if abs(record_times[-1] - horizon) > _EVENT_ATOL:
         events.append((horizon, _RECORD))
     # delayed images of every input switch: where u(t - tau) and
-    # u(t - r - tau) jump inside the plant and observer equations
-    window = plant.delay_window
-    for s in list(init_starts) + hold_times:
-        if plant.tau > 0.0:
-            img = s + plant.tau
-            if _EVENT_ATOL < img <= horizon + _EVENT_ATOL:
-                events.append((img, _BREAK))
-        if window > 0.0:
-            img = s + window
+    # u(t - r - tau) jump inside the plant and observer equations; at a zero
+    # delay the image is the hold time itself, already an event
+    for s in [*init_starts, *hold_times]:
+        for img in (s + plant.tau, s + plant.delay_window):
             if _EVENT_ATOL < img <= horizon + _EVENT_ATOL:
                 events.append((img, _BREAK))
     events.sort()
@@ -243,7 +234,6 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     rows_norm: list[float] = []
     reset_records: list[tuple[float, list[float]]] = []
 
-    lookback = plant.r + plant.delay_window + config.T_H + max(config.record_dt, 1.0)
     t_cur = 0.0
     # a runaway state gives inf or nan, caught after each span, or Python's
     # OverflowError on a span or at a hold: both end in NonFiniteError
@@ -279,8 +269,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                         + uhist.sup_abs(t_g - plant.delay_window, t_g))
                     if not math.isfinite(rows_norm[-1]):
                         raise NonFiniteError(f"composite norm not finite at t={t_g!r}")
-                if _RECORD in kinds:
-                    xhist.prune_before(t_g - lookback)
+                if _RECORD in kinds:  # no later sample or norm reads x before t_g - r
+                    xhist.prune_before(t_g - plant.r)
         except OverflowError as exc:
             raise NonFiniteError(f"simulated state not finite at t={t_g!r}: "
                                  f"a callable overflowed ({exc})") from None
@@ -332,14 +322,7 @@ def run_summary(traj: Trajectory, config: SimConfig) -> dict:
         "max_Vx": float(np.max(traj.lyap_x)),
         "max_Vz": float(np.max(traj.lyap_z)),
         "partition_seed": config.seed,
-        "config": {
-            "T_H": config.T_H,
-            "N": config.N,
-            "horizon": config.horizon,
-            "dt_max": config.dt_max,
-            "seed": config.seed,
-            "record_dt": config.record_dt,
-        },
+        "config": asdict(config),
     }
 
 

@@ -175,12 +175,18 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float
     return float(max(decay, coercive))
 
 
+def _metric_gap(plant: PlantModel, assm: AssumptionData, z, x, u, drift):
+    """The error ``d = z - x`` and ``d . M (drift - f(x, u))``, the metric rate
+    of the error under the observer drift ``drift`` at ``z``."""
+    d = np.subtract(z, x)
+    return d, d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
+
+
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
     """Metric contraction of the plain output-injection error dynamics."""
-    d = np.subtract(z, x)
     drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
-    drift_gap = np.subtract(drift, plant.f(x, u))
-    return float(d.dot(assm.error_metric.dot(drift_gap)) + assm.contraction_rate * d.dot(d))
+    d, gap = _metric_gap(plant, assm, z, x, u, drift)
+    return float(gap + assm.contraction_rate * d.dot(d))
 
 
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
@@ -188,8 +194,7 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> flo
     the Lyapunov gradient at z opposes the metric error direction."""
     grad = np.asarray(assm.grad_lyapunov(z))
     drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
-    d = np.subtract(z, x)
-    numer = d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
+    d, numer = _metric_gap(plant, assm, z, x, u, drift)
     denom = grad.dot(assm.error_metric.dot(d))
     ratio_term = (1.0 - assm.contraction_frac) * grad.dot(grad) * numer / denom
     return float(grad.dot(drift) + assm.dissipation(z) - ratio_term)
@@ -199,11 +204,9 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, 
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
     fz = plant.f(z, u)
-    corr = observer_correction(z, plant.h(x), fz, plant, assm)
-    d = np.subtract(z, x)
-    drift_gap = np.subtract(np.add(fz, corr), plant.f(x, u))
-    return float(d.dot(assm.error_metric.dot(drift_gap))
-                 + assm.contraction_frac * assm.contraction_rate * d.dot(d))
+    d, gap = _metric_gap(plant, assm, z, x, u,
+                         np.add(fz, observer_correction(z, plant.h(x), fz, plant, assm)))
+    return float(gap + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u,
