@@ -15,6 +15,7 @@ from __future__ import annotations
 import bisect
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -86,6 +87,13 @@ def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:
 def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
     if not np.max(np.abs(exact - fd)) <= _FD_TOL * (1.0 + np.max(np.abs(exact))):
         raise ConfigurationError(f"{name} disagrees with finite differences")
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Raise ConfigurationError unless ``value`` is an integer, a numpy one
+    too, of at least ``least``: a step count, point count or seed."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ConfigurationError(f"{name} must be an integer of at least {least}")
 
 
 def _frozen(value) -> np.ndarray:
@@ -508,12 +516,10 @@ class SimConfig:
         for name in ("T_H", "horizon", "record_dt"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite")
-        if self.N < 1:
-            raise ConfigurationError("N must be at least 1")
+        check_count("N", self.N, 1)
         if not (0.0 < self.dt_max <= self.T_H):
             raise ConfigurationError("dt_max must lie in (0, T_H]")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
+        check_count("seed", self.seed, 0)
 
 
 @dataclass

@@ -21,7 +21,7 @@ import numpy as np
 from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
-                    SimConfig, StateHistory, Trajectory, matvec)
+                    SimConfig, StateHistory, Trajectory, check_count, matvec)
 from .observer import observer_correction
 from .rk4 import integrate_span
 
@@ -81,31 +81,30 @@ class InitialData:
         ``[-r-tau, 0)``, empty when delay-free: the one place a run's initial
         data is checked.
 
-        Raises ConfigurationError unless every value is finite, ``x0`` and
-        ``z0`` have the plant's dimension and every segment value its input
-        dimension, an ``x0`` table covers exactly ``[-r, 0]``, the first
-        segment starts at ``-(r + tau)`` and every one before 0 with a value
-        in the input box, and ``r = tau = 0`` comes with no segments.
+        Raises ConfigurationError unless every value and time is finite,
+        ``x0`` and ``z0`` have the plant's dimension and every segment value
+        its input dimension, an ``x0`` table covers exactly ``[-r, 0]``, the
+        first segment starts at ``-(r + tau)`` and every one before 0 with a
+        value in the input box, and ``r = tau = 0`` comes with no segments.
         """
-        states = self.x0[1] if isinstance(self.x0, tuple) else self.x0
+        r, window, box = plant.r, plant.delay_window, plant.input_box
+        if isinstance(self.x0, tuple):
+            times, states = self.x0
+        else:  # a constant history is the table of x0 at -r and 0
+            times = [0.0] if r == 0.0 else [-r, 0.0]
+            states = np.array([self.x0] * len(times))
         if states.shape[-1] != plant.n or self.z0.size != plant.n:
             raise ConfigurationError(f"x0 and z0 need {plant.n} components, got "
                                      f"{states.shape[-1]} and {self.z0.size}")
         if any(v.size != plant.m for _t, v in self.u0_segments):
             raise ConfigurationError(
                 f"u0_segments values must have the input dimension {plant.m}")
-        values = [states, self.z0, *(v for _t, v in self.u0_segments)]
+        values = [times, states, self.z0, [t for t, _v in self.u0_segments],
+                  *(v for _t, v in self.u0_segments)]
         if not all(np.isfinite(v).all() for v in values):
             raise ConfigurationError("initial data must be finite")
-
-        r, window, box = plant.r, plant.delay_window, plant.input_box
-        if isinstance(self.x0, tuple):
-            times = self.x0[0]
-            if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
-                raise ConfigurationError("x0 table must cover exactly [-r, 0]")
-        else:  # a constant history is the table of x0 at -r and 0
-            times = [0.0] if r == 0.0 else [-r, 0.0]
-            states = [self.x0] * len(times)
+        if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
+            raise ConfigurationError("x0 table must cover exactly [-r, 0]")
         xhist = StateHistory()
         for i, t in enumerate(times):  # the end times snap onto -r and 0
             xhist.append(0.0 if i == len(times) - 1 else (-r if i == 0 else t), states[i])
@@ -136,6 +135,7 @@ def generate_partition(T_s: float, horizon: float, seed: int,
         raise ConfigurationError("T_s and horizon must be positive and finite")
     if not (0.0 < min_frac <= 1.0):
         raise ConfigurationError("min_frac must lie in (0, 1]")
+    check_count("seed", seed, 0)
     if min_frac == 1.0:
         # exact uniform grid; accumulation would drift past the point count
         n_gaps = math.ceil(horizon / T_s)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
 from .halton import Halton
-from .model import AssumptionData, PlantModel, clamp_input
+from .model import AssumptionData, PlantModel, check_count, clamp_input
 from .observer import observer_correction, output_injection
 
 __all__ = [
@@ -62,10 +62,8 @@ class SampleSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_points < 1:
-            raise ConfigurationError("sampler must request at least one point")
-        if self.seed < 0:
-            raise ConfigurationError("seed must be nonnegative")
+        check_count("n_points", self.n_points, 1)
+        check_count("seed", self.seed, 0)
 
 
 @dataclass
@@ -111,9 +109,13 @@ def sublevel_box(level_fn: Callable[[list], float], level: float,
     Found by doubling out from the origin and bisecting the crossing on
     every half-axis; ``level_fn`` takes each point as a list of floats.
     For level functions whose sublevel sets bulge between the axes the box
-    may under-cover; for radially monotone ones it is tight.  A value that
-    is not finite raises ``NonFiniteError``.
+    may under-cover; for radially monotone ones it is tight.  A level that
+    is not finite raises ``ConfigurationError``, a value that is not finite
+    ``NonFiniteError``.
     """
+    if not math.isfinite(level):  # a NaN level would admit only the origin
+        raise ConfigurationError(f"sublevel_box: level must be finite, got {level}")
+
     def level_at(point: list) -> float:
         value = float(level_fn(point))
         if not math.isfinite(value):

@@ -116,8 +116,11 @@ class TestExitCodes:
         (["u0_segments=-0.5:0.1; 0:0.1"], "u0 segments must start before time 0"),
         (["r=0", "tau=0", "u0_segments=-0.5:0.1"],
          "u0_segments must be empty when r = tau = 0"),
+        # a NaN start used to crash simulate (exit 1) or be snapped onto -(r + tau)
+        (["u0_segments=-0.5:0.1; nan:0.2"], "initial data must be finite"),
+        (["u0_segments=nan:0.1"], "initial data must be finite"),
     ], ids=["non-finite-x0", "z0-length", "segment-length", "outside-box", "first-start",
-            "start-at-0", "delay-free-segments"])
+            "start-at-0", "delay-free-segments", "nan-later-start", "nan-first-start"])
     def test_initial_data_refusals(self, config_file, tmp_path, capsys, settings, message):
         # simulate and predictor-study check their initial data in one place,
         # InitialData.histories, and refuse it alike before writing anything

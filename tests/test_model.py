@@ -287,11 +287,15 @@ class TestFiniteSettings:
 
     @pytest.mark.parametrize("field, value", [
         ("T_H", INF), ("horizon", INF), ("horizon", NAN), ("record_dt", NAN),
-        ("record_dt", INF), ("seed", -1),
+        ("record_dt", INF), ("seed", -1), ("N", 2.5), ("seed", 1.5),
     ])
     def test_sim_config(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
             SimConfig(**{"T_H": 0.05, "N": 4, "horizon": 1.0, "dt_max": 1e-3, field: value})
+
+    def test_sim_config_accepts_numpy_integers(self):
+        config = SimConfig(T_H=0.05, N=np.int64(4), horizon=1.0, dt_max=1e-3, seed=np.int32(2))
+        assert (config.N, config.seed) == (4, 2)
 
 
 class TestInputHistory:

@@ -1,7 +1,10 @@
-"""README.md's ``python`` blocks run as written, in order, in one namespace."""
+"""README.md's ``python`` blocks run as written, in order, in one namespace, and
+its ``ini`` block is the CLI's defaults."""
 
 import re
 from pathlib import Path
+
+from absorbctl import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -16,3 +19,15 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    # the ```ini block is a hand-kept copy of cli.DEFAULTS: it must name
+    # every key and parse to the same values
+    block, = re.findall(r"^```ini\n(.*?)^```", README.read_text(),
+                        flags=re.DOTALL | re.MULTILINE)
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+    assert sorted(keys) == sorted(cli.DEFAULTS)
+    config = tmp_path / "readme.cfg"
+    config.write_text(block)
+    assert cli.load_settings(str(config), []) == cli.DEFAULTS

@@ -140,6 +140,11 @@ class TestInitialData:
         (dict(x0=[1.0, float("nan")]), "initial data must be finite"),
         (dict(z0=[0.0, float("inf")]), "initial data must be finite"),
         (dict(u0_segments=[(-0.5, [float("nan")])]), "initial data must be finite"),
+        # a NaN time used to pass the end-time tests, which are false for NaN
+        (dict(x0=([-0.25, float("nan"), 0.0], [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])),
+         "initial data must be finite"),
+        (dict(u0_segments=[(-0.5, [0.1]), (float("nan"), [0.2])]),
+         "initial data must be finite"),
         (dict(x0=[1.0, -1.0, 0.0]), "x0 and z0 need 2 components, got 3 and 2"),
         (dict(z0=[0.0]), "x0 and z0 need 2 components, got 2 and 1"),
         (dict(x0=([-0.25, 0.0], [[1.0], [0.0]])), "x0 and z0 need 2 components"),
@@ -242,6 +247,12 @@ class TestPartition:
             generate_partition(0.01, 1.0, seed=0, min_frac=0.0)
         with pytest.raises(ConfigurationError):
             generate_partition(0.01, 1.0, seed=0, min_frac=1.5)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy used to raise its own ValueError or TypeError here
+        with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):
+            generate_partition(0.01, 1.0, seed)
 
 
     @pytest.mark.parametrize("T_s, horizon", [(float("nan"), 1.0), (float("inf"), 1.0),

@@ -169,6 +169,13 @@ class TestSublevelBox:
         with pytest.raises(ConfigurationError):
             sublevel_box(lambda x: 0.0, 1.0, 2)
 
+    @pytest.mark.parametrize("level", [float("nan"), float("inf")])
+    def test_non_finite_level_refused(self, planar, level):
+        # a NaN level used to give the zero box, so a check tested only the origin
+        _, assm = planar
+        with pytest.raises(ConfigurationError, match="level must be finite"):
+            sublevel_box(assm.lyapunov, level, 2)
+
     def test_origin_outside_rejected(self):
         with pytest.raises(ConfigurationError):
             sublevel_box(lambda x: x[0] ** 2 + x[1] ** 2 + 2.0, 1.0, 2)
@@ -252,14 +259,21 @@ class TestSampledChecks:
         m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point, zero_damping=True)
         assert abs(m - rep.worst_margin) <= 1e-12
 
-    def test_negative_seed_rejected(self):
-        with pytest.raises(ConfigurationError, match="seed must be nonnegative"):
-            SampleSpec(seed=-1)
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_negative_seed_rejected(self, seed):
+        # a float seed used to end in numpy's SeedSequence TypeError
+        with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):
+            SampleSpec(seed=seed)
 
-    @pytest.mark.parametrize("n_points", [0, -5])
+    @pytest.mark.parametrize("n_points", [0, -5, 2.5])
     def test_empty_sample_refused_at_construction(self, n_points):
-        with pytest.raises(ConfigurationError, match="at least one point"):
+        with pytest.raises(ConfigurationError,
+                           match="^n_points must be an integer of at least 1$"):
             SampleSpec(n_points=n_points)
+
+    def test_numpy_integers_accepted(self):
+        spec = SampleSpec(n_points=np.int64(3), seed=np.uint8(1))
+        assert (spec.n_points, spec.seed) == (3, 1)
 
     def test_empty_sample_rejected(self, planar):
         plant, assm = planar
