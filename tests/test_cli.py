@@ -116,7 +116,8 @@ class TestExitCodes:
         (["u0_segments=-0.5:0.1; 0:0.1"], "u0 segments must start before time 0"),
         (["r=0", "tau=0", "u0_segments=-0.5:0.1"],
          "u0_segments must be empty when r = tau = 0"),
-        # a NaN start used to crash simulate (exit 1) or be snapped onto -(r + tau)
+        # a NaN start fails none of the start tests' comparisons, so only the
+        # finiteness check stops it before it reaches the input record
         (["u0_segments=-0.5:0.1; nan:0.2"], "initial data must be finite"),
         (["u0_segments=nan:0.1"], "initial data must be finite"),
     ], ids=["non-finite-x0", "z0-length", "segment-length", "outside-box", "first-start",

@@ -140,7 +140,7 @@ class TestInitialData:
         (dict(x0=[1.0, float("nan")]), "initial data must be finite"),
         (dict(z0=[0.0, float("inf")]), "initial data must be finite"),
         (dict(u0_segments=[(-0.5, [float("nan")])]), "initial data must be finite"),
-        # a NaN time used to pass the end-time tests, which are false for NaN
+        # a NaN time fails none of the comparisons of the table and start tests
         (dict(x0=([-0.25, float("nan"), 0.0], [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]])),
          "initial data must be finite"),
         (dict(u0_segments=[(-0.5, [0.1]), (float("nan"), [0.2])]),
@@ -250,7 +250,7 @@ class TestPartition:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
-        # numpy used to raise its own ValueError or TypeError here
+        # numpy would raise its own ValueError or TypeError, not a ConfigurationError
         with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):
             generate_partition(0.01, 1.0, seed)
 

@@ -171,7 +171,7 @@ class TestSublevelBox:
 
     @pytest.mark.parametrize("level", [float("nan"), float("inf")])
     def test_non_finite_level_refused(self, planar, level):
-        # a NaN level used to give the zero box, so a check tested only the origin
+        # no point lies below a NaN level, so its box would be the origin alone
         _, assm = planar
         with pytest.raises(ConfigurationError, match="level must be finite"):
             sublevel_box(assm.lyapunov, level, 2)
@@ -261,7 +261,7 @@ class TestSampledChecks:
 
     @pytest.mark.parametrize("seed", [-1, 1.5])
     def test_negative_seed_rejected(self, seed):
-        # a float seed used to end in numpy's SeedSequence TypeError
+        # numpy's SeedSequence would raise its own TypeError on a float seed
         with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):
             SampleSpec(seed=seed)
 
