@@ -3,7 +3,8 @@
 The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
 0-2 of the default configuration and for seed 0 of a fast-hold
 configuration, at the delay pairs with a zero delay over a 2 s horizon,
-and of ``verification.json`` for sample seeds 0-2.  A
+for a 2 s run whose observer starts outside the absorbing set, and of
+``verification.json`` for sample seeds 0-2.  A
 refactor must keep these bytes; a change that alters the arithmetic order
 on purpose updates the digests in the same change and records the
 measured deviation of the terminal state.
@@ -44,6 +45,12 @@ GOLDEN_ZERO_DELAY = {
                  "e70e713ab01fe700a7a659ba4d283fc25620fe2e2bb1100a032e03d63be0ff89"),
 }
 
+# seed 0, horizon 2, z0 = (3, -2): V(z) starts at 6.5, above blend_hi, so the
+# observer correction's damping branch runs, which no other golden run reaches
+DAMPING = ("z0=(3,-2)", "horizon=2")
+GOLDEN_DAMPING = ("8b9ee7496cdb1531ad32ec5ce6aea16aefa8daae090dc67f3dd4fe3b17d3de8d",
+                  "822685d4878047128806ef37567f47827612a6bfaa5bcbfcc98d1804dd1be131")
+
 GOLDEN_VERIFY = {
     0: "e2cea55fe73e4c5da7f3b91f48d4cf47434c82e82d2fa70a92b3092859aa868b",
     1: "1a1ccc0c22e3c462984d8021e5e66f80d0b1b6c93b8f0e330351e7b13cdcabd6",
@@ -81,6 +88,10 @@ def test_fast_hold_run_matches_golden_digest(tmp_path, seed):
 def test_zero_delay_run_matches_golden_digest(tmp_path, r, tau):
     _check_simulate(tmp_path, 0, (*ZERO_DELAY, f"r={r}", f"tau={tau}"),
                     GOLDEN_ZERO_DELAY[r, tau])
+
+
+def test_damping_run_matches_golden_digest(tmp_path):
+    _check_simulate(tmp_path, 0, DAMPING, GOLDEN_DAMPING)
 
 
 @pytest.mark.parametrize("seed", sorted(GOLDEN_VERIFY))
