@@ -1,0 +1,88 @@
+"""The closed loop's innermost steps as straight-line Python, generated for
+the plant's dimensions ``(n, k_out)`` alone.  States, stages and gain entries
+are float locals; callables and gains are arguments, so one code object
+serves every plant of those dimensions.  The arithmetic is that of the list
+forms, entry by entry: stages ``y + half*k``, substeps ``y + sixth*(k1 +
+2.0*k2 + 2.0*k3 + k4)``, Euler pieces ``a + b*length``, and sums of products
+``0.0 + a_1*b_1 + a_2*b_2 + ...`` left to right."""
+
+from __future__ import annotations
+
+import functools
+import linecache
+from types import SimpleNamespace
+
+__all__ = ["loop_kernels"]
+
+_GENERATED = ("injection", "rk4_substep", "euler")
+
+
+def _seq(prefix: str, indices) -> str:
+    """``"p0, p1, "``: an unpacking target, or the items of a list display."""
+    return "".join(f"{prefix}{i}, " for i in indices)
+
+
+def _sum(a: str, b: str, count: int) -> str:
+    """``0.0 + a0 * b0 + a1 * b1 + ...``"""
+    return "0.0" + "".join(f" + {a}{i} * {b}{i}" for i in range(count))
+
+
+def _injection(depth: int, n: int, y: list[str]) -> list[str]:
+    """Lines ``depth`` levels in: ``c_i = 0.0 + g_i0*d0 + ...`` with ``d_j = h_j - y_j``."""
+    pad = "    " * depth
+    return ([f"{pad}d{j} = h{j} - {yj}" for j, yj in enumerate(y)]
+            + [f"{pad}c{i} = {_sum(f'g{i}_', 'd', len(y))}" for i in range(n)])
+
+
+def _source(n: int, k_out: int) -> str:
+    size, outs = 2 * n + k_out, range(k_out)
+    gains = "".join(f"({_seq(f'g{i}_', outs)}), " for i in range(n))
+    jac = "".join(f"({_seq(f'j{r}_', range(n))}), " for r in outs)
+    c, h, x = _seq("c", range(n)), _seq("h", outs), _seq("x", range(n))
+    lines = ["def injection(gain_rows, hz, y):",
+             f"    {gains}= gain_rows", f"    {h}= hz", f"    {_seq('m', outs)}= y",
+             *_injection(1, n, [f"m{j}" for j in outs]), f"    return [{c}]",
+             "def rk4_substep(plant, assm, correction, u_plant, u_obs):",
+             "    f, h, jac_h, lyapunov = plant.f, plant.h, plant.jac_h, assm.lyapunov",
+             f"    level = assm.absorbing_level\n    {gains}= assm.gain_rows",
+             f"    def substep(_t, y, dt):\n        {_seq('y', range(size))}= y",
+             "        half = 0.5 * dt"]
+    # each stage calls f(z, u_obs), h(z), lyapunov(z), f(x, u_plant) and jac_h(z)
+    for k, s, step in ((1, "y", ""), (2, "s", "half"), (3, "s", "half"), (4, "s", "dt")):
+        if step:
+            lines += [f"        s{p} = y{p} + {step} * k{k - 1}_{p}" for p in range(size)]
+        w = [f"{s}{p}" for p in range(2 * n, size)]
+        lines += [f"        z = [{_seq(s, range(n, 2 * n))}]\n        fz = f(z, u_obs)",
+                  f"        {_seq('fz', range(n))}= fz\n        {h}= h(z)",
+                  "        if lyapunov(z) <= level:", *_injection(3, n, w), "        else:",
+                  f"            {c}= correction(z, [{', '.join(w)}], fz, plant, assm)",
+                  f"        {_seq(f'k{k}_', range(n))}= f([{_seq(s, range(n))}], u_plant)",
+                  f"        {jac}= jac_h(z)",
+                  *(f"        k{k}_{n + i} = fz{i} + c{i}" for i in range(n)),
+                  *(f"        k{k}_{2 * n + r} = {_sum(f'j{r}_', 'fz', n)}" for r in outs)]
+    update = (f"y{p} + sixth * (k1_{p} + 2.0 * k2_{p} + 2.0 * k3_{p} + k4_{p})"
+              for p in range(size))
+    lines += [f"        sixth = dt / 6.0\n        return [{', '.join(update)}]",
+              "    return substep",
+              f"def euler(f, x, steps):\n    {x}= x\n    for pieces in steps:",
+              *(f"        i{i} = 0.0" for i in range(n)),
+              "        for value, length in pieces:",
+              f"            {_seq('b', range(n))}= f([{x}], value)",
+              *(f"            i{i} = i{i} + b{i} * length" for i in range(n)),
+              *(f"        x{i} = x{i} + i{i}" for i in range(n)), f"    return [{x}]"]
+    return "\n".join(lines) + "\n"
+
+
+@functools.cache
+def loop_kernels(n: int, k_out: int) -> SimpleNamespace:
+    """Compiled on first use, then cached: ``injection(gain_rows, hz, y)``,
+    the output injection ``L (hz - y)``; ``rk4_substep(plant, assm,
+    correction, u_plant, u_obs)``, whose result ``(t, y, dt) -> y`` is one
+    RK4 substep of the stacked ``(x, z, w)`` on a span, calling ``correction``
+    outside the absorbing set; ``euler(f, x, steps)``, the Euler predictor
+    over ``InputHistory.step_pieces``.  Tracebacks show the generated lines."""
+    source = _source(n, k_out)
+    filename = f"<absorbctl.kernels n={n} k_out={k_out}>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    exec(compile(source, filename, "exec"), namespace := {})
+    return SimpleNamespace(**{name: namespace[name] for name in _GENERATED})

@@ -32,7 +32,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "clamp_input",
-    "matvec",
 ]
 
 _ORIGIN_TOL = 1e-12
@@ -53,18 +52,6 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
             f"input has {u.size} components, box has {input_box.shape[0]} rows"
         )
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
-
-
-def matvec(rows, v) -> list[float]:
-    """The list of ``0.0 + row[0]*v[0] + row[1]*v[1] + ...``, summed left to
-    right, for each row; one-term rows give the bits of ``ndarray.dot``."""
-    out = []
-    for row in rows:
-        acc = 0.0
-        for a, b in zip(row, v):
-            acc += a * b
-        out.append(acc)
-    return out
 
 
 def _norm(v: np.ndarray) -> float:
@@ -89,11 +76,12 @@ def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
         raise ConfigurationError(f"{name} disagrees with finite differences")
 
 
-def check_count(name: str, value, least: int) -> None:
-    """Raise ConfigurationError unless ``value`` is an integer, a numpy one
-    too, of at least ``least``: a step count, point count or seed."""
+def check_count(name: str, value, least: int) -> int:
+    """``value`` as an int; ConfigurationError unless it is an integer, a
+    numpy one too, of at least ``least``: a step count, point count or seed."""
     if not (isinstance(value, numbers.Integral) and value >= least):
         raise ConfigurationError(f"{name} must be an integer of at least {least}")
+    return int(value)
 
 
 def _frozen(value) -> np.ndarray:

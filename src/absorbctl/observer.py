@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGradientError
-from .model import AssumptionData, PlantModel, matvec
+from .kernels import loop_kernels
+from .model import AssumptionData, PlantModel
 
 __all__ = [
     "BlendingFn",
@@ -68,8 +69,9 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
 
 
 def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[float]:
-    """The output injection ``L (h(z) - y)`` as a list, in ``matvec``'s order."""
-    return matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
+    """The output injection ``L (h(z) - y)`` as a list: each entry the sum
+    ``0.0 + L_i1 d_1 + L_i2 d_2 + ...`` of ``d = h(z) - y``, left to right."""
+    return loop_kernels(plant.n, plant.k_out).injection(assm.gain_rows, plant.h(z), y)
 
 
 def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> list[float]:

@@ -12,8 +12,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, NonFiniteError
-from .model import InputHistory, PlantModel
+from .errors import NonFiniteError
+from .kernels import loop_kernels
+from .model import InputHistory, PlantModel, check_count
 from .rk4 import flow_on_history
 
 __all__ = ["euler_predict", "predictor_convergence_study"]
@@ -29,18 +30,12 @@ def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel) -> list[flo
     ``hist.step_pieces``; a step adds ``0.0 + f(x, u_1) * len_1 + ...`` to
     each entry of x.  With no delay the prediction is ``x0`` itself.
     """
-    if N < 1:
-        raise ConfigurationError("predictor step count N must be at least 1")
+    check_count("N", N, 1)
     x = [float(v) for v in x0]
     if plant.delay_window == 0.0:
         return x
-    f = plant.f
-    for pieces in hist.step_pieces(hist.t_now - plant.delay_window, hist.t_now, N):
-        increment = [0.0] * len(x)
-        for value, length in pieces:
-            increment = [a + b * length for a, b in zip(increment, f(x, value))]
-        x = [a + b for a, b in zip(x, increment)]
-    return x
+    steps = hist.step_pieces(hist.t_now - plant.delay_window, hist.t_now, N)
+    return loop_kernels(plant.n, plant.k_out).euler(plant.f, x, steps)
 
 
 def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
@@ -49,18 +44,19 @@ def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,
 
     The reference integrates the plant over the delay window ending at
     ``hist.t_now`` with fourth-order steps no longer than ``_REF_SUBSTEP``,
-    split exactly at the input record's segment boundaries.  An overflow in
-    ``f``, or a reference or prediction that is not finite, raises
-    ``NonFiniteError``.
+    split exactly at the input record's segment boundaries.  A step count
+    below 1 or not an integer raises ``ConfigurationError``; an overflow in
+    ``f``, or a reference or prediction that is not finite, ``NonFiniteError``.
     """
+    counts = [check_count("N", N, 1) for N in N_list]
     try:
         reference = flow_on_history(plant, x0, hist, hist.t_now - plant.delay_window,
                                     hist.t_now, _REF_SUBSTEP)
-        predictions = [euler_predict(x0, hist, int(N), plant) for N in N_list]
+        predictions = [euler_predict(x0, hist, N, plant) for N in counts]
     except OverflowError as exc:
         raise NonFiniteError(f"predictor study: a state overflowed ({exc})") from None
     # an inf from a product, such as 10 * x1 ** 3, raises nothing on floats
     if not (np.isfinite(reference).all() and np.isfinite(predictions).all()):
         raise NonFiniteError("predictor study: a state is not finite")
-    return [(int(N), float(np.linalg.norm(np.subtract(reference, predicted))))
-            for N, predicted in zip(N_list, predictions)]
+    return [(N, float(np.linalg.norm(np.subtract(reference, predicted))))
+            for N, predicted in zip(counts, predictions)]

@@ -9,6 +9,7 @@ refinement.  Adaptive steppers would trade that determinism away.
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable
 
 from .errors import CoverageError
@@ -31,11 +32,12 @@ def rk4_step(rhs: Callable[[float, list[float]], list[float]],
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def integrate_span(rhs, t0: float, t1: float, y0: list[float], dt_max: float,
+def integrate_span(step, t0: float, t1: float, y0: list[float], dt_max: float,
                    on_node=None) -> list[float]:
     """Integrate over ``[t0, t1]`` with uniform substeps no longer than
-    ``dt_max``; the final substep lands exactly on ``t1``.  ``on_node`` is
-    called with ``(t, y)`` after every substep."""
+    ``dt_max``, each ``y = step(t, y, dt)``, such as ``partial(rk4_step, rhs)``;
+    the final substep lands exactly on ``t1``.  ``on_node`` is called with
+    ``(t, y)`` after every substep."""
     if t1 < t0:
         raise CoverageError("reversed integration span")
     if t1 == t0:
@@ -45,7 +47,7 @@ def integrate_span(rhs, t0: float, t1: float, y0: list[float], dt_max: float,
     y = y0
     for i in range(n_sub):
         t_a = t0 + i * dt
-        y = rk4_step(rhs, t_a, y, dt)
+        y = step(t_a, y, dt)
         t_b = t1 if i == n_sub - 1 else t0 + (i + 1) * dt
         if on_node is not None:
             on_node(t_b, y)
@@ -63,5 +65,6 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     x = [float(v) for v in x0]
     # the right side ignores t, so each piece is integrated over (0, length)
     for value, length in hist.iter_segments(t_start, t_end):
-        x = integrate_span(lambda _t, y, u=value: plant.f(y, u), 0.0, length, x, substep)
+        x = integrate_span(partial(rk4_step, lambda _t, y, u=value: plant.f(y, u)),
+                           0.0, length, x, substep)
     return x

@@ -20,8 +20,9 @@ import numpy as np
 
 from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
+from .kernels import loop_kernels
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
-                    SimConfig, StateHistory, Trajectory, check_count, matvec)
+                    SimConfig, StateHistory, Trajectory, check_count)
 from .observer import observer_correction
 from .rk4 import integrate_span
 
@@ -30,7 +31,6 @@ __all__ = [
     "TuneResult",
     "generate_partition",
     "simulate_closed_loop",
-    "coupled_rhs",
     "fit_decay_rate",
     "run_summary",
     "sweep",
@@ -187,26 +187,6 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     return groups
 
 
-def coupled_rhs(plant: PlantModel, assm: AssumptionData, u_plant: list[float],
-                u_obs: list[float]):
-    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``,
-    lists of floats, on a span with constant plant input ``u_plant`` and
-    observer input ``u_obs``: the plant, the observer (plant copy plus
-    correction driven by ``w``), and the inter-sample output state ``w``,
-    whose drift ``matvec(jac_h(z), f(z, u_obs))`` shares ``f(z, u_obs)``."""
-    n = plant.n
-    f, jac_h = plant.f, plant.jac_h
-
-    def rhs(_t: float, y: list[float]) -> list[float]:
-        z = y[n:2 * n]
-        fz = f(z, u_obs)
-        corr = observer_correction(z, y[2 * n:], fz, plant, assm)
-        return [*f(y[:n], u_plant), *[a + b for a, b in zip(fz, corr)],
-                *matvec(jac_h(z), fz)]
-
-    return rhs
-
-
 def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                          partition: SamplingPartition, config: SimConfig,
                          init: InitialData) -> Trajectory:
@@ -224,6 +204,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
         raise ConfigurationError("partition must cover the simulation horizon")
     n = plant.n
     groups = _event_groups(partition, config, plant, uhist.starts)
+    rk4_substep = loop_kernels(n, plant.k_out).rk4_substep
 
     # w is set by the reset at the measurement every partition begins with at t = 0
     Y = [*xhist.value(0.0).tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
@@ -247,8 +228,9 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     t_mid = t_cur + 0.5 * (t_g - t_cur)
                     u_plant = uhist.value(t_mid - plant.tau)
                     u_obs = uhist.value(t_mid - plant.delay_window)
-                    Y = integrate_span(coupled_rhs(plant, assm, u_plant, u_obs), t_cur, t_g,
-                                       Y, config.dt_max,
+                    # outside the absorbing set the substep calls observer_correction
+                    step = rk4_substep(plant, assm, observer_correction, u_plant, u_obs)
+                    Y = integrate_span(step, t_cur, t_g, Y, config.dt_max,
                                        on_node=lambda t, y: xhist.append(t, y[:n]))
                     if not all(map(math.isfinite, Y)):
                         raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y}")
@@ -363,10 +345,11 @@ def pilot_tune(plant: PlantModel, assm: AssumptionData, init: InitialData,
 
     Candidates are ordered cheapest first: fewest predictor steps, then
     largest sampling and hold periods.  Failure to find one is reported,
-    not raised; an empty grid is a configuration error.
+    not raised; an empty grid, or an ``N`` that is not an integer of at
+    least 1, is a configuration error.
     """
-    grid = sorted({(float(ts), float(th), int(n)) for ts, th, n in search_grid},
-                  key=lambda g: (g[2], -g[0], -g[1]))
+    grid = sorted({(float(ts), float(th), check_count("N", n, 1))
+                   for ts, th, n in search_grid}, key=lambda g: (g[2], -g[0], -g[1]))
     if not grid:
         raise ConfigurationError("tuning grid must be nonempty")
     runs = ((T_s, replace(base_config, T_H=T_H, N=N)) for T_s, T_H, N in grid)

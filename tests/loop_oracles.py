@@ -1,19 +1,27 @@
-"""NumPy reference versions of the closed loop's per-point kernels, a
-helper that lets a test's callables take list states, and a check that a
-run's applied inputs stay in the input box.
+"""Reference versions of the closed loop's per-point kernels, a helper
+that lets a test's callables take list states, and a check that a run's
+applied inputs stay in the input box.
 
-The library runs the loop on lists of floats.  The oracles below are the
-per-point NumPy forms it replaced, kept as written then: RK4 stages and the
-Euler predictor as array expressions, and the coupled right side with the
-observer correction taking its products with ``ndarray.dot``, on the
-callables' results as float64 arrays.  The
-properties in ``test_rk4.py``, ``test_observer.py`` and ``test_predictor.py``
-require the list forms to return the same bits on the planar plant.
+The library runs the loop in code generated per plant dimension
+(``absorbctl.kernels``).  Two generations of oracles stand behind it, each
+kept as written when the library replaced it:
+
+* the list forms: the coupled right side of ``(x, z, w)`` with its sums of
+  products from ``matvec``, stepped by ``rk4.rk4_step``, and the Euler
+  predictor's loop over ``step_pieces``;
+* the per-point NumPy forms before them: RK4 stages and the Euler predictor
+  as array expressions, and the observer correction taking its products
+  with ``ndarray.dot``, on the callables' results as float64 arrays.
+
+The properties in ``test_rk4.py``, ``test_observer.py``,
+``test_predictor.py`` and ``test_kernels.py`` require the generated code to
+return the bits of the list forms, and those the bits of the NumPy forms on
+the planar plant.
 """
 
 import numpy as np
 
-from absorbctl import blend_p
+from absorbctl import blend_p, observer_correction
 
 
 def listwise(fn):
@@ -28,6 +36,55 @@ def inputs_in_box(traj, input_box) -> bool:
     """Whether every applied input of ``traj`` lies in the ``(m, 2)`` box."""
     box = np.asarray(input_box, dtype=float)
     return bool(np.all(traj.u_applied >= box[:, 0]) and np.all(traj.u_applied <= box[:, 1]))
+
+
+def matvec(rows, v) -> list[float]:
+    """The list of ``0.0 + row[0]*v[0] + row[1]*v[1] + ...``, summed left to
+    right, for each row; one-term rows give the bits of ``ndarray.dot``."""
+    out = []
+    for row in rows:
+        acc = 0.0
+        for a, b in zip(row, v):
+            acc += a * b
+        out.append(acc)
+    return out
+
+
+def coupled_rhs(plant, assm, u_plant, u_obs):
+    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``,
+    lists of floats, on a span with constant plant input ``u_plant`` and
+    observer input ``u_obs``: the plant, the observer (plant copy plus
+    correction driven by ``w``), and the inter-sample output state ``w``,
+    whose drift ``matvec(jac_h(z), f(z, u_obs))`` shares ``f(z, u_obs)``.
+    Inside the absorbing set the correction is the injection by ``matvec``;
+    outside, the library's ``observer_correction``."""
+    n = plant.n
+    f, jac_h = plant.f, plant.jac_h
+
+    def rhs(_t, y):
+        z, w = y[n:2 * n], y[2 * n:]
+        fz = f(z, u_obs)
+        corr = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), w)])
+        if assm.lyapunov(z) > assm.absorbing_level:
+            corr = observer_correction(z, w, fz, plant, assm)
+        return [*f(y[:n], u_plant), *[a + b for a, b in zip(fz, corr)],
+                *matvec(jac_h(z), fz)]
+
+    return rhs
+
+
+def euler_predict_list(x0, hist, N, plant):
+    """The Euler predictor on lists of floats: per step, the increment
+    ``0.0 + f(x, u_1) * len_1 + ...`` entry by entry, then ``x + increment``."""
+    x = [float(v) for v in x0]
+    if plant.delay_window == 0.0:
+        return x
+    for pieces in hist.step_pieces(hist.t_now - plant.delay_window, hist.t_now, N):
+        increment = [0.0] * len(x)
+        for value, length in pieces:
+            increment = [a + b * length for a, b in zip(increment, plant.f(x, value))]
+        x = [a + b for a, b in zip(x, increment)]
+    return x
 
 
 def rk4_step_numpy(rhs, t, y, dt):

@@ -52,6 +52,11 @@ def test_planar_example_rests_on_the_model_and_observer_only():
     assert package_imports("planar") == {"errors", "model", "observer"}
 
 
+def test_generated_kernels_rest_on_no_loop_module():
+    # the generated code takes every callable and gain as an argument
+    assert package_imports("kernels") <= {"errors"}
+
+
 @pytest.mark.parametrize("layer", ["predictor", "rk4", "simulator", "controller", "planar"])
 def test_checks_do_not_reach_into_the_loop(layer):
     assert layer not in package_imports("verification")

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        DegenerateGradientError, PlantModel, blend_p, build_planar_example,
                        damping_term, observer_correction)
-from absorbctl.simulator import coupled_rhs
+from absorbctl.kernels import loop_kernels
+from absorbctl.rk4 import rk4_step
 from absorbctl.verification import corrected_dissipation_margin
-from loop_oracles import listwise
+from loop_oracles import coupled_rhs, listwise
 
 
 @pytest.fixture(scope="module")
@@ -254,7 +255,8 @@ class TestObserverCorrection:
 
 
 class TestRhs:
-    """The simulator's coupled right side of (x, z, w), on lists of floats."""
+    """The coupled right side of (x, z, w) that the simulator's generated
+    substep writes out, in its list oracle."""
 
     def test_observer_rhs_composes(self, planar):
         plant, assm = planar
@@ -280,7 +282,9 @@ class TestDotMatchesMatmul:
     """The closed loop takes one point's products as left-to-right float
     sums, and in the damping branch with ``ndarray.dot``.  On the planar plant
     (one-term rows) these are the bytes of ``@``; on a plant with longer
-    rows they may differ from BLAS in the last bit, and no more."""
+    rows they may differ from BLAS in the last bit, and no more.  The list
+    oracle's right side stands for the loop's; the generated substep must
+    give the bits of ``rk4_step`` on that oracle."""
 
     @pytest.fixture(scope="class")
     def loop3(self):
@@ -322,6 +326,22 @@ class TestDotMatchesMatmul:
             0.0, np.concatenate([x, z, w]).tolist())
         expected = rhs_oracle(plant, assm, x, z, w, u_plant, u_obs)
         assert np.max(np.abs(np.array(out) - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @given(st.lists(unit, min_size=3, max_size=3).filter(lambda d: max(map(abs, d)) > 0.05),
+           st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.sampled_from([1e-3, 0.01, 0.1]),
+           st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_generated_substep_matches_list_oracle(self, loop3, direction, band, frac, dt,
+                                                   data):
+        plant, assm = loop3
+        x, z, w, u_plant, u_obs = (v.tolist() for v in
+                                   self._draw(loop3, direction, band, frac, data))
+        substep = loop_kernels(3, 2).rk4_substep(plant, assm, observer_correction,
+                                                 u_plant, u_obs)
+        got = substep(0.0, x + z + w, dt)
+        want = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, x + z + w, dt)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_checks_apply_the_loops_injection(self, loop3):
         # inside the absorbing set the correction is the bare injection, so

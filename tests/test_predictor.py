@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict, predictor_convergence_study)
 from history_oracles import euler_per_step, grid_times, input_records
-from loop_oracles import euler_predict_numpy
+from loop_oracles import euler_predict_list, euler_predict_numpy
 
 
 def scalar_decay_plant(r=0.5, tau=0.5):
@@ -100,6 +100,18 @@ class TestEulerPredict:
            st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
            st.sampled_from([1, 3, 16, 64, 256]))
     @settings(max_examples=150, deadline=None)
+    def test_matches_list_oracle_bit_for_bit(self, hist, x0, N):
+        # the generated Euler step against the list loop it replaced
+        plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
+        got = euler_predict(x0, hist, N, plant)
+        want = euler_predict_list(x0, hist, N, plant)
+        assert all(type(v) is float for v in got)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @given(records_ending_in(-1.0, 0.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2),
+           st.sampled_from([1, 3, 16, 64, 256]))
+    @settings(max_examples=150, deadline=None)
     def test_matches_numpy_oracle_bit_for_bit(self, hist, x0, N):
         # the list form against the per-point NumPy form it replaced
         plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
@@ -125,6 +137,20 @@ class TestPredictorStudy:
         assert all(a > b for a, b in zip(errs, errs[1:]))
         # first-order method: halving the step roughly halves the error
         assert 1.6 <= errs[-2] / errs[-1] <= 2.4
+
+    @pytest.mark.parametrize("N_list", [[8, 2.5], [8.0], [0]])
+    def test_step_counts_must_be_integers(self, N_list):
+        # a fractional count was truncated: [2.5] reported a row for N = 2
+        plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
+        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+        with pytest.raises(ConfigurationError, match=r"^N must be an integer of at least 1$"):
+            predictor_convergence_study(plant, [0.5, -0.3], hist, N_list)
+
+    def test_numpy_step_counts_accepted(self):
+        plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
+        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+        study = predictor_convergence_study(plant, [0.0, 0.0], hist, [np.int64(8)])
+        assert study == [(8, 0.0)] and type(study[0][0]) is int
 
     def test_equilibrium_is_exact(self):
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absorbctl import CoverageError, InputHistory, PlantModel, build_planar_example
+from absorbctl.kernels import loop_kernels
+from absorbctl.observer import observer_correction
 from absorbctl.rk4 import flow_on_history, integrate_span, rk4_step
-from absorbctl.simulator import coupled_rhs
-from loop_oracles import coupled_rhs_numpy, rk4_step_numpy
+from loop_oracles import coupled_rhs, coupled_rhs_numpy, rk4_step_numpy
 
 
-def decay(_t, y):
+def decay_rhs(_t, y):
     return [-v for v in y]
+
+
+decay = partial(rk4_step, decay_rhs)  # the step integrate_span takes
 
 
 def test_single_step_matches_taylor_polynomial():
@@ -74,11 +79,14 @@ coordinate = st.floats(-3.0, 3.0, allow_nan=False)
 @settings(max_examples=300, deadline=None)
 def test_planar_step_matches_numpy_oracle_bytes(planar, y, inputs, dt):
     # the observer state ranges over the absorbing set, the ramp and beyond,
-    # so both branches of the correction are taken
+    # so both branches of the correction are taken; the generated substep,
+    # its list oracle and the NumPy form before that give the same bits
     plant, assm = planar
     u_plant, u_obs = [inputs[0]], [inputs[1]]
-    got = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, y, dt)
+    substep = loop_kernels(2, 1).rk4_substep(plant, assm, observer_correction, u_plant, u_obs)
+    got = substep(0.0, y, dt)
+    listed = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, y, dt)
     want = rk4_step_numpy(coupled_rhs_numpy(plant, assm, np.array(u_plant), np.array(u_obs)),
                           0.0, np.array(y), dt)
     assert all(type(v) is float for v in got)
-    assert np.array(got).tobytes() == want.tobytes()
+    assert np.array(got).tobytes() == np.array(listed).tobytes() == want.tobytes()

@@ -297,7 +297,7 @@ class TestClosedLoop:
                                      InitialData(x0=[1e155], z0=[0.0]))
 
     def test_gain_must_fit_the_plant(self, planar):
-        # planar k_out = 1: matvec's zip would drop a second gain column
+        # planar k_out = 1: a second gain column has no output to multiply
         plant, assm = planar
         wide = dataclasses.replace(assm, observer_gain=np.array([[-0.02, 5.0], [-1.0, 7.0]]))
         with pytest.raises(ConfigurationError,
@@ -538,6 +538,23 @@ class TestSummaryAndTune:
         assert len(result.attempts) == 1
         assert result.attempts[0]["passed"] is False
         assert result.attempts[0]["terminal_ratio"] > 1e-12
+
+    @pytest.mark.parametrize("n", [2.7, 16.0, 0])
+    def test_tune_refuses_a_step_count_that_is_not_a_count(self, planar, n):
+        # a fractional N was truncated: 2.7 ran and was reported as N = 2
+        plant, assm = planar
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        with pytest.raises(ConfigurationError, match=r"^N must be an integer of at least 1$"):
+            pilot_tune(plant, assm, init, [(0.01, 0.05, 16), (0.01, 0.05, n)],
+                       short_config(horizon=2.0))
+
+    def test_tune_accepts_numpy_step_counts(self, planar, monkeypatch):
+        monkeypatch.setattr(simulator, "DECAY_RATIO", 0.9)
+        plant, assm = planar
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        result = pilot_tune(plant, assm, init, [(0.02, 0.1, np.int64(16))],
+                            short_config(horizon=2.0))
+        assert result.triple == (0.02, 0.1, 16) and type(result.triple[2]) is int
 
     def test_tune_rejects_empty_grid(self, planar):
         plant, assm = planar
