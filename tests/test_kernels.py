@@ -8,6 +8,7 @@ each get their own results from one shared code object.
 import dataclasses
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -58,14 +59,66 @@ def test_plants_of_one_shape_share_code_and_keep_their_own_results():
     assert results[:3] != results[3:]  # the arguments, not the code, hold the plant
 
 
-@pytest.mark.parametrize("n, k_out", [(1, 1), (2, 3), (4, 2)])
-def test_injection_is_the_left_to_right_row_sum(n, k_out):
+INSIDE = ["f", "h", "lyapunov", "f", "jac_h"]
+# outside the absorbing set observer_correction evaluates the output and the
+# level again, then the gradient and the dissipation
+OUTSIDE = ["f", "h", "lyapunov", "h", "lyapunov", "grad_lyapunov", "dissipation", "f", "jac_h"]
+
+
+@pytest.mark.parametrize("y, stage_calls, stages", [
+    (STATES[0], INSIDE, 4),
+    ([0.2, -0.1, 1.0, 1.0, 0.05], INSIDE, 1),  # V(z) = 1.0 is the absorbing level
+    (STATES[1], OUTSIDE, 4)], ids=["inside", "on-the-level", "outside"])
+def test_substep_keeps_the_loops_call_order(y, stage_calls, stages):
+    plant, assm = _two_plants_of_one_shape()[0]
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    for owner, names in ((plant, ("f", "h", "jac_h")),
+                         (assm, ("lyapunov", "grad_lyapunov", "dissipation"))):
+        for name in names:
+            object.__setattr__(owner, name, recorded(name, getattr(owner, name)))
+    step = loop_kernels(2, 1).rk4_substep(plant, assm, observer_correction, [0.1], [-0.2])
+    step(0.0, y, 1e-3)
+    assert calls[:stages * len(stage_calls)] == stages * stage_calls
+
+
+@pytest.mark.parametrize("n, k_out", [(1, 1), (2, 3), (3, 3), (4, 2)])
+def test_dense_rows_sum_left_to_right_in_any_dimension(n, k_out):
+    # every gain, Jacobian and drift entry nonzero, so that a sum of three or
+    # more products taken in another order would round differently; a zero
+    # innovation gives +0.0 entries only because each sum starts from 0.0
     rng = np.random.default_rng(n * 10 + k_out)
-    gain_rows = tuple(map(tuple, rng.normal(size=(n, k_out)).tolist()))
-    hz, y = rng.normal(size=k_out).tolist(), rng.normal(size=k_out).tolist()
-    got = loop_kernels(n, k_out).injection(gain_rows, hz, y)
-    want = matvec(gain_rows, [a - b for a, b in zip(hz, y)])
-    assert np.array(got).tobytes() == np.array(want).tobytes()
+    A, B = rng.normal(size=(n, n)).tolist(), rng.normal(size=(n, 2)).tolist()
+    C = rng.normal(size=(k_out, n)).tolist()
+    plant = SimpleNamespace(
+        n=n, k_out=k_out, delay_window=1.0, jac_h=lambda x: C, h=lambda x: matvec(C, x),
+        f=lambda x, u: [a + b for a, b in zip(matvec(A, x), matvec(B, u))])
+    # V = 0 keeps every stage inside the absorbing set, so no correction is called
+    assm = SimpleNamespace(gain_rows=tuple(map(tuple, rng.normal(size=(n, k_out)).tolist())),
+                           lyapunov=lambda z: 0.0, absorbing_level=1.0)
+    kernels = loop_kernels(n, k_out)
+    hist = InputHistory(-1.0, [(-1.0, [0.2, -0.1]), (-0.4, [0.5, 0.3])], t_now=0.0)
+    for _ in range(20):
+        y, u_plant, u_obs = (rng.normal(size=2 * n + k_out).tolist(),
+                             rng.normal(size=2).tolist(), rng.normal(size=2).tolist())
+        got = kernels.rk4_substep(plant, assm, None, u_plant, u_obs)(0.0, y, 0.1)
+        want = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, y, 0.1)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        hz, w = y[:k_out], y[2 * n:]
+        got = kernels.injection(assm.gain_rows, hz, w)
+        want = matvec(assm.gain_rows, [a - b for a, b in zip(hz, w)])
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+        zero = kernels.injection(assm.gain_rows, hz, hz)
+        assert np.array(zero).tobytes() == np.zeros(n).tobytes()
+        got = euler_predict(y[:n], hist, 5, plant)
+        want = euler_predict_list(y[:n], hist, 5, plant)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
 
 
 def test_nothing_is_generated_at_import():
