@@ -34,6 +34,14 @@ def _injection(depth: int, n: int, y: list[str]) -> list[str]:
             + [f"{pad}c{i} = {_sum(f'g{i}_', 'd', len(y))}" for i in range(n)])
 
 
+def _piece(depth: int, n: int, x: str, length: str) -> list[str]:
+    """Lines ``depth`` levels in: ``b = f(x, values[idx])``, then ``i_i = i_i +
+    b_i*length`` for the piece of that ``length``."""
+    pad = "    " * depth
+    return ([f"{pad}length = {length}", f"{pad}{_seq('b', range(n))}= f([{x}], values[idx])"]
+            + [f"{pad}i{i} = i{i} + b{i} * length" for i in range(n)])
+
+
 def _source(n: int, k_out: int) -> str:
     size, outs = 2 * n + k_out, range(k_out)
     gains = "".join(f"({_seq(f'g{i}_', outs)}), " for i in range(n))
@@ -64,13 +72,24 @@ def _source(n: int, k_out: int) -> str:
               for p in range(size))
     lines += [f"        sixth = dt / 6.0\n        return [{', '.join(update)}]",
               "    return substep",
-              f"def euler(f, x, steps):\n    {x}= x\n    for pieces in steps:",
+              f"def euler(f, x, starts, values, t0, t1, N):\n    {x}= x",
+              "    h_step = (t1 - t0) / N\n    last = len(starts) - 1",
+              "    idx = bisect_right(starts, t0) - 1",
+              "    nxt = starts[idx + 1] if idx < last else inf\n    hi = t0",
+              "    for k in range(1, N + 1):",
+              # the last edge is t1 itself, where t0 + N*h_step may round off it
+              "        lo, hi = hi, (t0 + k * h_step if k < N else t1)",
+              "        while nxt <= lo:",
+              "            idx += 1\n            nxt = starts[idx + 1] if idx < last else inf",
               *(f"        i{i} = 0.0" for i in range(n)),
-              "        for value, length in pieces:",
-              f"            {_seq('b', range(n))}= f([{x}], value)",
-              *(f"            i{i} = i{i} + b{i} * length" for i in range(n)),
+              # starts[idx] <= lo < nxt: the pieces are [lo, nxt), [nxt, ...) up to hi
+              "        if hi > lo:\n            while nxt < hi:",
+              *_piece(4, n, x, "nxt - lo"),
+              "                lo = nxt\n                idx += 1",
+              "                nxt = starts[idx + 1] if idx < last else inf",
+              *_piece(3, n, x, "hi - lo"),
               *(f"        x{i} = x{i} + i{i}" for i in range(n)), f"    return [{x}]"]
-    return "\n".join(lines) + "\n"
+    return "from bisect import bisect_right\nfrom math import inf\n" + "\n".join(lines) + "\n"
 
 
 @functools.cache
@@ -79,8 +98,11 @@ def loop_kernels(n: int, k_out: int) -> SimpleNamespace:
     the output injection ``L (hz - y)``; ``rk4_substep(plant, assm,
     correction, u_plant, u_obs)``, whose result ``(t, y, dt) -> y`` is one
     RK4 substep of the stacked ``(x, z, w)`` on a span, calling ``correction``
-    outside the absorbing set; ``euler(f, x, steps)``, the Euler predictor
-    over ``InputHistory.step_pieces``.  Tracebacks show the generated lines."""
+    outside the absorbing set; ``euler(f, x, starts, values, t0, t1, N)``,
+    the Euler predictor's N equal steps of ``[t0, t1)`` (the last ending at
+    ``t1`` exactly), walking an input record's segment ``starts`` and
+    ``values`` with one index and calling ``f`` once per nonempty part of a
+    segment inside a step.  Tracebacks show the generated lines."""
     source = _source(n, k_out)
     filename = f"<absorbctl.kernels n={n} k_out={k_out}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)

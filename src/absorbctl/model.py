@@ -349,7 +349,7 @@ class InputHistory:
         idx = bisect.bisect_right(self.starts, t) - 1
         return self.values[idx]
 
-    def _window(self, t0: float, t1: float) -> tuple[float, float]:
+    def window(self, t0: float, t1: float) -> tuple[float, float]:
         """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
         t0 = float(t0)
         t1 = float(t1)
@@ -361,51 +361,21 @@ class InputHistory:
             )
         return t0, t1
 
-    def step_pieces(self, t0: float, t1: float, N: int) -> list[list[tuple[list, float]]]:
-        """For each of ``N >= 1`` equal steps of ``[t0, t1)``, the ``(value,
-        length)`` pieces partitioning it exactly, in time order.
-
-        Step ``i`` spans ``[t0 + i*h, t0 + (i+1)*h)`` with ``h = (t1 - t0)/N``,
-        except that the last step ends exactly at ``t1``; a piece is the part
-        of one segment inside a step, and empty parts are left out.  One
-        index walks the record across all steps.
-        """
-        t0, t1 = self._window(t0, t1)
-        if t0 == t1:
-            return [[] for _ in range(N)]
-        starts, values = self.starts, self.values
-        last = len(starts) - 1
-        h_step = (t1 - t0) / N
-        # nondecreasing, and t0 + (N-1)*h_step never rounds past t1
-        edges = [t0 + i * h_step for i in range(N)]
-        edges.append(t1)
-        steps = []
-        idx = bisect.bisect_right(starts, t0) - 1
-        for i in range(N):
-            lo, hi = edges[i], edges[i + 1]
-            while idx < last and starts[idx + 1] <= lo:
-                idx += 1
-            # now starts[idx] <= lo < starts[idx + 1]: the pieces are [lo, s),
-            # [s, s') ... up to hi for the starts s < hi, none of them empty
-            pieces = []
-            if hi > lo:
-                while idx < last and starts[idx + 1] < hi:
-                    pieces.append((values[idx], starts[idx + 1] - lo))
-                    idx += 1
-                    lo = starts[idx]
-                pieces.append((values[idx], hi - lo))
-            steps.append(pieces)
-        return steps
-
     def iter_segments(self, t0: float, t1: float) -> list[tuple[list, float]]:
-        """The ``(value, length)`` pieces partitioning ``[t0, t1)`` exactly:
-        ``step_pieces`` with one step."""
-        return self.step_pieces(t0, t1, 1)[0]
+        """The ``(value, length)`` pieces partitioning ``[t0, t1)`` exactly, in
+        time order: the part of each segment inside it; none on an empty interval."""
+        t0, t1 = self.window(t0, t1)
+        if t0 == t1:
+            return []
+        lo = bisect.bisect_right(self.starts, t0) - 1
+        hi = bisect.bisect_left(self.starts, t1)
+        edges = [t0, *self.starts[lo + 1:hi], t1]
+        return [(v, b - a) for v, a, b in zip(self.values[lo:hi], edges, edges[1:])]
 
     def sup_abs(self, t0: float, t1: float) -> float:
         """Largest Euclidean input norm applied on ``[t0, t1)``, read from the
         norms stored at ``append``; 0.0 on an empty interval."""
-        t0, t1 = self._window(t0, t1)
+        t0, t1 = self.window(t0, t1)
         if t0 == t1:
             return 0.0
         lo = bisect.bisect_right(self.starts, t0) - 1

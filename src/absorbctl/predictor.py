@@ -26,16 +26,19 @@ def euler_predict(x0, hist: InputHistory, N: int, plant: PlantModel) -> list[flo
     """Predict the state (a list) one delay window ahead of ``x0``.
 
     ``hist`` must cover ``[t_now - (r + tau), t_now)``, ``t_now`` its current
-    time (CoverageError otherwise).  The N steps and their input pieces are those of
-    ``hist.step_pieces``; a step adds ``0.0 + f(x, u_1) * len_1 + ...`` to
-    each entry of x.  With no delay the prediction is ``x0`` itself.
+    time (CoverageError otherwise).  The window is cut into N equal steps,
+    the last ending at ``t_now`` exactly, and each step into the parts of
+    the input segments inside it; a step adds ``0.0 + f(x, u_1) * len_1 +
+    ...`` to each entry of x, one term per part.  The generated kernel walks
+    the record's lists itself.  With no delay the prediction is ``x0`` itself.
     """
     check_count("N", N, 1)
     x = [float(v) for v in x0]
     if plant.delay_window == 0.0:
         return x
-    steps = hist.step_pieces(hist.t_now - plant.delay_window, hist.t_now, N)
-    return loop_kernels(plant.n, plant.k_out).euler(plant.f, x, steps)
+    t0, t1 = hist.window(hist.t_now - plant.delay_window, hist.t_now)
+    return loop_kernels(plant.n, plant.k_out).euler(plant.f, x, hist.starts, hist.values,
+                                                    t0, t1, N)
 
 
 def predictor_convergence_study(plant: PlantModel, x0, hist: InputHistory,

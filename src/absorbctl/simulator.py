@@ -22,7 +22,7 @@ from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .kernels import loop_kernels
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
-                    SimConfig, StateHistory, Trajectory, check_count)
+                    SimConfig, StateHistory, Trajectory, _norm, check_count)
 from .observer import observer_correction
 from .rk4 import integrate_span
 
@@ -247,7 +247,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     rows_u.append(uhist.values[-1])
                     rows_norm.append(
                         xhist.sup_norm(t_g - plant.r, t_g)
-                        + float(np.linalg.norm(Y[n:2 * n]))
+                        + _norm(np.array(Y[n:2 * n]))
                         + uhist.sup_abs(t_g - plant.delay_window, t_g))
                     if not math.isfinite(rows_norm[-1]):
                         raise NonFiniteError(f"composite norm not finite at t={t_g!r}")

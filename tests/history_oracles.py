@@ -3,8 +3,10 @@ predictor, with Hypothesis strategies for records that exercise them.
 
 Each oracle is the straightforward loop the library replaced: a scan with
 one ``bisect`` per call, a norm recomputed for every segment or sample, and
-one deletion at a time.  The properties in ``test_model.py`` and
-``test_predictor.py`` require the library to return the same bits.
+one deletion at a time; ``step_pieces`` builds each Euler step's piece
+list, which the generated predictor walks without building.  The
+properties in ``test_model.py`` and ``test_predictor.py`` require the
+library to return the same bits.
 """
 
 import bisect
@@ -33,6 +35,43 @@ def segments_scan(hist: InputHistory, t0: float, t1: float) -> list:
             return pieces
         idx += 1
     return pieces
+
+
+def step_pieces(hist: InputHistory, t0: float, t1: float, N: int) -> list:
+    """For each of ``N >= 1`` equal steps of ``[t0, t1)``, the ``(value,
+    length)`` pieces partitioning it exactly, in time order, as lists.
+
+    Step ``i`` spans ``[t0 + i*h, t0 + (i+1)*h)`` with ``h = (t1 - t0)/N``,
+    except that the last step ends exactly at ``t1``; a piece is the part
+    of one segment inside a step, and empty parts are left out.  One
+    index walks the record across all steps.
+    """
+    t0, t1 = hist.window(t0, t1)
+    if t0 == t1:
+        return [[] for _ in range(N)]
+    starts, values = hist.starts, hist.values
+    last = len(starts) - 1
+    h_step = (t1 - t0) / N
+    # nondecreasing, and t0 + (N-1)*h_step never rounds past t1
+    edges = [t0 + i * h_step for i in range(N)]
+    edges.append(t1)
+    steps = []
+    idx = bisect.bisect_right(starts, t0) - 1
+    for i in range(N):
+        lo, hi = edges[i], edges[i + 1]
+        while idx < last and starts[idx + 1] <= lo:
+            idx += 1
+        # now starts[idx] <= lo < starts[idx + 1]: the pieces are [lo, s),
+        # [s, s') ... up to hi for the starts s < hi, none of them empty
+        pieces = []
+        if hi > lo:
+            while idx < last and starts[idx + 1] < hi:
+                pieces.append((values[idx], starts[idx + 1] - lo))
+                idx += 1
+                lo = starts[idx]
+            pieces.append((values[idx], hi - lo))
+        steps.append(pieces)
+    return steps
 
 
 def sup_abs_scan(hist: InputHistory, t0: float, t1: float) -> float:

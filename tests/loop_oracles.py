@@ -8,7 +8,8 @@ kept as written when the library replaced it:
 
 * the list forms: the coupled right side of ``(x, z, w)`` with its sums of
   products from ``matvec``, stepped by ``rk4.rk4_step``, and the Euler
-  predictor's loop over ``step_pieces``;
+  predictor's loop over the per-step piece lists of
+  ``history_oracles.step_pieces``;
 * the per-point NumPy forms before them: RK4 stages and the Euler predictor
   as array expressions, and the observer correction taking its products
   with ``ndarray.dot``, on the callables' results as float64 arrays.
@@ -22,6 +23,7 @@ the planar plant.
 import numpy as np
 
 from absorbctl import blend_p, observer_correction
+from history_oracles import step_pieces
 
 
 def listwise(fn):
@@ -79,7 +81,7 @@ def euler_predict_list(x0, hist, N, plant):
     x = [float(v) for v in x0]
     if plant.delay_window == 0.0:
         return x
-    for pieces in hist.step_pieces(hist.t_now - plant.delay_window, hist.t_now, N):
+    for pieces in step_pieces(hist, hist.t_now - plant.delay_window, hist.t_now, N):
         increment = [0.0] * len(x)
         for value, length in pieces:
             increment = [a + b * length for a, b in zip(increment, plant.f(x, value))]
@@ -126,7 +128,7 @@ def euler_predict_numpy(x0, hist, N, plant, t_pred=None):
         return x
     if t_pred is None:
         t_pred = hist.t_now
-    for pieces in hist.step_pieces(t_pred - plant.delay_window, t_pred, N):
+    for pieces in step_pieces(hist, t_pred - plant.delay_window, t_pred, N):
         increment = 0.0
         for value, length in pieces:
             increment = increment + np.asarray(plant.f(x, np.asarray(value))) * length

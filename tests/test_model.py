@@ -9,7 +9,8 @@ from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantMod
                        SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
 from history_oracles import (input_records, prune_one_at_a_time, segments_scan,
-                             state_records, sup_abs_scan, sup_norm_scan, windows)
+                             state_records, step_pieces, sup_abs_scan, sup_norm_scan,
+                             windows)
 from loop_oracles import inputs_in_box
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
@@ -361,35 +362,38 @@ class TestInputHistory:
     @given(input_records(m=2), st.data())
     @settings(max_examples=300)
     def test_reads_match_scans(self, hist, data):
-        # iter_segments, its one-step step_pieces, and sup_abs over the norms
-        # stored at append equal a fresh scan of the record
+        # iter_segments, the one-step oracle step_pieces, and sup_abs over the
+        # norms stored at append equal a fresh scan of the record
         t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
         want = segments_scan(hist, t0, t1)
-        for got in (hist.iter_segments(t0, t1), hist.step_pieces(t0, t1, 1)[0]):
+        for got in (hist.iter_segments(t0, t1), step_pieces(hist, t0, t1, 1)[0]):
             assert [(id(v), a) for v, a in got] == [(id(v), a) for v, a in want]
         assert hist.sup_abs(t0, t1) == sup_abs_scan(hist, t0, t1)
 
     @given(input_records(), st.data(), st.integers(1, 300))
     @settings(max_examples=200)
     def test_step_pieces_match_per_step_scans(self, hist, data, N):
+        # the oracle behind the Euler predictor's walk: one walk across all
+        # steps gives each step's own scan
         t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
         h_step = (t1 - t0) / N
         edges = [t0 + i * h_step for i in range(N)] + [t1]
-        steps = hist.step_pieces(t0, t1, N)
+        steps = step_pieces(hist, t0, t1, N)
         assert len(steps) == N
         for i, got in enumerate(steps):
             want = segments_scan(hist, edges[i], edges[i + 1])
             assert [(id(v), a) for v, a in got] == [(id(v), a) for v, a in want]
 
-    def test_step_pieces_coverage(self):
+    def test_iter_segments_coverage(self):
         hist = self.make()
         with pytest.raises(CoverageError):
-            hist.step_pieces(-1.5, -0.5, 4)
+            hist.iter_segments(-1.5, -0.5)
         with pytest.raises(CoverageError):
-            hist.step_pieces(-0.5, 0.5, 4)
+            hist.iter_segments(-0.5, 0.5)
         with pytest.raises(CoverageError):
-            hist.step_pieces(-0.2, -0.4, 4)
-        assert hist.step_pieces(-0.3, -0.3, 3) == [[], [], []]
+            hist.iter_segments(-0.2, -0.4)
+        assert hist.iter_segments(-0.3, -0.3) == []
+        assert step_pieces(hist, -0.3, -0.3, 3) == [[], [], []]
 
 
 class TestStateHistory:

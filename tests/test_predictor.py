@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict, predictor_convergence_study)
-from history_oracles import euler_per_step, grid_times, input_records
+from history_oracles import euler_per_step, grid_times, input_records, step_pieces
 from loop_oracles import euler_predict_list, euler_predict_numpy
 
 
@@ -119,6 +119,65 @@ class TestEulerPredict:
         want = euler_predict_numpy(x0, hist, N, plant)
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == want.tobytes()
+
+
+def _third_order_plant():
+    """n = 3, k_out = 2: a chain of integrators with a cubic drift, written
+    with products only so that list and ndarray states give the same bits."""
+    return PlantModel(n=3, m=1, k_out=2,
+                      f=lambda x, u: [x[1], x[2],
+                                      -x[0] - 0.5 * x[1] - 0.3 * x[2] - x[0] * x[0] * x[0] + u[0]],
+                      h=lambda x: [x[0], x[1] + 0.5 * x[2]],
+                      jac_h=lambda x: [[1.0, 0.0, 0.0], [0.0, 1.0, 0.5]],
+                      input_box=np.array([[-1.0, 1.0]]), r=0.5, tau=0.5)
+
+
+# (segments, N) on a record ending at t_now = 0; the window is [-1, 0)
+WALKS = {
+    # four segment starts inside the first of two steps
+    "starts-inside-one-step": ([(-1.0, [0.3]), (-0.9, [-0.2]), (-0.8, [0.5]), (-0.7, [-0.6]),
+                                (-0.6, [0.1]), (-0.3, [0.4])], 2),
+    # a start at t0 (the record begins earlier), and starts on two step edges
+    "starts-on-edges": ([(-2.0, [0.3]), (-1.0, [-0.2]), (-0.75, [0.5]), (-0.25, [-0.6])], 4),
+    # past the last start the walk's next start is the inf sentinel
+    "last-start-inside": ([(-2.0, [0.3]), (-0.3, [-0.5])], 16),
+    "no-start-inside": ([(-3.0, [0.7])], 16),
+    "one-step": ([(-1.5, [0.3]), (-0.6, [-0.2]), (-0.5, [0.5]), (-0.1, [-0.6])], 1),
+    # -1 + 49 * (1/49) rounds to -1.1e-16: the last step must end at t1 itself
+    "last-edge-rounds": ([(-1.5, [0.3]), (-0.6, [-0.2]), (-0.5, [0.5]), (-0.1, [-0.6])], 49),
+}
+
+
+class TestRecordWalk:
+    @pytest.mark.parametrize("name", list(WALKS))
+    @pytest.mark.parametrize("plant_of", [
+        lambda: build_planar_example(0.01, r=0.5, tau=0.5)[0], _third_order_plant],
+        ids=["n2-k1", "n3-k2"])
+    def test_matches_per_step_scan(self, name, plant_of):
+        segments, N = WALKS[name]
+        plant = plant_of()
+        hist = InputHistory(segments[0][0], segments, t_now=0.0)
+        x0 = [0.4, -0.3, 0.2][:plant.n]
+        got = euler_predict(x0, hist, N, plant)
+        want = euler_per_step(x0, hist, N, plant, hist.t_now)
+        assert np.array(got).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", list(WALKS))
+    def test_calls_f_once_per_piece(self, name):
+        # one f call per nonempty piece of the oracle, with that piece's value
+        segments, N = WALKS[name]
+        plant = build_planar_example(0.01, r=0.5, tau=0.5)[0]
+        f, seen = plant.f, []
+
+        def counted(x, u):
+            seen.append(id(u))
+            return f(x, u)
+
+        object.__setattr__(plant, "f", counted)
+        hist = InputHistory(segments[0][0], segments, t_now=0.0)
+        euler_predict([0.4, -0.3], hist, N, plant)
+        pieces = [id(v) for step in step_pieces(hist, -1.0, 0.0, N) for v, _length in step]
+        assert seen == pieces
 
 
 class TestPredictorStudy:
