@@ -77,9 +77,9 @@ def _check_derivative(name: str, exact: np.ndarray, fd: np.ndarray) -> None:
 
 
 def check_count(name: str, value, least: int) -> int:
-    """``value`` as an int; ConfigurationError unless it is an integer, a
-    numpy one too, of at least ``least``: a step count, point count or seed."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """``value`` as an int; ConfigurationError unless it is an integer (a numpy
+    one too, not a bool) of at least ``least``: a step count, point count or seed."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
         raise ConfigurationError(f"{name} must be an integer of at least {least}")
     return int(value)
 
@@ -291,26 +291,15 @@ class InputHistory:
     Segments are ``(t_start, value)`` pairs with strictly increasing starts;
     the first start equals ``t_min``.  The value at a query time is the value
     of the segment whose start is the largest one not exceeding it.  Appends
-    may not rewrite the covered past.  The constructor appends ``segments``
-    in order; ``t_now`` defaults to the last segment start (``t_min`` for an
-    empty record) and may not precede it.  Values are kept as lists of floats.
+    may not rewrite the covered past.  A new record is empty; it grows only
+    by ``append`` (segments) and ``advance`` (coverage).  Values are lists of floats.
     """
 
-    def __init__(self, t_min: float, segments: Sequence[tuple[float, Sequence[float]]] = (),
-                 t_now: float | None = None):
+    def __init__(self, t_min: float):
         self.t_min = self.t_now = float(t_min)
         self.starts: list[float] = []
         self.values: list[list[float]] = []
         self.norms: list[float] = []
-        for t_start, value in segments:
-            self.append(t_start, value)
-        if t_now is not None:
-            t_now = float(t_now)
-            if t_now < self.t_now:
-                raise ConfigurationError("t_now must not precede t_min or the last segment start")
-            if t_now > self.t_min and not self.starts:
-                raise ConfigurationError("nonempty coverage requires at least one segment")
-            self.t_now = t_now
 
     def advance(self, t: float) -> None:
         """Extend the covered interval to ``[t_min, t)``; monotone."""
@@ -383,14 +372,12 @@ class InputHistory:
 
 
 class StateHistory:
-    """Time-stamped state samples with linear interpolation between them."""
+    """Time-stamped state samples, interpolated linearly; grown only by ``append``."""
 
-    def __init__(self, times: Sequence[float] = (), states: Sequence[Sequence[float]] = ()):
+    def __init__(self):
         self.times: list[float] = []
         self.states: list[np.ndarray] = []
         self.norms: list[float] = []
-        for t, x in zip(times, states, strict=True):
-            self.append(t, x)
 
     def append(self, t: float, x) -> None:
         t = float(t)
@@ -487,7 +474,8 @@ class Trajectory:
 
     ``reset_records`` holds one ``(t, y)`` pair per measurement time ``t``:
     the sampled output ``y = h(x(t - r))`` that resets ``w`` at ``t``.
-    ``input_segments`` is the full applied input record.
+    ``input_segments`` is the full applied input record.  Construction
+    converts each column, an array or a sequence, to float64 once.
     """
 
     t: np.ndarray
@@ -506,14 +494,10 @@ class Trajectory:
         if np.any(np.diff(self.t) < 0.0):
             raise ConfigurationError("trajectory times must be nondecreasing")
         rows = self.t.size
-        for name in ("x", "z", "w", "u_applied"):
-            arr = np.atleast_2d(np.asarray(getattr(self, name), dtype=float))
+        for name in ("x", "z", "w", "u_applied", "lyap_x", "lyap_z", "norm"):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = arr.reshape(-1) if name in ("lyap_x", "lyap_z", "norm") else np.atleast_2d(arr)
             if arr.shape[0] != rows:
-                raise ConfigurationError(f"column {name} has wrong row count")
-            setattr(self, name, arr)
-        for name in ("lyap_x", "lyap_z", "norm"):
-            arr = np.asarray(getattr(self, name), dtype=float).reshape(-1)
-            if arr.size != rows:
                 raise ConfigurationError(f"column {name} has wrong row count")
             setattr(self, name, arr)
 

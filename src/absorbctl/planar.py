@@ -28,8 +28,7 @@ def check_zeta_bound(zeta: float) -> bool:
 
 
 def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
-                         r: float = 0.0, tau: float = 0.0,
-                         enforce_zeta_bound: bool = True
+                         r: float = 0.0, tau: float = 0.0
                          ) -> tuple[PlantModel, AssumptionData, BlendingFn]:
     """Construct the planar plant with its full certificate.
 
@@ -38,7 +37,7 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
     rate.  Delays are forwarded to the plant unchanged.
     """
     zeta = float(zeta)
-    if not check_zeta_bound(zeta) and enforce_zeta_bound:
+    if not check_zeta_bound(zeta):
         raise ConfigurationError(
             f"zeta={zeta!r} violates the gain bound 25001*zeta**2 + 2*zeta <= 4"
         )

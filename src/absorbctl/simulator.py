@@ -79,7 +79,7 @@ class InitialData:
     def histories(self, plant: PlantModel) -> tuple[StateHistory, InputHistory]:
         """The plant history on ``[-r, 0]`` and the applied-input record on
         ``[-r-tau, 0)``, empty when delay-free: the one place a run's initial
-        data is checked.
+        data is checked, and the one builder of its records.
 
         Raises ConfigurationError unless every value and time is finite,
         ``x0`` and ``z0`` have the plant's dimension and every segment value
@@ -109,11 +109,11 @@ class InitialData:
         for i, t in enumerate(times):  # the end times snap onto -r and 0
             xhist.append(0.0 if i == len(times) - 1 else (-r if i == 0 else t), states[i])
 
+        uhist = InputHistory(0.0 - window)  # 0.0, not -0.0, when delay-free
         if window == 0.0:
             if self.u0_segments:
                 raise ConfigurationError("u0_segments must be empty when r = tau = 0")
-            return xhist, InputHistory(0.0)
-        segments = []
+            return xhist, uhist
         for i, (t, v) in enumerate(self.u0_segments or [(-window, np.zeros(plant.m))]):
             if i == 0:
                 if abs(t + window) > _EVENT_ATOL:
@@ -123,8 +123,9 @@ class InitialData:
                 raise ConfigurationError("u0 segments must start before time 0")
             if np.any(v < box[:, 0]) or np.any(v > box[:, 1]):
                 raise ConfigurationError("u0 segment value outside the input box")
-            segments.append((t, v))
-        return xhist, InputHistory(-window, segments, t_now=0.0)
+            uhist.append(t, v)
+        uhist.advance(0.0)
+        return xhist, uhist
 
 
 def generate_partition(T_s: float, horizon: float, seed: int,
@@ -258,12 +259,12 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                                  f"a callable overflowed ({exc})") from None
 
     table = np.array(rows_y)
+    lyap_x = [assm.lyapunov(y[:n]) for y in rows_y]
+    lyap_z = [assm.lyapunov(y[n:2 * n]) for y in rows_y]
+    del rows_y  # the largest list goes before the output lists are built
     return Trajectory(
-        t=np.asarray(rows_t), x=table[:, :n], z=table[:, n:2 * n], w=table[:, 2 * n:],
-        u_applied=np.array(rows_u),
-        lyap_x=np.array([assm.lyapunov(y[:n]) for y in rows_y]),
-        lyap_z=np.array([assm.lyapunov(y[n:2 * n]) for y in rows_y]),
-        norm=np.asarray(rows_norm),
+        t=rows_t, x=table[:, :n], z=table[:, n:2 * n], w=table[:, 2 * n:],
+        u_applied=rows_u, norm=rows_norm, lyap_x=lyap_x, lyap_z=lyap_z,
         reset_records=[(t, np.array(y)) for t, y in reset_records],
         input_segments=[(s, np.array(v)) for s, v in zip(uhist.starts, uhist.values)],
     )

@@ -69,7 +69,7 @@ class SampleSpec:
 @dataclass
 class CheckReport:
     """Outcome of one sampled check; ``passed`` iff the worst margin (if
-    any point was admissible) does not exceed the tolerance; ``vacuous``
+    any point was admissible) does not exceed ``TOLERANCE``; ``vacuous``
     marks a pass with no admissible point tested."""
 
     name: str
@@ -77,9 +77,11 @@ class CheckReport:
     skipped: int
     worst_margin: float | None
     worst_point: tuple | None
-    passed: bool
-    tolerance: float
     seed: int
+
+    @property
+    def passed(self) -> bool:
+        return self.worst_margin is None or self.worst_margin <= TOLERANCE
 
     @property
     def vacuous(self) -> bool:
@@ -97,7 +99,7 @@ class CheckReport:
             "worst_point": worst_point,
             "pass": self.passed,
             "vacuous": self.vacuous,
-            "tolerance": self.tolerance,
+            "tolerance": TOLERANCE,
             "seed": self.seed,
         }
 
@@ -255,10 +257,8 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
                 raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
             if worst is None or value > worst:
                 worst, worst_pt = value, point
-    passed = worst is None or worst <= TOLERANCE
     return CheckReport(name=name, points_tested=tested, skipped=skipped,
-                       worst_margin=worst, worst_point=worst_pt, passed=passed,
-                       tolerance=TOLERANCE, seed=sample.seed)
+                       worst_margin=worst, worst_point=worst_pt, seed=sample.seed)
 
 
 def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,

@@ -1,5 +1,7 @@
 """Brute-force reference versions of the history reads and the Euler
-predictor, with Hypothesis strategies for records that exercise them.
+predictor, with Hypothesis strategies for records that exercise them and
+the two builders (``input_record``, ``state_record``) through which tests
+make every nonempty record, by ``append`` and ``advance`` alone.
 
 Each oracle is the straightforward loop the library replaced: a scan with
 one ``bisect`` per call, a norm recomputed for every segment or sample, and
@@ -109,6 +111,25 @@ def euler_per_step(x0, hist: InputHistory, N: int, plant, t_pred: float) -> np.n
     return x
 
 
+def input_record(segments, t_now: float = 0.0) -> InputHistory:
+    """An input record built as a run builds its initial one: ``append``
+    each ``(t_start, value)`` in order from the first start, then
+    ``advance`` to ``t_now``."""
+    hist = InputHistory(segments[0][0])
+    for t_start, value in segments:
+        hist.append(t_start, value)
+    hist.advance(t_now)
+    return hist
+
+
+def state_record(times, states) -> StateHistory:
+    """A state record of ``states`` sampled at ``times``, one ``append`` each."""
+    hist = StateHistory()
+    for t, x in zip(times, states, strict=True):
+        hist.append(t, x)
+    return hist
+
+
 def grid_times(lo: float, hi: float):
     """Times in ``[lo, hi]``: grid points (where segment starts lie) or any float."""
     k_lo, k_hi = math.ceil(lo * GRID), math.floor(hi * GRID)
@@ -127,7 +148,7 @@ def input_records(draw, t_min: float = -2.0, t_now: float = 0.0, m: int = 1):
     starts = [t_min, *sorted(inner)]
     values = draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m),
                            min_size=len(starts), max_size=len(starts)))
-    return InputHistory(t_min, list(zip(starts, values)), t_now=t_now)
+    return input_record(list(zip(starts, values)), t_now)
 
 
 @st.composite
@@ -136,7 +157,7 @@ def state_records(draw):
     times = sorted(draw(st.sets(grid_times(0.0, 1.0), min_size=1, max_size=30)))
     states = draw(st.lists(st.lists(st.floats(-5.0, 5.0), min_size=2, max_size=2),
                            min_size=len(times), max_size=len(times)))
-    return StateHistory(times, states)
+    return state_record(times, states)
 
 
 @st.composite

@@ -37,6 +37,7 @@ from absorbctl import (
     simulator,
 )
 from absorbctl.cli import TUNE_GRID
+from history_oracles import input_record
 from loop_oracles import inputs_in_box
 
 FULL = SampleSpec(n_points=10_000, seed=0)
@@ -128,8 +129,7 @@ def test_criterion_03_corrected_dissipation(planar):
 
 def test_criterion_04_predictor_order():
     plant, _assm, _fn = build_planar_example(0.01, r=0.5, tau=0.5)
-    hist = InputHistory(-1.0, [(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])],
-                        t_now=0.0)
+    hist = input_record([(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])])
     study = predictor_convergence_study(plant, [0.5, -0.3], hist, [8, 16, 32, 64])
     errs = [err for _n, err in study]
     decreasing = all(a > b for a, b in zip(errs, errs[1:]))
@@ -141,7 +141,7 @@ def test_criterion_04_predictor_order():
                         jac_h=lambda x: [[1.0]],
                         input_box=np.array([[-1.0, 1.0]]),
                         r=0.5, tau=0.5)
-    zero_hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+    zero_hist = input_record([(-1.0, [0.0])])
     oracle_dev = max(
         abs(err - abs(math.exp(-1.0) - (1.0 - 1.0 / n) ** n))
         for n, err in predictor_convergence_study(scalar, [1.0], zero_hist,

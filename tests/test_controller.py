@@ -3,6 +3,7 @@ import pytest
 
 from absorbctl import (InputHistory, build_planar_example, clamp_input,
                        euler_predict, hold_control)
+from history_oracles import input_record
 
 
 @pytest.fixture(scope="module")
@@ -21,7 +22,7 @@ def delay_free_hold(z, plant, assm):
 
 def test_hold_control_composes_predict_clamp_law(planar):
     plant, assm, _fn = planar
-    hist = InputHistory(-0.5, [(-0.5, [0.1]), (-0.2, [-0.05])], t_now=0.0)
+    hist = input_record([(-0.5, [0.1]), (-0.2, [-0.05])])
     z = np.array([0.4, -0.3])
     predicted = euler_predict(z, hist, 32, plant)
     expected = clamp_input(assm.local_controller(predicted), plant.input_box)

@@ -13,10 +13,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from absorbctl import InputHistory, PlantModel, build_planar_example, euler_predict
+from absorbctl import PlantModel, build_planar_example, euler_predict
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import observer_correction, output_injection
 from absorbctl.rk4 import rk4_step
+from history_oracles import input_record
 from loop_oracles import coupled_rhs, euler_predict_list, matvec
 
 
@@ -38,7 +39,7 @@ STATES = [[0.2, -0.1, 0.3, 0.4, 0.05], [1.5, -2.0, 3.0, -2.0, 0.7]]
 
 
 def test_plants_of_one_shape_share_code_and_keep_their_own_results():
-    hist = InputHistory(-0.5, [(-0.5, [0.2]), (-0.3, [-0.4]), (-0.05, [0.1])], t_now=0.0)
+    hist = input_record([(-0.5, [0.2]), (-0.3, [-0.4]), (-0.05, [0.1])])
     steps, results = [], []
     for plant, assm in _two_plants_of_one_shape():
         step = loop_kernels(2, 1).rk4_substep(plant, assm, observer_correction, [0.1], [-0.2])
@@ -103,7 +104,7 @@ def test_dense_rows_sum_left_to_right_in_any_dimension(n, k_out):
     assm = SimpleNamespace(gain_rows=tuple(map(tuple, rng.normal(size=(n, k_out)).tolist())),
                            lyapunov=lambda z: 0.0, absorbing_level=1.0)
     kernels = loop_kernels(n, k_out)
-    hist = InputHistory(-1.0, [(-1.0, [0.2, -0.1]), (-0.4, [0.5, 0.3])], t_now=0.0)
+    hist = input_record([(-1.0, [0.2, -0.1]), (-0.4, [0.5, 0.3])])
     for _ in range(20):
         y, u_plant, u_obs = (rng.normal(size=2 * n + k_out).tolist(),
                              rng.normal(size=2).tolist(), rng.normal(size=2).tolist())

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
-from history_oracles import (input_records, prune_one_at_a_time, segments_scan,
-                             state_records, step_pieces, sup_abs_scan, sup_norm_scan,
-                             windows)
+from history_oracles import (input_record, input_records, prune_one_at_a_time,
+                             segments_scan, state_record, state_records, step_pieces,
+                             sup_abs_scan, sup_norm_scan, windows)
 from loop_oracles import inputs_in_box
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
@@ -289,6 +289,7 @@ class TestFiniteSettings:
     @pytest.mark.parametrize("field, value", [
         ("T_H", INF), ("horizon", INF), ("horizon", NAN), ("record_dt", NAN),
         ("record_dt", INF), ("seed", -1), ("N", 2.5), ("seed", 1.5),
+        ("N", True), ("seed", True),  # a bool is an Integral, refused all the same
     ])
     def test_sim_config(self, field, value):
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
@@ -301,7 +302,7 @@ class TestFiniteSettings:
 
 class TestInputHistory:
     def make(self):
-        return InputHistory(-1.0, [(-1.0, [0.3]), (-0.4, [-0.2])], t_now=0.0)
+        return input_record([(-1.0, [0.3]), (-0.4, [-0.2])])
 
     def test_right_open_value_semantics(self):
         hist = self.make()
@@ -315,7 +316,7 @@ class TestInputHistory:
 
     def test_first_segment_must_start_at_t_min(self):
         with pytest.raises(ConfigurationError):
-            InputHistory(-1.0, [(-0.5, [0.0])])
+            InputHistory(-1.0).append(-0.5, [0.0])
 
     def test_append_cannot_rewrite_past(self):
         hist = self.make()
@@ -334,10 +335,6 @@ class TestInputHistory:
         hist = self.make()
         with pytest.raises(ConfigurationError, match="share a dimension"):
             hist.append(0.0, [0.1, 0.2])
-
-    def test_constructor_rejects_t_now_before_last_start(self):
-        with pytest.raises(ConfigurationError, match="t_now must not precede"):
-            InputHistory(-1.0, [(-1.0, [0.3]), (-0.4, [-0.2])], t_now=-0.6)
 
     def test_advance_monotone_and_empty_guard(self):
         hist = self.make()
@@ -398,7 +395,7 @@ class TestInputHistory:
 
 class TestStateHistory:
     def test_exact_at_nodes_linear_between(self):
-        hist = StateHistory([0.0, 1.0], [[1.0, 2.0], [3.0, 6.0]])
+        hist = state_record([0.0, 1.0], [[1.0, 2.0], [3.0, 6.0]])
         assert (hist.value(1.0) == np.array([3.0, 6.0])).all()
         assert hist.value(0.5) == pytest.approx([2.0, 4.0])
 
@@ -408,16 +405,16 @@ class TestStateHistory:
         # states sampled from an affine path: interpolation reproduces it
         times = [0.0, 0.3, 0.7, 1.0]
         path = lambda s: np.array([2.0 * s - 1.0, -s])
-        hist = StateHistory(times, [path(s) for s in times])
+        hist = state_record(times, [path(s) for s in times])
         assert hist.value(t) == pytest.approx(path(t), rel=1e-12, abs=1e-12)
 
     def test_sup_norm_sees_interior_peak(self):
-        hist = StateHistory([0.0, 0.5, 1.0], [[0.0], [2.0], [0.0]])
+        hist = state_record([0.0, 0.5, 1.0], [[0.0], [2.0], [0.0]])
         assert hist.sup_norm(0.1, 0.9) == 2.0
         assert hist.sup_norm(0.6, 1.0) == pytest.approx(1.6)  # endpoint interpolation
 
     def test_out_of_range_raises(self):
-        hist = StateHistory([0.0, 1.0], [[0.0], [1.0]])
+        hist = state_record([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(CoverageError):
             hist.value(1.5)
 
@@ -441,7 +438,7 @@ class TestStateHistory:
         assert hist.norms == [np.sqrt(5.0)]
 
     def test_prune_keeps_bracketing_node(self):
-        hist = StateHistory([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
+        hist = state_record([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
         hist.prune_before(1.5)
         assert hist.times[0] == 1.0  # still brackets queries at 1.5
         assert hist.value(1.5) == pytest.approx([1.5])
@@ -455,7 +452,7 @@ class TestStateHistory:
     @given(state_records(), st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=300)
     def test_prune_matches_one_at_a_time(self, hist, t):
-        oracle = StateHistory(hist.times, hist.states)
+        oracle = state_record(hist.times, hist.states)
         hist.prune_before(t)
         prune_one_at_a_time(oracle, t)
         assert len(hist.times) >= 1 and hist.times == oracle.times

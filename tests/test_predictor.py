@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
                        build_planar_example, euler_predict, predictor_convergence_study)
-from history_oracles import euler_per_step, grid_times, input_records, step_pieces
+from history_oracles import (euler_per_step, grid_times, input_record, input_records,
+                             step_pieces)
 from loop_oracles import euler_predict_list, euler_predict_numpy
 
 
@@ -25,7 +26,7 @@ def records_ending_in(lo, hi):
 
 
 def zero_hist(window, m=1, t_now=0.0):
-    return InputHistory(t_now - window, [(t_now - window, np.zeros(m))], t_now=t_now)
+    return input_record([(t_now - window, np.zeros(m))], t_now)
 
 
 class TestEulerPredict:
@@ -63,8 +64,8 @@ class TestEulerPredict:
         # single bit: each Euler step accumulates f*length pieces before
         # updating the state, and the equal pieces sum exactly
         plant, _assm, _fn = build_planar_example(0.01, r=0.25, tau=0.25)
-        one = InputHistory(-0.5, [(-0.5, [0.2])], t_now=0.0)
-        two = InputHistory(-0.5, [(-0.5, [0.2]), (-0.25, [0.2])], t_now=0.0)
+        one = input_record([(-0.5, [0.2])])
+        two = input_record([(-0.5, [0.2]), (-0.25, [0.2])])
         for N in (1, 3, 16, 64):
             p1 = euler_predict([0.3, 0.1], one, N, plant)
             p2 = euler_predict([0.3, 0.1], two, N, plant)
@@ -79,7 +80,7 @@ class TestEulerPredict:
                            jac_h=lambda x: [[1.0]],
                            input_box=np.array([[-2.0, 2.0]]),
                            r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.5]), (-0.3, [-1.0])], t_now=0.0)
+        hist = input_record([(-1.0, [0.5]), (-0.3, [-1.0])])
         got = euler_predict([0.0], hist, 1, plant)[0]
         assert got == pytest.approx(0.5 * 0.7 - 1.0 * 0.3, abs=1e-16)
 
@@ -156,7 +157,7 @@ class TestRecordWalk:
     def test_matches_per_step_scan(self, name, plant_of):
         segments, N = WALKS[name]
         plant = plant_of()
-        hist = InputHistory(segments[0][0], segments, t_now=0.0)
+        hist = input_record(segments)
         x0 = [0.4, -0.3, 0.2][:plant.n]
         got = euler_predict(x0, hist, N, plant)
         want = euler_per_step(x0, hist, N, plant, hist.t_now)
@@ -174,7 +175,7 @@ class TestRecordWalk:
             return f(x, u)
 
         object.__setattr__(plant, "f", counted)
-        hist = InputHistory(segments[0][0], segments, t_now=0.0)
+        hist = input_record(segments)
         euler_predict([0.4, -0.3], hist, N, plant)
         pieces = [id(v) for step in step_pieces(hist, -1.0, 0.0, N) for v, _length in step]
         assert seen == pieces
@@ -183,8 +184,7 @@ class TestRecordWalk:
 class TestPredictorStudy:
     def test_planar_window(self):
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])],
-                            t_now=0.0)
+        hist = input_record([(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])])
         study = predictor_convergence_study(plant, [0.5, -0.3], hist,
                                             [8, 16, 32, 64])
         ns = [n for n, _ in study]
@@ -201,18 +201,18 @@ class TestPredictorStudy:
     def test_step_counts_must_be_integers(self, N_list):
         # a fractional count was truncated: [2.5] reported a row for N = 2
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+        hist = input_record([(-1.0, [0.0])])
         with pytest.raises(ConfigurationError, match=r"^N must be an integer of at least 1$"):
             predictor_convergence_study(plant, [0.5, -0.3], hist, N_list)
 
     def test_numpy_step_counts_accepted(self):
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+        hist = input_record([(-1.0, [0.0])])
         study = predictor_convergence_study(plant, [0.0, 0.0], hist, [np.int64(8)])
         assert study == [(8, 0.0)] and type(study[0][0]) is int
 
     def test_equilibrium_is_exact(self):
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
-        hist = InputHistory(-1.0, [(-1.0, [0.0])], t_now=0.0)
+        hist = input_record([(-1.0, [0.0])])
         study = predictor_convergence_study(plant, [0.0, 0.0], hist, [8, 16])
         assert all(err == 0.0 for _, err in study)

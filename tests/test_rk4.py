@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorbctl import CoverageError, InputHistory, PlantModel, build_planar_example
+from absorbctl import CoverageError, PlantModel, build_planar_example
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import observer_correction
 from absorbctl.rk4 import flow_on_history, integrate_span, rk4_step
+from history_oracles import input_record
 from loop_oracles import coupled_rhs, coupled_rhs_numpy, rk4_step_numpy
 
 
@@ -61,7 +62,7 @@ def test_flow_splits_at_input_breakpoints():
                        h=lambda x: [x[0]],
                        jac_h=lambda x: [[1.0]],
                        input_box=np.array([[-2.0, 2.0]]))
-    hist = InputHistory(0.0, [(0.0, [0.5]), (0.37, [-1.0]), (0.8, [0.25])], t_now=1.0)
+    hist = input_record([(0.0, [0.5]), (0.37, [-1.0]), (0.8, [0.25])], 1.0)
     got = flow_on_history(plant, [0.0], hist, 0.0, 1.0, substep=0.3)[0]
     assert got == pytest.approx(0.5 * 0.37 - 1.0 * 0.43 + 0.25 * 0.2, abs=1e-15)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,7 @@ class TestInitialData:
         xhist, uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
         assert xhist.times == [0.0] and (xhist.value(0.0) == [1.0, -1.0]).all()
         assert (uhist.t_min, uhist.t_now, uhist.starts) == (0.0, 0.0, [])
+        assert math.copysign(1.0, uhist.t_min) == 1.0  # 0.0, not -(r + tau) = -0.0
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=[(-0.5, [0.1])])
         with pytest.raises(ConfigurationError, match="empty when r = tau = 0"):
             init.histories(plant)
@@ -248,7 +250,7 @@ class TestPartition:
         with pytest.raises(ConfigurationError):
             generate_partition(0.01, 1.0, seed=0, min_frac=1.5)
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
         # numpy would raise its own ValueError or TypeError, not a ConfigurationError
         with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):

@@ -58,9 +58,7 @@ def _row_by_row(name, boxes, accept, margin_fn, sample):
             if tested >= sample.n_points:
                 break
     return V.CheckReport(name=name, points_tested=tested, skipped=skipped,
-                         worst_margin=worst, worst_point=worst_pt,
-                         passed=worst is None or worst <= V.TOLERANCE,
-                         tolerance=V.TOLERANCE, seed=sample.seed)
+                         worst_margin=worst, worst_point=worst_pt, seed=sample.seed)
 
 
 CHECKS = {
@@ -84,10 +82,10 @@ class TestMarginOracles:
         m = V.absorbing_dissipation_margin(plant, assm, [3.0, 0.0], [0.0])
         assert m == pytest.approx(-808.7850000000001, rel=1e-12)
 
-    def test_absorbing_dissipation_violation_without_gate(self):
+    def test_absorbing_dissipation_violation_without_gate(self, monkeypatch):
         # inadmissible observer gain scaling: large drive at the boundary
-        plant, assm, _ = build_planar_example(0.2, b_level=60.0,
-                                              enforce_zeta_bound=False)
+        monkeypatch.setattr("absorbctl.planar.check_zeta_bound", lambda zeta: True)
+        plant, assm, _ = build_planar_example(0.2, b_level=60.0)
         m = V.absorbing_dissipation_margin(plant, assm,
                                            [0.0, np.sqrt(2.0)], [14.14])
         assert m == pytest.approx(13.746979771955564, rel=1e-12)
@@ -259,13 +257,13 @@ class TestSampledChecks:
         m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point, zero_damping=True)
         assert abs(m - rep.worst_margin) <= 1e-12
 
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, False])
     def test_negative_seed_rejected(self, seed):
         # numpy's SeedSequence would raise its own TypeError on a float seed
         with pytest.raises(ConfigurationError, match="^seed must be an integer of at least 0$"):
             SampleSpec(seed=seed)
 
-    @pytest.mark.parametrize("n_points", [0, -5, 2.5])
+    @pytest.mark.parametrize("n_points", [0, -5, 2.5, True])
     def test_empty_sample_refused_at_construction(self, n_points):
         with pytest.raises(ConfigurationError,
                            match="^n_points must be an integer of at least 1$"):
