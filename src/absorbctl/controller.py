@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .errors import NonFiniteError
 from .model import AssumptionData, InputHistory, PlantModel, clamp_input
 from .predictor import euler_predict
 
@@ -19,7 +22,11 @@ def hold_control(z_at_hold, hist: InputHistory, N: int, plant: PlantModel,
     the local controller there, and projects the result onto the input box.
     ``hist`` is the open input record up to the hold instant.  Without
     delays the prediction is ``z_at_hold`` itself, so this is the clamped
-    local controller there.
+    local controller there.  A prediction or controller value that is not
+    finite raises ``NonFiniteError`` before the clamp maps inf into the box.
     """
     predicted = euler_predict(z_at_hold, hist, N, plant)
-    return clamp_input(assm.local_controller(predicted), plant.input_box)
+    raw = assm.local_controller(predicted)
+    if not all(map(math.isfinite, [*predicted, *raw])):
+        raise NonFiniteError(f"held input not finite at t={hist.t_now!r}: {predicted} -> {raw}")
+    return clamp_input(raw, plant.input_box)

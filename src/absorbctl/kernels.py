@@ -55,15 +55,15 @@ def _source(n: int, k_out: int) -> str:
              f"    level = assm.absorbing_level\n    {gains}= assm.gain_rows",
              f"    def substep(_t, y, dt):\n        {_seq('y', range(size))}= y",
              "        half = 0.5 * dt"]
-    # each stage calls f(z, u_obs), h(z), lyapunov(z), f(x, u_plant) and jac_h(z)
+    # each stage calls f(z, u_obs), h(z), lyapunov(z), f(x, u_plant), jac_h(z); NaN V damps
     for k, s, step in ((1, "y", ""), (2, "s", "half"), (3, "s", "half"), (4, "s", "dt")):
         if step:
             lines += [f"        s{p} = y{p} + {step} * k{k - 1}_{p}" for p in range(size)]
-        w = [f"{s}{p}" for p in range(2 * n, size)]
         lines += [f"        z = [{_seq(s, range(n, 2 * n))}]\n        fz = f(z, u_obs)",
                   f"        {_seq('fz', range(n))}= fz\n        {h}= h(z)",
-                  "        if lyapunov(z) <= level:", *_injection(3, n, w), "        else:",
-                  f"            {c}= correction(z, [{', '.join(w)}], fz, plant, assm)",
+                  *_injection(2, n, [f"{s}{p}" for p in range(2 * n, size)]),
+                  "        vz = lyapunov(z)\n        if not vz <= level:",
+                  f"            {c}= correction(z, [{c}], vz, fz, assm)",
                   f"        {_seq(f'k{k}_', range(n))}= f([{_seq(s, range(n))}], u_plant)",
                   f"        {jac}= jac_h(z)",
                   *(f"        k{k}_{n + i} = fz{i} + c{i}" for i in range(n)),
@@ -97,12 +97,12 @@ def loop_kernels(n: int, k_out: int) -> SimpleNamespace:
     """Compiled on first use, then cached: ``injection(gain_rows, hz, y)``,
     the output injection ``L (hz - y)``; ``rk4_substep(plant, assm,
     correction, u_plant, u_obs)``, whose result ``(t, y, dt) -> y`` is one
-    RK4 substep of the stacked ``(x, z, w)`` on a span, calling ``correction``
-    outside the absorbing set; ``euler(f, x, starts, values, t0, t1, N)``,
-    the Euler predictor's N equal steps of ``[t0, t1)`` (the last ending at
-    ``t1`` exactly), walking an input record's segment ``starts`` and
-    ``values`` with one index and calling ``f`` once per nonempty part of a
-    segment inside a step.  Tracebacks show the generated lines."""
+    RK4 substep of the stacked ``(x, z, w)`` on a span, calling
+    ``correction(z, injection, V(z), fz, assm)`` outside the absorbing set;
+    ``euler(f, x, starts, values, t0, t1, N)``, the Euler predictor's N equal
+    steps of ``[t0, t1)`` (the last ending at ``t1`` exactly), walking an input
+    record's ``starts`` and ``values`` with one index and calling ``f`` once
+    per nonempty part of a segment in a step.  Tracebacks show generated lines."""
     source = _source(n, k_out)
     filename = f"<absorbctl.kernels n={n} k_out={k_out}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)

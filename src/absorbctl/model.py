@@ -491,8 +491,8 @@ class Trajectory:
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float).reshape(-1)
-        if np.any(np.diff(self.t) < 0.0):
-            raise ConfigurationError("trajectory times must be nondecreasing")
+        if not np.isfinite(self.t).all() or np.any(np.diff(self.t) < 0.0):
+            raise ConfigurationError("trajectory times must be finite and nondecreasing")
         rows = self.t.size
         for name in ("x", "z", "w", "u_applied", "lyap_x", "lyap_z", "norm"):
             arr = np.asarray(getattr(self, name), dtype=float)

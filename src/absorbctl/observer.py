@@ -59,9 +59,9 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
     Measures how much the innovation-driven observer would violate the
     dissipation certificate at the observer state ``z``, whose plant-copy
     drift is ``fz = f(z, u)``; clipped at zero when no violation is
-    possible.  ``grad``, ``level`` and ``innovation`` are grad V(z), V(z)
-    and the output injection L (h(z) - y) for the measured output y, as
-    ``observer_correction`` has already computed them (``grad`` an ndarray).
+    possible.  ``grad`` is grad V(z) as an ndarray, which
+    ``observer_correction`` computes; ``level`` and ``innovation`` are V(z)
+    and the output injection L (h(z) - y), which it receives from its caller.
     """
     inner = (grad.dot(fz) + assm.dissipation(z)
              + blend_p(level, assm) * grad.dot(innovation))
@@ -74,19 +74,16 @@ def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[floa
     return loop_kernels(plant.n, plant.k_out).injection(assm.gain_rows, plant.h(z), y)
 
 
-def observer_correction(z, y, fz, plant: PlantModel, assm: AssumptionData) -> list[float]:
-    """Correction added to the observer drift, as a list, for ``z``
-    (observer state), ``y`` (measured output) and ``fz`` (the drift
-    ``f(z, u)`` of the observer's plant copy, which the caller holds).
-
-    Inside the absorbing sublevel set this is the plain output-injection
-    term ``output_injection(z, y, plant, assm)``; outside, the damping
-    coefficient over the squared gradient norm (products by ``ndarray.dot``)
-    is subtracted along the Lyapunov gradient.  Raises
-    ``DegenerateGradientError`` if that direction is undefined.
+def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> list[float]:
+    """Correction added to the observer drift, as a list, at the observer
+    state ``z``, from what its caller holds: the output injection
+    ``innovation`` = L (h(z) - y), ``level`` = V(z) and the plant copy's
+    drift ``fz`` = f(z, u).  Inside the absorbing sublevel set this is
+    ``innovation`` itself; outside, the damping coefficient over the squared
+    gradient norm (products by ``ndarray.dot``) is subtracted along the
+    Lyapunov gradient.  Raises ``DegenerateGradientError`` if that direction
+    is undefined.
     """
-    innovation = output_injection(z, y, plant, assm)
-    level = assm.lyapunov(z)
     if level <= assm.absorbing_level:
         return innovation
     grad = np.asarray(assm.grad_lyapunov(z))

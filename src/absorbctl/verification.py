@@ -208,8 +208,9 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, 
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
     fz = plant.f(z, u)
-    d, gap = _metric_gap(plant, assm, z, x, u,
-                         np.add(fz, observer_correction(z, plant.h(x), fz, plant, assm)))
+    corr = observer_correction(z, output_injection(z, plant.h(x), plant, assm),
+                               assm.lyapunov(z), fz, assm)
+    d, gap = _metric_gap(plant, assm, z, x, u, np.add(fz, corr))
     return float(gap + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
 
@@ -218,10 +219,9 @@ def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, 
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output; ``zero_damping`` ablates the damping term."""
     fz = plant.f(z, u)
-    if zero_damping:
-        corr = output_injection(z, w, plant, assm)
-    else:
-        corr = observer_correction(z, w, fz, plant, assm)
+    corr = output_injection(z, w, plant, assm)
+    if not zero_damping:
+        corr = observer_correction(z, corr, assm.lyapunov(z), fz, assm)
     return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
 
 

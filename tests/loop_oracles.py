@@ -12,7 +12,9 @@ kept as written when the library replaced it:
   ``history_oracles.step_pieces``;
 * the per-point NumPy forms before them: RK4 stages and the Euler predictor
   as array expressions, and the observer correction taking its products
-  with ``ndarray.dot``, on the callables' results as float64 arrays.
+  with ``ndarray.dot``, on the callables' results as float64 arrays; that
+  correction still evaluates ``h(z)`` and ``V(z)`` itself, where the
+  library's takes both from its caller.
 
 The properties in ``test_rk4.py``, ``test_observer.py``,
 ``test_predictor.py`` and ``test_kernels.py`` require the generated code to
@@ -58,8 +60,8 @@ def coupled_rhs(plant, assm, u_plant, u_obs):
     observer input ``u_obs``: the plant, the observer (plant copy plus
     correction driven by ``w``), and the inter-sample output state ``w``,
     whose drift ``matvec(jac_h(z), f(z, u_obs))`` shares ``f(z, u_obs)``.
-    Inside the absorbing set the correction is the injection by ``matvec``;
-    outside, the library's ``observer_correction``."""
+    The correction is the injection by ``matvec``, and outside the absorbing
+    set the library's ``observer_correction`` of that injection and V(z)."""
     n = plant.n
     f, jac_h = plant.f, plant.jac_h
 
@@ -67,8 +69,9 @@ def coupled_rhs(plant, assm, u_plant, u_obs):
         z, w = y[n:2 * n], y[2 * n:]
         fz = f(z, u_obs)
         corr = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), w)])
-        if assm.lyapunov(z) > assm.absorbing_level:
-            corr = observer_correction(z, w, fz, plant, assm)
+        level = assm.lyapunov(z)
+        if level > assm.absorbing_level:
+            corr = observer_correction(z, corr, level, fz, assm)
         return [*f(y[:n], u_plant), *[a + b for a, b in zip(fz, corr)],
                 *matvec(jac_h(z), fz)]
 

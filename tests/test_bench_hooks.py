@@ -54,3 +54,7 @@ def test_traced_run_reaches_every_layer(tracing, tmp_path, sets):
     corrections = tracer.calls["observer.correction"]
     assert corrections == tracer.calls["observer.damping"]
     assert (corrections > 0) == bool(sets)
+    # each stage evaluates h(z) and V(z) once and hands both to the correction
+    for name in ("planar.h", "planar.lyapunov"):
+        assert tracer.calls_under[name, "observer.correction"] == 0
+        assert tracer.calls_under[name, "rk4.integrate_span"] == 4 * substeps

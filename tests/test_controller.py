@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from absorbctl import (InputHistory, build_planar_example, clamp_input,
+from absorbctl import (InputHistory, NonFiniteError, build_planar_example, clamp_input,
                        euler_predict, hold_control)
 from history_oracles import input_record
 
@@ -52,3 +54,19 @@ def test_delay_free_is_plain_law(delay_free):
 def test_zero_state_zero_input(delay_free):
     plant, assm, _fn = delay_free
     assert (delay_free_hold([0.0, 0.0], plant, assm) == 0.0).all()
+
+
+@pytest.mark.parametrize("raw", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_value_is_refused_before_the_clamp(delay_free, raw):
+    # the clamp maps +-inf onto the box edges, so only the raw value shows it
+    plant, assm, _fn = delay_free
+    law = dataclasses.replace(assm, local_controller=lambda x: [raw])
+    with pytest.raises(NonFiniteError, match=r"^held input not finite at t=0\.0: "):
+        delay_free_hold([0.3, 0.7], plant, law)
+
+
+def test_non_finite_prediction_is_refused(planar):
+    plant, assm, _fn = planar
+    hist = input_record([(-0.5, [0.1])])
+    with pytest.raises(NonFiniteError, match=r"^held input not finite at t=0\.0: "):
+        hold_control([float("nan"), 0.0], hist, 8, plant, assm)

@@ -61,9 +61,9 @@ def test_plants_of_one_shape_share_code_and_keep_their_own_results():
 
 
 INSIDE = ["f", "h", "lyapunov", "f", "jac_h"]
-# outside the absorbing set observer_correction evaluates the output and the
-# level again, then the gradient and the dissipation
-OUTSIDE = ["f", "h", "lyapunov", "h", "lyapunov", "grad_lyapunov", "dissipation", "f", "jac_h"]
+# outside the absorbing set observer_correction takes the stage's injection and
+# level, and evaluates only the gradient and the dissipation
+OUTSIDE = ["f", "h", "lyapunov", "grad_lyapunov", "dissipation", "f", "jac_h"]
 
 
 @pytest.mark.parametrize("y, stage_calls, stages", [

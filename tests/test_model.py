@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -506,6 +507,15 @@ class TestTrajectory:
             Trajectory(t=[1.0, 0.0], x=[[0.0], [0.0]], z=[[0.0], [0.0]],
                        w=[[0.0], [0.0]], u_applied=[[0.0], [0.0]],
                        lyap_x=[0.0, 0.0], lyap_z=[0.0, 0.0], norm=[0.0, 0.0])
+
+    @pytest.mark.parametrize("t", [[0.0, math.nan, 1.0, 2.0, 3.0], [0.0, 1.0, math.inf],
+                                   [math.nan]], ids=["nan-inside", "inf-last", "nan-alone"])
+    def test_times_finite(self, t):
+        # a NaN compares false both ways, so an ordering test alone lets it pass
+        zeros = np.zeros((len(t), 1))
+        with pytest.raises(ConfigurationError, match="^trajectory times must be finite"):
+            Trajectory(t=t, x=zeros, z=zeros, w=zeros, u_applied=zeros, lyap_x=zeros[:, 0],
+                       lyap_z=zeros[:, 0], norm=zeros[:, 0])
 
     def test_inputs_in_box(self):
         traj = self.make()

@@ -9,6 +9,7 @@ from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        DegenerateGradientError, PlantModel, blend_p, build_planar_example,
                        damping_term, observer_correction)
 from absorbctl.kernels import loop_kernels
+from absorbctl.observer import output_injection
 from absorbctl.rk4 import rk4_step
 from absorbctl.verification import corrected_dissipation_margin
 from loop_oracles import coupled_rhs, listwise
@@ -125,9 +126,11 @@ def damping_at(z, y, u, plant, assm):
 
 
 def correction_at(z, y, u, plant, assm):
-    """observer_correction at (z, y) with the plant-copy drift f(z, u)."""
+    """observer_correction at (z, y) with the plant-copy drift f(z, u), given
+    the injection and V(z) its caller passes it."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return observer_correction(z, y, plant.f(z, u), plant, assm)
+    return observer_correction(z, output_injection(z, y, plant, assm), assm.lyapunov(z),
+                               plant.f(z, u), assm)
 
 
 class TestBlending:
@@ -218,23 +221,27 @@ class TestObserverCorrection:
         assert c_out == pytest.approx(c_in, abs=1e-7)
 
     def test_damping_reuses_callers_drift(self, planar):
-        # the damping term reads f(z, u) from the caller; the correction
-        # itself never evaluates the plant's vector field
-        plant, assm = planar
+        # the correction reads f(z, u), the injection and V(z) from its caller;
+        # it evaluates neither the plant's vector field, nor its output, nor V
+        plant, assm = build_planar_example(0.01, r=0.25, tau=0.25)[:2]
         calls = []
 
-        def counted_f(x, u):
-            calls.append(1)
-            return plant.f(x, u)
+        def counted(name, fn):
+            def call(*args):
+                calls.append(name)
+                return fn(*args)
+            return call
 
-        counted = dataclasses.replace(plant, f=counted_f)
+        for owner, name in ((plant, "f"), (plant, "h"), (assm, "lyapunov")):
+            object.__setattr__(owner, name, counted(name, getattr(owner, name)))
         z = np.array([0.0, 2.0])
-        fz = plant.f(z, np.array([0.0]))
-        calls.clear()  # construction probes f
-        corr = observer_correction(z, np.array([10.0]), fz, counted, assm)
-        assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
+        fz, level = plant.f(z, np.array([0.0])), assm.lyapunov(z)
+        innovation = output_injection(z, [10.0], plant, assm)
+        calls.clear()
+        corr = observer_correction(z, innovation, level, fz, assm)
         assert calls == []
-        assert corr == correction_at(z, [10.0], [0.0], plant, assm)
+        assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
+        assert corr == correction_at(z, [10.0], [0.0], *planar)
 
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
@@ -266,7 +273,8 @@ class TestRhs:
         assert all(type(v) is float for v in out)
         assert out[:2] == plant.f(x, u_plant)
         fz = plant.f(z, u_obs)
-        corr = observer_correction(z, w, fz, plant, assm)
+        corr = observer_correction(z, output_injection(z, w, plant, assm), assm.lyapunov(z),
+                                   fz, assm)
         assert out[2:4] == [a + b for a, b in zip(fz, corr)]
         assert corr == correction_at(z, w, u_obs, plant, assm)
 

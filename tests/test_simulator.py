@@ -298,6 +298,16 @@ class TestClosedLoop:
                                      short_config(horizon=1.0),
                                      InitialData(x0=[1e155], z0=[0.0]))
 
+    def test_non_finite_held_input(self, planar):
+        # refused at the first hold, also on a horizon shorter than tau, where
+        # no plant state reads the held input and no state check would see it
+        plant, assm = planar
+        nan_law = dataclasses.replace(assm, local_controller=lambda x: [float("nan")])
+        with pytest.raises(NonFiniteError, match=r"^held input not finite at t=0\.0: "):
+            simulate_closed_loop(plant, nan_law, generate_partition(0.01, 0.2, seed=0),
+                                 short_config(horizon=0.2),
+                                 InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]))
+
     def test_gain_must_fit_the_plant(self, planar):
         # planar k_out = 1: a second gain column has no output to multiply
         plant, assm = planar
