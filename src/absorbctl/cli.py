@@ -74,11 +74,8 @@ def _parse_vector(raw: str) -> tuple:
 
 
 def _parse_segments(raw: str) -> tuple:
-    body = raw.strip()
-    if not body:
-        return ()
     segments = []
-    for piece in body.split(";"):
+    for piece in raw.split(";"):
         piece = piece.strip()
         if not piece:
             continue

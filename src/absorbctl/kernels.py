@@ -55,7 +55,7 @@ def _source(n: int, k_out: int) -> str:
              f"    level = assm.absorbing_level\n    {gains}= assm.gain_rows",
              f"    def substep(_t, y, dt):\n        {_seq('y', range(size))}= y",
              "        half = 0.5 * dt"]
-    # each stage calls f(z, u_obs), h(z), lyapunov(z), f(x, u_plant), jac_h(z); NaN V damps
+    # per stage: f(z, u_obs), h(z), lyapunov(z), f(x, u_plant), jac_h(z); a NaN V(z) is refused
     for k, s, step in ((1, "y", ""), (2, "s", "half"), (3, "s", "half"), (4, "s", "dt")):
         if step:
             lines += [f"        s{p} = y{p} + {step} * k{k - 1}_{p}" for p in range(size)]

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ConfigurationError, CoverageError
+from .errors import ConfigurationError, CoverageError, NonFiniteError
 
 __all__ = [
     "PlantModel",
@@ -84,6 +84,13 @@ def check_count(name: str, value, least: int) -> int:
     return int(value)
 
 
+def _time(t) -> float:
+    """A record's time ``t`` as a float; ConfigurationError unless it is finite."""
+    if not math.isfinite(t := float(t)):
+        raise ConfigurationError(f"record times must be finite, got {t}")
+    return t
+
+
 def _frozen(value) -> np.ndarray:
     """A read-only C-order float64 copy of ``value``: no caller's array aliases it."""
     arr = np.array(value, dtype=float, order="C")
@@ -125,10 +132,7 @@ def _probe(name: str, fn: Callable, shape: tuple | None, *args: list):
 
 def _validation_probes(dim: int) -> list[np.ndarray]:
     rng = np.random.default_rng(12345)
-    pts = [np.zeros(dim)]
-    for _ in range(3):
-        pts.append(rng.uniform(-0.5, 0.5, size=dim))
-    return pts
+    return [np.zeros(dim), *(rng.uniform(-0.5, 0.5, size=dim) for _ in range(3))]
 
 
 @dataclass(frozen=True)
@@ -292,18 +296,19 @@ class InputHistory:
     the first start equals ``t_min``.  The value at a query time is the value
     of the segment whose start is the largest one not exceeding it.  Appends
     may not rewrite the covered past.  A new record is empty; it grows only
-    by ``append`` (segments) and ``advance`` (coverage).  Values are lists of floats.
+    by ``append`` (segments) and ``advance`` (coverage), which refuse a time
+    that is not finite, as the constructor does.  Values are lists of floats.
     """
 
     def __init__(self, t_min: float):
-        self.t_min = self.t_now = float(t_min)
+        self.t_min = self.t_now = _time(t_min)
         self.starts: list[float] = []
         self.values: list[list[float]] = []
         self.norms: list[float] = []
 
     def advance(self, t: float) -> None:
         """Extend the covered interval to ``[t_min, t)``; monotone."""
-        t = float(t)
+        t = _time(t)
         if t <= self.t_now:
             return
         if not self.starts:
@@ -313,7 +318,7 @@ class InputHistory:
     def append(self, t_start: float, value) -> None:
         """Add a new constant segment starting at ``t_start`` (>= t_now)
         whose value has the dimension of the earlier ones."""
-        t_start = float(t_start)
+        t_start = _time(t_start)
         value = np.asarray(value, dtype=float).reshape(-1)
         if not self.starts and t_start != self.t_min:
             raise ConfigurationError("first segment must start at t_min")
@@ -372,7 +377,8 @@ class InputHistory:
 
 
 class StateHistory:
-    """Time-stamped state samples, interpolated linearly; grown only by ``append``."""
+    """Time-stamped state samples, interpolated linearly; grown only by
+    ``append``, which refuses a time that is not finite."""
 
     def __init__(self):
         self.times: list[float] = []
@@ -380,7 +386,7 @@ class StateHistory:
         self.norms: list[float] = []
 
     def append(self, t: float, x) -> None:
-        t = float(t)
+        t = _time(t)
         if self.times and t <= self.times[-1]:
             raise ConfigurationError("sample times must be strictly increasing")
         arr = np.array(x, dtype=float).reshape(-1)
@@ -395,7 +401,7 @@ class StateHistory:
         t = float(t)
         if not self.times:
             raise CoverageError("empty state record")
-        if t < self.times[0] or t > self.times[-1]:
+        if not self.times[0] <= t <= self.times[-1]:  # a NaN t fails it too
             raise CoverageError(
                 f"state query at t={t!r} outside [{self.times[0]!r}, {self.times[-1]!r}]"
             )
@@ -475,7 +481,8 @@ class Trajectory:
     ``reset_records`` holds one ``(t, y)`` pair per measurement time ``t``:
     the sampled output ``y = h(x(t - r))`` that resets ``w`` at ``t``.
     ``input_segments`` is the full applied input record.  Construction
-    converts each column, an array or a sequence, to float64 once.
+    converts each column, an array or a sequence, to float64 once; a value
+    that is not finite outside ``t`` raises ``NonFiniteError`` at its first row.
     """
 
     t: np.ndarray
@@ -499,6 +506,9 @@ class Trajectory:
             arr = arr.reshape(-1) if name in ("lyap_x", "lyap_z", "norm") else np.atleast_2d(arr)
             if arr.shape[0] != rows:
                 raise ConfigurationError(f"column {name} has wrong row count")
+            if not np.isfinite(arr).all():
+                row = np.argwhere(~np.isfinite(arr))[0, 0]
+                raise NonFiniteError(f"trajectory column {name} not finite at t={self.t[row]}")
             setattr(self, name, arr)
 
     def write_csv(self, path) -> None:

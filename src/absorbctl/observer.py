@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGradientError
+from .errors import ConfigurationError, DegenerateGradientError, NonFiniteError
 from .kernels import loop_kernels
 from .model import AssumptionData, PlantModel
 
@@ -58,14 +58,16 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
 
     Measures how much the innovation-driven observer would violate the
     dissipation certificate at the observer state ``z``, whose plant-copy
-    drift is ``fz = f(z, u)``; clipped at zero when no violation is
-    possible.  ``grad`` is grad V(z) as an ndarray, which
-    ``observer_correction`` computes; ``level`` and ``innovation`` are V(z)
-    and the output injection L (h(z) - y), which it receives from its caller.
+    drift is ``fz = f(z, u)``, given grad V(z) as the ndarray ``grad``,
+    ``level`` = V(z) and the output injection ``innovation``; clipped at
+    zero when no violation is possible.  A violation that is not finite
+    raises ``NonFiniteError`` naming z, where the clip would make NaN 0.
     """
-    inner = (grad.dot(fz) + assm.dissipation(z)
-             + blend_p(level, assm) * grad.dot(innovation))
-    return max(0.0, float(inner))
+    inner = float(grad.dot(fz) + assm.dissipation(z)
+                  + blend_p(level, assm) * grad.dot(innovation))
+    if not math.isfinite(inner):
+        raise NonFiniteError(f"observer damping is {inner} at z={z}")
+    return max(0.0, inner)
 
 
 def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[float]:
@@ -81,8 +83,8 @@ def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> list[
     drift ``fz`` = f(z, u).  Inside the absorbing sublevel set this is
     ``innovation`` itself; outside, the damping coefficient over the squared
     gradient norm (products by ``ndarray.dot``) is subtracted along the
-    Lyapunov gradient.  Raises ``DegenerateGradientError`` if that direction
-    is undefined.
+    Lyapunov gradient, also at a NaN ``level``.  Raises ``NonFiniteError``
+    if the damping is not finite, ``DegenerateGradientError`` if its direction is undefined.
     """
     if level <= assm.absorbing_level:
         return innovation

@@ -162,10 +162,7 @@ def _grid(step: float, horizon: float) -> list[float]:
 def _event_groups(partition: SamplingPartition, config: SimConfig,
                   plant: PlantModel, init_starts: Sequence[float]) -> list[tuple[float, set]]:
     horizon = config.horizon
-    events: list[tuple[float, int]] = []
-    for t in partition.times:
-        if t <= horizon + _EVENT_ATOL:
-            events.append((float(t), _SAMPLE))
+    events = [(float(t), _SAMPLE) for t in partition.times if t <= horizon + _EVENT_ATOL]
     hold_times = _grid(config.T_H, horizon)
     record_times = _grid(config.record_dt, horizon)
     events += [(t, _HOLD) for t in hold_times] + [(t, _RECORD) for t in record_times]

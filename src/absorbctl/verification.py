@@ -214,14 +214,11 @@ def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, 
     return float(gap + assm.contraction_frac * assm.contraction_rate * d.dot(d))
 
 
-def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u,
-                                 zero_damping: bool = False) -> float:
+def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u) -> float:
     """Lyapunov drift of the corrected observer given an arbitrary measured
-    output; ``zero_damping`` ablates the damping term."""
+    output ``w``: the injection ``L (h(z) - w)``, damped outside the absorbing set."""
     fz = plant.f(z, u)
-    corr = output_injection(z, w, plant, assm)
-    if not zero_damping:
-        corr = observer_correction(z, corr, assm.lyapunov(z), fz, assm)
+    corr = observer_correction(z, output_injection(z, w, plant, assm), assm.lyapunov(z), fz, assm)
     return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
 
 
@@ -348,20 +345,17 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
 
 
 def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec = SampleSpec(),
-                                zero_damping: bool = False) -> CheckReport:
-    """Corrected-observer dissipation above the upper blending level, with
-    the measured output free to roam an inflated output box."""
+                                sample: SampleSpec = SampleSpec()) -> CheckReport:
+    """Corrected-observer dissipation, damped as in the loop, above the upper
+    blending level, with the measured output free to roam an inflated output box."""
     assm.check_dimensions(plant)
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
-    name = "corrected_dissipation_no_damping" if zero_damping else "corrected_dissipation"
     return _run_sampled_check(
-        name,
+        "corrected_dissipation",
         [z_box, w_box, plant.input_box],
         lambda z, w, u: ((assm.blend_hi <= assm.lyapunov(z))
                          & (assm.lyapunov(z) <= UPPER_LEVEL)),
-        lambda z, w, u: corrected_dissipation_margin(plant, assm, z, w, u,
-                                                     zero_damping=zero_damping),
+        lambda z, w, u: corrected_dissipation_margin(plant, assm, z, w, u),
         sample)
 

@@ -109,10 +109,13 @@ def test_criterion_01_assumption_certification(planar):
     assert wall < 60.0, f"certification took {wall:.1f} s"
 
 
-def test_criterion_02_corrected_contraction_and_ablation(planar):
+def test_criterion_02_corrected_contraction_and_ablation(planar, monkeypatch):
     plant, assm = planar
     rep = check_corrected_contraction(plant, assm, FULL)
-    ablated = check_corrected_dissipation(plant, assm, FULL, zero_damping=True)
+    # ablate the damping: the correction becomes the bare output injection
+    monkeypatch.setattr("absorbctl.verification.observer_correction",
+                        lambda z, innovation, level, fz, assm: innovation)
+    ablated = check_corrected_dissipation(plant, assm, FULL)
     ok = rep.passed and not ablated.passed
     report(2, ok, "corrected-observer contraction; damping ablation violates")
     assert rep.passed, f"worst margin {rep.worst_margin} at {rep.worst_point}"

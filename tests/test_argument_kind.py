@@ -86,7 +86,6 @@ WORKLOADS = {
        for check in (check_absorbing_dissipation, check_local_controller,
                      check_observer_contraction, check_growth_bound,
                      check_corrected_contraction, check_corrected_dissipation)},
-    "zero_damping": partial(check_corrected_dissipation, sample=SAMPLE, zero_damping=True),
     "sublevel_box": lambda plant, assm: sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
     "predictor_study": _predictor_study,
 }

@@ -194,6 +194,31 @@ class TestExitCodes:
         assert not (tmp_path / "verification.json").exists()
         assert "sublevel_box: level function is nan at point" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("z0, hole, message", [
+        ("(1.2,-1.2)", lambda x, v: (1.2 < v) & (v < 1.3), "observer damping is nan at z="),
+        ("(0,0)", lambda x, v: x[1] < -0.95, "trajectory column lyap_x not finite at t=0.0"),
+    ], ids=["observer-damping", "plant-lyapunov"])
+    def test_non_finite_lyapunov_in_a_run(self, config_file, tmp_path, monkeypatch, capsys,
+                                          z0, hole, message):
+        # V is NaN on a band that z crosses, or at the plant's initial state
+        build = cli.build_planar_example
+
+        def build_holed_lyapunov(*args, **kwargs):
+            plant, assm, fn = build(*args, **kwargs)
+
+            def lyapunov(x):
+                value = assm.lyapunov(x)
+                return np.where(hole(np.asarray(x), value), np.nan, value)
+
+            return plant, dataclasses.replace(assm, lyapunov=lyapunov), fn
+
+        monkeypatch.setattr(cli, "build_planar_example", build_holed_lyapunov)
+        assert run_cli("simulate", "--config", config_file, "--set", f"z0={z0}",
+                       "--out", tmp_path) == 3
+        assert not (tmp_path / "trajectory.csv").exists()
+        assert not (tmp_path / "summary.json").exists()
+        assert message in capsys.readouterr().err
+
 
 def test_import_leaves_scipy_stats_unloaded():
     # the sampled checks draw their points with absorbctl.halton, so no

@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 
 # defaulted parameters and dataclass fields across the package; a new knob
 # must replace an old one
-MAX_SETTABLE = 25
+MAX_SETTABLE = 23
 
 
 def absorbctl_imports(source: str) -> set[str]:

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from absorbctl import (ConfigurationError, CoverageError, InputHistory, PlantModel,
-                       SamplingPartition, SimConfig, StateHistory, Trajectory,
+from absorbctl import (ConfigurationError, CoverageError, InputHistory, NonFiniteError,
+                       PlantModel, SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
 from history_oracles import (input_record, input_records, prune_one_at_a_time,
                              segments_scan, state_record, state_records, step_pieces,
@@ -345,6 +345,18 @@ class TestInputHistory:
         with pytest.raises(CoverageError):
             InputHistory(0.0).advance(1.0)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_refused(self, t):
+        # a NaN time fails every ordering test, so append and advance took it
+        # as t_now, after which every read was outside coverage
+        hist = self.make()
+        for grow in (InputHistory, lambda t: hist.append(t, [0.1]), hist.advance):
+            with pytest.raises(ConfigurationError,
+                               match=f"^record times must be finite, got {t}$"):
+                grow(t)
+        assert hist.t_now == 0.0 and hist.starts == [-1.0, -0.4]
+        assert hist.value(-0.5) == [0.3]
+
     def test_iter_segments_partitions_interval(self):
         hist = self.make()
         pieces = list(hist.iter_segments(-0.9, -0.1))
@@ -418,6 +430,24 @@ class TestStateHistory:
         hist = state_record([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(CoverageError):
             hist.value(1.5)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf])
+    def test_non_finite_times_refused(self, t):
+        hist = StateHistory()
+        with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
+            hist.append(t, [1.0])
+        hist.append(0.0, [1.0])
+        with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
+            hist.append(t, [2.0])
+        assert hist.times == [0.0]
+
+    def test_nan_query_raises(self):
+        # a NaN query fails the range test instead of interpolating to NaN
+        hist = state_record([0.0, 1.0], [[0.0], [1.0]])
+        with pytest.raises(CoverageError, match="^state query at t=nan outside"):
+            hist.value(math.nan)
+        with pytest.raises(CoverageError):
+            hist.sup_norm(math.nan, 1.0)
 
     def test_times_strictly_increasing(self):
         hist = StateHistory()
@@ -516,6 +546,19 @@ class TestTrajectory:
         with pytest.raises(ConfigurationError, match="^trajectory times must be finite"):
             Trajectory(t=t, x=zeros, z=zeros, w=zeros, u_applied=zeros, lyap_x=zeros[:, 0],
                        lyap_z=zeros[:, 0], norm=zeros[:, 0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column", ["x", "z", "w", "u_applied", "lyap_x", "lyap_z", "norm"])
+    def test_values_finite(self, column, bad):
+        # a NaN norm row was dropped by the decay fit's mask, and a NaN
+        # Lyapunov value became the summary's max_Vx, which JSON cannot hold
+        traj = self.make()
+        columns = {name: np.array(getattr(traj, name)) for name in
+                   ("t", "x", "z", "w", "u_applied", "lyap_x", "lyap_z", "norm")}
+        columns[column][1] = bad
+        with pytest.raises(NonFiniteError,
+                           match=rf"^trajectory column {column} not finite at t=0\.5$"):
+            Trajectory(**columns)
 
     def test_inputs_in_box(self):
         traj = self.make()

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
-                       DegenerateGradientError, PlantModel, blend_p, build_planar_example,
-                       damping_term, observer_correction)
+                       DegenerateGradientError, NonFiniteError, PlantModel, blend_p,
+                       build_planar_example, damping_term, observer_correction)
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import output_injection
 from absorbctl.rk4 import rk4_step
@@ -243,6 +244,24 @@ class TestObserverCorrection:
         assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
         assert corr == correction_at(z, [10.0], [0.0], *planar)
 
+    @pytest.mark.parametrize("bad", ["level", "dissipation", "drift"])
+    def test_damping_that_is_not_finite_raises(self, planar, bad):
+        # at z = (0.1, 1.8) with y = 10 the damping is active at V(z) = 1.625;
+        # a NaN there would be clipped to no damping, leaving the bare
+        # injection [0.198, 9.9], so it is refused instead
+        plant, assm = planar
+        z = [0.1, 1.8]
+        innovation, fz = output_injection(z, [10.0], plant, assm), plant.f(z, [0.0])
+        assert observer_correction(z, innovation, 1.625, fz, assm)[1] < 6.0
+        level = math.nan if bad == "level" else 1.625
+        if bad == "dissipation":
+            assm = dataclasses.replace(
+                assm, dissipation=lambda x: math.nan if x[1] > 1.0 else 0.125 * x[1] ** 2)
+        if bad == "drift":
+            fz = [math.nan, fz[1]]
+        with pytest.raises(NonFiniteError, match=r"^observer damping is nan at z=\[0\.1, 1\.8\]$"):
+            observer_correction(z, innovation, level, fz, assm)
+
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
         # absorbing set: the damping direction is undefined there
@@ -353,8 +372,9 @@ class TestDotMatchesMatmul:
 
     def test_checks_apply_the_loops_injection(self, loop3):
         # inside the absorbing set the correction is the bare injection, so
-        # the damping ablation of the dissipation margin keeps every bit;
-        # an injection taken with ndarray.dot would not, on two-term rows
+        # the dissipation margin is grad V . (f + L (h(z) - w)) + W with the
+        # injection's rows summed left to right from 0.0, as the loop does;
+        # an injection taken with ndarray.dot would differ on two-term rows
         plant, assm = loop3
         rng = np.random.default_rng(0)
         tested = 0
@@ -363,10 +383,13 @@ class TestDotMatchesMatmul:
             w, u = rng.uniform(-3.0, 3.0, 2).tolist(), rng.uniform(-1.0, 1.0, 2).tolist()
             if assm.lyapunov(z) <= assm.absorbing_level:
                 tested += 1
-                damped, ablated = (corrected_dissipation_margin(plant, assm, z, w, u,
-                                                                zero_damping=flag)
-                                   for flag in (False, True))
-                assert np.float64(damped).tobytes() == np.float64(ablated).tobytes()
+                d = [hj - wj for hj, wj in zip(plant.h(z), w)]
+                injection = [sum((g * dj for g, dj in zip(row, d)), 0.0)
+                             for row in assm.gain_rows]
+                want = (np.dot(assm.grad_lyapunov(z), np.add(plant.f(z, u), injection))
+                        + assm.dissipation(z))
+                got = corrected_dissipation_margin(plant, assm, z, w, u)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert tested >= 1000
 
     @given(st.integers(1, 4), st.integers(1, 4), layouts, layouts, st.data())

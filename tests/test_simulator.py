@@ -87,6 +87,14 @@ def short_run(planar):
     return plant, assm, config, init, traj
 
 
+def _holed(assm, hole):
+    """``assm`` with V NaN wherever ``hole(x, V(x))`` holds, at points and on batches."""
+    def lyapunov(x):
+        value = assm.lyapunov(x)
+        return np.where(hole(np.asarray(x), value), np.nan, value)
+    return dataclasses.replace(assm, lyapunov=lyapunov)
+
+
 def _plant(r, tau):
     return build_planar_example(0.01, r=r, tau=tau)[0]
 
@@ -306,6 +314,29 @@ class TestClosedLoop:
         with pytest.raises(NonFiniteError, match=r"^held input not finite at t=0\.0: "):
             simulate_closed_loop(plant, nan_law, generate_partition(0.01, 0.2, seed=0),
                                  short_config(horizon=0.2),
+                                 InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]))
+
+    def test_nan_lyapunov_on_the_observer_path(self, planar):
+        # V is NaN on the band 1.2 < V < 1.3, which z crosses on its way in
+        # from V(z0) = 1.44: the correction refuses the NaN damping there
+        # instead of running undamped and recording one NaN lyap_z row
+        plant, assm = planar
+        holed = _holed(assm, lambda x, v: (1.2 < v) & (v < 1.3))
+        with pytest.raises(NonFiniteError, match=r"^observer damping is nan at z=\[1\.0"):
+            simulate_closed_loop(plant, holed, generate_partition(0.01, 2.0, seed=0),
+                                 short_config(horizon=2.0),
+                                 InitialData(x0=[1.0, -1.0], z0=[1.2, -1.2]))
+
+    def test_nan_lyapunov_at_plant_states(self, planar):
+        # V is NaN where x2 < -0.95, as at x0 = (1, -1); z never goes there,
+        # so the run completes and its lyap_x column is refused, where the
+        # summary's max_Vx would have been NaN
+        plant, assm = planar
+        holed = _holed(assm, lambda x, v: x[1] < -0.95)
+        with pytest.raises(NonFiniteError,
+                           match=r"^trajectory column lyap_x not finite at t=0\.0$"):
+            simulate_closed_loop(plant, holed, generate_partition(0.01, 2.0, seed=0),
+                                 short_config(horizon=2.0),
                                  InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]))
 
     def test_gain_must_fit_the_plant(self, planar):

@@ -68,9 +68,6 @@ CHECKS = {
     "observer_growth_bound": check_growth_bound,
     "corrected_contraction": check_corrected_contraction,
     "corrected_dissipation": check_corrected_dissipation,
-    "corrected_dissipation_no_damping":
-        lambda plant, assm, spec: check_corrected_dissipation(plant, assm, spec,
-                                                              zero_damping=True),
 }
 
 
@@ -247,14 +244,17 @@ class TestSampledChecks:
         assert rep.worst_margin is None
         assert rep.passed and rep.vacuous and rep.to_dict()["vacuous"] is True
 
-    def test_damping_ablation_fails(self, planar):
+    def test_damping_ablation_fails(self, planar, monkeypatch):
+        # the damping is ablated by substituting the bare injection for the correction
         plant, assm = planar
-        rep = check_corrected_dissipation(plant, assm, SPEC, zero_damping=True)
-        assert rep.name == "corrected_dissipation_no_damping"
+        monkeypatch.setattr("absorbctl.verification.observer_correction",
+                            lambda z, innovation, level, fz, assm: innovation)
+        rep = check_corrected_dissipation(plant, assm, SPEC)
+        assert rep.name == "corrected_dissipation"
         assert not rep.passed
         assert rep.worst_margin > 1.0
         # the reported witness reproduces outside the sampler
-        m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point, zero_damping=True)
+        m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point)
         assert abs(m - rep.worst_margin) <= 1e-12
 
     @pytest.mark.parametrize("seed", [-1, 1.5, False])
