@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 __all__ = ["loop_kernels"]
 
-_GENERATED = ("injection", "rk4_substep", "euler")
+_GENERATED = ("injection", "rk4_span", "euler")
 
 
 def _seq(prefix: str, indices) -> str:
@@ -50,28 +50,31 @@ def _source(n: int, k_out: int) -> str:
     lines = ["def injection(gain_rows, hz, y):",
              f"    {gains}= gain_rows", f"    {h}= hz", f"    {_seq('m', outs)}= y",
              *_injection(1, n, [f"m{j}" for j in outs]), f"    return [{c}]",
-             "def rk4_substep(plant, assm, correction, u_plant, u_obs):",
+             "def rk4_span(plant, assm, correction, u_plant, u_obs):",
              "    f, h, jac_h, lyapunov = plant.f, plant.h, plant.jac_h, assm.lyapunov",
              f"    level = assm.absorbing_level\n    {gains}= assm.gain_rows",
-             f"    def substep(_t, y, dt):\n        {_seq('y', range(size))}= y",
-             "        half = 0.5 * dt"]
+             f"    def span(y, dt, n_sub):\n        {_seq('y', range(size))}= y",
+             "        half = 0.5 * dt\n        sixth = dt / 6.0",
+             "        nodes = []\n        for _ in range(n_sub):"]
+    pad = "    " * 3
     # per stage: f(z, u_obs), h(z), lyapunov(z), f(x, u_plant), jac_h(z); a NaN V(z) is refused
     for k, s, step in ((1, "y", ""), (2, "s", "half"), (3, "s", "half"), (4, "s", "dt")):
         if step:
-            lines += [f"        s{p} = y{p} + {step} * k{k - 1}_{p}" for p in range(size)]
-        lines += [f"        z = [{_seq(s, range(n, 2 * n))}]\n        fz = f(z, u_obs)",
-                  f"        {_seq('fz', range(n))}= fz\n        {h}= h(z)",
-                  *_injection(2, n, [f"{s}{p}" for p in range(2 * n, size)]),
-                  "        vz = lyapunov(z)\n        if not vz <= level:",
-                  f"            {c}= correction(z, [{c}], vz, fz, assm)",
-                  f"        {_seq(f'k{k}_', range(n))}= f([{_seq(s, range(n))}], u_plant)",
-                  f"        {jac}= jac_h(z)",
-                  *(f"        k{k}_{n + i} = fz{i} + c{i}" for i in range(n)),
-                  *(f"        k{k}_{2 * n + r} = {_sum(f'j{r}_', 'fz', n)}" for r in outs)]
-    update = (f"y{p} + sixth * (k1_{p} + 2.0 * k2_{p} + 2.0 * k3_{p} + k4_{p})"
-              for p in range(size))
-    lines += [f"        sixth = dt / 6.0\n        return [{', '.join(update)}]",
-              "    return substep",
+            lines += [f"{pad}s{p} = y{p} + {step} * k{k - 1}_{p}" for p in range(size)]
+        lines += [f"{pad}z = [{_seq(s, range(n, 2 * n))}]\n{pad}fz = f(z, u_obs)",
+                  f"{pad}{_seq('fz', range(n))}= fz\n{pad}{h}= h(z)",
+                  *_injection(3, n, [f"{s}{p}" for p in range(2 * n, size)]),
+                  f"{pad}vz = lyapunov(z)\n{pad}if not vz <= level:",
+                  f"{pad}    {c}= correction(z, [{c}], vz, fz, assm)",
+                  f"{pad}{_seq(f'k{k}_', range(n))}= f([{_seq(s, range(n))}], u_plant)",
+                  f"{pad}{jac}= jac_h(z)",
+                  *(f"{pad}k{k}_{n + i} = fz{i} + c{i}" for i in range(n)),
+                  *(f"{pad}k{k}_{2 * n + r} = {_sum(f'j{r}_', 'fz', n)}" for r in outs)]
+    # each entry's update reads only its own old value, so it may overwrite it
+    lines += [*(f"{pad}y{p} = y{p} + sixth * (k1_{p} + 2.0 * k2_{p} + 2.0 * k3_{p} + k4_{p})"
+                for p in range(size)),
+              f"{pad}nodes.append([{_seq('y', range(n))}])",
+              f"        return [{_seq('y', range(size))}], nodes\n    return span",
               f"def euler(f, x, starts, values, t0, t1, N):\n    {x}= x",
               "    h_step = (t1 - t0) / N\n    last = len(starts) - 1",
               "    idx = bisect_right(starts, t0) - 1",
@@ -95,10 +98,10 @@ def _source(n: int, k_out: int) -> str:
 @functools.cache
 def loop_kernels(n: int, k_out: int) -> SimpleNamespace:
     """Compiled on first use, then cached: ``injection(gain_rows, hz, y)``,
-    the output injection ``L (hz - y)``; ``rk4_substep(plant, assm,
-    correction, u_plant, u_obs)``, whose result ``(t, y, dt) -> y`` is one
-    RK4 substep of the stacked ``(x, z, w)`` on a span, calling
-    ``correction(z, injection, V(z), fz, assm)`` outside the absorbing set;
+    the output injection ``L (hz - y)``; ``rk4_span(plant, assm, correction,
+    u_plant, u_obs)``, whose result ``(y, dt, n_sub) -> (y, nodes)`` takes
+    ``n_sub`` RK4 substeps of the stacked ``(x, z, w)``, listing each ``x``,
+    and calls ``correction(z, injection, V(z), fz, assm)`` outside the absorbing set;
     ``euler(f, x, starts, values, t0, t1, N)``, the Euler predictor's N equal
     steps of ``[t0, t1)`` (the last ending at ``t1`` exactly), walking an input
     record's ``starts`` and ``values`` with one index and calling ``f`` once

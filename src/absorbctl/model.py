@@ -13,7 +13,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
-import csv
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -377,24 +376,27 @@ class InputHistory:
 
 
 class StateHistory:
-    """Time-stamped state samples, interpolated linearly; grown only by
-    ``append``, which refuses a time that is not finite."""
+    """Time-stamped state samples, interpolated linearly, grown only by ``append``."""
 
     def __init__(self):
         self.times: list[float] = []
         self.states: list[np.ndarray] = []
         self.norms: list[float] = []
 
-    def append(self, t: float, x) -> None:
-        t = _time(t)
-        if self.times and t <= self.times[-1]:
+    def append(self, times: Sequence[float], states) -> None:
+        """Add the rows ``states[i]`` at finite, strictly increasing ``times[i]``
+        after the stored ones, with their norms, the bits of ``_norm``."""
+        times = list(map(_time, times))
+        seq = self.times[-1:] + times
+        if not all(map(float.__lt__, seq, seq[1:])):
             raise ConfigurationError("sample times must be strictly increasing")
-        arr = np.array(x, dtype=float).reshape(-1)
-        if self.states and arr.size != self.states[0].size:
-            raise ConfigurationError("state dimension changed mid-record")
-        self.times.append(t)
-        self.states.append(arr)
-        self.norms.append(_norm(arr))
+        arr = np.array(states, dtype=float)
+        if arr.ndim != 2 or arr.shape[0] != len(times) or (
+                self.states and arr.shape[1] != self.states[0].size):
+            raise ConfigurationError("states must be one row per time, of one dimension")
+        self.times += times
+        self.states += list(arr)
+        self.norms += np.sqrt(np.vecdot(arr, arr)).tolist()
 
     def value(self, t: float) -> np.ndarray:
         """Linearly interpolated state at ``t``; exact at sample times."""
@@ -414,11 +416,17 @@ class StateHistory:
         return self.states[lo] + theta * (self.states[hi] - self.states[lo])
 
     def sup_norm(self, t0: float, t1: float) -> float:
-        """Largest sampled/interpolated state norm over ``[t0, t1]``; the
-        interior samples' norms are those stored at ``append``."""
-        lo = bisect.bisect_right(self.times, t0)
-        hi = bisect.bisect_left(self.times, t1)
-        return max(_norm(self.value(t0)), _norm(self.value(t1)), *self.norms[lo:hi])
+        """Largest sampled/interpolated state norm over ``[t0, t1]``, not reversed:
+        the norms stored at ``append`` for its samples, ends too, else interpolated."""
+        if t0 > t1:
+            raise CoverageError("reversed interval")
+        lo, hi = bisect.bisect_left(self.times, t0), bisect.bisect_right(self.times, t1)
+        norms = self.norms[lo:hi]
+        if not (lo < len(self.times) and self.times[lo] == t0):
+            norms.append(_norm(self.value(t0)))
+        if not (hi and self.times[hi - 1] == t1):
+            norms.append(_norm(self.value(t1)))
+        return max(norms)
 
     def prune_before(self, t: float) -> None:
         """Drop samples no longer needed to interpolate at times >= ``t``:
@@ -516,10 +524,8 @@ class Trajectory:
         blocks = {"x": self.x, "z": self.z, "w": self.w, "u": self.u_applied}
         header = ["t", *(f"{name}{i + 1}" for name, block in blocks.items()
                          for i in range(block.shape[1])), "Vx", "Vz", "norm"]
+        table = np.column_stack([self.t, *blocks.values(), self.lyap_x, self.lyap_z, self.norm])
+        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"  # csv.writer's line end
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            table = np.column_stack([self.t, *blocks.values(), self.lyap_x, self.lyap_z,
-                                     self.norm])
-            for row in table:
-                writer.writerow([f"{v:.17g}" for v in row.tolist()])
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(line % tuple(row.tolist()) for row in table)

@@ -15,7 +15,7 @@ from typing import Callable
 from .errors import CoverageError
 from .model import InputHistory, PlantModel
 
-__all__ = ["rk4_step", "integrate_span", "flow_on_history"]
+__all__ = ["rk4_step", "rk4_steps", "integrate_span", "flow_on_history"]
 
 
 def rk4_step(rhs: Callable[[float, list[float]], list[float]],
@@ -32,26 +32,31 @@ def rk4_step(rhs: Callable[[float, list[float]], list[float]],
             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
 
 
-def integrate_span(step, t0: float, t1: float, y0: list[float], dt_max: float,
-                   on_node=None) -> list[float]:
-    """Integrate over ``[t0, t1]`` with uniform substeps no longer than
-    ``dt_max``, each ``y = step(t, y, dt)``, such as ``partial(rk4_step, rhs)``;
-    the final substep lands exactly on ``t1``.  ``on_node`` is called with
-    ``(t, y)`` after every substep."""
+def rk4_steps(rhs: Callable[[float, list[float]], list[float]], y: list[float], dt: float,
+              n_sub: int) -> tuple[list[float], list]:
+    """``n_sub`` ``rk4_step`` substeps from ``y`` and the state after each: a span
+    once ``rhs`` is bound.  A span's right side ignores time; it is given 0.0."""
+    nodes = []
+    for _ in range(n_sub):
+        y = rk4_step(rhs, 0.0, y, dt)
+        nodes.append(y)
+    return y, nodes
+
+
+def integrate_span(span, t0: float, t1: float, y0: list[float],
+                   dt_max: float) -> tuple[list[float], list[float], list]:
+    """Integrate over ``[t0, t1]`` in ``n_sub = max(1, ceil((t1 - t0)/dt_max))``
+    substeps of ``dt = (t1 - t0)/n_sub`` by one call ``span(y0, dt, n_sub) ->
+    (y, nodes)``, such as ``partial(rk4_steps, rhs)``.  Returns ``(y, times, nodes)``,
+    node ``i`` at ``times[i] = t0 + (i + 1) dt``, the last at ``t1`` exactly."""
     if t1 < t0:
         raise CoverageError("reversed integration span")
     if t1 == t0:
-        return y0
+        return y0, [], []
     n_sub = max(1, math.ceil((t1 - t0) / dt_max))
     dt = (t1 - t0) / n_sub
-    y = y0
-    for i in range(n_sub):
-        t_a = t0 + i * dt
-        y = step(t_a, y, dt)
-        t_b = t1 if i == n_sub - 1 else t0 + (i + 1) * dt
-        if on_node is not None:
-            on_node(t_b, y)
-    return y
+    y, nodes = span(y0, dt, n_sub)
+    return y, [t0 + i * dt for i in range(1, n_sub)] + [t1], nodes
 
 
 def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
@@ -65,6 +70,6 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     x = [float(v) for v in x0]
     # the right side ignores t, so each piece is integrated over (0, length)
     for value, length in hist.iter_segments(t_start, t_end):
-        x = integrate_span(partial(rk4_step, lambda _t, y, u=value: plant.f(y, u)),
-                           0.0, length, x, substep)
+        x = integrate_span(partial(rk4_steps, lambda _t, y, u=value: plant.f(y, u)),
+                           0.0, length, x, substep)[0]
     return x

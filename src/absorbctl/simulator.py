@@ -105,9 +105,8 @@ class InitialData:
             raise ConfigurationError("initial data must be finite")
         if abs(times[0] + r) > _EVENT_ATOL or abs(times[-1]) > _EVENT_ATOL:
             raise ConfigurationError("x0 table must cover exactly [-r, 0]")
-        xhist = StateHistory()
-        for i, t in enumerate(times):  # the end times snap onto -r and 0
-            xhist.append(0.0 if i == len(times) - 1 else (-r if i == 0 else t), states[i])
+        xhist = StateHistory()  # the end times snap onto -r and 0
+        xhist.append([-r, *times[1:-1], 0.0] if len(times) > 1 else [0.0], states)
 
         uhist = InputHistory(0.0 - window)  # 0.0, not -0.0, when delay-free
         if window == 0.0:
@@ -202,7 +201,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
         raise ConfigurationError("partition must cover the simulation horizon")
     n = plant.n
     groups = _event_groups(partition, config, plant, uhist.starts)
-    rk4_substep = loop_kernels(n, plant.k_out).rk4_substep
+    rk4_span = loop_kernels(n, plant.k_out).rk4_span
 
     # w is set by the reset at the measurement every partition begins with at t = 0
     Y = [*xhist.value(0.0).tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
@@ -226,12 +225,12 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     t_mid = t_cur + 0.5 * (t_g - t_cur)
                     u_plant = uhist.value(t_mid - plant.tau)
                     u_obs = uhist.value(t_mid - plant.delay_window)
-                    # outside the absorbing set the substep calls observer_correction
-                    step = rk4_substep(plant, assm, observer_correction, u_plant, u_obs)
-                    Y = integrate_span(step, t_cur, t_g, Y, config.dt_max,
-                                       on_node=lambda t, y: xhist.append(t, y[:n]))
+                    # outside the absorbing set the span calls observer_correction
+                    span = rk4_span(plant, assm, observer_correction, u_plant, u_obs)
+                    Y, times, nodes = integrate_span(span, t_cur, t_g, Y, config.dt_max)
                     if not all(map(math.isfinite, Y)):
                         raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y}")
+                    xhist.append(times, nodes)
                     t_cur = t_g
                 if _SAMPLE in kinds:
                     y_sample = plant.h(xhist.value(t_g - plant.r).tolist())

@@ -123,10 +123,9 @@ def input_record(segments, t_now: float = 0.0) -> InputHistory:
 
 
 def state_record(times, states) -> StateHistory:
-    """A state record of ``states`` sampled at ``times``, one ``append`` each."""
+    """A state record of ``states`` sampled at ``times``, in one ``append``."""
     hist = StateHistory()
-    for t, x in zip(times, states, strict=True):
-        hist.append(t, x)
+    hist.append(times, states)
     return hist
 
 

@@ -16,7 +16,7 @@ import pytest
 from absorbctl import PlantModel, build_planar_example, euler_predict
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import observer_correction, output_injection
-from absorbctl.rk4 import rk4_step
+from absorbctl.rk4 import rk4_step, rk4_steps
 from history_oracles import input_record
 from loop_oracles import coupled_rhs, euler_predict_list, matvec
 
@@ -40,12 +40,12 @@ STATES = [[0.2, -0.1, 0.3, 0.4, 0.05], [1.5, -2.0, 3.0, -2.0, 0.7]]
 
 def test_plants_of_one_shape_share_code_and_keep_their_own_results():
     hist = input_record([(-0.5, [0.2]), (-0.3, [-0.4]), (-0.05, [0.1])])
-    steps, results = [], []
+    spans, results = [], []
     for plant, assm in _two_plants_of_one_shape():
-        step = loop_kernels(2, 1).rk4_substep(plant, assm, observer_correction, [0.1], [-0.2])
+        span = loop_kernels(2, 1).rk4_span(plant, assm, observer_correction, [0.1], [-0.2])
         rhs = coupled_rhs(plant, assm, [0.1], [-0.2])
         for y in STATES:
-            got = step(0.0, y, 0.01)
+            got, _nodes = span(y, 0.01, 1)
             assert np.array(got).tobytes() == np.array(rk4_step(rhs, 0.0, y, 0.01)).tobytes()
             results.append(got)
         got = euler_predict([0.4, -0.3], hist, 7, plant)
@@ -54,8 +54,8 @@ def test_plants_of_one_shape_share_code_and_keep_their_own_results():
         for z, y in ((STATES[0][2:4], [0.3]), (STATES[1][2:4], [-1.1])):
             want = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
             assert output_injection(z, y, plant, assm) == want
-        steps.append(step)
-    assert steps[0].__code__ is steps[1].__code__
+        spans.append(span)
+    assert spans[0].__code__ is spans[1].__code__
     assert loop_kernels(2, 1) is loop_kernels(2, 1)
     assert results[:3] != results[3:]  # the arguments, not the code, hold the plant
 
@@ -70,7 +70,7 @@ OUTSIDE = ["f", "h", "lyapunov", "grad_lyapunov", "dissipation", "f", "jac_h"]
     (STATES[0], INSIDE, 4),
     ([0.2, -0.1, 1.0, 1.0, 0.05], INSIDE, 1),  # V(z) = 1.0 is the absorbing level
     (STATES[1], OUTSIDE, 4)], ids=["inside", "on-the-level", "outside"])
-def test_substep_keeps_the_loops_call_order(y, stage_calls, stages):
+def test_span_keeps_the_loops_call_order(y, stage_calls, stages):
     plant, assm = _two_plants_of_one_shape()[0]
     calls = []
 
@@ -84,8 +84,7 @@ def test_substep_keeps_the_loops_call_order(y, stage_calls, stages):
                          (assm, ("lyapunov", "grad_lyapunov", "dissipation"))):
         for name in names:
             object.__setattr__(owner, name, recorded(name, getattr(owner, name)))
-    step = loop_kernels(2, 1).rk4_substep(plant, assm, observer_correction, [0.1], [-0.2])
-    step(0.0, y, 1e-3)
+    loop_kernels(2, 1).rk4_span(plant, assm, observer_correction, [0.1], [-0.2])(y, 1e-3, 1)
     assert calls[:stages * len(stage_calls)] == stages * stage_calls
 
 
@@ -108,9 +107,11 @@ def test_dense_rows_sum_left_to_right_in_any_dimension(n, k_out):
     for _ in range(20):
         y, u_plant, u_obs = (rng.normal(size=2 * n + k_out).tolist(),
                              rng.normal(size=2).tolist(), rng.normal(size=2).tolist())
-        got = kernels.rk4_substep(plant, assm, None, u_plant, u_obs)(0.0, y, 0.1)
-        want = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, y, 0.1)
-        assert np.array(got).tobytes() == np.array(want).tobytes()
+        got = kernels.rk4_span(plant, assm, None, u_plant, u_obs)(y, 0.1, 3)
+        want = rk4_steps(coupled_rhs(plant, assm, u_plant, u_obs), y, 0.1, 3)
+        assert np.array(got[0]).tobytes() == np.array(want[0]).tobytes()
+        assert (np.array(got[1]).tobytes()
+                == np.array([node[:n] for node in want[1]]).tobytes())
         hz, w = y[:k_out], y[2 * n:]
         got = kernels.injection(assm.gain_rows, hz, w)
         want = matvec(assm.gain_rows, [a - b for a, b in zip(hz, w)])

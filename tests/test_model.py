@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import io
 import math
 
 import numpy as np
@@ -435,10 +437,12 @@ class TestStateHistory:
     def test_non_finite_times_refused(self, t):
         hist = StateHistory()
         with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
-            hist.append(t, [1.0])
-        hist.append(0.0, [1.0])
-        with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
-            hist.append(t, [2.0])
+            hist.append([t], [[1.0]])
+        hist.append([0.0], [[1.0]])
+        for times in ([t], [1.0, t]):  # alone, and after a good time in one batch
+            with pytest.raises(ConfigurationError,
+                               match=f"^record times must be finite, got {t}$"):
+                hist.append(times, [[2.0]] * len(times))
         assert hist.times == [0.0]
 
     def test_nan_query_raises(self):
@@ -451,22 +455,57 @@ class TestStateHistory:
 
     def test_times_strictly_increasing(self):
         hist = StateHistory()
-        hist.append(0.0, [1.0])
-        with pytest.raises(ConfigurationError):
-            hist.append(0.0, [2.0])
+        hist.append([0.0], [[1.0]])
+        # against the last stored time, and within one batch
+        for times in ([0.0], [-1.0], [1.0, 1.0], [2.0, 1.5]):
+            with pytest.raises(ConfigurationError,
+                               match="^sample times must be strictly increasing$"):
+                hist.append(times, [[2.0]] * len(times))
+        assert hist.times == [0.0]
 
-    @pytest.mark.parametrize("source", [np.array([1.0, 2.0]), np.array([[1.0], [2.0]]),
-                                        np.array([9.0, 1.0, 9.0, 2.0])[1::2]])
+    @pytest.mark.parametrize("times, states", [
+        ([1.0], [[1.0]]), ([1.0], [[1.0, 2.0, 3.0]]),  # another dimension than stored
+        ([1.0, 2.0], [[1.0, 2.0]]), ([1.0], [1.0, 2.0])])  # not one row per time
+    def test_one_row_per_time_of_one_dimension(self, times, states):
+        hist = state_record([0.0], [[1.0, 2.0]])
+        with pytest.raises(ConfigurationError,
+                           match="^states must be one row per time, of one dimension$"):
+            hist.append(times, states)
+        assert hist.times == [0.0] and len(hist.states) == len(hist.norms) == 1
+
+    @pytest.mark.parametrize("source", [np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]).T,
+                                        np.array([[9.0, 1.0, 9.0, 2.0]])[:, 1::2]])
     def test_append_keeps_own_copy(self, source):
         # the record owns its sample: writing to the source afterwards
-        # (a flat array, a column, or a strided slice of the RK4 state)
-        # leaves the stored state and its norm as appended
+        # (a row, a transposed column, or a strided slice of a row) leaves
+        # the stored state and its norm as appended
         hist = StateHistory()
-        hist.append(0.0, source)
+        hist.append([0.0], source)
         source[...] = -7.0
         assert hist.states[0].tolist() == [1.0, 2.0]
         assert hist.value(0.0).tolist() == [1.0, 2.0]
         assert hist.norms == [np.sqrt(5.0)]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_batched_norms_are_the_per_row_bits(self, n):
+        # one vecdot per batch gives each row's math.sqrt(x.dot(x)), bit for
+        # bit, on rows whose entries span many scales; one-row batches too
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(100_000, n)) * 10.0 ** rng.integers(-12, 13, size=(100_000, n))
+        hist = StateHistory()
+        for i in range(1000):
+            hist.append([float(i)], rows[i:i + 1])
+        hist.append(np.arange(1000.0, 100_000.0), rows[1000:])
+        want = [math.sqrt(row.dot(row)) for row in rows]
+        assert np.array(hist.norms).tobytes() == np.array(want).tobytes()
+
+    def test_sup_norm_refuses_a_reversed_interval(self):
+        # norms 1, 5, 1 at t = 0, 0.5, 1: the reversed window [0.9, 0.1]
+        # read only its interpolated ends, 1.709, and missed the 5 between
+        hist = state_record([0.0, 0.5, 1.0], [[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
+        assert hist.sup_norm(0.1, 0.9) == 5.0
+        with pytest.raises(CoverageError, match="^reversed interval$"):
+            hist.sup_norm(0.9, 0.1)
 
     def test_prune_keeps_bracketing_node(self):
         hist = state_record([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
@@ -478,6 +517,16 @@ class TestStateHistory:
     @settings(max_examples=300)
     def test_sup_norm_matches_scan(self, hist, data):
         t0, t1 = data.draw(windows(hist.times[0], hist.times[-1]))
+        assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+
+    @given(state_records(), st.data())
+    @settings(max_examples=300)
+    def test_sup_norm_at_samples_matches_scan(self, hist, data):
+        # ends on samples take the norms stored at append; the scan
+        # recomputes them from the interpolated (exact) states
+        i, j = sorted(data.draw(st.lists(st.integers(0, len(hist.times) - 1),
+                                         min_size=2, max_size=2)))
+        t0, t1 = hist.times[i], hist.times[j]
         assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
 
     @given(state_records(), st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
@@ -564,6 +613,23 @@ class TestTrajectory:
         traj = self.make()
         assert inputs_in_box(traj, np.array([[-0.5, 0.5]]))
         assert not inputs_in_box(traj, np.array([[-0.1, 0.1]]))
+
+    def test_csv_bytes_are_the_csv_modules(self, tmp_path):
+        # one formatted line per row gives the bytes of csv.writer on
+        # f"{v:.17g}" cells, CRLF line ends included
+        traj = self.make()
+        traj.x[0], traj.z[1], traj.norm[2] = [-0.0, 5e-324], [1e16, 0.1], 1e16 + 2.0
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        want = io.StringIO(newline="")
+        writer = csv.writer(want)
+        writer.writerow(["t", "x1", "x2", "z1", "z2", "w1", "u1", "Vx", "Vz", "norm"])
+        table = np.column_stack([traj.t, traj.x, traj.z, traj.w, traj.u_applied, traj.lyap_x,
+                                 traj.lyap_z, traj.norm])
+        for row in table:
+            writer.writerow([f"{v:.17g}" for v in row.tolist()])
+        assert path.read_bytes() == want.getvalue().encode()
+        assert b"-0,4.9406564584124654e-324," in path.read_bytes()
 
     def test_csv_roundtrip_full_precision(self, tmp_path):
         traj = self.make()

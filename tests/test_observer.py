@@ -11,7 +11,7 @@ from absorbctl import (AssumptionData, BlendingFn, ConfigurationError,
                        build_planar_example, damping_term, observer_correction)
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import output_injection
-from absorbctl.rk4 import rk4_step
+from absorbctl.rk4 import rk4_steps
 from absorbctl.verification import corrected_dissipation_margin
 from loop_oracles import coupled_rhs, listwise
 
@@ -282,7 +282,7 @@ class TestObserverCorrection:
 
 class TestRhs:
     """The coupled right side of (x, z, w) that the simulator's generated
-    substep writes out, in its list oracle."""
+    span writes out, in its list oracle."""
 
     def test_observer_rhs_composes(self, planar):
         plant, assm = planar
@@ -310,8 +310,8 @@ class TestDotMatchesMatmul:
     sums, and in the damping branch with ``ndarray.dot``.  On the planar plant
     (one-term rows) these are the bytes of ``@``; on a plant with longer
     rows they may differ from BLAS in the last bit, and no more.  The list
-    oracle's right side stands for the loop's; the generated substep must
-    give the bits of ``rk4_step`` on that oracle."""
+    oracle's right side stands for the loop's; the generated span must give
+    the bits of ``rk4_step`` substeps on that oracle."""
 
     @pytest.fixture(scope="class")
     def loop3(self):
@@ -355,20 +355,21 @@ class TestDotMatchesMatmul:
         assert np.max(np.abs(np.array(out) - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     @given(st.lists(unit, min_size=3, max_size=3).filter(lambda d: max(map(abs, d)) > 0.05),
-           st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0), st.sampled_from([1e-3, 0.01, 0.1]),
-           st.data())
+           st.sampled_from(LEVEL_BANDS), st.floats(0.0, 1.0),
+           st.sampled_from([(1e-3, 1), (0.01, 1), (0.1, 1), (1e-3, 9), (0.01, 9)]), st.data())
     @settings(max_examples=300, deadline=None)
-    def test_generated_substep_matches_list_oracle(self, loop3, direction, band, frac, dt,
-                                                   data):
+    def test_generated_span_matches_list_oracle(self, loop3, direction, band, frac, steps,
+                                                data):
         plant, assm = loop3
         x, z, w, u_plant, u_obs = (v.tolist() for v in
                                    self._draw(loop3, direction, band, frac, data))
-        substep = loop_kernels(3, 2).rk4_substep(plant, assm, observer_correction,
-                                                 u_plant, u_obs)
-        got = substep(0.0, x + z + w, dt)
-        want = rk4_step(coupled_rhs(plant, assm, u_plant, u_obs), 0.0, x + z + w, dt)
+        span = loop_kernels(3, 2).rk4_span(plant, assm, observer_correction, u_plant, u_obs)
+        got, got_nodes = span(x + z + w, *steps)
+        want, want_nodes = rk4_steps(coupled_rhs(plant, assm, u_plant, u_obs), x + z + w,
+                                     *steps)
         assert all(type(v) is float for v in got)
         assert np.array(got).tobytes() == np.array(want).tobytes()
+        assert np.array(got_nodes).tobytes() == np.array(want_nodes)[:, :3].tobytes()
 
     def test_checks_apply_the_loops_injection(self, loop3):
         # inside the absorbing set the correction is the bare injection, so

@@ -14,6 +14,7 @@ from absorbctl import (
     NonFiniteError,
     PlantModel,
     SimConfig,
+    StateHistory,
     Trajectory,
     build_planar_example,
     fit_decay_rate,
@@ -443,6 +444,35 @@ class TestClosedLoop:
                                     short_config(dt_max=5e-4), init)
         ref = np.linalg.norm(fine.x[-1])
         assert np.linalg.norm(coarse.x[-1] - fine.x[-1]) <= 1e-6 * max(ref, 1.0)
+
+    def test_each_span_is_one_integration_and_one_record_append(self, planar, monkeypatch):
+        # every substep of a span runs inside one integrate_span call, and its
+        # nodes enter the state record in one append, not one per substep
+        plant, assm = planar
+        config = short_config(horizon=2.0)
+        partition = generate_partition(0.01, config.horizon, seed=0)
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        groups = simulator._event_groups(partition, config, plant,
+                                         init.histories(plant)[1].starts)
+        spans, appends = [], []
+        integrate_span, append = simulator.integrate_span, StateHistory.append
+
+        def counted_span(*args):
+            spans.append(args[1:3])
+            return integrate_span(*args)
+
+        def counted_append(hist, times, states):
+            appends.append(len(times))
+            return append(hist, times, states)
+
+        monkeypatch.setattr(simulator, "integrate_span", counted_span)
+        monkeypatch.setattr(StateHistory, "append", counted_append)
+        simulate_closed_loop(plant, assm, partition, config, init)
+        assert len(spans) == len(groups) - 1  # the first event group is at t = 0
+        assert all(t0 < t1 for t0, t1 in spans)
+        assert len(appends) == len(spans) + 1  # and one for the initial record
+        substeps = sum(math.ceil((t1 - t0) / config.dt_max) for t0, t1 in spans)
+        assert sum(appends) == 2 + substeps > 2 * len(appends)  # x0 at -r and at 0
 
 
 def _norm_trajectory(times, norms):
