@@ -15,7 +15,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 
 # defaulted parameters and dataclass fields across the package; a new knob
 # must replace an old one
-MAX_SETTABLE = 23
+MAX_SETTABLE = 22
 
 
 def absorbctl_imports(source: str) -> set[str]:
