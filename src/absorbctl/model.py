@@ -336,22 +336,19 @@ class InputHistory:
         """Input applied at time ``t``; requires ``t_min <= t < t_now``."""
         t = float(t)
         if not (self.t_min <= t < self.t_now):
-            raise CoverageError(
-                f"input query at t={t!r} outside coverage [{self.t_min!r}, {self.t_now!r})"
-            )
+            raise CoverageError(f"input query at t={t!r} outside coverage "
+                                f"[{self.t_min!r}, {self.t_now!r})")
         idx = bisect.bisect_right(self.starts, t) - 1
         return self.values[idx]
 
     def window(self, t0: float, t1: float) -> tuple[float, float]:
         """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
-        t0 = float(t0)
-        t1 = float(t1)
+        t0, t1 = float(t0), float(t1)
         if t0 > t1:
             raise CoverageError("reversed interval")
         if not (self.t_min <= t0 and t1 <= self.t_now):
-            raise CoverageError(
-                f"interval [{t0!r}, {t1!r}] outside coverage [{self.t_min!r}, {self.t_now!r})"
-            )
+            raise CoverageError(f"interval [{t0!r}, {t1!r}] outside coverage "
+                                f"[{self.t_min!r}, {self.t_now!r})")
         return t0, t1
 
     def iter_segments(self, t0: float, t1: float) -> list[tuple[list, float]]:
@@ -376,63 +373,76 @@ class InputHistory:
 
 
 class StateHistory:
-    """Time-stamped state samples, interpolated linearly, grown only by ``append``."""
+    """Time-stamped state samples (lists of floats), interpolated linearly, grown only by
+    ``append``; ``peak_times``/``peak_norms`` are those whose norm exceeds every later one's."""
 
     def __init__(self):
         self.times: list[float] = []
-        self.states: list[np.ndarray] = []
+        self.states: list[list[float]] = []
         self.norms: list[float] = []
+        self.peak_times: list[float] = []
+        self.peak_norms: list[float] = []
 
     def append(self, times: Sequence[float], states) -> None:
         """Add the rows ``states[i]`` at finite, strictly increasing ``times[i]``
         after the stored ones, with their norms, the bits of ``_norm``."""
-        times = list(map(_time, times))
+        times = list(map(float, times))
+        if not all(map(math.isfinite, times)):
+            list(map(_time, times))  # raises, naming the first time that is not finite
         seq = self.times[-1:] + times
         if not all(map(float.__lt__, seq, seq[1:])):
             raise ConfigurationError("sample times must be strictly increasing")
         arr = np.array(states, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != len(times) or (
-                self.states and arr.shape[1] != self.states[0].size):
+                self.states and arr.shape[1] != len(self.states[0])):
             raise ConfigurationError("states must be one row per time, of one dimension")
         self.times += times
-        self.states += list(arr)
-        self.norms += np.sqrt(np.vecdot(arr, arr)).tolist()
+        self.states += arr.tolist()
+        self.norms += (norms := np.sqrt(np.vecdot(arr, arr)).tolist())
+        peak_times, peak_norms = self.peak_times, self.peak_norms
+        for t, v in zip(times, norms):
+            while peak_norms and peak_norms[-1] <= v:
+                del peak_times[-1], peak_norms[-1]
+            peak_times.append(t)
+            peak_norms.append(v)
 
-    def value(self, t: float) -> np.ndarray:
+    def value(self, t: float) -> list[float]:
         """Linearly interpolated state at ``t``; exact at sample times."""
-        t = float(t)
-        if not self.times:
+        t, times = float(t), self.times
+        if not times:
             raise CoverageError("empty state record")
-        if not self.times[0] <= t <= self.times[-1]:  # a NaN t fails it too
-            raise CoverageError(
-                f"state query at t={t!r} outside [{self.times[0]!r}, {self.times[-1]!r}]"
-            )
-        idx = bisect.bisect_left(self.times, t)
-        if idx < len(self.times) and self.times[idx] == t:
-            return self.states[idx]
-        lo, hi = idx - 1, idx
-        span = self.times[hi] - self.times[lo]
-        theta = (t - self.times[lo]) / span
-        return self.states[lo] + theta * (self.states[hi] - self.states[lo])
+        if not times[0] <= t <= times[-1]:  # a NaN t fails it too
+            raise CoverageError(f"state query at t={t!r} outside [{times[0]!r}, {times[-1]!r}]")
+        hi = bisect.bisect_left(times, t)
+        if times[hi] == t:
+            return self.states[hi]
+        theta = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
+        return [a + theta * (b - a) for a, b in zip(self.states[hi - 1], self.states[hi])]
 
     def sup_norm(self, t0: float, t1: float) -> float:
         """Largest sampled/interpolated state norm over ``[t0, t1]``, not reversed:
-        the norms stored at ``append`` for its samples, ends too, else interpolated."""
+        the norms stored at ``append`` for its samples, ends too, else interpolated;
+        from the suffix maxima when ``t1`` is the newest sample, as at every row of a run."""
         if t0 > t1:
             raise CoverageError("reversed interval")
-        lo, hi = bisect.bisect_left(self.times, t0), bisect.bisect_right(self.times, t1)
-        norms = self.norms[lo:hi]
-        if not (lo < len(self.times) and self.times[lo] == t0):
-            norms.append(_norm(self.value(t0)))
-        if not (hi and self.times[hi - 1] == t1):
-            norms.append(_norm(self.value(t1)))
+        times = self.times
+        lo, hi = bisect.bisect_left(times, t0), bisect.bisect_right(times, t1)
+        norms = ([self.peak_norms[bisect.bisect_left(self.peak_times, t0)]]
+                 if times and times[-1] == t1 else self.norms[lo:hi])
+        if not (lo < len(times) and times[lo] == t0):
+            norms.append(_norm(np.array(self.value(t0))))
+        if not (hi and times[hi - 1] == t1):
+            norms.append(_norm(np.array(self.value(t1))))
         return max(norms)
 
     def prune_before(self, t: float) -> None:
         """Drop samples no longer needed to interpolate at times >= ``t``:
-        every sample before the last one at or before ``t``."""
-        k = max(0, bisect.bisect_right(self.times, t) - 1)
+        every sample before the last one at or before ``t``, and the suffix
+        maxima before the first sample kept.  ``t`` must be finite."""
+        k = max(0, bisect.bisect_right(self.times, _time(t)) - 1)
         del self.times[:k], self.states[:k], self.norms[:k]
+        j = bisect.bisect_left(self.peak_times, self.times[0]) if self.times else 0
+        del self.peak_times[:j], self.peak_norms[:j]
 
 
 _GAP_SLACK = 1.0 + 1e-12  # float accumulation can push a gap one ulp past T_s

@@ -143,11 +143,11 @@ def generate_partition(T_s: float, horizon: float, seed: int,
         while times[-1] < horizon:
             times = np.append(times, times[-1] + T_s)
         return SamplingPartition(times, T_s)
-    rng = np.random.default_rng(seed)
-    times = [0.0]
-    while times[-1] < horizon:
-        times.append(times[-1] + rng.uniform(min_frac * T_s, T_s))
-    return SamplingPartition(np.asarray(times), T_s)
+    # every gap is at least min_frac*T_s, so this many gaps reach the horizon
+    gaps = np.random.default_rng(seed).uniform(
+        min_frac * T_s, T_s, size=math.ceil(horizon / (min_frac * T_s)) + 1)
+    times = np.add.accumulate(np.concatenate(([0.0], gaps)))
+    return SamplingPartition(times[:np.searchsorted(times, horizon) + 1], T_s)
 
 
 def _grid(step: float, horizon: float) -> list[float]:
@@ -204,7 +204,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     rk4_span = loop_kernels(n, plant.k_out).rk4_span
 
     # w is set by the reset at the measurement every partition begins with at t = 0
-    Y = [*xhist.value(0.0).tolist(), *init.z0.tolist(), *[0.0] * plant.k_out]
+    Y = [*xhist.value(0.0), *init.z0.tolist(), *[0.0] * plant.k_out]
 
     rows_t: list[float] = []
     rows_y: list[list[float]] = []
@@ -233,7 +233,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     xhist.append(times, nodes)
                     t_cur = t_g
                 if _SAMPLE in kinds:
-                    y_sample = plant.h(xhist.value(t_g - plant.r).tolist())
+                    y_sample = plant.h(xhist.value(t_g - plant.r))
                     Y[2 * n:] = y_sample
                     reset_records.append((t_g, y_sample))
                 if _HOLD in kinds:

@@ -91,6 +91,17 @@ def sup_norm_scan(hist: StateHistory, t0: float, t1: float) -> float:
     return best
 
 
+def suffix_maxima(hist: StateHistory) -> tuple[list, list]:
+    """``(times, norms)`` of the samples whose norm exceeds every later
+    sample's, by a scan from the newest."""
+    kept, best = [], -math.inf
+    for t, v in zip(reversed(hist.times), reversed(hist.norms)):
+        if v > best:
+            kept.append((t, v))
+            best = v
+    return [t for t, _v in reversed(kept)], [v for _t, v in reversed(kept)]
+
+
 def prune_one_at_a_time(hist: StateHistory, t: float) -> None:
     while len(hist.times) >= 2 and hist.times[1] <= t:
         del hist.times[0], hist.states[0], hist.norms[0]

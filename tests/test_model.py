@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, NonFiniteError,
                        PlantModel, SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
-from history_oracles import (input_record, input_records, prune_one_at_a_time,
+from history_oracles import (grid_times, input_record, input_records, prune_one_at_a_time,
                              segments_scan, state_record, state_records, step_pieces,
-                             sup_abs_scan, sup_norm_scan, windows)
+                             suffix_maxima, sup_abs_scan, sup_norm_scan, windows)
 from loop_oracles import inputs_in_box
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
@@ -482,8 +482,8 @@ class TestStateHistory:
         hist = StateHistory()
         hist.append([0.0], source)
         source[...] = -7.0
-        assert hist.states[0].tolist() == [1.0, 2.0]
-        assert hist.value(0.0).tolist() == [1.0, 2.0]
+        assert hist.states[0] == [1.0, 2.0]
+        assert hist.value(0.0) == [1.0, 2.0]
         assert hist.norms == [np.sqrt(5.0)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -538,6 +538,57 @@ class TestStateHistory:
         assert len(hist.times) >= 1 and hist.times == oracle.times
         assert hist.norms == oracle.norms
         assert np.array_equal(hist.states, oracle.states)
+        assert (hist.peak_times, hist.peak_norms) == suffix_maxima(oracle)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_prune_refuses_a_time_that_is_not_finite(self, t):
+        # bisect_right sent a NaN past every time: prune_before(nan) kept
+        # only the newest sample, and so did prune_before(inf)
+        hist = state_record([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
+        with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
+            hist.prune_before(t)
+        assert hist.times == [0.0, 1.0, 2.0] and hist.peak_times == [2.0]
+
+    @given(st.data())
+    @settings(max_examples=300)
+    def test_windows_match_scan_through_appends_and_prunes(self, data):
+        # ties (norm 1 three ways, 5 two ways) and inf norms (1e200 squared
+        # overflows) exercise the suffix maxima's pops; one-row batches too
+        entry = (st.sampled_from([0.0, 1.0, -1.0, 3.0, 4.0, -5.0, 1e200, -1e200])
+                 | st.floats(-5.0, 5.0))
+        row = st.lists(entry, min_size=2, max_size=2)
+        hist, clock = StateHistory(), 0.0
+        with np.errstate(over="ignore"):
+            for _step in range(data.draw(st.integers(1, 8))):
+                if hist.times and data.draw(st.booleans()):
+                    hist.prune_before(data.draw(grid_times(hist.times[0] - 0.5, hist.times[-1])))
+                else:
+                    gaps = data.draw(st.lists(st.sampled_from([1 / 64, 1 / 32, 0.1, 0.37]),
+                                              min_size=1, max_size=5))
+                    times = [clock := clock + gap for gap in gaps]
+                    hist.append(times, data.draw(st.lists(row, min_size=len(times),
+                                                          max_size=len(times))))
+                assert (hist.peak_times, hist.peak_norms) == suffix_maxima(hist)
+                newest = hist.times[-1]
+                t0 = data.draw(grid_times(hist.times[0], newest))
+                assert hist.sup_norm(t0, newest) == sup_norm_scan(hist, t0, newest)
+                t0, t1 = data.draw(windows(hist.times[0], newest))
+                assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_interpolation_is_the_numpy_row_form(self, n):
+        # a + theta*(b - a) per float is lo + theta*(hi - lo) on float64 rows
+        rng = np.random.default_rng(n)
+        times = np.add.accumulate(rng.uniform(1e-3, 1.0, size=2000)).tolist()
+        rows = rng.normal(size=(2000, n)) * 10.0 ** rng.integers(-12, 13, size=(2000, n))
+        hist = state_record(times, rows)
+        for i, frac in zip(range(1999), rng.uniform(0.0, 1.0, size=1999)):
+            t = times[i] + frac * (times[i + 1] - times[i])
+            if t in (times[i], times[i + 1]):
+                continue
+            theta = (t - times[i]) / (times[i + 1] - times[i])
+            want = rows[i] + theta * (rows[i + 1] - rows[i])
+            assert np.array(hist.value(t)).tobytes() == want.tobytes()
 
 
 class TestPartitionAndConfig:

@@ -109,7 +109,7 @@ class TestInitialData:
         xhist, _uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
         assert xhist.times == [-0.25, 0.0]
         for t in (-0.25, -0.1, 0.0):
-            assert (xhist.value(t) == [1.0, -1.0]).all()
+            assert xhist.value(t) == [1.0, -1.0]
 
     def test_tuple_state_is_not_a_table(self, planar):
         plant, assm = planar
@@ -125,8 +125,8 @@ class TestInitialData:
         init = InitialData(x0=([-0.5, -0.2, 0.0], [[1.0, 0.0], [0.5, 0.0], [0.0, 0.0]]),
                            z0=[0.0, 0.0])
         xhist, _uhist = init.histories(_plant(0.5, 0.25))
-        assert (xhist.value(-0.2) == [0.5, 0.0]).all()
-        assert (xhist.value(0.0) == [0.0, 0.0]).all()
+        assert xhist.value(-0.2) == [0.5, 0.0]
+        assert xhist.value(0.0) == [0.0, 0.0]
 
     def test_table_last_row_is_x_at_zero(self):
         # end times within 1e-12 of -r and 0 are snapped onto them, so x(0)
@@ -135,7 +135,7 @@ class TestInitialData:
                                [[1.0, 0.0], [0.5, 0.0], [0.3, -0.7]]), z0=[0.0, 0.0])
         xhist, _uhist = init.histories(_plant(0.5, 0.25))
         assert xhist.times == [-0.5, -0.2, 0.0]
-        assert xhist.value(0.0).tolist() == [0.3, -0.7]
+        assert xhist.value(0.0) == [0.3, -0.7]
 
     def test_table_must_cover_window(self):
         init = InitialData(x0=([-0.3, 0.0], [[1.0, 0.0], [0.0, 0.0]]), z0=[0.0, 0.0])
@@ -205,7 +205,7 @@ class TestInitialData:
     def test_delay_free_forbids_segments(self):
         plant = _plant(0.0, 0.0)
         xhist, uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
-        assert xhist.times == [0.0] and (xhist.value(0.0) == [1.0, -1.0]).all()
+        assert xhist.times == [0.0] and xhist.value(0.0) == [1.0, -1.0]
         assert (uhist.t_min, uhist.t_now, uhist.starts) == (0.0, 0.0, [])
         assert math.copysign(1.0, uhist.t_min) == 1.0  # 0.0, not -(r + tau) = -0.0
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=[(-0.5, [0.1])])
@@ -241,6 +241,19 @@ class TestPartition:
         assert np.all(gaps >= 0.005 - 1e-15)
         assert np.all(gaps <= 0.01 + 1e-15)
         assert part.times[-1] >= 5.0
+
+    @pytest.mark.parametrize("T_s, horizon, min_frac", [
+        (0.01, 40.0, 0.5), (0.1, 1.0, 0.9), (0.003, 7.3, 0.25), (1.0, 0.5, 0.5),
+        (0.02, 3.0, 1e-3)])
+    def test_one_draw_is_the_scalar_loops_schedule(self, T_s, horizon, min_frac):
+        # the schedule drawn gap by gap, each added to the last time
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            times = [0.0]
+            while times[-1] < horizon:
+                times.append(times[-1] + rng.uniform(min_frac * T_s, T_s))
+            part = generate_partition(T_s, horizon, seed, min_frac)
+            assert part.times.tobytes() == np.array(times).tobytes()
 
     def test_determinism(self):
         a = generate_partition(0.01, 2.0, seed=5)
