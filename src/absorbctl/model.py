@@ -53,8 +53,9 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
 
 
-def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a 1-d float64 array; the same bits as ``np.linalg.norm``."""
+def _norm(v) -> float:
+    """Euclidean norm of a list of floats or 1-d float64 array; the bits of ``np.linalg.norm``."""
+    v = np.asarray(v, dtype=float)
     return math.sqrt(v.dot(v))
 
 
@@ -336,19 +337,22 @@ class InputHistory:
         """Input applied at time ``t``; requires ``t_min <= t < t_now``."""
         t = float(t)
         if not (self.t_min <= t < self.t_now):
-            raise CoverageError(f"input query at t={t!r} outside coverage "
-                                f"[{self.t_min!r}, {self.t_now!r})")
+            raise CoverageError(
+                f"input query at t={t!r} outside coverage [{self.t_min!r}, {self.t_now!r})"
+            )
         idx = bisect.bisect_right(self.starts, t) - 1
         return self.values[idx]
 
     def window(self, t0: float, t1: float) -> tuple[float, float]:
         """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
-        t0, t1 = float(t0), float(t1)
+        t0 = float(t0)
+        t1 = float(t1)
         if t0 > t1:
             raise CoverageError("reversed interval")
         if not (self.t_min <= t0 and t1 <= self.t_now):
-            raise CoverageError(f"interval [{t0!r}, {t1!r}] outside coverage "
-                                f"[{self.t_min!r}, {self.t_now!r})")
+            raise CoverageError(
+                f"interval [{t0!r}, {t1!r}] outside coverage [{self.t_min!r}, {self.t_now!r})"
+            )
         return t0, t1
 
     def iter_segments(self, t0: float, t1: float) -> list[tuple[list, float]]:
@@ -399,23 +403,24 @@ class StateHistory:
         self.times += times
         self.states += arr.tolist()
         self.norms += (norms := np.sqrt(np.vecdot(arr, arr)).tolist())
-        peak_times, peak_norms = self.peak_times, self.peak_norms
         for t, v in zip(times, norms):
-            while peak_norms and peak_norms[-1] <= v:
-                del peak_times[-1], peak_norms[-1]
-            peak_times.append(t)
-            peak_norms.append(v)
+            while self.peak_norms and self.peak_norms[-1] <= v:
+                del self.peak_times[-1], self.peak_norms[-1]
+            self.peak_times.append(t)
+            self.peak_norms.append(v)
 
     def value(self, t: float) -> list[float]:
-        """Linearly interpolated state at ``t``; exact at sample times."""
+        """Linearly interpolated state at ``t`` as a new list; exact at sample times."""
         t, times = float(t), self.times
         if not times:
             raise CoverageError("empty state record")
         if not times[0] <= t <= times[-1]:  # a NaN t fails it too
-            raise CoverageError(f"state query at t={t!r} outside [{times[0]!r}, {times[-1]!r}]")
+            raise CoverageError(
+                f"state query at t={t!r} outside [{times[0]!r}, {times[-1]!r}]"
+            )
         hi = bisect.bisect_left(times, t)
         if times[hi] == t:
-            return self.states[hi]
+            return list(self.states[hi])
         theta = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
         return [a + theta * (b - a) for a, b in zip(self.states[hi - 1], self.states[hi])]
 
@@ -425,14 +430,13 @@ class StateHistory:
         from the suffix maxima when ``t1`` is the newest sample, as at every row of a run."""
         if t0 > t1:
             raise CoverageError("reversed interval")
-        times = self.times
-        lo, hi = bisect.bisect_left(times, t0), bisect.bisect_right(times, t1)
+        lo, hi = bisect.bisect_left(self.times, t0), bisect.bisect_right(self.times, t1)
         norms = ([self.peak_norms[bisect.bisect_left(self.peak_times, t0)]]
-                 if times and times[-1] == t1 else self.norms[lo:hi])
-        if not (lo < len(times) and times[lo] == t0):
-            norms.append(_norm(np.array(self.value(t0))))
-        if not (hi and times[hi - 1] == t1):
-            norms.append(_norm(np.array(self.value(t1))))
+                 if self.times and self.times[-1] == t1 else self.norms[lo:hi])
+        if not (lo < len(self.times) and self.times[lo] == t0):
+            norms.append(_norm(self.value(t0)))
+        if not (hi and self.times[hi - 1] == t1):
+            norms.append(_norm(self.value(t1)))
         return max(norms)
 
     def prune_before(self, t: float) -> None:

@@ -143,10 +143,15 @@ def generate_partition(T_s: float, horizon: float, seed: int,
         while times[-1] < horizon:
             times = np.append(times, times[-1] + T_s)
         return SamplingPartition(times, T_s)
-    # every gap is at least min_frac*T_s, so this many gaps reach the horizon
-    gaps = np.random.default_rng(seed).uniform(
-        min_frac * T_s, T_s, size=math.ceil(horizon / (min_frac * T_s)) + 1)
-    times = np.add.accumulate(np.concatenate(([0.0], gaps)))
+    # chunks sized from the mean gap, summed on from the last time: consecutive
+    # draws continue one stream (the per-gap loop's bits); memory follows the samples
+    rng = np.random.default_rng(seed)
+    mean_gap = 0.5 * (1.0 + min_frac) * T_s
+    chunks = [[0.0]]
+    while (t_last := chunks[-1][-1]) < horizon:
+        gaps = rng.uniform(min_frac * T_s, T_s, size=math.ceil((horizon - t_last) / mean_gap) + 16)
+        chunks.append(np.add.accumulate(np.concatenate(([t_last], gaps)))[1:])
+    times = np.concatenate(chunks)
     return SamplingPartition(times[:np.searchsorted(times, horizon) + 1], T_s)
 
 
@@ -244,7 +249,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     rows_u.append(uhist.values[-1])
                     rows_norm.append(
                         xhist.sup_norm(t_g - plant.r, t_g)
-                        + _norm(np.array(Y[n:2 * n]))
+                        + _norm(Y[n:2 * n])
                         + uhist.sup_abs(t_g - plant.delay_window, t_g))
                     if not math.isfinite(rows_norm[-1]):
                         raise NonFiniteError(f"composite norm not finite at t={t_g!r}")

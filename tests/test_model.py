@@ -485,6 +485,10 @@ class TestStateHistory:
         assert hist.states[0] == [1.0, 2.0]
         assert hist.value(0.0) == [1.0, 2.0]
         assert hist.norms == [np.sqrt(5.0)]
+        # value hands out a new list at a sample time too: a caller such as
+        # the output map h may write to it without touching the record
+        hist.value(0.0)[:] = [-7.0, -7.0]
+        assert hist.states[0] == [1.0, 2.0] and hist.value(0.0) == [1.0, 2.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_batched_norms_are_the_per_row_bits(self, n):

@@ -244,9 +244,11 @@ class TestPartition:
 
     @pytest.mark.parametrize("T_s, horizon, min_frac", [
         (0.01, 40.0, 0.5), (0.1, 1.0, 0.9), (0.003, 7.3, 0.25), (1.0, 0.5, 0.5),
-        (0.02, 3.0, 1e-3)])
-    def test_one_draw_is_the_scalar_loops_schedule(self, T_s, horizon, min_frac):
-        # the schedule drawn gap by gap, each added to the last time
+        (0.02, 3.0, 1e-3), (0.01, 0.05, 1e-9)])
+    def test_chunked_draws_are_the_scalar_loops_schedule(self, T_s, horizon, min_frac):
+        # the schedule drawn gap by gap, each added to the last time; seeds 0,
+        # 5 and 11 of (0.003, 7.3, 0.25) run past the first chunk, and min_frac
+        # 1e-9 would ask for 5e9 gaps if the worst-case count were drawn
         for seed in range(16):
             rng = np.random.default_rng(seed)
             times = [0.0]
