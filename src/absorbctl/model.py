@@ -383,13 +383,12 @@ class StateHistory:
     def __init__(self):
         self.times: list[float] = []
         self.states: list[list[float]] = []
-        self.norms: list[float] = []
         self.peak_times: list[float] = []
         self.peak_norms: list[float] = []
 
     def append(self, times: Sequence[float], states) -> None:
         """Add the rows ``states[i]`` at finite, strictly increasing ``times[i]``
-        after the stored ones, with their norms, the bits of ``_norm``."""
+        after the stored ones; their norms, the bits of ``_norm``, update the suffix maxima."""
         times = list(map(float, times))
         if not all(map(math.isfinite, times)):
             list(map(_time, times))  # raises, naming the first time that is not finite
@@ -402,8 +401,7 @@ class StateHistory:
             raise ConfigurationError("states must be one row per time, of one dimension")
         self.times += times
         self.states += arr.tolist()
-        self.norms += (norms := np.sqrt(np.vecdot(arr, arr)).tolist())
-        for t, v in zip(times, norms):
+        for t, v in zip(times, np.sqrt(np.vecdot(arr, arr)).tolist()):
             while self.peak_norms and self.peak_norms[-1] <= v:
                 del self.peak_times[-1], self.peak_norms[-1]
             self.peak_times.append(t)
@@ -424,27 +422,19 @@ class StateHistory:
         theta = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
         return [a + theta * (b - a) for a, b in zip(self.states[hi - 1], self.states[hi])]
 
-    def sup_norm(self, t0: float, t1: float) -> float:
-        """Largest sampled/interpolated state norm over ``[t0, t1]``, not reversed:
-        the norms stored at ``append`` for its samples, ends too, else interpolated;
-        from the suffix maxima when ``t1`` is the newest sample, as at every row of a run."""
-        if t0 > t1:
-            raise CoverageError("reversed interval")
-        lo, hi = bisect.bisect_left(self.times, t0), bisect.bisect_right(self.times, t1)
-        norms = ([self.peak_norms[bisect.bisect_left(self.peak_times, t0)]]
-                 if self.times and self.times[-1] == t1 else self.norms[lo:hi])
-        if not (lo < len(self.times) and self.times[lo] == t0):
-            norms.append(_norm(self.value(t0)))
-        if not (hi and self.times[hi - 1] == t1):
-            norms.append(_norm(self.value(t1)))
-        return max(norms)
+    def sup_norm(self, t0: float) -> float:
+        """Largest state norm over ``[t0, newest sample]``: the suffix maximum from ``t0``
+        on, and the interpolated norm at ``t0`` when no sample lies there."""
+        lo = bisect.bisect_left(self.times, t0)
+        edge = [] if lo < len(self.times) and self.times[lo] == t0 else [_norm(self.value(t0))]
+        return max([self.peak_norms[bisect.bisect_left(self.peak_times, t0)], *edge])
 
     def prune_before(self, t: float) -> None:
         """Drop samples no longer needed to interpolate at times >= ``t``:
         every sample before the last one at or before ``t``, and the suffix
         maxima before the first sample kept.  ``t`` must be finite."""
         k = max(0, bisect.bisect_right(self.times, _time(t)) - 1)
-        del self.times[:k], self.states[:k], self.norms[:k]
+        del self.times[:k], self.states[:k]
         j = bisect.bisect_left(self.peak_times, self.times[0]) if self.times else 0
         del self.peak_times[:j], self.peak_norms[:j]
 

@@ -248,7 +248,7 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                     rows_y.append(list(Y))
                     rows_u.append(uhist.values[-1])
                     rows_norm.append(
-                        xhist.sup_norm(t_g - plant.r, t_g)
+                        xhist.sup_norm(t_g - plant.r)
                         + _norm(Y[n:2 * n])
                         + uhist.sup_abs(t_g - plant.delay_window, t_g))
                     if not math.isfinite(rows_norm[-1]):

@@ -83,20 +83,21 @@ def sup_abs_scan(hist: InputHistory, t0: float, t1: float) -> float:
     return best
 
 
-def sup_norm_scan(hist: StateHistory, t0: float, t1: float) -> float:
-    best = max(float(np.linalg.norm(hist.value(t0))), float(np.linalg.norm(hist.value(t1))))
+def sup_norm_scan(hist: StateHistory, t0: float) -> float:
+    """Largest state norm over ``[t0, newest sample]``, one norm per sample."""
+    best = float(np.linalg.norm(hist.value(t0)))
     for t, x in zip(hist.times, hist.states):
-        if t0 < t < t1 and float(np.linalg.norm(x)) > best:
+        if t > t0 and float(np.linalg.norm(x)) > best:
             best = float(np.linalg.norm(x))
     return best
 
 
 def suffix_maxima(hist: StateHistory) -> tuple[list, list]:
     """``(times, norms)`` of the samples whose norm exceeds every later
-    sample's, by a scan from the newest."""
+    sample's, by a scan from the newest, recomputing each norm from its state."""
     kept, best = [], -math.inf
-    for t, v in zip(reversed(hist.times), reversed(hist.norms)):
-        if v > best:
+    for t, x in zip(reversed(hist.times), reversed(hist.states)):
+        if (v := float(np.linalg.norm(x))) > best:
             kept.append((t, v))
             best = v
     return [t for t, _v in reversed(kept)], [v for _t, v in reversed(kept)]
@@ -104,7 +105,7 @@ def suffix_maxima(hist: StateHistory) -> tuple[list, list]:
 
 def prune_one_at_a_time(hist: StateHistory, t: float) -> None:
     while len(hist.times) >= 2 and hist.times[1] <= t:
-        del hist.times[0], hist.states[0], hist.norms[0]
+        del hist.times[0], hist.states[0]
 
 
 def euler_per_step(x0, hist: InputHistory, N: int, plant, t_pred: float) -> np.ndarray:

@@ -425,8 +425,8 @@ class TestStateHistory:
 
     def test_sup_norm_sees_interior_peak(self):
         hist = state_record([0.0, 0.5, 1.0], [[0.0], [2.0], [0.0]])
-        assert hist.sup_norm(0.1, 0.9) == 2.0
-        assert hist.sup_norm(0.6, 1.0) == pytest.approx(1.6)  # endpoint interpolation
+        assert hist.sup_norm(0.1) == 2.0
+        assert hist.sup_norm(0.6) == pytest.approx(1.6)  # interpolated at t0
 
     def test_out_of_range_raises(self):
         hist = state_record([0.0, 1.0], [[0.0], [1.0]])
@@ -451,7 +451,7 @@ class TestStateHistory:
         with pytest.raises(CoverageError, match="^state query at t=nan outside"):
             hist.value(math.nan)
         with pytest.raises(CoverageError):
-            hist.sup_norm(math.nan, 1.0)
+            hist.sup_norm(math.nan)
 
     def test_times_strictly_increasing(self):
         hist = StateHistory()
@@ -471,7 +471,8 @@ class TestStateHistory:
         with pytest.raises(ConfigurationError,
                            match="^states must be one row per time, of one dimension$"):
             hist.append(times, states)
-        assert hist.times == [0.0] and len(hist.states) == len(hist.norms) == 1
+        assert hist.times == [0.0] and len(hist.states) == 1
+        assert (hist.peak_times, hist.peak_norms) == ([0.0], [np.sqrt(5.0)])
 
     @pytest.mark.parametrize("source", [np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]).T,
                                         np.array([[9.0, 1.0, 9.0, 2.0]])[:, 1::2]])
@@ -484,7 +485,7 @@ class TestStateHistory:
         source[...] = -7.0
         assert hist.states[0] == [1.0, 2.0]
         assert hist.value(0.0) == [1.0, 2.0]
-        assert hist.norms == [np.sqrt(5.0)]
+        assert hist.peak_norms == [np.sqrt(5.0)]
         # value hands out a new list at a sample time too: a caller such as
         # the output map h may write to it without touching the record
         hist.value(0.0)[:] = [-7.0, -7.0]
@@ -493,23 +494,26 @@ class TestStateHistory:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_batched_norms_are_the_per_row_bits(self, n):
         # one vecdot per batch gives each row's math.sqrt(x.dot(x)), bit for
-        # bit, on rows whose entries span many scales; one-row batches too
+        # bit, on rows whose entries span many scales; one-row batches too:
+        # the window from each sample on is the suffix maximum of those norms
         rng = np.random.default_rng(n)
         rows = rng.normal(size=(100_000, n)) * 10.0 ** rng.integers(-12, 13, size=(100_000, n))
         hist = StateHistory()
         for i in range(1000):
             hist.append([float(i)], rows[i:i + 1])
         hist.append(np.arange(1000.0, 100_000.0), rows[1000:])
-        want = [math.sqrt(row.dot(row)) for row in rows]
-        assert np.array(hist.norms).tobytes() == np.array(want).tobytes()
+        want = np.maximum.accumulate([math.sqrt(row.dot(row)) for row in rows][::-1])[::-1]
+        assert np.array([hist.sup_norm(t) for t in hist.times]).tobytes() == want.tobytes()
 
-    def test_sup_norm_refuses_a_reversed_interval(self):
-        # norms 1, 5, 1 at t = 0, 0.5, 1: the reversed window [0.9, 0.1]
-        # read only its interpolated ends, 1.709, and missed the 5 between
+    def test_sup_norm_refuses_a_time_outside_the_record(self):
+        # an uncovered t0 raises CoverageError, not IndexError from the suffix maxima
         hist = state_record([0.0, 0.5, 1.0], [[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-        assert hist.sup_norm(0.1, 0.9) == 5.0
-        with pytest.raises(CoverageError, match="^reversed interval$"):
-            hist.sup_norm(0.9, 0.1)
+        assert hist.sup_norm(0.0) == hist.sup_norm(0.5) == 5.0 and hist.sup_norm(1.0) == 1.0
+        for t0 in (-0.1, 1.1):
+            with pytest.raises(CoverageError, match=f"^state query at t={t0} outside"):
+                hist.sup_norm(t0)
+        with pytest.raises(CoverageError, match="^empty state record$"):
+            StateHistory().sup_norm(0.0)
 
     def test_prune_keeps_bracketing_node(self):
         hist = state_record([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
@@ -520,18 +524,16 @@ class TestStateHistory:
     @given(state_records(), st.data())
     @settings(max_examples=300)
     def test_sup_norm_matches_scan(self, hist, data):
-        t0, t1 = data.draw(windows(hist.times[0], hist.times[-1]))
-        assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+        t0 = data.draw(grid_times(hist.times[0], hist.times[-1]))
+        assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
 
     @given(state_records(), st.data())
     @settings(max_examples=300)
     def test_sup_norm_at_samples_matches_scan(self, hist, data):
-        # ends on samples take the norms stored at append; the scan
+        # a start on a sample takes the norms computed at append; the scan
         # recomputes them from the interpolated (exact) states
-        i, j = sorted(data.draw(st.lists(st.integers(0, len(hist.times) - 1),
-                                         min_size=2, max_size=2)))
-        t0, t1 = hist.times[i], hist.times[j]
-        assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+        t0 = hist.times[data.draw(st.integers(0, len(hist.times) - 1))]
+        assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
 
     @given(state_records(), st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=300)
@@ -540,7 +542,6 @@ class TestStateHistory:
         hist.prune_before(t)
         prune_one_at_a_time(oracle, t)
         assert len(hist.times) >= 1 and hist.times == oracle.times
-        assert hist.norms == oracle.norms
         assert np.array_equal(hist.states, oracle.states)
         assert (hist.peak_times, hist.peak_norms) == suffix_maxima(oracle)
 
@@ -573,11 +574,8 @@ class TestStateHistory:
                     hist.append(times, data.draw(st.lists(row, min_size=len(times),
                                                           max_size=len(times))))
                 assert (hist.peak_times, hist.peak_norms) == suffix_maxima(hist)
-                newest = hist.times[-1]
-                t0 = data.draw(grid_times(hist.times[0], newest))
-                assert hist.sup_norm(t0, newest) == sup_norm_scan(hist, t0, newest)
-                t0, t1 = data.draw(windows(hist.times[0], newest))
-                assert hist.sup_norm(t0, t1) == sup_norm_scan(hist, t0, t1)
+                t0 = data.draw(grid_times(hist.times[0], hist.times[-1]))
+                assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_interpolation_is_the_numpy_row_form(self, n):
