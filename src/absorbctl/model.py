@@ -36,6 +36,7 @@ __all__ = [
 _ORIGIN_TOL = 1e-12
 _FD_TOL = 1e-6
 _FD_STEP = 1e-6  # central-difference step of the derivative checks
+MAX_STEPS = 10**7  # the most substeps, hold, record or sampling gaps a run may take
 
 
 def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
@@ -482,6 +483,9 @@ class SimConfig:
         check_count("N", self.N, 1)
         if not (0.0 < self.dt_max <= self.T_H):
             raise ConfigurationError("dt_max must lie in (0, T_H]")
+        for name in ("dt_max", "record_dt"):  # dt_max <= T_H bounds the holds too
+            if self.horizon / getattr(self, name) > MAX_STEPS:
+                raise ConfigurationError(f"horizon/{name} must be at most {MAX_STEPS}")
         check_count("seed", self.seed, 0)
 
 

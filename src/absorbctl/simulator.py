@@ -21,7 +21,7 @@ import numpy as np
 from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .kernels import loop_kernels
-from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
+from .model import (MAX_STEPS, AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, _norm, check_count)
 from .observer import observer_correction
 from .rk4 import integrate_span
@@ -133,6 +133,8 @@ def generate_partition(T_s: float, horizon: float, seed: int,
     first time 0, last time >= horizon."""
     if not (0.0 < T_s < math.inf and 0.0 < horizon < math.inf):
         raise ConfigurationError("T_s and horizon must be positive and finite")
+    if horizon / T_s > MAX_STEPS:
+        raise ConfigurationError(f"horizon/T_s must be at most {MAX_STEPS}")
     if not (0.0 < min_frac <= 1.0):
         raise ConfigurationError("min_frac must lie in (0, 1]")
     check_count("seed", seed, 0)

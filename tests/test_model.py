@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from absorbctl import (ConfigurationError, CoverageError, InputHistory, NonFiniteError,
                        PlantModel, SamplingPartition, SimConfig, StateHistory, Trajectory,
                        build_planar_example, clamp_input)
+from absorbctl.model import MAX_STEPS
 from history_oracles import (grid_times, input_record, input_records, prune_one_at_a_time,
                              segments_scan, state_record, state_records, step_pieces,
                              suffix_maxima, sup_abs_scan, sup_norm_scan, windows)
@@ -613,6 +614,19 @@ class TestPartitionAndConfig:
             SimConfig(T_H=0.05, N=4, horizon=1.0, dt_max=0.06)
         with pytest.raises(ConfigurationError):
             SimConfig(T_H=0.05, N=4, horizon=-1.0, dt_max=1e-3)
+
+    @pytest.mark.parametrize("settings, name", [
+        ({"dt_max": 1e-300}, "dt_max"), ({"horizon": 1e300}, "dt_max"),
+        ({"horizon": 5e6 + 1.0}, "dt_max"), ({"record_dt": 1e-300}, "record_dt"),
+        ({"record_dt": 0.25}, "record_dt")])
+    def test_simconfig_refuses_more_steps_than_a_run_may_take(self, settings, name):
+        # a run integrated ceil(span/dt_max) substeps and listed j*record_dt
+        # up to the horizon: at 1e-300 either loop ran on without end
+        base = {"T_H": 1.0, "N": 1, "horizon": 5e6, "dt_max": 0.5, "record_dt": 1.0}
+        SimConfig(**base)  # exactly MAX_STEPS substeps
+        with pytest.raises(ConfigurationError,
+                           match=f"^horizon/{name} must be at most {MAX_STEPS}$"):
+            SimConfig(**{**base, **settings})
 
 
 class TestTrajectory:

@@ -24,6 +24,7 @@ from absorbctl import (
     simulate_closed_loop,
     simulator,
 )
+from absorbctl.model import MAX_STEPS
 from loop_oracles import inputs_in_box
 
 EVENT_ATOL = 1e-12
@@ -273,6 +274,13 @@ class TestPartition:
             generate_partition(0.01, 1.0, seed=0, min_frac=0.0)
         with pytest.raises(ConfigurationError):
             generate_partition(0.01, 1.0, seed=0, min_frac=1.5)
+
+    @pytest.mark.parametrize("T_s, horizon, min_frac", [
+        (1e-300, 2.0, 0.5), (1e-300, 2.0, 1.0), (0.01, 1e300, 0.5), (1e-7, 1.0 + 1e-6, 0.5)])
+    def test_more_gaps_than_a_run_may_take_refused(self, T_s, horizon, min_frac):
+        # numpy refused the 1e300-sample array with its own ValueError
+        with pytest.raises(ConfigurationError, match=f"^horizon/T_s must be at most {MAX_STEPS}$"):
+            generate_partition(T_s, horizon, 0, min_frac)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_seed_must_be_a_nonnegative_integer(self, seed):
