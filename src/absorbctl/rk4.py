@@ -2,8 +2,10 @@
 
 All integrators in this package are fixed-step on purpose: resets and input
 switches are applied exactly at known times, so spans between breakpoints
-are smooth and a fourth-order fixed step converges cleanly under grid
-refinement.  Adaptive steppers would trade that determinism away.
+are smooth and each span is fourth order.  The delayed loop is not yet: a
+reset reads x(t_k - r) off the state record by linear interpolation, so
+runs converge at order ~1.5-2.8 under grid refinement.  Adaptive steppers
+would trade the determinism away.
 """
 
 from __future__ import annotations
