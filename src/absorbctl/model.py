@@ -36,7 +36,7 @@ __all__ = [
 _ORIGIN_TOL = 1e-12
 _FD_TOL = 1e-6
 _FD_STEP = 1e-6  # central-difference step of the derivative checks
-MAX_STEPS = 10**7  # the most substeps, hold, record or sampling gaps a run may take
+MAX_STEPS = 10**7  # the most substeps, record times or sampling gaps over one horizon
 
 
 def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
