@@ -11,7 +11,6 @@ a second dimension without an oracle of its own.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -90,7 +89,6 @@ def test_lifted_third_state_decays_on_its_own(planar):
     traj = _run(*lifted(*planar), (*DEFAULTS["x0"], 1.0), (*DEFAULTS["z0"], 0.0), 2.0)
     assert traj.x[:, 2] == pytest.approx(np.exp(-traj.t), rel=1e-10)
     assert not traj.z[:, 2].any()
-    assert math.isfinite(traj.norm[-1])
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
