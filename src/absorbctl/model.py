@@ -36,7 +36,7 @@ __all__ = [
 _ORIGIN_TOL = 1e-12
 _FD_TOL = 1e-6
 _FD_STEP = 1e-6  # central-difference step of the derivative checks
-MAX_STEPS = 10**7  # the most substeps, record times or sampling gaps over one horizon
+MAX_STEPS = 10**7  # the most substeps, record times, sampling gaps or Euler steps over one horizon
 
 
 def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
@@ -486,6 +486,8 @@ class SimConfig:
         for name in ("dt_max", "record_dt"):  # dt_max <= T_H bounds the holds too
             if self.horizon / getattr(self, name) > MAX_STEPS:
                 raise ConfigurationError(f"horizon/{name} must be at most {MAX_STEPS}")
+        if self.N * (self.horizon / self.T_H + 1.0) > MAX_STEPS:  # N Euler steps per hold
+            raise ConfigurationError(f"N * (horizon/T_H + 1) must be at most {MAX_STEPS}")
         check_count("seed", self.seed, 0)
 
 

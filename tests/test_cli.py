@@ -110,14 +110,16 @@ class TestExitCodes:
         ("simulate", ["T_s=1e-300"], "T_s"), ("simulate", ["T_s=1e-300", "min_frac=1"], "T_s"),
         ("sweep", ["T_s=1e-300"], "T_s"), ("simulate", ["record_dt=1e-300"], "record_dt"),
         ("simulate", ["dt_max=1e-300"], "dt_max"), ("simulate", ["horizon=1e300"], "dt_max"),
+        ("simulate", ["N=1000000000000", "horizon=1"], "N"),
     ])
     def test_more_steps_than_a_run_may_take(self, config_file, tmp_path, capsys,
                                             command, settings, name):
-        # T_s gave numpy's ValueError (exit 1); record_dt and dt_max never ended
+        # T_s gave numpy's ValueError (exit 1); record_dt, dt_max and N never ended
         sets = [arg for item in settings for arg in ("--set", item)]
         assert run_cli(command, "--config", config_file, *sets, "--out", tmp_path) == 2
+        bounded = "N * (horizon/T_H + 1)" if name == "N" else f"horizon/{name}"
         assert capsys.readouterr().err == (
-            f"absorbctl: configuration error: horizon/{name} must be at most 10000000\n")
+            f"absorbctl: configuration error: {bounded} must be at most 10000000\n")
         assert list(tmp_path.iterdir()) == [config_file]
 
     @pytest.mark.parametrize("settings, message", [

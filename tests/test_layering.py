@@ -95,3 +95,40 @@ def test_counter_sees_every_settable_form():
 def test_settable_values_are_capped():
     total = sum(settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
     assert total <= MAX_SETTABLE
+
+
+PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess"}
+
+
+def forks(source: str) -> bool:
+    """Whether the module ``source`` names ``os.fork``, called or imported."""
+    return any((isinstance(node, ast.Attribute) and node.attr == "fork"
+                and ast.unparse(node.value) == "os")
+               or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                   and any(alias.name == "fork" for alias in node.names))
+               for node in ast.walk(ast.parse(source)))
+
+
+def top_level_imports(source: str) -> set[str]:
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_process_readers_see_every_form():
+    assert forks("import os\nos.fork()\n") and forks("from os import fork\n")
+    assert not forks("import os\nos.forkpty\nos.getpid()\n")
+    assert top_level_imports("import concurrent.futures\nfrom multiprocessing import Pool\n"
+                             "import subprocess as sp\nfrom . import model\n") == PROCESS_MODULES
+
+
+def test_only_the_checks_fork():
+    # the margin scan forks its children itself; nothing else starts processes
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert {name for name, source in sources.items() if forks(source)} == {"verification"}
+    for name, source in sources.items():
+        assert not top_level_imports(source) & PROCESS_MODULES, name

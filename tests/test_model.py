@@ -618,14 +618,18 @@ class TestPartitionAndConfig:
     @pytest.mark.parametrize("settings, name", [
         ({"dt_max": 1e-300}, "dt_max"), ({"horizon": 1e300}, "dt_max"),
         ({"horizon": 5e6 + 1.0}, "dt_max"), ({"record_dt": 1e-300}, "record_dt"),
-        ({"record_dt": 0.25}, "record_dt")])
+        ({"record_dt": 0.25}, "record_dt"), ({"N": 2}, "N"),
+        ({"N": 10**12, "horizon": 1.0}, "N")])
     def test_simconfig_refuses_more_steps_than_a_run_may_take(self, settings, name):
-        # a run integrated ceil(span/dt_max) substeps and listed j*record_dt
-        # up to the horizon: at 1e-300 either loop ran on without end
+        # a run integrated ceil(span/dt_max) substeps, listed j*record_dt up to
+        # the horizon and took N Euler steps at each hold, t = 0 included: at
+        # 1e-300 either of the first two loops ran on without end, at N = 10**12
+        # the predictor did
         base = {"T_H": 1.0, "N": 1, "horizon": 5e6, "dt_max": 0.5, "record_dt": 1.0}
         SimConfig(**base)  # exactly MAX_STEPS substeps
-        with pytest.raises(ConfigurationError,
-                           match=f"^horizon/{name} must be at most {MAX_STEPS}$"):
+        SimConfig(**{**base, "N": 2, "horizon": 5e6 - 1.0})  # exactly MAX_STEPS Euler steps
+        bounded = r"N \* \(horizon/T_H \+ 1\)" if name == "N" else f"horizon/{name}"
+        with pytest.raises(ConfigurationError, match=f"^{bounded} must be at most {MAX_STEPS}$"):
             SimConfig(**{**base, **settings})
 
 

@@ -1,5 +1,9 @@
 import dataclasses
 import hashlib
+import os
+import re
+import signal
+import threading
 
 import numpy as np
 import pytest
@@ -372,3 +376,240 @@ class TestNonFiniteMargin:
         broken = dataclasses.replace(assm, dissipation=lambda x: bad)
         with pytest.raises(NonFiniteError, match=f"margin {bad} at point"):
             check_absorbing_dissipation(plant, broken, SampleSpec(n_points=1))
+
+
+class TestSplitScan:
+    """Each check's margin scan, split into shares scanned by forked children,
+    gives the one-process report and raises the one-process exception, and
+    leaves no child behind.  The share count is forced through the module's
+    count of usable cores."""
+
+    SPEC = SampleSpec(n_points=4 * V._MIN_SHARE, seed=0)
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the children forked, recorded in this process."""
+        pids, fork = [], os.fork
+
+        def recording_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        return pids
+
+    @staticmethod
+    def reports(monkeypatch, check, *args, shares=(1, 2, 3)):
+        found = []
+        for k in shares:
+            monkeypatch.setattr(V, "_usable_cores", lambda: k)
+            found.append(check(*args).to_dict())
+        return found
+
+    @staticmethod
+    def admitted(monkeypatch, planar):
+        """The points ``(x, u)`` that the absorbing-dissipation check admits from
+        ``SPEC``'s sample, in draw order."""
+        seen = []
+        with monkeypatch.context() as patch:
+            patch.setattr(V, "_usable_cores", lambda: 1)
+            patch.setattr(V, "absorbing_dissipation_margin",
+                          lambda plant, assm, x, u: seen.append((x, u)) or 0.0)
+            check_absorbing_dissipation(*planar, TestSplitScan.SPEC)
+        return seen
+
+    def margin_raising_at(self, monkeypatch, planar, indices, error):
+        """Make the absorbing-dissipation margin raise ``error`` at the admitted
+        points ``indices`` of ``SPEC``'s sample; return the messages."""
+        bad = [self.admitted(monkeypatch, planar)[i] for i in indices]
+        margin = V.absorbing_dissipation_margin
+
+        def failing(plant, assm, x, u):
+            if (x, u) in bad:
+                raise error(f"refused at {x}, {u}")
+            return margin(plant, assm, x, u)
+
+        monkeypatch.setattr(V, "absorbing_dissipation_margin", failing)
+        return [f"refused at {x}, {u}" for x, u in bad]
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_shares_give_the_one_process_report(self, planar, monkeypatch, forks, check,
+                                                 seed):
+        spec = SampleSpec(n_points=4 * V._MIN_SHARE, seed=seed)
+        one, two, three = self.reports(monkeypatch, CHECKS[check], *planar, spec)
+        assert two == one and three == one
+        # the growth bound admits no point, so it has no scan to split
+        assert len(forks) == (0 if one["vacuous"] else 1 + 2)
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_lifted_shares_give_the_one_process_report(self, planar, monkeypatch, check):
+        from test_lifted import lifted
+
+        one, two, three = self.reports(monkeypatch, CHECKS[check], *lifted(*planar), self.SPEC)
+        assert two == one and three == one
+
+    @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
+    def test_windows_give_the_one_window_report(self, planar, monkeypatch, forks, check):
+        # 10000 points in windows of at most 2 batches' points: several windows,
+        # each split in two
+        spec = SampleSpec(n_points=10_000, seed=1)
+        (one,) = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(1,))
+        monkeypatch.setattr(V, "_WINDOW", 2 * V._BATCH)
+        (two,) = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(2,))
+        assert two == one
+        assert len(forks) >= 2
+
+    def test_a_user_exception_in_a_childs_share_reaches_the_caller(self, planar, monkeypatch,
+                                                                   forks):
+        # admitted point 3000 lies in the child's share [2000, 4000); the
+        # exception is raised again here, not sent back from the child
+        class Refused(Exception):
+            pass
+
+        message, = self.margin_raising_at(monkeypatch, planar, [3000], Refused)
+        monkeypatch.setattr(V, "_usable_cores", lambda: 2)
+        with pytest.raises(Refused, match=f"^{re.escape(message)}$"):
+            check_absorbing_dissipation(*planar, self.SPEC)
+        assert len(forks) == 1
+
+    def test_a_nan_margin_in_a_childs_share_is_the_one_process_error(self, planar,
+                                                                     monkeypatch, forks):
+        # admitted point 3000 lies in the child's share [2000, 4000)
+        plant, assm = planar
+        point = self.admitted(monkeypatch, planar)[3000][0]
+        dissipation = assm.dissipation
+        holed = dataclasses.replace(
+            assm, dissipation=lambda x: float("nan") if x == point else dissipation(x))
+        for k in (1, 2):
+            monkeypatch.setattr(V, "_usable_cores", lambda: k)
+            with pytest.raises(NonFiniteError, match=re.escape(
+                    f"absorbing_dissipation: margin nan at point [{point}, [")):
+                check_absorbing_dissipation(plant, holed, self.SPEC)
+        assert len(forks) == 1
+
+    def test_the_parents_earlier_failure_wins(self, planar, monkeypatch, forks):
+        # admitted point 1000 lies in the parent's share, 3000 in the child's
+        first, _ = self.margin_raising_at(monkeypatch, planar, [1000, 3000], ValueError)
+        monkeypatch.setattr(V, "_usable_cores", lambda: 2)
+        with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
+            check_absorbing_dissipation(*planar, self.SPEC)
+        assert len(forks) == 1
+
+    def test_an_interrupted_parent_reaps_its_children(self, planar, monkeypatch, forks):
+        parent = os.getpid()
+        margin = V.absorbing_dissipation_margin
+
+        def interrupted(plant, assm, x, u):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return margin(plant, assm, x, u)
+
+        monkeypatch.setattr(V, "absorbing_dissipation_margin", interrupted)
+        monkeypatch.setattr(V, "_usable_cores", lambda: 3)
+        with pytest.raises(KeyboardInterrupt):
+            check_absorbing_dissipation(*planar, self.SPEC)
+        assert len(forks) == 2
+
+    def test_a_killed_child_gives_the_one_process_report(self, planar, monkeypatch, forks):
+        parent = os.getpid()
+        margin = V.corrected_dissipation_margin
+
+        def killed_in_a_child(plant, assm, z, w, u):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return margin(plant, assm, z, w, u)
+
+        (one,) = self.reports(monkeypatch, check_corrected_dissipation, *planar, self.SPEC,
+                              shares=(1,))
+        monkeypatch.setattr(V, "corrected_dissipation_margin", killed_in_a_child)
+        two, three = self.reports(monkeypatch, check_corrected_dissipation, *planar, self.SPEC,
+                                  shares=(2, 3))
+        assert two == one and three == one
+        assert len(forks) == 1 + 2
+
+    def test_a_tie_goes_to_the_first_admitted_point(self, planar, monkeypatch, forks):
+        # every share's worst is its first point, so only a strict merge in
+        # share order reports the first point of the first share
+        seen = []
+        monkeypatch.setattr(V, "local_controller_margin",
+                            lambda plant, assm, x: seen.append(x) or 0.0)
+        reports = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC)
+        assert [rep["worst_point"] for rep in reports] == [[seen[0]]] * 3
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+        assert len(forks) == 1 + 2
+
+    @pytest.mark.parametrize("k, peak", [(2, 1999), (2, 2000), (2, 3999),
+                                         (3, 1332), (3, 1333), (3, 2666), (3, 3999)])
+    def test_a_peak_at_a_share_boundary_is_found(self, planar, monkeypatch, forks, k, peak):
+        # shares of 4000 points: [0, 2000) and [2000, 4000) for k = 2, and
+        # [0, 1333), [1333, 2666) and [2666, 4000) for k = 3
+        at = self.admitted(monkeypatch, planar)[peak]
+        monkeypatch.setattr(V, "absorbing_dissipation_margin",
+                            lambda plant, assm, x, u: 1.0 if (x, u) == at else 0.0)
+        one, split = self.reports(monkeypatch, check_absorbing_dissipation, *planar,
+                                  self.SPEC, shares=(1, k))
+        assert one["worst_point"] == list(at) and split == one
+        assert len(forks) == k - 1
+
+    def test_no_fork_while_another_thread_lives(self, planar, monkeypatch):
+        (one,) = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC,
+                              shares=(1,))
+
+        def refused():
+            raise AssertionError("forked while another thread was alive")
+
+        monkeypatch.setattr(os, "fork", refused)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            (two,) = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC,
+                                  shares=(2,))
+        finally:
+            done.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert two == one
+
+
+class TestPendingScanOnAcceptError:
+    """Margins are scanned a window at a time, after the draws; a side
+    condition that raises on a later batch still loses to a margin error
+    earlier in draw order, as when every batch was scanned as drawn."""
+
+    BOX = [np.array([[-1.0, 1.0]])]
+
+    @staticmethod
+    def accept_raising_on_batch(second):
+        calls = []
+
+        def accept(x):
+            calls.append(1)
+            if len(calls) == second:
+                raise ZeroDivisionError("side condition failed")
+            return np.ones(x.shape[1], bool)
+
+        return accept
+
+    def test_an_earlier_margin_error_wins(self):
+        with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
+            V._run_sampled_check("pending", self.BOX, self.accept_raising_on_batch(2),
+                                 lambda x: float("nan") if x[0] > 0.5 else x[0],
+                                 SampleSpec(n_points=2 * V._BATCH))
+
+    def test_the_side_conditions_error_follows_a_clean_scan(self):
+        scanned = []
+        with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
+            V._run_sampled_check("pending", self.BOX, self.accept_raising_on_batch(2),
+                                 lambda x: scanned.append(x) or 0.0,
+                                 SampleSpec(n_points=2 * V._BATCH))
+        assert len(scanned) == V._BATCH
