@@ -277,12 +277,10 @@ def _split_scan(name: str, margin_fn, window: list, points: int) -> tuple[float,
     whose child gives no clean reply (a margin raised or was not finite, or the
     child died) is scanned again here, in share order, so any exception is the one
     a single scan raises.  ``fork`` rather than a pool: the margins close over user
-    callables, which need not pickle.  One share only without ``os.fork``, while
-    another thread is alive (forking it is unsafe), on one usable core, or when a
-    share would hold fewer than ``_MIN_SHARE`` points.
+    callables, which need not pickle.
     """
     shares = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:
+    if hasattr(os, "fork") and threading.active_count() == 1:  # forking threads is unsafe
         shares = max(1, min(_usable_cores(), points // _MIN_SHARE))
     bounds = [points * i // shares for i in range(shares + 1)]
     pids, pipes = {}, {}  # share -> its child, share -> read end of the child's pipe
