@@ -120,7 +120,10 @@ def _apply_assignment(settings: dict, line: str, origin: str) -> None:
 def load_settings(config_path: str, overrides: list[str]) -> dict:
     """Defaults, then the config file, then ``--set`` flags."""
     settings = dict(DEFAULTS)
-    text = Path(config_path).read_text()
+    try:
+        text = Path(config_path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{config_path}: not UTF-8 text ({exc.reason})") from None
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:

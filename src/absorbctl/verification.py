@@ -7,11 +7,13 @@ found.  Margins are written so that negative means the inequality holds
 with room to spare; a check passes when the worst margin does not exceed
 ``TOLERANCE``.  Identical seeds give identical reports.
 
-The margins are evaluated on the usable cores: the admitted points are cut
-into contiguous shares in draw order, one scanned here and each other one by
-a forked child, and merged so that a report carries the same bits, and a
-failing margin raises the same exception, as one scan in one process.  One
-process scans alone where ``os.fork`` is missing, on one usable core, while
+A check runs on the usable cores: its admitted points are cut into
+contiguous shares in draw order, and each share, here or in a forked child,
+draws the sample from the first point and evaluates the margins at its own
+points only, so that a report carries the same bits, and a failing callable
+raises the same exception, as one process.  Each process holds one batch at
+a time; the callables run on the same batches in several processes.  One
+process runs alone where ``os.fork`` is missing, on one usable core, while
 another thread is alive, or when a share would hold fewer than
 ``_MIN_SHARE`` points.
 """
@@ -21,8 +23,8 @@ from __future__ import annotations
 import itertools
 import math
 import os
+import pickle
 import signal
-import struct
 import threading
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,11 +55,9 @@ __all__ = [
 ]
 
 _BATCH = 4096
-_WINDOW = 1 << 16  # most admitted points a check holds unscanned
 # fewest points a forked share scans: about twice the ~450 margins' time that
 # forking, exiting and reaping one child took on a 2-core host
 _MIN_SHARE = 1000
-_REPLY = struct.Struct("dq")  # a child's (worst margin, draw index in the window)
 TOLERANCE = 1e-9  # largest worst margin a passing check may report
 UPPER_LEVEL = 100.0  # Lyapunov level capping regions unbounded above
 _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
@@ -247,42 +247,55 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _scan(name: str, margin_fn, window: list, start: int, stop: int) -> tuple[float, int]:
-    """Worst margin over the admitted points ``start`` to ``stop - 1`` of ``window``
-    (one block of rows per Halton batch, one array per box) and the first index, in
-    draw order, at which it occurs; each point reaches ``margin_fn`` as one list per box."""
-    worst, at, offset = -math.inf, -1, 0
-    for rows in window:
-        size = len(rows[0])
-        first, last = max(start - offset, 0), min(stop - offset, size)
-        if first < last:
-            points = zip(*(r[first:last].tolist() for r in rows))
-            for index, point in enumerate(points, offset + first):
-                value = float(margin_fn(*point))
-                if not math.isfinite(value):
-                    raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
-                if value > worst:
-                    worst, at = value, index
-        offset += size
-    return worst, at
+def _share(name: str, boxes: Sequence[np.ndarray], accept, margin_fn, sample: SampleSpec,
+           first: int, stop: int) -> tuple[int, int, float, tuple | None]:
+    """Draw the sample to its ``stop``-th admitted point; return the draw's counts and
+    the worst margin over the admitted points ``first`` to ``stop - 1`` with its first
+    point in draw order (``-inf`` and ``None`` if there are none).  ``accept`` masks
+    Halton batches given as one ``(d_i, B)`` column block per box; ``margin_fn`` takes
+    one row per box as a list.  ``first = 0, stop = n_points`` is the whole check."""
+    dims = [box.shape[0] for box in boxes]
+    lo = np.concatenate([box[:, 0] for box in boxes])
+    hi = np.concatenate([box[:, 1] for box in boxes])
+    halton = Halton(int(sum(dims)), sample.seed)
+    splits = np.cumsum(dims)[:-1]
+
+    tested = skipped = draws = 0
+    worst, worst_pt = -math.inf, None
+    max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, 100_000)
+    while tested < stop and draws < max_draws:
+        batch = halton.random(min(_BATCH, max_draws - draws))
+        draws += batch.shape[0]
+        parts = np.split(lo + batch * (hi - lo), splits, axis=1)
+        admitted = np.flatnonzero(accept(*(p.T for p in parts)))[:stop - tested]
+        end = admitted[-1] + 1 if tested + admitted.size == stop else len(batch)
+        skipped += int(end) - admitted.size
+        scanned = admitted[max(first - tested, 0):]
+        tested += admitted.size
+        for point in zip(*(p[scanned].tolist() for p in parts)):
+            value = float(margin_fn(*point))
+            if not math.isfinite(value):
+                raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
+            if value > worst:
+                worst, worst_pt = value, point
+    return tested, skipped, worst, worst_pt
 
 
-def _split_scan(name: str, margin_fn, window: list, points: int) -> tuple[float, tuple]:
-    """Worst margin over all ``points`` of ``window`` and its point, as one ``_scan``
-    gives them, with the work split across the usable cores.
-
-    The window is cut into contiguous shares in draw order: this process scans the
-    first, and a forked child each later one, replying only ``(worst, index)``.
-    Shares merge in order with a strict ``>``, so the first maximum wins.  A share
-    whose child gives no clean reply (a margin raised or was not finite, or the
-    child died) is scanned again here, in share order, so any exception is the one
-    a single scan raises.  ``fork`` rather than a pool: the margins close over user
-    callables, which need not pickle.
-    """
+def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
+                       sample: SampleSpec) -> CheckReport:
+    """The check, run as contiguous shares of its admitted points, each a ``_share``: the
+    first here, each later one in a forked child (user callables need not pickle), which
+    replies its tuple.  Shares merge in order with a strict ``>``, so the first maximum
+    wins; the counts are the last share's, whose draw is the whole check's.  A share whose
+    child raised or died runs again here, in share order, raising what one process does."""
     shares = 1
     if hasattr(os, "fork") and threading.active_count() == 1:  # forking threads is unsafe
-        shares = max(1, min(_usable_cores(), points // _MIN_SHARE))
-    bounds = [points * i // shares for i in range(shares + 1)]
+        shares = max(1, min(_usable_cores(), sample.n_points // _MIN_SHARE))
+    bounds = [sample.n_points * i // shares for i in range(shares + 1)]
+
+    def run(i):
+        return _share(name, boxes, accept, margin_fn, sample, bounds[i], bounds[i + 1])
+
     pids, pipes = {}, {}  # share -> its child, share -> read end of the child's pipe
     try:
         for i in range(1, shares):
@@ -295,80 +308,34 @@ def _split_scan(name: str, margin_fn, window: list, points: int) -> tuple[float,
                         devnull = os.open(os.devnull, os.O_WRONLY)
                         os.dup2(devnull, 1)
                         os.dup2(devnull, 2)
-                        share = _scan(name, margin_fn, window, bounds[i], bounds[i + 1])
-                        os.write(write_fd, _REPLY.pack(*share))  # below PIPE_BUF: one write
+                        with open(write_fd, "wb") as reply:
+                            reply.write(pickle.dumps(run(i)))
                         code = 0
                     finally:
                         os._exit(code)
             finally:
                 os.close(write_fd)
             pids[i] = pid
-        found = [_scan(name, margin_fn, window, bounds[0], bounds[1])]
+        found = [run(0)]
         for i in range(1, shares):
-            reply = os.read(pipes[i], _REPLY.size + 1)
+            with open(pipes.pop(i), "rb") as pipe:  # to EOF before reaping: no size limit
+                reply = pipe.read()
             status = os.waitpid(pids[i], 0)[1]
-            del pids[i]
-            if status == 0 and len(reply) == _REPLY.size:
-                found.append(_REPLY.unpack(reply))
-            else:
-                found.append(_scan(name, margin_fn, window, bounds[i], bounds[i + 1]))
-    finally:  # on any error: no child outlives the scan
+            del pids[i]  # only once reaped
+            found.append(pickle.loads(reply) if status == 0 else run(i))
+    finally:  # on any error: no child outlives the check
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fd in pipes.values():
             os.close(fd)
-    worst, at = found[0]
-    for value, index in found[1:]:
+    _, _, worst, worst_pt = found[0]
+    for _, _, value, point in found[1:]:
         if value > worst:
-            worst, at = value, index
-    for rows in window:
-        if at < len(rows[0]):
-            return worst, tuple(r[at].tolist() for r in rows)
-        at -= len(rows[0])
-
-
-def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
-                       sample: SampleSpec) -> CheckReport:
-    """``accept`` masks Halton batches given as one ``(d_i, B)`` column block per
-    box; ``margin_fn`` then takes one row per box as a list, in draw order.  The
-    admitted rows are kept as arrays, at most ``_WINDOW`` points at a time, and
-    each window is scanned by ``_split_scan``."""
-    dims = [box.shape[0] for box in boxes]
-    lo = np.concatenate([box[:, 0] for box in boxes])
-    hi = np.concatenate([box[:, 1] for box in boxes])
-    halton = Halton(int(sum(dims)), sample.seed)
-    splits = np.cumsum(dims)[:-1]
-
-    tested = 0
-    skipped = 0
-    worst: float | None = None
-    worst_pt: tuple | None = None
-    window: list = []  # the admitted rows not yet scanned, one block per batch
-    scanned = 0
-    max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, 100_000)
-    draws = 0
-    while tested < sample.n_points and draws < max_draws:
-        batch = halton.random(min(_BATCH, max_draws - draws))
-        draws += batch.shape[0]
-        parts = np.split(lo + batch * (hi - lo), splits, axis=1)
-        try:
-            admitted = np.flatnonzero(accept(*(p.T for p in parts)))[:sample.n_points - tested]
-        except Exception:  # a margin error earlier in draw order wins
-            _scan(name, margin_fn, window, 0, tested - scanned)
-            raise
-        stop = admitted[-1] + 1 if tested + admitted.size == sample.n_points else len(batch)
-        skipped += int(stop) - admitted.size
-        tested += admitted.size
-        window.append([p[admitted] for p in parts])
-        last = tested == sample.n_points or draws >= max_draws
-        if tested > scanned and (last or tested - scanned > _WINDOW - _BATCH):
-            value, point = _split_scan(name, margin_fn, window, tested - scanned)
-            if worst is None or value > worst:
-                worst, worst_pt = value, point
-            window, scanned = [], tested
-    return CheckReport(name=name, points_tested=tested, skipped=skipped,
-                       worst_margin=worst, worst_point=worst_pt, seed=sample.seed)
+            worst, worst_pt = value, point
+    return CheckReport(name=name, points_tested=found[-1][0], skipped=found[-1][1],
+                       worst_margin=None if worst_pt is None else worst,
+                       worst_point=worst_pt, seed=sample.seed)
 
 
 def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,

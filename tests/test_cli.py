@@ -79,6 +79,15 @@ class TestExitCodes:
         assert run_cli("simulate", "--config", tmp_path / "nope.cfg",
                        "--out", tmp_path) == 2
 
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        # the decode error was neither ConfigurationError nor OSError: exit 1
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"zeta = 0.01\n\xff\n")
+        assert run_cli("verify", "--config", path, "--out", tmp_path / "out") == 2
+        assert capsys.readouterr().err == (
+            f"absorbctl: configuration error: {path}: not UTF-8 text (invalid start byte)\n")
+        assert list(tmp_path.iterdir()) == [path]
+
     def test_unknown_key(self, config_file, tmp_path):
         assert run_cli("simulate", "--config", config_file,
                        "--set", "bogus=1", "--out", tmp_path) == 2

@@ -16,6 +16,9 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 # defaulted parameters and dataclass fields across the package; a new knob
 # must replace an old one
 MAX_SETTABLE = 22
+# lines of the package's modules, as `cat src/absorbctl/*.py | wc -l` counts
+# them; a change that grows the package raises this cap and says why
+MAX_SOURCE_LINES = 2302
 
 
 def absorbctl_imports(source: str) -> set[str]:
@@ -95,6 +98,11 @@ def test_counter_sees_every_settable_form():
 def test_settable_values_are_capped():
     total = sum(settable_values(path.read_text()) for path in PACKAGE.glob("*.py"))
     assert total <= MAX_SETTABLE
+
+
+def test_source_lines_are_capped():
+    total = sum(path.read_text().count("\n") for path in PACKAGE.glob("*.py"))
+    assert total <= MAX_SOURCE_LINES
 
 
 PROCESS_MODULES = {"multiprocessing", "concurrent", "subprocess"}

@@ -447,8 +447,9 @@ class TestSplitScan:
         spec = SampleSpec(n_points=4 * V._MIN_SHARE, seed=seed)
         one, two, three = self.reports(monkeypatch, CHECKS[check], *planar, spec)
         assert two == one and three == one
-        # the growth bound admits no point, so it has no scan to split
-        assert len(forks) == (0 if one["vacuous"] else 1 + 2)
+        # each share draws its own sample, so the growth bound, which admits no
+        # point, forks as every other check does
+        assert len(forks) == 1 + 2
 
     @pytest.mark.parametrize("check", sorted(CHECKS))
     def test_lifted_shares_give_the_one_process_report(self, planar, monkeypatch, check):
@@ -459,14 +460,44 @@ class TestSplitScan:
 
     @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
     def test_windows_give_the_one_window_report(self, planar, monkeypatch, forks, check):
-        # 10000 points in windows of at most 2 batches' points: several windows,
-        # each split in two
+        # the CLI's 10000 points, several batches in each of two shares
         spec = SampleSpec(n_points=10_000, seed=1)
-        (one,) = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(1,))
-        monkeypatch.setattr(V, "_WINDOW", 2 * V._BATCH)
-        (two,) = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(2,))
+        one, two = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(1, 2))
         assert two == one
-        assert len(forks) >= 2
+        assert len(forks) == 1
+
+    def test_a_sample_the_draw_cap_ends_short_gives_the_one_process_report(self, monkeypatch):
+        # about 1 candidate in 400 is admitted, so the 200000 draws allowed end
+        # the sample near 500 points: the later shares are empty
+        boxes = [np.array([[-1.0, 1.0]])] * 2
+        reports = []
+        for k in (1, 2, 3):
+            monkeypatch.setattr(V, "_usable_cores", lambda: k)
+            reports.append(V._run_sampled_check("capped", boxes, lambda x, u: x[0] > 0.995,
+                                                lambda x, u: u[0] - x[0],
+                                                SampleSpec(n_points=4000)).to_dict())
+        assert 0 < reports[0]["points_tested"] < 1000
+        assert reports[1] == reports[0] and reports[2] == reports[0]
+
+    def test_a_side_condition_error_in_a_childs_share_is_the_one_process_error(
+            self, monkeypatch):
+        # every candidate is admitted, so the third batch, whose first point the
+        # side condition refuses, lies in a child's share at k = 2 and 3
+        box = [np.array([[-1.0, 1.0]])]
+        third = -1.0 + 2.0 * V.Halton(1, 0).random(3 * V._BATCH)[2 * V._BATCH, 0]
+
+        def accept(x):
+            if x[0, 0] == third:
+                raise ZeroDivisionError("side condition failed")
+            return np.ones(x.shape[1], bool)
+
+        for k in (1, 2, 3):
+            scanned = []
+            monkeypatch.setattr(V, "_usable_cores", lambda: k)
+            with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
+                V._run_sampled_check("third", box, accept, lambda x: scanned.append(x) or 0.0,
+                                     SampleSpec(n_points=4 * V._BATCH))
+            assert len(scanned) == 2 * V._BATCH
 
     def test_a_user_exception_in_a_childs_share_reaches_the_caller(self, planar, monkeypatch,
                                                                    forks):
@@ -582,9 +613,10 @@ class TestSplitScan:
 
 
 class TestPendingScanOnAcceptError:
-    """Margins are scanned a window at a time, after the draws; a side
-    condition that raises on a later batch still loses to a margin error
-    earlier in draw order, as when every batch was scanned as drawn."""
+    """A side condition that raises on a later batch loses to a margin error
+    earlier in draw order, and follows a clean scan of the earlier batches:
+    each share draws and scans in draw order, and the first share in share
+    order that fails raises."""
 
     BOX = [np.array([[-1.0, 1.0]])]
 
