@@ -10,12 +10,12 @@ with room to spare; a check passes when the worst margin does not exceed
 A check runs on the usable cores: its admitted points are cut into
 contiguous shares in draw order, and each share, here or in a forked child,
 draws the sample from the first point and evaluates the margins at its own
-points only, so that a report carries the same bits, and a failing callable
-raises the same exception, as one process.  Each process holds one batch at
-a time; the callables run on the same batches in several processes.  One
-process runs alone where ``os.fork`` is missing, on one usable core, while
-another thread is alive, or when a share would hold fewer than
-``_MIN_SHARE`` points.
+points only.  Each process holds one batch at a time.  The callables, which
+run on the same batches in several processes and again where a share reruns,
+must be pure; then a report carries the same bits, and a failing callable
+raises the same exception, as one process.  One process runs alone where
+``os.fork`` is missing, on one usable core, while another thread is alive,
+or when a share would hold fewer than ``_MIN_SHARE`` points.
 """
 
 from __future__ import annotations

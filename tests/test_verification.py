@@ -459,7 +459,7 @@ class TestSplitScan:
         assert two == one and three == one
 
     @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
-    def test_windows_give_the_one_window_report(self, planar, monkeypatch, forks, check):
+    def test_the_clis_sample_size_gives_the_one_process_report(self, planar, monkeypatch, forks, check):
         # the CLI's 10000 points, several batches in each of two shares
         spec = SampleSpec(n_points=10_000, seed=1)
         one, two = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(1, 2))
@@ -612,36 +612,36 @@ class TestSplitScan:
         assert two == one
 
 
-class TestPendingScanOnAcceptError:
-    """A side condition that raises on a later batch loses to a margin error
-    earlier in draw order, and follows a clean scan of the earlier batches:
-    each share draws and scans in draw order, and the first share in share
-    order that fails raises."""
+class TestSideConditionErrorOrder:
+    """A side condition that raises on the second batch loses to a margin error
+    earlier in draw order, and follows a clean scan of the first batch, at every
+    share count: each share draws and scans in draw order, and the first share
+    in share order that fails raises."""
 
     BOX = [np.array([[-1.0, 1.0]])]
+    # the second batch's first point, which the side condition refuses
+    SECOND = -1.0 + 2.0 * V.Halton(1, 0).random(2 * V._BATCH)[V._BATCH, 0]
 
-    @staticmethod
-    def accept_raising_on_batch(second):
-        calls = []
+    @classmethod
+    def accept(cls, x):
+        if x[0, 0] == cls.SECOND:
+            raise ZeroDivisionError("side condition failed")
+        return np.ones(x.shape[1], bool)
 
-        def accept(x):
-            calls.append(1)
-            if len(calls) == second:
-                raise ZeroDivisionError("side condition failed")
-            return np.ones(x.shape[1], bool)
-
-        return accept
-
-    def test_an_earlier_margin_error_wins(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_an_earlier_margin_error_wins(self, monkeypatch, k):
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
         with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
-            V._run_sampled_check("pending", self.BOX, self.accept_raising_on_batch(2),
+            V._run_sampled_check("pending", self.BOX, self.accept,
                                  lambda x: float("nan") if x[0] > 0.5 else x[0],
                                  SampleSpec(n_points=2 * V._BATCH))
 
-    def test_the_side_conditions_error_follows_a_clean_scan(self):
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_side_conditions_error_follows_a_clean_scan(self, monkeypatch, k):
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
         scanned = []
         with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
-            V._run_sampled_check("pending", self.BOX, self.accept_raising_on_batch(2),
+            V._run_sampled_check("pending", self.BOX, self.accept,
                                  lambda x: scanned.append(x) or 0.0,
                                  SampleSpec(n_points=2 * V._BATCH))
         assert len(scanned) == V._BATCH
