@@ -35,10 +35,10 @@ def _injection(depth: int, n: int, y: list[str]) -> list[str]:
 
 
 def _piece(depth: int, n: int, x: str, length: str) -> list[str]:
-    """Lines ``depth`` levels in: ``b = f(x, values[idx])``, then ``i_i = i_i +
-    b_i*length`` for the piece of that ``length``."""
+    """Lines ``depth`` levels in: ``b = f(x, u)``, ``u`` a copy of ``values[idx]``,
+    then ``i_i = i_i + b_i*length`` for the piece of that ``length``."""
     pad = "    " * depth
-    return ([f"{pad}length = {length}", f"{pad}{_seq('b', range(n))}= f([{x}], values[idx])"]
+    return ([f"{pad}length = {length}", f"{pad}{_seq('b', range(n))}= f([{x}], u)"]
             + [f"{pad}i{i} = i{i} + b{i} * length" for i in range(n)])
 
 
@@ -77,18 +77,21 @@ def _source(n: int, k_out: int) -> str:
               f"        return [{_seq('y', range(size))}], nodes\n    return span",
               f"def euler(f, x, starts, values, t0, t1, N):\n    {x}= x",
               "    h_step = (t1 - t0) / N\n    last = len(starts) - 1",
-              "    idx = bisect_right(starts, t0) - 1",
+              # f gets a copy of each segment's value, made as the walk enters it
+              "    idx = bisect_right(starts, t0) - 1\n    u = [*values[idx]]",
               "    nxt = starts[idx + 1] if idx < last else inf\n    hi = t0",
               "    for k in range(1, N + 1):",
               # the last edge is t1 itself, where t0 + N*h_step may round off it
               "        lo, hi = hi, (t0 + k * h_step if k < N else t1)",
               "        while nxt <= lo:",
-              "            idx += 1\n            nxt = starts[idx + 1] if idx < last else inf",
+              "            idx += 1\n            u = [*values[idx]]",
+              "            nxt = starts[idx + 1] if idx < last else inf",
               *(f"        i{i} = 0.0" for i in range(n)),
               # starts[idx] <= lo < nxt: the pieces are [lo, nxt), [nxt, ...) up to hi
               "        if hi > lo:\n            while nxt < hi:",
               *_piece(4, n, x, "nxt - lo"),
               "                lo = nxt\n                idx += 1",
+              "                u = [*values[idx]]",
               "                nxt = starts[idx + 1] if idx < last else inf",
               *_piece(3, n, x, "hi - lo"),
               *(f"        x{i} = x{i} + i{i}" for i in range(n)), f"    return [{x}]"]

@@ -36,6 +36,7 @@ __all__ = [
 _ORIGIN_TOL = 1e-12
 _FD_TOL = 1e-6
 _FD_STEP = 1e-6  # central-difference step of the derivative checks
+_CSV_BLOCK = 512  # rows Trajectory.write_csv stacks at once: no copy of the whole table
 MAX_STEPS = 10**7  # the most substeps, record times, sampling gaps or Euler steps over one horizon
 
 
@@ -335,14 +336,13 @@ class InputHistory:
         self.t_now = t_start
 
     def value(self, t: float) -> list[float]:
-        """Input applied at time ``t``; requires ``t_min <= t < t_now``."""
+        """Input applied at time ``t`` as a new list; requires ``t_min <= t < t_now``."""
         t = float(t)
         if not (self.t_min <= t < self.t_now):
             raise CoverageError(
                 f"input query at t={t!r} outside coverage [{self.t_min!r}, {self.t_now!r})"
             )
-        idx = bisect.bisect_right(self.starts, t) - 1
-        return self.values[idx]
+        return list(self.values[bisect.bisect_right(self.starts, t) - 1])
 
     def window(self, t0: float, t1: float) -> tuple[float, float]:
         """``(t0, t1)`` as floats; CoverageError unless ``t_min <= t0 <= t1 <= t_now``."""
@@ -493,11 +493,12 @@ class SimConfig:
 
 @dataclass
 class Trajectory:
-    """Row-per-event record of a closed-loop run; the simulator's ``x``,
-    ``z`` and ``w`` are column views of one stacked ``(x, z, w)`` row table.
+    """Row-per-event record of a closed-loop run; the simulator's columns are
+    views of one flat row buffer, in the CSV's column order.
 
-    ``reset_records`` holds one ``(t, y)`` pair per measurement time ``t``:
-    the sampled output ``y = h(x(t - r))`` that resets ``w`` at ``t``.
+    ``reset_records`` holds one ``(t, y)`` pair per measurement time ``t``
+    (the simulator's: a structured array over one flat buffer), the sampled
+    output ``y = h(x(t - r))`` that resets ``w`` at ``t``.
     ``input_segments`` is the full applied input record.  Construction
     converts each column, an array or a sequence, to float64 once; a value
     that is not finite outside ``t`` raises ``NonFiniteError`` at its first row.
@@ -511,7 +512,7 @@ class Trajectory:
     lyap_x: np.ndarray
     lyap_z: np.ndarray
     norm: np.ndarray
-    reset_records: list = field(default_factory=list)
+    reset_records: Sequence = field(default_factory=list)
     input_segments: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -530,12 +531,14 @@ class Trajectory:
             setattr(self, name, arr)
 
     def write_csv(self, path) -> None:
-        """Dump rows with full double precision (17 significant digits)."""
+        """Dump rows with full double precision (17 significant digits), a block at a time."""
         blocks = {"x": self.x, "z": self.z, "w": self.w, "u": self.u_applied}
         header = ["t", *(f"{name}{i + 1}" for name, block in blocks.items()
                          for i in range(block.shape[1])), "Vx", "Vz", "norm"]
-        table = np.column_stack([self.t, *blocks.values(), self.lyap_x, self.lyap_z, self.norm])
-        line = ",".join(["%.17g"] * table.shape[1]) + "\r\n"  # csv.writer's line end
+        columns = [self.t, *blocks.values(), self.lyap_x, self.lyap_z, self.norm]
+        line = ",".join(["%.17g"] * len(header)) + "\r\n"  # csv.writer's line end
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(line % tuple(row.tolist()) for row in table)
+            for i in range(0, self.t.size, _CSV_BLOCK):
+                table = np.column_stack([column[i:i + _CSV_BLOCK] for column in columns])
+                fh.writelines(line % tuple(row) for row in table.tolist())

@@ -66,12 +66,12 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     """Reference flow (a list) of ``xdot = f(x, u(t))``, ``u`` read from ``hist``.
 
     Integration spans are split exactly at the input record's segment
-    boundaries, so each span sees a constant input and no discontinuity is
-    stepped across.
+    boundaries, so each span sees a constant input, a copy of the record's,
+    and no discontinuity is stepped across.
     """
     x = [float(v) for v in x0]
     # the right side ignores t, so each piece is integrated over (0, length)
     for value, length in hist.iter_segments(t_start, t_end):
-        x = integrate_span(partial(rk4_steps, lambda _t, y, u=value: plant.f(y, u)),
+        x = integrate_span(partial(rk4_steps, lambda _t, y, u=[*value]: plant.f(y, u)),
                            0.0, length, x, substep)[0]
     return x

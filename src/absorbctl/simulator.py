@@ -13,6 +13,7 @@ measurement reset, then hold update, then recording.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import asdict, dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
@@ -41,8 +42,8 @@ _EVENT_ATOL = 1e-12
 _NORM_FLOOR = 1e-300
 DECAY_RATIO = 1e-3  # terminal-to-initial composite norm ratio a run must reach
 
-# within-group action order: reset, hold, record; break nodes only align spans
-_SAMPLE, _HOLD, _RECORD, _BREAK = 0, 1, 2, 3
+# bits of a group's kinds, in action order (reset, hold, record); breaks only align spans
+_SAMPLE, _HOLD, _RECORD, _BREAK = 1, 2, 4, 8
 
 
 @dataclass(frozen=True)
@@ -166,7 +167,8 @@ def _grid(step: float, horizon: float) -> list[float]:
 
 
 def _event_groups(partition: SamplingPartition, config: SimConfig,
-                  plant: PlantModel, init_starts: Sequence[float]) -> list[tuple[float, set]]:
+                  plant: PlantModel, init_starts: Sequence[float]) -> tuple[array, bytearray]:
+    """Flat ``(times, kinds)``: each group's first time and the or of its events' kind bits."""
     horizon = config.horizon
     events = [(float(t), _SAMPLE) for t in partition.times if t <= horizon + _EVENT_ATOL]
     hold_times = _grid(config.T_H, horizon)
@@ -182,13 +184,14 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
             if _EVENT_ATOL < img <= horizon + _EVENT_ATOL:
                 events.append((img, _BREAK))
     events.sort()
-    groups: list[tuple[float, set]] = []
+    times, kinds = array("d"), bytearray()
     for t, kind in events:
-        if groups and t - groups[-1][0] <= _EVENT_ATOL:
-            groups[-1][1].add(kind)
+        if times and t - times[-1] <= _EVENT_ATOL:
+            kinds[-1] |= kind
         else:
-            groups.append((t, {kind}))
-    return groups
+            times.append(t)
+            kinds.append(kind)
+    return times, kinds
 
 
 def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
@@ -212,19 +215,15 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
 
     # w is set by the reset at the measurement every partition begins with at t = 0
     Y = [*xhist.value(0.0), *init.z0.tolist(), *[0.0] * plant.k_out]
-
-    rows_t: list[float] = []
-    rows_y: list[list[float]] = []
-    rows_u: list[list[float]] = []
-    rows_norm: list[float] = []
-    reset_records: list[tuple[float, list[float]]] = []
+    # flat float64 buffers: rows (t, x, z, w, u, Vx, Vz, norm), the CSV's order; resets (t, y)
+    rows, resets = array("d"), array("d")
 
     t_cur = 0.0
     # a runaway state gives inf or nan, caught after each span, or Python's
     # OverflowError on a span or at a hold: both end in NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            for t_g, kinds in groups:
+            for t_g, kinds in zip(*groups):
                 if t_g > t_cur:
                     uhist.advance(t_g)
                     # span constants queried at the midpoint: the event set keeps
@@ -239,36 +238,29 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                         raise NonFiniteError(f"simulated state not finite at t={t_g!r}: {Y}")
                     xhist.append(times, nodes)
                     t_cur = t_g
-                if _SAMPLE in kinds:
-                    y_sample = plant.h(xhist.value(t_g - plant.r))
-                    Y[2 * n:] = y_sample
-                    reset_records.append((t_g, y_sample))
-                if _HOLD in kinds:
+                if kinds & _SAMPLE:
+                    Y[2 * n:] = plant.h(xhist.value(t_g - plant.r))
+                    resets.extend([t_g, *Y[2 * n:]])
+                if kinds & _HOLD:
                     uhist.append(t_g, hold_control(Y[n:2 * n], uhist, config.N, plant, assm))
-                if kinds & {_SAMPLE, _HOLD, _RECORD}:
-                    rows_t.append(t_g)
-                    rows_y.append(list(Y))
-                    rows_u.append(uhist.values[-1])
-                    rows_norm.append(
-                        xhist.sup_norm(t_g - plant.r)
-                        + _norm(Y[n:2 * n])
-                        + uhist.sup_abs(t_g - plant.delay_window, t_g))
-                    if not math.isfinite(rows_norm[-1]):
+                if kinds != _BREAK:  # a group of break nodes only writes no row
+                    norm = (xhist.sup_norm(t_g - plant.r) + _norm(Y[n:2 * n])
+                            + uhist.sup_abs(t_g - plant.delay_window, t_g))
+                    if not math.isfinite(norm):
                         raise NonFiniteError(f"composite norm not finite at t={t_g!r}")
-                if _RECORD in kinds:  # no later sample or norm reads x before t_g - r
+                    rows.extend([t_g, *Y, *uhist.values[-1], assm.lyapunov(Y[:n]),
+                                 assm.lyapunov(Y[n:2 * n]), norm])
+                if kinds & _RECORD:  # no later sample or norm reads x before t_g - r
                     xhist.prune_before(t_g - plant.r)
         except OverflowError as exc:
             raise NonFiniteError(f"simulated state not finite at t={t_g!r}: "
                                  f"a callable overflowed ({exc})") from None
 
-    table = np.array(rows_y)
-    lyap_x = [assm.lyapunov(y[:n]) for y in rows_y]
-    lyap_z = [assm.lyapunov(y[n:2 * n]) for y in rows_y]
-    del rows_y  # the largest list goes before the output lists are built
+    # the columns are zero-copy views of the buffers, which can grow no more
+    table = np.frombuffer(rows).reshape(-1, len(Y) + plant.m + 4)
     return Trajectory(
-        t=rows_t, x=table[:, :n], z=table[:, n:2 * n], w=table[:, 2 * n:],
-        u_applied=rows_u, norm=rows_norm, lyap_x=lyap_x, lyap_z=lyap_z,
-        reset_records=[(t, np.array(y)) for t, y in reset_records],
+        *np.split(table, np.cumsum([1, n, n, plant.k_out, plant.m, 1, 1]), axis=1),
+        reset_records=np.frombuffer(resets, [("t", float), ("y", float, (plant.k_out,))]),
         input_segments=[(s, np.array(v)) for s, v in zip(uhist.starts, uhist.values)],
     )
 

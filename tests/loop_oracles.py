@@ -1,6 +1,6 @@
-"""Reference versions of the closed loop's per-point kernels, a helper
-that lets a test's callables take list states, and a check that a run's
-applied inputs stay in the input box.
+"""Reference versions of the closed loop's per-point kernels and of its
+event grouping, a helper that lets a test's callables take list states,
+and a check that a run's applied inputs stay in the input box.
 
 The library runs the loop in code generated per plant dimension
 (``absorbctl.kernels``).  Two generations of oracles stand behind it, each
@@ -25,6 +25,7 @@ the planar plant.
 import numpy as np
 
 from absorbctl import blend_p, observer_correction
+from absorbctl.simulator import _EVENT_ATOL, _grid
 from history_oracles import step_pieces
 
 
@@ -137,3 +138,33 @@ def euler_predict_numpy(x0, hist, N, plant, t_pred=None):
             increment = increment + np.asarray(plant.f(x, np.asarray(value))) * length
         x = x + increment
     return x
+
+
+# the kinds, in within-group action order: reset, hold, record; break nodes only align spans
+SAMPLE, HOLD, RECORD, BREAK = 0, 1, 2, 3
+
+
+def event_groups_sets(partition, config, plant, init_starts):
+    """The simulator's event groups as ``(t, kinds)`` pairs, ``kinds`` a set of
+    the kinds above: the events sorted by ``(t, kind)``, each joining the
+    last group when within _EVENT_ATOL of that group's first time.  The
+    simulator's form before its groups became flat times and kind bits."""
+    horizon = config.horizon
+    events = [(float(t), SAMPLE) for t in partition.times if t <= horizon + _EVENT_ATOL]
+    hold_times = _grid(config.T_H, horizon)
+    record_times = _grid(config.record_dt, horizon)
+    events += [(t, HOLD) for t in hold_times] + [(t, RECORD) for t in record_times]
+    if abs(record_times[-1] - horizon) > _EVENT_ATOL:
+        events.append((horizon, RECORD))
+    for s in [*init_starts, *hold_times]:
+        for img in (s + plant.tau, s + plant.delay_window):
+            if _EVENT_ATOL < img <= horizon + _EVENT_ATOL:
+                events.append((img, BREAK))
+    events.sort()
+    groups = []
+    for t, kind in events:
+        if groups and t - groups[-1][0] <= _EVENT_ATOL:
+            groups[-1][1].add(kind)
+        else:
+            groups.append((t, {kind}))
+    return groups

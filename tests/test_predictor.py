@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,23 +167,39 @@ class TestRecordWalk:
 
     @pytest.mark.parametrize("name", list(WALKS))
     def test_calls_f_once_per_piece(self, name):
-        # one f call per nonempty piece of the oracle, with that piece's value
+        # one f call per nonempty piece of the oracle, with that piece's value,
+        # given as a copy: an f that writes into u cannot reach the record
         segments, N = WALKS[name]
         plant = build_planar_example(0.01, r=0.5, tau=0.5)[0]
         f, seen = plant.f, []
 
         def counted(x, u):
-            seen.append(id(u))
+            seen.append(u)
             return f(x, u)
 
         object.__setattr__(plant, "f", counted)
         hist = input_record(segments)
         euler_predict([0.4, -0.3], hist, N, plant)
-        pieces = [id(v) for step in step_pieces(hist, -1.0, 0.0, N) for v, _length in step]
-        assert seen == pieces
+        assert seen == [v for step in step_pieces(hist, -1.0, 0.0, N) for v, _length in step]
+        assert not {id(u) for u in seen} & {id(v) for v in hist.values}
 
 
 class TestPredictorStudy:
+    def test_a_plant_that_writes_into_u_leaves_the_record_alone(self):
+        # the reference flow and the predictions hand f copies of the values
+        plant = build_planar_example(0.01, r=0.25, tau=0.25)[0]
+        f = plant.f
+
+        def writing_f(x, u):
+            value = f(x, u)
+            u[0] = 0.0
+            return value
+
+        hist = input_record([(-0.5, [0.3]), (-0.2, [-0.2])])
+        predictor_convergence_study(dataclasses.replace(plant, f=writing_f), [0.5, -0.3],
+                                    hist, [8, 16])
+        assert hist.values == [[0.3], [-0.2]]
+
     def test_planar_window(self):
         plant, _, _ = build_planar_example(0.01, r=0.5, tau=0.5)
         hist = input_record([(-1.0, [0.3]), (-0.55, [-0.2]), (-0.2, [0.05])])

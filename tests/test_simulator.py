@@ -1,9 +1,13 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from absorbctl import (
     AssumptionData,
@@ -13,6 +17,7 @@ from absorbctl import (
     InsufficientDataError,
     NonFiniteError,
     PlantModel,
+    SamplingPartition,
     SimConfig,
     StateHistory,
     Trajectory,
@@ -24,8 +29,9 @@ from absorbctl import (
     simulate_closed_loop,
     simulator,
 )
+from absorbctl.cli import DEFAULTS, _sim_config
 from absorbctl.model import MAX_STEPS
-from loop_oracles import inputs_in_box
+from loop_oracles import event_groups_sets, inputs_in_box
 
 EVENT_ATOL = 1e-12
 
@@ -475,8 +481,8 @@ class TestClosedLoop:
         config = short_config(horizon=2.0)
         partition = generate_partition(0.01, config.horizon, seed=0)
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
-        groups = simulator._event_groups(partition, config, plant,
-                                         init.histories(plant)[1].starts)
+        group_times, _kinds = simulator._event_groups(partition, config, plant,
+                                                      init.histories(plant)[1].starts)
         spans, appends = [], []
         integrate_span, append = simulator.integrate_span, StateHistory.append
 
@@ -491,11 +497,111 @@ class TestClosedLoop:
         monkeypatch.setattr(simulator, "integrate_span", counted_span)
         monkeypatch.setattr(StateHistory, "append", counted_append)
         simulate_closed_loop(plant, assm, partition, config, init)
-        assert len(spans) == len(groups) - 1  # the first event group is at t = 0
+        assert len(spans) == len(group_times) - 1  # the first event group is at t = 0
         assert all(t0 < t1 for t0, t1 in spans)
         assert len(appends) == len(spans) + 1  # and one for the initial record
         substeps = sum(math.ceil((t1 - t0) / config.dt_max) for t0, t1 in spans)
         assert sum(appends) == 2 + substeps > 2 * len(appends)  # x0 at -r and at 0
+
+    def test_a_plant_that_writes_into_u_leaves_the_input_record_alone(self, monkeypatch):
+        # f zeroes its input argument after reading it; the spans and the
+        # predictor hand f copies, so the record keeps what each hold returned
+        plant, assm = build_planar_example(0.01, r=0.25, tau=0.25)[:2]
+        f, hold_control, held = plant.f, simulator.hold_control, []
+
+        def writing_f(x, u):
+            value = f(x, u)
+            u[0] = 0.0
+            return value
+
+        def recorded_hold(*args):
+            held.append(hold_control(*args))
+            return held[-1]
+
+        monkeypatch.setattr(simulator, "hold_control", recorded_hold)
+        config = short_config(horizon=2.0, N=64)
+        traj = simulate_closed_loop(dataclasses.replace(plant, f=writing_f), assm,
+                                    generate_partition(0.01, config.horizon, seed=0), config,
+                                    InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]))
+        segments = [(s, v) for s, v in traj.input_segments if s >= 0.0]
+        assert len(segments) == len(held) == 41
+        assert all((v == u).all() for (_s, v), u in zip(segments, held))
+        assert np.count_nonzero(held) == 40  # the hold at t = 0 reads z = 0
+        hold_of_row = np.searchsorted([s for s, _v in segments], traj.t, "right") - 1
+        assert (traj.u_applied == np.array(held)[hold_of_row]).all()
+
+    def test_memory_per_recorded_row(self, tmp_path):
+        # the rows, resets and event groups live in flat float64 buffers and
+        # the CSV is written a block at a time: 80 bytes of table per row on
+        # the default loop, plus its reset and group entries, ~100 bytes in
+        # all; as Python lists, sets and pairs a row held ~850
+        plant, assm = build_planar_example(DEFAULTS["zeta"], b_level=DEFAULTS["b"],
+                                           c_frac=DEFAULTS["c"], r=DEFAULTS["r"],
+                                           tau=DEFAULTS["tau"])[:2]
+        init = InitialData(x0=DEFAULTS["x0"], z0=DEFAULTS["z0"])
+        peaks = []
+        for horizon in (10.0, 40.0):
+            # one RK4 substep per span and one Euler step per hold: the rows
+            # are the default run's, at a fraction of its work under tracemalloc
+            config = dataclasses.replace(_sim_config(DEFAULTS), horizon=horizon,
+                                         dt_max=0.05, N=1)
+            partition = generate_partition(DEFAULTS["T_s"], horizon, config.seed,
+                                           DEFAULTS["min_frac"])
+            tracemalloc.start()
+            try:
+                traj = simulate_closed_loop(plant, assm, partition, config, init)
+                traj.write_csv(tmp_path / "trajectory.csv")
+                peaks.append((traj.t.size, tracemalloc.get_traced_memory()[1]))
+            finally:
+                tracemalloc.stop()
+            del traj
+        (rows_short, peak_short), (rows_long, peak_long) = peaks
+        assert rows_long - rows_short > 4000
+        assert (peak_long - peak_short) / (rows_long - rows_short) <= 400
+
+
+# offsets, in units of _EVENT_ATOL, of measurement times placed next to other events
+_NEAR = [-3.0, -1.5, -1.0, -0.6, 0.0, 0.4, 0.6, 1.0, 1.2, 1.5, 3.0]
+
+
+@st.composite
+def event_cases(draw, r, tau):
+    """``(partition, config, plant, init_starts)`` for ``_event_groups``: a
+    horizon on or off the record grid, initial input segments covering
+    ``[-(r + tau), 0)``, and measurement times drawn at random and next to
+    the hold, record and delayed-switch events, within a few _EVENT_ATOL."""
+    T_H = draw(st.sampled_from([0.01, 0.03, 0.05, 0.1]))
+    record_dt = draw(st.sampled_from([0.02, 0.05, 0.07]))
+    horizon = draw(st.one_of(st.floats(0.05, 0.6),
+                             st.integers(1, 8).map(lambda k: k * record_dt)))
+    window = r + tau
+    init_starts = [] if window == 0.0 else [-window, *sorted(draw(st.sets(
+        st.floats(-window, 0.0, exclude_min=True, exclude_max=True), max_size=3)))]
+    holds = simulator._grid(T_H, horizon)
+    anchors = [*holds, *simulator._grid(record_dt, horizon), horizon,
+               *(s + d for s in [*init_starts, *holds] for d in (tau, window))]
+    near = draw(st.lists(st.tuples(st.sampled_from(anchors), st.sampled_from(_NEAR)),
+                         max_size=12))
+    times = {0.0, *draw(st.lists(st.floats(0.0, horizon), max_size=20)),
+             *(a + k * EVENT_ATOL for a, k in near), horizon + draw(st.floats(0.0, 0.01))}
+    times = np.array(sorted(t for t in times if t >= 0.0))
+    partition = SamplingPartition(times, float(np.diff(times).max()))
+    config = SimConfig(T_H=T_H, N=1, horizon=horizon, dt_max=T_H, record_dt=record_dt)
+    return partition, config, SimpleNamespace(tau=tau, delay_window=window), init_starts
+
+
+class TestEventGroups:
+    @pytest.mark.parametrize("r, tau", [(0.0, 0.0), (0.0, 0.07), (0.05, 0.1), (0.13, 0.0)],
+                             ids=["delay-free", "input-delay-only", "both", "output-delay-only"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_flat_groups_are_the_set_groups(self, r, tau, data):
+        case = data.draw(event_cases(r, tau))
+        times, kinds = simulator._event_groups(*case)
+        want = event_groups_sets(*case)
+        assert [t.hex() for t in times] == [t.hex() for t, _kinds in want]
+        assert [{k for k in range(4) if mask >> k & 1} for mask in kinds] == [
+            k for _t, k in want]
 
 
 def _norm_trajectory(times, norms):
