@@ -15,7 +15,9 @@ from __future__ import annotations
 import bisect
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,12 +55,6 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
             f"input has {u.size} components, box has {input_box.shape[0]} rows"
         )
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
-
-
-def _norm(v) -> float:
-    """Euclidean norm of a list of floats or 1-d float64 array; the bits of ``np.linalg.norm``."""
-    v = np.asarray(v, dtype=float)
-    return math.sqrt(v.dot(v))
 
 
 def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:
@@ -306,7 +302,6 @@ class InputHistory:
         self.t_min = self.t_now = _time(t_min)
         self.starts: list[float] = []
         self.values: list[list[float]] = []
-        self.norms: list[float] = []
 
     def advance(self, t: float) -> None:
         """Extend the covered interval to ``[t_min, t)``; monotone."""
@@ -332,7 +327,6 @@ class InputHistory:
             raise ConfigurationError("all segment values must share a dimension")
         self.starts.append(t_start)
         self.values.append(value.tolist())
-        self.norms.append(_norm(value))
         self.t_now = t_start
 
     def value(self, t: float) -> list[float]:
@@ -367,46 +361,51 @@ class InputHistory:
         edges = [t0, *self.starts[lo + 1:hi], t1]
         return [(v, b - a) for v, a, b in zip(self.values[lo:hi], edges, edges[1:])]
 
-    def sup_abs(self, t0: float, t1: float) -> float:
-        """Largest Euclidean input norm applied on ``[t0, t1)``, read from the
-        norms stored at ``append``; 0.0 on an empty interval."""
-        t0, t1 = self.window(t0, t1)
-        if t0 == t1:
-            return 0.0
-        lo = bisect.bisect_right(self.starts, t0) - 1
-        return max(self.norms[lo:bisect.bisect_left(self.starts, t1)])
+    def sup_abs(self, t0, t1) -> np.ndarray:
+        """Largest Euclidean input norm applied on each window ``[t0[i], t1[i])`` of
+        the equal-length float arrays ``t0``, ``t1``, 0.0 on an empty one, from one
+        ``vecdot`` over the segment values.  CoverageError unless every window
+        lies in ``[t_min, t_now]``, as for ``window``."""
+        t0, t1 = _windows(t0, t1, self.t_min, self.t_now, "input")
+        starts = np.array(self.starts)
+        values = np.array(self.values, ndmin=2)  # one row per segment; one empty row if none
+        lo = np.searchsorted(starts, t0, "right") - 1  # the segment applied at t0
+        hi = np.where(t0 < t1, np.searchsorted(starts, t1), lo)
+        return _window_max(np.sqrt(np.vecdot(values, values)), lo, hi)
 
 
 class StateHistory:
-    """Time-stamped state samples (lists of floats), interpolated linearly, grown only by
-    ``append``; ``peak_times``/``peak_norms`` are those whose norm exceeds every later one's."""
+    """Time-stamped state samples, interpolated linearly, grown only by ``append``:
+    flat float64 buffers of sample times and of states, sample ``i`` holding
+    ``states[i*dim:(i+1)*dim]``.  No norm is stored; ``sup_norm`` computes
+    those a read needs."""
 
     def __init__(self):
-        self.times: list[float] = []
-        self.states: list[list[float]] = []
-        self.peak_times: list[float] = []
-        self.peak_norms: list[float] = []
+        self.times, self.states = array("d"), array("d")
+        self.dim = 0  # entries of a state, set by the first append
 
     def append(self, times: Sequence[float], states) -> None:
-        """Add the rows ``states[i]`` at finite, strictly increasing ``times[i]``
-        after the stored ones; their norms, the bits of ``_norm``, update the suffix maxima."""
+        """Add the rows ``states[i]``, copied, at finite, strictly increasing
+        ``times[i]`` after the stored ones."""
         times = list(map(float, times))
         if not all(map(math.isfinite, times)):
             list(map(_time, times))  # raises, naming the first time that is not finite
-        seq = self.times[-1:] + times
+        seq = self.times[-1:].tolist() + times
         if not all(map(float.__lt__, seq, seq[1:])):
             raise ConfigurationError("sample times must be strictly increasing")
-        arr = np.array(states, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != len(times) or (
-                self.states and arr.shape[1] != len(self.states[0])):
+        try:
+            rows = list(states)
+            dims = set(map(len, rows))
+            flat = array("d", list(chain.from_iterable(rows)))
+        except TypeError:  # a row that is not a sequence of reals
+            rows, dims = [], set()
+        if self.times:
+            dims.add(self.dim)
+        if not rows or len(rows) != len(times) or len(dims) != 1:
             raise ConfigurationError("states must be one row per time, of one dimension")
-        self.times += times
-        self.states += arr.tolist()
-        for t, v in zip(times, np.sqrt(np.vecdot(arr, arr)).tolist()):
-            while self.peak_norms and self.peak_norms[-1] <= v:
-                del self.peak_times[-1], self.peak_norms[-1]
-            self.peak_times.append(t)
-            self.peak_norms.append(v)
+        self.times.extend(times)
+        self.states.extend(flat)
+        self.dim = dims.pop()
 
     def value(self, t: float) -> list[float]:
         """Linearly interpolated state at ``t`` as a new list; exact at sample times."""
@@ -417,27 +416,60 @@ class StateHistory:
             raise CoverageError(
                 f"state query at t={t!r} outside [{times[0]!r}, {times[-1]!r}]"
             )
-        hi = bisect.bisect_left(times, t)
+        hi, n = bisect.bisect_left(times, t), self.dim
         if times[hi] == t:
-            return list(self.states[hi])
+            return self.states[hi * n:hi * n + n].tolist()
         theta = (t - times[hi - 1]) / (times[hi] - times[hi - 1])
-        return [a + theta * (b - a) for a, b in zip(self.states[hi - 1], self.states[hi])]
+        return [a + theta * (b - a)
+                for a, b in zip(self.states[hi * n - n:hi * n], self.states[hi * n:hi * n + n])]
 
-    def sup_norm(self, t0: float) -> float:
-        """Largest state norm over ``[t0, newest sample]``: the suffix maximum from ``t0``
-        on, and the interpolated norm at ``t0`` when no sample lies there."""
-        lo = bisect.bisect_left(self.times, t0)
-        edge = [] if lo < len(self.times) and self.times[lo] == t0 else [_norm(self.value(t0))]
-        return max([self.peak_norms[bisect.bisect_left(self.peak_times, t0)], *edge])
+    def sup_norm(self, t0, t1) -> np.ndarray:
+        """Largest state norm over each window ``[t0[i], t1[i]]`` of the equal-length
+        float arrays ``t0``, ``t1``: the larger of the norms at its two ends
+        (interpolated as ``value`` does, off the samples) and of the samples inside
+        it.  One ``vecdot`` gives every sample's norm, ``math.sqrt(x.dot(x))``'s bits.
+        CoverageError unless every window lies in the record."""
+        if not self.times:
+            raise CoverageError("empty state record")
+        t0, t1 = _windows(t0, t1, self.times[0], self.times[-1], "state")
+        times, states = np.array(self.times), np.array(self.states).reshape(-1, self.dim)
+        norms = np.sqrt(np.vecdot(states, states))
+        peak = _window_max(norms, np.searchsorted(times, t0, "right"), np.searchsorted(times, t1))
+        for t in (t0, t1):  # the norm at each end: a sample's, else that of a + theta*(b - a)
+            hi = np.searchsorted(times, t)
+            off = times[hi] != t
+            k = hi[off]
+            theta = ((t[off] - times[k - 1]) / (times[k] - times[k - 1]))[:, None]
+            between = states[k - 1] + theta * (states[k] - states[k - 1])
+            end = norms[hi]
+            end[off] = np.sqrt(np.vecdot(between, between))
+            peak = np.maximum(peak, end)
+        return peak
 
     def prune_before(self, t: float) -> None:
         """Drop samples no longer needed to interpolate at times >= ``t``:
-        every sample before the last one at or before ``t``, and the suffix
-        maxima before the first sample kept.  ``t`` must be finite."""
+        every sample before the last one at or before ``t``.  ``t`` must be finite."""
         k = max(0, bisect.bisect_right(self.times, _time(t)) - 1)
-        del self.times[:k], self.states[:k]
-        j = bisect.bisect_left(self.peak_times, self.times[0]) if self.times else 0
-        del self.peak_times[:j], self.peak_norms[:j]
+        del self.times[:k], self.states[:k * self.dim]
+
+
+def _windows(t0, t1, lo: float, hi: float, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """``t0``, ``t1`` as float64 arrays; CoverageError unless ``lo <= t0 <= t1 <= hi``
+    everywhere, naming the first window that is reversed or not covered."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if not (inside := (lo <= t0) & (t0 <= t1) & (t1 <= hi)).all():  # a NaN end fails it too
+        i = inside.argmin()
+        raise CoverageError(f"{what} window [{t0[i].item()!r}, {t1[i].item()!r}] "
+                            f"is not inside [{lo!r}, {hi!r}]")
+    return t0, t1
+
+
+def _window_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``max(values[lo[i]:hi[i]])`` for each ``i`` by one ``np.maximum.reduceat``;
+    0.0, below every norm, where that slice is empty."""
+    padded = np.append(values, 0.0)  # so that an end at values.size is one of its indices
+    ends = np.clip(np.column_stack([lo, hi]).ravel(), 0, values.size)
+    return np.where(hi > lo, np.maximum.reduceat(padded, ends)[::2], 0.0)
 
 
 _GAP_SLACK = 1.0 + 1e-12  # float accumulation can push a gap one ulp past T_s

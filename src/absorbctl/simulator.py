@@ -23,7 +23,7 @@ from .controller import hold_control
 from .errors import ConfigurationError, InsufficientDataError, NonFiniteError
 from .kernels import loop_kernels
 from .model import (MAX_STEPS, AssumptionData, InputHistory, PlantModel, SamplingPartition,
-                    SimConfig, StateHistory, Trajectory, _norm, check_count)
+                    SimConfig, StateHistory, Trajectory, check_count)
 from .observer import observer_correction
 from .rk4 import integrate_span
 
@@ -40,6 +40,7 @@ __all__ = [
 
 _EVENT_ATOL = 1e-12
 _NORM_FLOOR = 1e-300
+_NORM_BLOCK = 512  # rows whose composite norms one vectorized pass fills
 DECAY_RATIO = 1e-3  # terminal-to-initial composite norm ratio a run must reach
 
 # bits of a group's kinds, in action order (reset, hold, record); breaks only align spans
@@ -76,7 +77,6 @@ class InitialData:
             (float(t), np.asarray(v, dtype=float).reshape(-1)) for t, v in self.u0_segments
         ))
 
-    @np.errstate(over="ignore")  # a norm that overflows is stored as inf, judged by the run
     def histories(self, plant: PlantModel) -> tuple[StateHistory, InputHistory]:
         """The plant history on ``[-r, 0]`` and the applied-input record on
         ``[-r-tau, 0)``, empty when delay-free: the one place a run's initial
@@ -170,22 +170,24 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
                   plant: PlantModel, init_starts: Sequence[float]) -> tuple[array, bytearray]:
     """Flat ``(times, kinds)``: each group's first time and the or of its events' kind bits."""
     horizon = config.horizon
-    events = [(float(t), _SAMPLE) for t in partition.times if t <= horizon + _EVENT_ATOL]
     hold_times = _grid(config.T_H, horizon)
     record_times = _grid(config.record_dt, horizon)
-    events += [(t, _HOLD) for t in hold_times] + [(t, _RECORD) for t in record_times]
     if abs(record_times[-1] - horizon) > _EVENT_ATOL:
-        events.append((horizon, _RECORD))
+        record_times.append(horizon)
     # delayed images of every input switch: where u(t - tau) and
     # u(t - r - tau) jump inside the plant and observer equations; at a zero
     # delay the image is the hold time itself, already an event
-    for s in [*init_starts, *hold_times]:
-        for img in (s + plant.tau, s + plant.delay_window):
-            if _EVENT_ATOL < img <= horizon + _EVENT_ATOL:
-                events.append((img, _BREAK))
-    events.sort()
+    switches = np.array([*init_starts, *hold_times])
+    images = np.concatenate([switches + plant.tau, switches + plant.delay_window])
+    parts = {_SAMPLE: partition.times[partition.times <= horizon + _EVENT_ATOL],
+             _HOLD: hold_times, _RECORD: record_times,
+             _BREAK: images[(images > _EVENT_ATOL) & (images <= horizon + _EVENT_ATOL)]}
+    event_times = np.concatenate(list(parts.values()))
+    event_kinds = np.repeat(np.array(list(parts), np.uint8), [len(p) for p in parts.values()])
+    order = np.lexsort((event_kinds, event_times))  # by time, then kind
     times, kinds = array("d"), bytearray()
-    for t, kind in events:
+    # a memoryview and bytes hand out one float and int at a time: no list per event
+    for t, kind in zip(memoryview(event_times[order]), event_kinds[order].tobytes()):
         if times and t - times[-1] <= _EVENT_ATOL:
             kinds[-1] |= kind
         else:
@@ -194,16 +196,31 @@ def _event_groups(partition: SamplingPartition, config: SimConfig,
     return times, kinds
 
 
+def _fill_norms(rows: array, width: int, first: int, xhist: StateHistory,
+                uhist: InputHistory, plant: PlantModel) -> None:
+    """Write ``|x|_[t-r, t] + |z(t)| + |u|_[t-r-tau, t)``, added in that order, into the
+    norm slot of each row of ``rows`` (``width`` floats a row) from row ``first`` on;
+    NonFiniteError names the first of these rows whose norm is not finite."""
+    block = np.frombuffer(rows).reshape(-1, width)[first:]  # released on return
+    t, z = block[:, 0], block[:, 1 + plant.n:1 + 2 * plant.n]
+    block[:, -1] = norm = (xhist.sup_norm(t - plant.r, t) + np.sqrt(np.vecdot(z, z))
+                           + uhist.sup_abs(t - plant.delay_window, t))
+    if not np.isfinite(norm).all():
+        raise NonFiniteError(f"composite norm not finite at t={t[~np.isfinite(norm)][0].item()!r}")
+
+
 def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                          partition: SamplingPartition, config: SimConfig,
                          init: InitialData) -> Trajectory:
     """Run the full loop over ``[0, horizon]`` and record a trajectory.
 
     Rows are written at every measurement, hold, and recording instant
-    (once per instant when they coincide, after all actions at it).  A
-    state that is not finite at the end of a span raises ``NonFiniteError``,
+    (once per instant when they coincide, after all actions at it); their
+    composite norms are filled ``_NORM_BLOCK`` rows at a time and at the end.
+    A state that is not finite at the end of a span raises ``NonFiniteError``,
     as do an ``OverflowError`` from a callable on a span or at a hold and a
-    row whose composite norm is not finite.
+    row whose composite norm is not finite; the rows written before any
+    error are filled first, so the earliest such row is the one named.
     """
     assm.check_dimensions(plant)
     xhist, uhist = init.histories(plant)
@@ -219,6 +236,8 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
     rows, resets = array("d"), array("d")
 
     t_cur = 0.0
+    width = len(Y) + plant.m + 4
+    filled = 0  # rows whose norm slot is written
     # a runaway state gives inf or nan, caught after each span, or Python's
     # OverflowError on a span or at a hold: both end in NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -244,20 +263,26 @@ def simulate_closed_loop(plant: PlantModel, assm: AssumptionData,
                 if kinds & _HOLD:
                     uhist.append(t_g, hold_control(Y[n:2 * n], uhist, config.N, plant, assm))
                 if kinds != _BREAK:  # a group of break nodes only writes no row
-                    norm = (xhist.sup_norm(t_g - plant.r) + _norm(Y[n:2 * n])
-                            + uhist.sup_abs(t_g - plant.delay_window, t_g))
-                    if not math.isfinite(norm):
-                        raise NonFiniteError(f"composite norm not finite at t={t_g!r}")
-                    rows.extend([t_g, *Y, *uhist.values[-1], assm.lyapunov(Y[:n]),
-                                 assm.lyapunov(Y[n:2 * n]), norm])
-                if kinds & _RECORD:  # no later sample or norm reads x before t_g - r
-                    xhist.prune_before(t_g - plant.r)
+                    rows.extend([t_g, *Y, *uhist.values[-1], math.nan, math.nan, math.nan])
+                    # V(x) and V(z) once the row is in: should either raise, a
+                    # norm of this row that is not finite is still the error
+                    rows[-3] = assm.lyapunov(Y[:n])
+                    rows[-2] = assm.lyapunov(Y[n:2 * n])
+                    if len(rows) == (filled + _NORM_BLOCK) * width:
+                        filled += _NORM_BLOCK  # before the pass: one that fails is not redone
+                        _fill_norms(rows, width, filled - _NORM_BLOCK, xhist, uhist, plant)
+                        # no later row or reset reads x before the block's last row - r
+                        xhist.prune_before(t_g - plant.r)
         except OverflowError as exc:
             raise NonFiniteError(f"simulated state not finite at t={t_g!r}: "
                                  f"a callable overflowed ({exc})") from None
+        finally:
+            # however the loop ends, the rows written so far are filled: a row
+            # whose norm is not finite names the error, whatever ended the run later
+            _fill_norms(rows, width, filled, xhist, uhist, plant)
 
     # the columns are zero-copy views of the buffers, which can grow no more
-    table = np.frombuffer(rows).reshape(-1, len(Y) + plant.m + 4)
+    table = np.frombuffer(rows).reshape(-1, width)
     return Trajectory(
         *np.split(table, np.cumsum([1, n, n, plant.k_out, plant.m, 1, 1]), axis=1),
         reset_records=np.frombuffer(resets, [("t", float), ("y", float, (plant.k_out,))]),

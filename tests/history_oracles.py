@@ -3,12 +3,12 @@ predictor, with Hypothesis strategies for records that exercise them and
 the two builders (``input_record``, ``state_record``) through which tests
 make every nonempty record, by ``append`` and ``advance`` alone.
 
-Each oracle is the straightforward loop the library replaced: a scan with
-one ``bisect`` per call, a norm recomputed for every segment or sample, and
-one deletion at a time; ``step_pieces`` builds each Euler step's piece
-list, which the generated predictor walks without building.  The
-properties in ``test_model.py`` and ``test_predictor.py`` require the
-library to return the same bits.
+Each oracle is the straightforward loop the library replaced: a scan of
+one window at a time with one ``bisect`` per call, a norm recomputed for
+every segment or sample, and one deletion at a time; ``step_pieces`` builds
+each Euler step's piece list, which the generated predictor walks without
+building.  The properties in ``test_model.py`` and ``test_predictor.py``
+require the library to return the same bits.
 """
 
 import bisect
@@ -83,29 +83,19 @@ def sup_abs_scan(hist: InputHistory, t0: float, t1: float) -> float:
     return best
 
 
-def sup_norm_scan(hist: StateHistory, t0: float) -> float:
-    """Largest state norm over ``[t0, newest sample]``, one norm per sample."""
-    best = float(np.linalg.norm(hist.value(t0)))
-    for t, x in zip(hist.times, hist.states):
-        if t > t0 and float(np.linalg.norm(x)) > best:
-            best = float(np.linalg.norm(x))
+def sup_norm_scan(hist: StateHistory, t0: float, t1: float) -> float:
+    """Largest state norm over ``[t0, t1]``, one norm per sample: those of the
+    states at both ends and of the samples between, each read by ``value``."""
+    best = max(float(np.linalg.norm(hist.value(t0))), float(np.linalg.norm(hist.value(t1))))
+    for t in hist.times:
+        if t0 < t < t1 and float(np.linalg.norm(hist.value(t))) > best:
+            best = float(np.linalg.norm(hist.value(t)))
     return best
-
-
-def suffix_maxima(hist: StateHistory) -> tuple[list, list]:
-    """``(times, norms)`` of the samples whose norm exceeds every later
-    sample's, by a scan from the newest, recomputing each norm from its state."""
-    kept, best = [], -math.inf
-    for t, x in zip(reversed(hist.times), reversed(hist.states)):
-        if (v := float(np.linalg.norm(x))) > best:
-            kept.append((t, v))
-            best = v
-    return [t for t, _v in reversed(kept)], [v for _t, v in reversed(kept)]
 
 
 def prune_one_at_a_time(hist: StateHistory, t: float) -> None:
     while len(hist.times) >= 2 and hist.times[1] <= t:
-        del hist.times[0], hist.states[0]
+        del hist.times[0], hist.states[:hist.dim]
 
 
 def euler_per_step(x0, hist: InputHistory, N: int, plant, t_pred: float) -> np.ndarray:

@@ -18,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 MAX_SETTABLE = 22
 # lines of the package's modules, as `cat src/absorbctl/*.py | wc -l` counts
 # them; a change that grows the package raises this cap and says why
-MAX_SOURCE_LINES = 2302
+MAX_SOURCE_LINES = 2357
 
 
 def absorbctl_imports(source: str) -> set[str]:

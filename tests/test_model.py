@@ -14,7 +14,7 @@ from absorbctl import (ConfigurationError, CoverageError, InputHistory, NonFinit
 from absorbctl.model import MAX_STEPS
 from history_oracles import (grid_times, input_record, input_records, prune_one_at_a_time,
                              segments_scan, state_record, state_records, step_pieces,
-                             suffix_maxima, sup_abs_scan, sup_norm_scan, windows)
+                             sup_abs_scan, sup_norm_scan, windows)
 from loop_oracles import inputs_in_box
 
 BOX = np.array([[-1.0, 2.0], [-3.0, 3.0]])
@@ -368,20 +368,54 @@ class TestInputHistory:
 
     def test_sup_abs(self):
         hist = self.make()
-        assert hist.sup_abs(-1.0, 0.0) == 0.3
-        assert hist.sup_abs(-0.4, 0.0) == 0.2
-        assert hist.sup_abs(-0.3, -0.3) == 0.0
+        got = hist.sup_abs([-1.0, -0.4, -0.3, -0.5, -0.5], [0.0, 0.0, -0.3, -0.5, -0.4])
+        assert got.tolist() == [0.3, 0.2, 0.0, 0.0, 0.3]
+        assert hist.sup_abs([], []).tolist() == []
+        assert InputHistory(0.0).sup_abs([0.0], [0.0]).tolist() == [0.0]
+
+    @pytest.mark.parametrize("t0, t1, message", [
+        ([-1.5], [-0.5], r"^input window \[-1\.5, -0\.5\] is not inside \[-1\.0, 0\.0\]$"),
+        ([-0.5, -0.5], [-0.4, 0.5], r"^input window \[-0\.5, 0\.5\] is not inside"),
+        ([math.nan], [-0.5], r"^input window \[nan, -0\.5\] is not inside"),
+        ([-0.5], [math.nan], r"^input window \[-0\.5, nan\] is not inside"),
+        ([-0.5, -0.2], [-0.3, -0.4], r"^input window \[-0\.2, -0\.4\] is not inside")])
+    def test_sup_abs_refuses_a_window_it_does_not_cover(self, t0, t1, message):
+        # one bad window among good ones is enough; a NaN end and a reversed
+        # window are not covered
+        with pytest.raises(CoverageError, match=message):
+            self.make().sup_abs(t0, t1)
 
     @given(input_records(m=2), st.data())
     @settings(max_examples=300)
     def test_reads_match_scans(self, hist, data):
-        # iter_segments, the one-step oracle step_pieces, and sup_abs over the
-        # norms stored at append equal a fresh scan of the record
+        # iter_segments and the one-step oracle step_pieces equal a fresh scan
+        # of the record, and so does sup_abs on many windows read at once
         t0, t1 = data.draw(windows(hist.t_min, hist.t_now))
         want = segments_scan(hist, t0, t1)
         for got in (hist.iter_segments(t0, t1), step_pieces(hist, t0, t1, 1)[0]):
             assert [(id(v), a) for v, a in got] == [(id(v), a) for v, a in want]
-        assert hist.sup_abs(t0, t1) == sup_abs_scan(hist, t0, t1)
+        ends = [(t0, t1), *data.draw(st.lists(windows(hist.t_min, hist.t_now), max_size=8))]
+        want = np.array([sup_abs_scan(hist, a, b) for a, b in ends])
+        assert hist.sup_abs(*zip(*ends)).tobytes() == want.tobytes()
+
+    @given(st.data())
+    @settings(max_examples=200)
+    def test_windows_match_scan_through_appends(self, data):
+        # the record read between appends and advances; a window may end at
+        # t_now, past the newest start
+        hist = InputHistory(-1.0)
+        value = st.lists(st.floats(-2.0, 2.0) | st.sampled_from([0.0, 1e200]),
+                         min_size=2, max_size=2)
+        with np.errstate(over="ignore"):
+            for _step in range(data.draw(st.integers(1, 8))):
+                start = hist.t_now + data.draw(st.sampled_from([0.0, 1 / 64, 0.1, 0.37]))
+                if hist.starts and start == hist.starts[-1]:
+                    start += 1 / 32
+                hist.append(start if hist.starts else -1.0, data.draw(value))
+                hist.advance(hist.starts[-1] + data.draw(st.sampled_from([0.0, 1 / 32, 0.25])))
+                ends = data.draw(st.lists(windows(hist.t_min, hist.t_now), max_size=6))
+                want = np.array([sup_abs_scan(hist, a, b) for a, b in ends], dtype=float)
+                assert hist.sup_abs(*zip(*ends) if ends else ([], [])).tobytes() == want.tobytes()
 
     @given(input_records(), st.data(), st.integers(1, 300))
     @settings(max_examples=200)
@@ -426,8 +460,10 @@ class TestStateHistory:
 
     def test_sup_norm_sees_interior_peak(self):
         hist = state_record([0.0, 0.5, 1.0], [[0.0], [2.0], [0.0]])
-        assert hist.sup_norm(0.1) == 2.0
-        assert hist.sup_norm(0.6) == pytest.approx(1.6)  # interpolated at t0
+        got = hist.sup_norm([0.1, 0.6, 0.0, 0.2], [1.0, 1.0, 0.4, 0.3])
+        # interpolated at t0, at t1, and at both ends with no sample between
+        assert got.tolist() == pytest.approx([2.0, 1.6, 1.6, 1.2], rel=1e-15)
+        assert hist.sup_norm([], []).tolist() == []
 
     def test_out_of_range_raises(self):
         hist = state_record([0.0, 1.0], [[0.0], [1.0]])
@@ -444,15 +480,16 @@ class TestStateHistory:
             with pytest.raises(ConfigurationError,
                                match=f"^record times must be finite, got {t}$"):
                 hist.append(times, [[2.0]] * len(times))
-        assert hist.times == [0.0]
+        assert hist.times.tolist() == [0.0] and hist.states.tolist() == [1.0]
 
     def test_nan_query_raises(self):
         # a NaN query fails the range test instead of interpolating to NaN
         hist = state_record([0.0, 1.0], [[0.0], [1.0]])
         with pytest.raises(CoverageError, match="^state query at t=nan outside"):
             hist.value(math.nan)
-        with pytest.raises(CoverageError):
-            hist.sup_norm(math.nan)
+        for ends in (([math.nan], [1.0]), ([0.0], [math.nan]), ([0.0, math.nan], [1.0, 1.0])):
+            with pytest.raises(CoverageError, match=r"^state window \[.*nan.*\] is not inside"):
+                hist.sup_norm(*ends)
 
     def test_times_strictly_increasing(self):
         hist = StateHistory()
@@ -462,18 +499,19 @@ class TestStateHistory:
             with pytest.raises(ConfigurationError,
                                match="^sample times must be strictly increasing$"):
                 hist.append(times, [[2.0]] * len(times))
-        assert hist.times == [0.0]
+        assert hist.times.tolist() == [0.0] and hist.states.tolist() == [1.0]
 
     @pytest.mark.parametrize("times, states", [
         ([1.0], [[1.0]]), ([1.0], [[1.0, 2.0, 3.0]]),  # another dimension than stored
-        ([1.0, 2.0], [[1.0, 2.0]]), ([1.0], [1.0, 2.0])])  # not one row per time
+        ([1.0, 2.0], [[1.0, 2.0]]), ([1.0], [1.0, 2.0]),  # not one row per time
+        ([1.0, 2.0], [[1.0, 2.0], [1.0, 2.0, 3.0]]), ([1.0], [["a", "b"]]), ([], [])])
     def test_one_row_per_time_of_one_dimension(self, times, states):
         hist = state_record([0.0], [[1.0, 2.0]])
         with pytest.raises(ConfigurationError,
                            match="^states must be one row per time, of one dimension$"):
             hist.append(times, states)
-        assert hist.times == [0.0] and len(hist.states) == 1
-        assert (hist.peak_times, hist.peak_norms) == ([0.0], [np.sqrt(5.0)])
+        assert hist.times.tolist() == [0.0] and hist.states.tolist() == [1.0, 2.0]
+        assert hist.sup_norm([0.0], [0.0]).tolist() == [np.sqrt(5.0)]
 
     @pytest.mark.parametrize("source", [np.array([[1.0, 2.0]]), np.array([[1.0], [2.0]]).T,
                                         np.array([[9.0, 1.0, 9.0, 2.0]])[:, 1::2]])
@@ -484,37 +522,45 @@ class TestStateHistory:
         hist = StateHistory()
         hist.append([0.0], source)
         source[...] = -7.0
-        assert hist.states[0] == [1.0, 2.0]
+        assert hist.states.tolist() == [1.0, 2.0]
         assert hist.value(0.0) == [1.0, 2.0]
-        assert hist.peak_norms == [np.sqrt(5.0)]
+        assert hist.sup_norm([0.0], [0.0]).tolist() == [np.sqrt(5.0)]
         # value hands out a new list at a sample time too: a caller such as
         # the output map h may write to it without touching the record
         hist.value(0.0)[:] = [-7.0, -7.0]
-        assert hist.states[0] == [1.0, 2.0] and hist.value(0.0) == [1.0, 2.0]
+        assert hist.states.tolist() == [1.0, 2.0] and hist.value(0.0) == [1.0, 2.0]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_batched_norms_are_the_per_row_bits(self, n):
-        # one vecdot per batch gives each row's math.sqrt(x.dot(x)), bit for
-        # bit, on rows whose entries span many scales; one-row batches too:
-        # the window from each sample on is the suffix maximum of those norms
+        # one vecdot over the record gives each row's math.sqrt(x.dot(x)), bit
+        # for bit, on rows whose entries span many scales, appended in one-row
+        # batches and in one large one: a window on one sample reads its norm,
+        # and the window from each sample on the suffix maximum of those norms
         rng = np.random.default_rng(n)
         rows = rng.normal(size=(100_000, n)) * 10.0 ** rng.integers(-12, 13, size=(100_000, n))
         hist = StateHistory()
         for i in range(1000):
             hist.append([float(i)], rows[i:i + 1])
         hist.append(np.arange(1000.0, 100_000.0), rows[1000:])
-        want = np.maximum.accumulate([math.sqrt(row.dot(row)) for row in rows][::-1])[::-1]
-        assert np.array([hist.sup_norm(t) for t in hist.times]).tobytes() == want.tobytes()
+        norms = np.array([math.sqrt(row.dot(row)) for row in rows])
+        assert hist.sup_norm(hist.times, hist.times).tobytes() == norms.tobytes()
+        want = np.maximum.accumulate(norms[::-1])[::-1]
+        ends = np.full(len(hist.times), hist.times[-1])
+        assert hist.sup_norm(hist.times, ends).tobytes() == want.tobytes()
 
     def test_sup_norm_refuses_a_time_outside_the_record(self):
-        # an uncovered t0 raises CoverageError, not IndexError from the suffix maxima
+        # an uncovered end raises CoverageError, not IndexError from searchsorted
         hist = state_record([0.0, 0.5, 1.0], [[1.0, 0.0], [3.0, 4.0], [0.0, 1.0]])
-        assert hist.sup_norm(0.0) == hist.sup_norm(0.5) == 5.0 and hist.sup_norm(1.0) == 1.0
-        for t0 in (-0.1, 1.1):
-            with pytest.raises(CoverageError, match=f"^state query at t={t0} outside"):
-                hist.sup_norm(t0)
+        got = hist.sup_norm([0.0, 0.5, 1.0, 0.0], [1.0, 1.0, 1.0, 0.0])
+        assert got.tolist() == [5.0, 5.0, 1.0, 1.0]
+        for t0, t1 in ((-0.1, 0.5), (0.5, 1.1), (-0.1, 1.1)):
+            with pytest.raises(CoverageError, match=(
+                    rf"^state window \[{t0}, {t1}\] is not inside \[0\.0, 1\.0\]$")):
+                hist.sup_norm([0.0, t0], [1.0, t1])
+        with pytest.raises(CoverageError, match=r"^state window \[0\.6, 0\.4\] is not inside"):
+            hist.sup_norm([0.0, 0.6], [1.0, 0.4])
         with pytest.raises(CoverageError, match="^empty state record$"):
-            StateHistory().sup_norm(0.0)
+            StateHistory().sup_norm([0.0], [0.0])
 
     def test_prune_keeps_bracketing_node(self):
         hist = state_record([0.0, 1.0, 2.0, 3.0], [[0.0], [1.0], [2.0], [3.0]])
@@ -525,26 +571,31 @@ class TestStateHistory:
     @given(state_records(), st.data())
     @settings(max_examples=300)
     def test_sup_norm_matches_scan(self, hist, data):
-        t0 = data.draw(grid_times(hist.times[0], hist.times[-1]))
-        assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
+        # many windows read at once, each equal to its own scan
+        ends = data.draw(st.lists(windows(hist.times[0], hist.times[-1]), min_size=1,
+                                  max_size=8))
+        want = np.array([sup_norm_scan(hist, t0, t1) for t0, t1 in ends])
+        assert hist.sup_norm(*zip(*ends)).tobytes() == want.tobytes()
 
     @given(state_records(), st.data())
     @settings(max_examples=300)
     def test_sup_norm_at_samples_matches_scan(self, hist, data):
-        # a start on a sample takes the norms computed at append; the scan
-        # recomputes them from the interpolated (exact) states
-        t0 = hist.times[data.draw(st.integers(0, len(hist.times) - 1))]
-        assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
+        # ends on samples take the norms of the stored states; the scan
+        # recomputes them from the states value reads there
+        index = st.integers(0, len(hist.times) - 1)
+        ends = [sorted((hist.times[data.draw(index)], hist.times[data.draw(index)]))
+                for _ in range(data.draw(st.integers(1, 8)))]
+        want = np.array([sup_norm_scan(hist, t0, t1) for t0, t1 in ends])
+        assert hist.sup_norm(*zip(*ends)).tobytes() == want.tobytes()
 
     @given(state_records(), st.floats(-0.5, 1.5) | st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=300)
     def test_prune_matches_one_at_a_time(self, hist, t):
-        oracle = state_record(hist.times, hist.states)
+        oracle = state_record(hist.times, np.reshape(hist.states, (-1, hist.dim)))
         hist.prune_before(t)
         prune_one_at_a_time(oracle, t)
         assert len(hist.times) >= 1 and hist.times == oracle.times
-        assert np.array_equal(hist.states, oracle.states)
-        assert (hist.peak_times, hist.peak_norms) == suffix_maxima(oracle)
+        assert hist.states == oracle.states
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_prune_refuses_a_time_that_is_not_finite(self, t):
@@ -553,13 +604,13 @@ class TestStateHistory:
         hist = state_record([0.0, 1.0, 2.0], [[0.0], [1.0], [2.0]])
         with pytest.raises(ConfigurationError, match=f"^record times must be finite, got {t}$"):
             hist.prune_before(t)
-        assert hist.times == [0.0, 1.0, 2.0] and hist.peak_times == [2.0]
+        assert hist.times.tolist() == [0.0, 1.0, 2.0] and hist.states.tolist() == [0.0, 1.0, 2.0]
 
     @given(st.data())
     @settings(max_examples=300)
     def test_windows_match_scan_through_appends_and_prunes(self, data):
         # ties (norm 1 three ways, 5 two ways) and inf norms (1e200 squared
-        # overflows) exercise the suffix maxima's pops; one-row batches too
+        # overflows); one-row batches too, and several windows per read
         entry = (st.sampled_from([0.0, 1.0, -1.0, 3.0, 4.0, -5.0, 1e200, -1e200])
                  | st.floats(-5.0, 5.0))
         row = st.lists(entry, min_size=2, max_size=2)
@@ -574,9 +625,10 @@ class TestStateHistory:
                     times = [clock := clock + gap for gap in gaps]
                     hist.append(times, data.draw(st.lists(row, min_size=len(times),
                                                           max_size=len(times))))
-                assert (hist.peak_times, hist.peak_norms) == suffix_maxima(hist)
-                t0 = data.draw(grid_times(hist.times[0], hist.times[-1]))
-                assert hist.sup_norm(t0) == sup_norm_scan(hist, t0)
+                ends = data.draw(st.lists(windows(hist.times[0], hist.times[-1]), min_size=1,
+                                          max_size=6))
+                want = np.array([sup_norm_scan(hist, t0, t1) for t0, t1 in ends])
+                assert hist.sup_norm(*zip(*ends)).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_interpolation_is_the_numpy_row_form(self, n):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 import warnings
 from types import SimpleNamespace
@@ -114,7 +115,7 @@ class TestInitialData:
     def test_constant_history(self, planar):
         plant, _ = planar
         xhist, _uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
-        assert xhist.times == [-0.25, 0.0]
+        assert xhist.times.tolist() == [-0.25, 0.0]
         for t in (-0.25, -0.1, 0.0):
             assert xhist.value(t) == [1.0, -1.0]
 
@@ -141,7 +142,7 @@ class TestInitialData:
         init = InitialData(x0=([-0.5 - 1e-13, -0.2, -1e-13],
                                [[1.0, 0.0], [0.5, 0.0], [0.3, -0.7]]), z0=[0.0, 0.0])
         xhist, _uhist = init.histories(_plant(0.5, 0.25))
-        assert xhist.times == [-0.5, -0.2, 0.0]
+        assert xhist.times.tolist() == [-0.5, -0.2, 0.0]
         assert xhist.value(0.0) == [0.3, -0.7]
 
     def test_table_must_cover_window(self):
@@ -212,7 +213,7 @@ class TestInitialData:
     def test_delay_free_forbids_segments(self):
         plant = _plant(0.0, 0.0)
         xhist, uhist = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0]).histories(plant)
-        assert xhist.times == [0.0] and xhist.value(0.0) == [1.0, -1.0]
+        assert xhist.times.tolist() == [0.0] and xhist.value(0.0) == [1.0, -1.0]
         assert (uhist.t_min, uhist.t_now, uhist.starts) == (0.0, 0.0, [])
         assert math.copysign(1.0, uhist.t_min) == 1.0  # 0.0, not -(r + tau) = -0.0
         init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0], u0_segments=[(-0.5, [0.1])])
@@ -335,6 +336,42 @@ class TestClosedLoop:
                 simulate_closed_loop(plant, assm, generate_partition(0.01, 1.0, seed=0),
                                      short_config(horizon=1.0),
                                      InitialData(x0=[1e155], z0=[0.0]))
+
+    @pytest.mark.parametrize("hold_fails", [True, False], ids=["hold-raises", "run-ends"])
+    def test_a_pending_non_finite_norm_is_the_error(self, planar, monkeypatch, hold_fails):
+        # row norms are filled a block of rows at a time; a row whose norm
+        # overflows names the error also when a callable raises later in its
+        # block (here the first hold after it), before the block is filled
+        plant, assm = planar
+        config = short_config(horizon=2.0)
+        partition = generate_partition(0.01, config.horizon, seed=0)
+        init = InitialData(x0=[1.0, -1.0], z0=[0.0, 0.0])
+        row_times = simulate_closed_loop(plant, assm, partition, config, init).t
+        integrate_span, hold_control, huge = simulator.integrate_span, simulator.hold_control, []
+
+        def span_with_a_huge_node(span, t0, t1, y0, dt_max):
+            # the span's last node in the state record only: the loop's state is untouched
+            y, times, nodes = integrate_span(span, t0, t1, y0, dt_max)
+            if t1 >= 0.333 and not huge:
+                nodes[-1] = [1e200, 0.0]
+                huge.append(t1)
+            return y, times, nodes
+
+        def failing_hold(z, hist, *args):
+            if hold_fails and huge and hist.t_now > huge[0]:
+                raise RuntimeError("the controller failed")
+            return hold_control(z, hist, *args)
+
+        monkeypatch.setattr(simulator, "integrate_span", span_with_a_huge_node)
+        monkeypatch.setattr(simulator, "hold_control", failing_hold)
+        first_bad = float(row_times[row_times >= 0.333][0])  # its window [t - r, t] holds it
+        assert 0.333 < first_bad < 0.343 and len(row_times) < simulator._NORM_BLOCK
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError,
+                               match=f"^composite norm not finite at t={re.escape(repr(first_bad))}$"):
+                simulate_closed_loop(plant, assm, partition, config, init)
+        assert huge == [first_bad]
 
     def test_non_finite_held_input(self, planar):
         # refused at the first hold, also on a horizon shorter than tau, where
