@@ -364,11 +364,11 @@ class InputHistory:
     def sup_abs(self, t0, t1) -> np.ndarray:
         """Largest Euclidean input norm applied on each window ``[t0[i], t1[i])`` of
         the equal-length float arrays ``t0``, ``t1``, 0.0 on an empty one, from one
-        ``vecdot`` over the segment values.  CoverageError unless every window
-        lies in ``[t_min, t_now]``, as for ``window``."""
+        ``vecdot`` over the segments from the one applied at the earliest ``t0``.
+        CoverageError unless every window lies in ``[t_min, t_now]``, as for ``window``."""
         t0, t1 = _windows(t0, t1, self.t_min, self.t_now, "input")
-        starts = np.array(self.starts)
-        values = np.array(self.values, ndmin=2)  # one row per segment; one empty row if none
+        first = bisect.bisect_right(self.starts, t0.min(initial=self.t_now)) - 1
+        starts, values = np.array(self.starts[first:]), np.array(self.values[first:], ndmin=2)
         lo = np.searchsorted(starts, t0, "right") - 1  # the segment applied at t0
         hi = np.where(t0 < t1, np.searchsorted(starts, t1), lo)
         return _window_max(np.sqrt(np.vecdot(values, values)), lo, hi)

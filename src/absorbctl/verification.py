@@ -7,15 +7,14 @@ found.  Margins are written so that negative means the inequality holds
 with room to spare; a check passes when the worst margin does not exceed
 ``TOLERANCE``.  Identical seeds give identical reports.
 
-A check runs on the usable cores: its admitted points are cut into
-contiguous shares in draw order, and each share, here or in a forked child,
-draws the sample from the first point and evaluates the margins at its own
-points only.  Each process holds one batch at a time.  The callables, which
-run on the same batches in several processes and again where a share reruns,
-must be pure; then a report carries the same bits, and a failing callable
-raises the same exception, as one process.  One process runs alone where
-``os.fork`` is missing, on one usable core, while another thread is alive,
-or when a share would hold fewer than ``_MIN_SHARE`` points.
+``run_checks`` runs a list of checks on the usable cores: the list is cut
+into contiguous blocks of whole checks, the first run here and each later
+one in a forked child, which sends its block's reports back.  Each check
+runs whole in one process, so its callables get the calls of one process.
+A block whose child raised or died runs again here, in block order, so a
+failing check raises what one process raises.  One process runs alone where
+``os.fork`` is missing, on one usable core or while another thread is alive.
+A ``check_*`` called by itself runs in the calling process.
 """
 
 from __future__ import annotations
@@ -52,12 +51,10 @@ __all__ = [
     "check_growth_bound",
     "check_corrected_contraction",
     "check_corrected_dissipation",
+    "run_checks",
 ]
 
 _BATCH = 4096
-# fewest points a forked share scans: about twice the ~450 margins' time that
-# forking, exiting and reaping one child took on a 2-core host
-_MIN_SHARE = 1000
 TOLERANCE = 1e-9  # largest worst margin a passing check may report
 UPPER_LEVEL = 100.0  # Lyapunov level capping regions unbounded above
 _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
@@ -247,13 +244,12 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _share(name: str, boxes: Sequence[np.ndarray], accept, margin_fn, sample: SampleSpec,
-           first: int, stop: int) -> tuple[int, int, float, tuple | None]:
-    """Draw the sample to its ``stop``-th admitted point; return the draw's counts and
-    the worst margin over the admitted points ``first`` to ``stop - 1`` with its first
-    point in draw order (``-inf`` and ``None`` if there are none).  ``accept`` masks
-    Halton batches given as one ``(d_i, B)`` column block per box; ``margin_fn`` takes
-    one row per box as a list.  ``first = 0, stop = n_points`` is the whole check."""
+def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
+                       sample: SampleSpec) -> CheckReport:
+    """Draw the sample to its ``n_points``-th admitted point and report the draw's counts
+    and the worst margin over the admitted points with its first point in draw order.
+    ``accept`` masks Halton batches given as one ``(d_i, B)`` column block per box;
+    ``margin_fn`` takes one row per box as a list."""
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
@@ -263,42 +259,42 @@ def _share(name: str, boxes: Sequence[np.ndarray], accept, margin_fn, sample: Sa
     tested = skipped = draws = 0
     worst, worst_pt = -math.inf, None
     max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, 100_000)
-    while tested < stop and draws < max_draws:
+    while tested < sample.n_points and draws < max_draws:
         batch = halton.random(min(_BATCH, max_draws - draws))
         draws += batch.shape[0]
         parts = np.split(lo + batch * (hi - lo), splits, axis=1)
-        admitted = np.flatnonzero(accept(*(p.T for p in parts)))[:stop - tested]
-        end = admitted[-1] + 1 if tested + admitted.size == stop else len(batch)
+        admitted = np.flatnonzero(accept(*(p.T for p in parts)))[:sample.n_points - tested]
+        end = admitted[-1] + 1 if tested + admitted.size == sample.n_points else len(batch)
         skipped += int(end) - admitted.size
-        scanned = admitted[max(first - tested, 0):]
         tested += admitted.size
-        for point in zip(*(p[scanned].tolist() for p in parts)):
+        for point in zip(*(p[admitted].tolist() for p in parts)):
             value = float(margin_fn(*point))
             if not math.isfinite(value):
                 raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
             if value > worst:
                 worst, worst_pt = value, point
-    return tested, skipped, worst, worst_pt
+    return CheckReport(name=name, points_tested=tested, skipped=skipped,
+                       worst_margin=None if worst_pt is None else worst,
+                       worst_point=worst_pt, seed=sample.seed)
 
 
-def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
-                       sample: SampleSpec) -> CheckReport:
-    """The check, run as contiguous shares of its admitted points, each a ``_share``: the
-    first here, each later one in a forked child (user callables need not pickle), which
-    replies its tuple.  Shares merge in order with a strict ``>``, so the first maximum
-    wins; the counts are the last share's, whose draw is the whole check's.  A share whose
-    child raised or died runs again here, in share order, raising what one process does."""
-    shares = 1
+def run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionData,
+               sample: SampleSpec) -> list[CheckReport]:
+    """``[check(plant, assm, sample) for check in checks]``, as contiguous blocks of
+    checks, one per usable core: the first here, each later one in a forked child (user
+    callables need not pickle), which replies its reports.  A block whose child raised or
+    died runs again here, in block order, raising what one process does."""
+    blocks = 1
     if hasattr(os, "fork") and threading.active_count() == 1:  # forking threads is unsafe
-        shares = max(1, min(_usable_cores(), sample.n_points // _MIN_SHARE))
-    bounds = [sample.n_points * i // shares for i in range(shares + 1)]
+        blocks = max(1, min(_usable_cores(), len(checks)))
+    bounds = [len(checks) * i // blocks for i in range(blocks + 1)]
 
     def run(i):
-        return _share(name, boxes, accept, margin_fn, sample, bounds[i], bounds[i + 1])
+        return [check(plant, assm, sample) for check in checks[bounds[i]:bounds[i + 1]]]
 
-    pids, pipes = {}, {}  # share -> its child, share -> read end of the child's pipe
+    pids, pipes = {}, {}  # block -> its child, block -> read end of the child's pipe
     try:
-        for i in range(1, shares):
+        for i in range(1, blocks):
             pipes[i], write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -316,30 +312,24 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
             finally:
                 os.close(write_fd)
             pids[i] = pid
-        found = [run(0)]
-        for i in range(1, shares):
+        reports = run(0)
+        for i in range(1, blocks):
             with open(pipes.pop(i), "rb") as pipe:  # to EOF before reaping: no size limit
                 reply = pipe.read()
             status = os.waitpid(pids[i], 0)[1]
             del pids[i]  # only once reaped
-            found.append(pickle.loads(reply) if status == 0 else run(i))
-    finally:  # on any error: no child outlives the check
+            reports += pickle.loads(reply) if status == 0 else run(i)
+    finally:  # on any error: no child outlives the call
         for pid in pids.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for fd in pipes.values():
             os.close(fd)
-    _, _, worst, worst_pt = found[0]
-    for _, _, value, point in found[1:]:
-        if value > worst:
-            worst, worst_pt = value, point
-    return CheckReport(name=name, points_tested=found[-1][0], skipped=found[-1][1],
-                       worst_margin=None if worst_pt is None else worst,
-                       worst_point=worst_pt, seed=sample.seed)
+    return reports
 
 
 def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec = SampleSpec()) -> CheckReport:
+                                sample: SampleSpec) -> CheckReport:
     """Dissipation outside the absorbing set, sampled up to the sampler's
     upper Lyapunov level and over the whole input box."""
     assm.check_dimensions(plant)
@@ -353,7 +343,7 @@ def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
 
 
 def check_local_controller(plant: PlantModel, assm: AssumptionData,
-                           sample: SampleSpec = SampleSpec()) -> CheckReport:
+                           sample: SampleSpec) -> CheckReport:
     """Local decay and coercivity inside the absorbing set."""
     assm.check_dimensions(plant)
     x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
@@ -381,7 +371,7 @@ def _observer_region(plant: PlantModel, assm: AssumptionData):
 
 
 def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
-                               sample: SampleSpec = SampleSpec()) -> CheckReport:
+                               sample: SampleSpec) -> CheckReport:
     """Output-injection contraction over observer set x plant set x inputs."""
     return _run_sampled_check(
         "observer_contraction",
@@ -391,7 +381,7 @@ def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
 
 
 def check_growth_bound(plant: PlantModel, assm: AssumptionData,
-                       sample: SampleSpec = SampleSpec()) -> CheckReport:
+                       sample: SampleSpec) -> CheckReport:
     """Conditional growth bound on the blending band.
 
     Drawn over the two contraction checks' region; beyond their side
@@ -415,7 +405,7 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
 
 
 def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec = SampleSpec()) -> CheckReport:
+                                sample: SampleSpec) -> CheckReport:
     """Corrected-gain contraction over observer set x plant set x inputs."""
     return _run_sampled_check(
         "corrected_contraction",
@@ -425,7 +415,7 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
 
 
 def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec = SampleSpec()) -> CheckReport:
+                                sample: SampleSpec) -> CheckReport:
     """Corrected-observer dissipation, damped as in the loop, above the upper
     blending level, with the measured output free to roam an inflated output box."""
     assm.check_dimensions(plant)

@@ -261,6 +261,13 @@ class TestSampledChecks:
         m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point)
         assert abs(m - rep.worst_margin) <= 1e-12
 
+    def test_a_tie_goes_to_the_first_admitted_point(self, planar, monkeypatch):
+        seen = []
+        monkeypatch.setattr(V, "local_controller_margin",
+                            lambda plant, assm, x: seen.append(x) or 0.0)
+        rep = check_local_controller(*planar, SPEC)
+        assert rep.worst_point == (seen[0],) and len(seen) == SPEC.n_points
+
     @pytest.mark.parametrize("seed", [-1, 1.5, False])
     def test_negative_seed_rejected(self, seed):
         # numpy's SeedSequence would raise its own TypeError on a float seed
@@ -378,13 +385,14 @@ class TestNonFiniteMargin:
             check_absorbing_dissipation(plant, broken, SampleSpec(n_points=1))
 
 
-class TestSplitScan:
-    """Each check's margin scan, split into shares scanned by forked children,
-    gives the one-process report and raises the one-process exception, and
-    leaves no child behind.  The share count is forced through the module's
-    count of usable cores."""
+class TestRunChecks:
+    """``run_checks`` cuts its list into contiguous blocks of whole checks, runs each
+    later block in a forked child, and gives the reports of the checks called one by
+    one, or the exception of the first check that fails, and leaves no child behind.
+    The block count is forced through the module's count of usable cores."""
 
-    SPEC = SampleSpec(n_points=4 * V._MIN_SHARE, seed=0)
+    class Refused(Exception):
+        pass
 
     @pytest.fixture(autouse=True)
     def no_child_left(self):
@@ -407,193 +415,95 @@ class TestSplitScan:
         return pids
 
     @staticmethod
-    def reports(monkeypatch, check, *args, shares=(1, 2, 3)):
-        found = []
-        for k in shares:
-            monkeypatch.setattr(V, "_usable_cores", lambda: k)
-            found.append(check(*args).to_dict())
-        return found
+    def run(monkeypatch, k, checks, *args):
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+        return [rep.to_dict() for rep in V.run_checks(checks, *args)]
 
-    @staticmethod
-    def admitted(monkeypatch, planar):
-        """The points ``(x, u)`` that the absorbing-dissipation check admits from
-        ``SPEC``'s sample, in draw order."""
-        seen = []
-        with monkeypatch.context() as patch:
-            patch.setattr(V, "_usable_cores", lambda: 1)
-            patch.setattr(V, "absorbing_dissipation_margin",
-                          lambda plant, assm, x, u: seen.append((x, u)) or 0.0)
-            check_absorbing_dissipation(*planar, TestSplitScan.SPEC)
-        return seen
+    @classmethod
+    def refusing(cls, message):
+        def check(plant, assm, sample):
+            raise cls.Refused(message)
 
-    def margin_raising_at(self, monkeypatch, planar, indices, error):
-        """Make the absorbing-dissipation margin raise ``error`` at the admitted
-        points ``indices`` of ``SPEC``'s sample; return the messages."""
-        bad = [self.admitted(monkeypatch, planar)[i] for i in indices]
-        margin = V.absorbing_dissipation_margin
-
-        def failing(plant, assm, x, u):
-            if (x, u) in bad:
-                raise error(f"refused at {x}, {u}")
-            return margin(plant, assm, x, u)
-
-        monkeypatch.setattr(V, "absorbing_dissipation_margin", failing)
-        return [f"refused at {x}, {u}" for x, u in bad]
+        return check
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("check", sorted(CHECKS))
-    def test_shares_give_the_one_process_report(self, planar, monkeypatch, forks, check,
-                                                 seed):
-        spec = SampleSpec(n_points=4 * V._MIN_SHARE, seed=seed)
-        one, two, three = self.reports(monkeypatch, CHECKS[check], *planar, spec)
-        assert two == one and three == one
-        # each share draws its own sample, so the growth bound, which admits no
-        # point, forks as every other check does
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_blocks_give_the_reports_of_the_checks_one_by_one(self, planar, monkeypatch,
+                                                              forks, k, seed):
+        spec = SampleSpec(n_points=2000, seed=seed)
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+        one_by_one = [check(*planar, spec).to_dict() for check in CHECKS.values()]
+        assert forks == []  # a check called by itself runs here
+        assert self.run(monkeypatch, k, list(CHECKS.values()), *planar, spec) == one_by_one
+        assert len(forks) == k - 1
+
+    @pytest.mark.parametrize("how", ["raises", "exits", "is killed"])
+    def test_a_failed_child_gives_the_one_process_report(self, planar, monkeypatch, forks,
+                                                         how):
+        parent = os.getpid()
+
+        def failing_in_a_child(plant, assm, sample):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise self.Refused("in a child")
+                if how == "exits":
+                    os._exit(1)
+                os.kill(os.getpid(), signal.SIGKILL)
+            return check_local_controller(plant, assm, sample)
+
+        checks = [check_observer_contraction, failing_in_a_child, check_corrected_dissipation]
+        want = [check(*planar, SPEC).to_dict() for check in checks]
+        for k in (2, 3):
+            assert self.run(monkeypatch, k, checks, *planar, SPEC) == want
         assert len(forks) == 1 + 2
 
-    @pytest.mark.parametrize("check", sorted(CHECKS))
-    def test_lifted_shares_give_the_one_process_report(self, planar, monkeypatch, check):
-        from test_lifted import lifted
-
-        one, two, three = self.reports(monkeypatch, CHECKS[check], *lifted(*planar), self.SPEC)
-        assert two == one and three == one
-
-    @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
-    def test_the_clis_sample_size_gives_the_one_process_report(self, planar, monkeypatch, forks, check):
-        # the CLI's 10000 points, several batches in each of two shares
-        spec = SampleSpec(n_points=10_000, seed=1)
-        one, two = self.reports(monkeypatch, CHECKS[check], *planar, spec, shares=(1, 2))
-        assert two == one
-        assert len(forks) == 1
-
-    def test_a_sample_the_draw_cap_ends_short_gives_the_one_process_report(self, monkeypatch):
-        # about 1 candidate in 400 is admitted, so the 200000 draws allowed end
-        # the sample near 500 points: the later shares are empty
-        boxes = [np.array([[-1.0, 1.0]])] * 2
-        reports = []
+    def test_an_error_in_a_child_is_the_one_process_error(self, planar, monkeypatch, forks):
+        # both later checks fail; the first of them in list order raises, also at
+        # k = 3, where each runs in a child of its own
+        checks = [check_local_controller, self.refusing("first"), self.refusing("second")]
         for k in (1, 2, 3):
-            monkeypatch.setattr(V, "_usable_cores", lambda: k)
-            reports.append(V._run_sampled_check("capped", boxes, lambda x, u: x[0] > 0.995,
-                                                lambda x, u: u[0] - x[0],
-                                                SampleSpec(n_points=4000)).to_dict())
-        assert 0 < reports[0]["points_tested"] < 1000
-        assert reports[1] == reports[0] and reports[2] == reports[0]
+            with pytest.raises(self.Refused, match="^first$"):
+                self.run(monkeypatch, k, checks, *planar, SPEC)
+        assert len(forks) == 1 + 2
 
-    def test_a_side_condition_error_in_a_childs_share_is_the_one_process_error(
-            self, monkeypatch):
-        # every candidate is admitted, so the third batch, whose first point the
-        # side condition refuses, lies in a child's share at k = 2 and 3
-        box = [np.array([[-1.0, 1.0]])]
-        third = -1.0 + 2.0 * V.Halton(1, 0).random(3 * V._BATCH)[2 * V._BATCH, 0]
-
-        def accept(x):
-            if x[0, 0] == third:
-                raise ZeroDivisionError("side condition failed")
-            return np.ones(x.shape[1], bool)
-
-        for k in (1, 2, 3):
-            scanned = []
-            monkeypatch.setattr(V, "_usable_cores", lambda: k)
-            with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
-                V._run_sampled_check("third", box, accept, lambda x: scanned.append(x) or 0.0,
-                                     SampleSpec(n_points=4 * V._BATCH))
-            assert len(scanned) == 2 * V._BATCH
-
-    def test_a_user_exception_in_a_childs_share_reaches_the_caller(self, planar, monkeypatch,
-                                                                   forks):
-        # admitted point 3000 lies in the child's share [2000, 4000); the
-        # exception is raised again here, not sent back from the child
-        class Refused(Exception):
-            pass
-
-        message, = self.margin_raising_at(monkeypatch, planar, [3000], Refused)
-        monkeypatch.setattr(V, "_usable_cores", lambda: 2)
-        with pytest.raises(Refused, match=f"^{re.escape(message)}$"):
-            check_absorbing_dissipation(*planar, self.SPEC)
-        assert len(forks) == 1
-
-    def test_a_nan_margin_in_a_childs_share_is_the_one_process_error(self, planar,
-                                                                     monkeypatch, forks):
-        # admitted point 3000 lies in the child's share [2000, 4000)
+    def test_a_nan_margin_in_a_child_is_the_one_process_error(self, planar, monkeypatch, forks):
         plant, assm = planar
-        point = self.admitted(monkeypatch, planar)[3000][0]
         dissipation = assm.dissipation
         holed = dataclasses.replace(
-            assm, dissipation=lambda x: float("nan") if x == point else dissipation(x))
-        for k in (1, 2):
-            monkeypatch.setattr(V, "_usable_cores", lambda: k)
-            with pytest.raises(NonFiniteError, match=re.escape(
-                    f"absorbing_dissipation: margin nan at point [{point}, [")):
-                check_absorbing_dissipation(plant, holed, self.SPEC)
+            assm, dissipation=lambda x: float("nan") if x[0] >= 5.0 else dissipation(x))
+
+        def holed_check(plant, _assm, sample):
+            return check_absorbing_dissipation(plant, holed, sample)
+
+        with pytest.raises(NonFiniteError) as one:
+            holed_check(plant, assm, SPEC)
+        with pytest.raises(NonFiniteError, match=f"^{re.escape(str(one.value))}$"):
+            self.run(monkeypatch, 2, [check_local_controller, holed_check], plant, assm,
+                     SPEC)
         assert len(forks) == 1
 
-    def test_the_parents_earlier_failure_wins(self, planar, monkeypatch, forks):
-        # admitted point 1000 lies in the parent's share, 3000 in the child's
-        first, _ = self.margin_raising_at(monkeypatch, planar, [1000, 3000], ValueError)
-        monkeypatch.setattr(V, "_usable_cores", lambda: 2)
-        with pytest.raises(ValueError, match=f"^{re.escape(first)}$"):
-            check_absorbing_dissipation(*planar, self.SPEC)
-        assert len(forks) == 1
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_the_parents_error_wins(self, planar, monkeypatch, forks, k):
+        checks = [self.refusing("parent"), check_local_controller, self.refusing("child")]
+        with pytest.raises(self.Refused, match="^parent$"):
+            self.run(monkeypatch, k, checks, *planar, SPEC)
+        assert len(forks) == k - 1
 
     def test_an_interrupted_parent_reaps_its_children(self, planar, monkeypatch, forks):
         parent = os.getpid()
-        margin = V.absorbing_dissipation_margin
 
-        def interrupted(plant, assm, x, u):
+        def interrupted(plant, assm, sample):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return margin(plant, assm, x, u)
+            return check_local_controller(plant, assm, sample)
 
-        monkeypatch.setattr(V, "absorbing_dissipation_margin", interrupted)
-        monkeypatch.setattr(V, "_usable_cores", lambda: 3)
         with pytest.raises(KeyboardInterrupt):
-            check_absorbing_dissipation(*planar, self.SPEC)
+            self.run(monkeypatch, 3, [interrupted] * 3, *planar, SPEC)
         assert len(forks) == 2
 
-    def test_a_killed_child_gives_the_one_process_report(self, planar, monkeypatch, forks):
-        parent = os.getpid()
-        margin = V.corrected_dissipation_margin
-
-        def killed_in_a_child(plant, assm, z, w, u):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-            return margin(plant, assm, z, w, u)
-
-        (one,) = self.reports(monkeypatch, check_corrected_dissipation, *planar, self.SPEC,
-                              shares=(1,))
-        monkeypatch.setattr(V, "corrected_dissipation_margin", killed_in_a_child)
-        two, three = self.reports(monkeypatch, check_corrected_dissipation, *planar, self.SPEC,
-                                  shares=(2, 3))
-        assert two == one and three == one
-        assert len(forks) == 1 + 2
-
-    def test_a_tie_goes_to_the_first_admitted_point(self, planar, monkeypatch, forks):
-        # every share's worst is its first point, so only a strict merge in
-        # share order reports the first point of the first share
-        seen = []
-        monkeypatch.setattr(V, "local_controller_margin",
-                            lambda plant, assm, x: seen.append(x) or 0.0)
-        reports = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC)
-        assert [rep["worst_point"] for rep in reports] == [[seen[0]]] * 3
-        assert reports[1] == reports[0] and reports[2] == reports[0]
-        assert len(forks) == 1 + 2
-
-    @pytest.mark.parametrize("k, peak", [(2, 1999), (2, 2000), (2, 3999),
-                                         (3, 1332), (3, 1333), (3, 2666), (3, 3999)])
-    def test_a_peak_at_a_share_boundary_is_found(self, planar, monkeypatch, forks, k, peak):
-        # shares of 4000 points: [0, 2000) and [2000, 4000) for k = 2, and
-        # [0, 1333), [1333, 2666) and [2666, 4000) for k = 3
-        at = self.admitted(monkeypatch, planar)[peak]
-        monkeypatch.setattr(V, "absorbing_dissipation_margin",
-                            lambda plant, assm, x, u: 1.0 if (x, u) == at else 0.0)
-        one, split = self.reports(monkeypatch, check_absorbing_dissipation, *planar,
-                                  self.SPEC, shares=(1, k))
-        assert one["worst_point"] == list(at) and split == one
-        assert len(forks) == k - 1
-
     def test_no_fork_while_another_thread_lives(self, planar, monkeypatch):
-        (one,) = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC,
-                              shares=(1,))
+        checks = list(CHECKS.values())[:2]
+        one_by_one = [check(*planar, SPEC).to_dict() for check in checks]
 
         def refused():
             raise AssertionError("forked while another thread was alive")
@@ -603,20 +513,18 @@ class TestSplitScan:
         thread = threading.Thread(target=done.wait)
         thread.start()
         try:
-            (two,) = self.reports(monkeypatch, check_local_controller, *planar, self.SPEC,
-                                  shares=(2,))
+            reports = self.run(monkeypatch, 2, checks, *planar, SPEC)
         finally:
             done.set()
             thread.join(timeout=10)
         assert not thread.is_alive()
-        assert two == one
+        assert reports == one_by_one
 
 
 class TestSideConditionErrorOrder:
     """A side condition that raises on the second batch loses to a margin error
-    earlier in draw order, and follows a clean scan of the first batch, at every
-    share count: each share draws and scans in draw order, and the first share
-    in share order that fails raises."""
+    earlier in draw order, and follows a clean scan of the first batch: a check
+    draws and scans in draw order."""
 
     BOX = [np.array([[-1.0, 1.0]])]
     # the second batch's first point, which the side condition refuses
@@ -628,17 +536,13 @@ class TestSideConditionErrorOrder:
             raise ZeroDivisionError("side condition failed")
         return np.ones(x.shape[1], bool)
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_an_earlier_margin_error_wins(self, monkeypatch, k):
-        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+    def test_an_earlier_margin_error_wins(self):
         with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
             V._run_sampled_check("pending", self.BOX, self.accept,
                                  lambda x: float("nan") if x[0] > 0.5 else x[0],
                                  SampleSpec(n_points=2 * V._BATCH))
 
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_the_side_conditions_error_follows_a_clean_scan(self, monkeypatch, k):
-        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+    def test_the_side_conditions_error_follows_a_clean_scan(self):
         scanned = []
         with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
             V._run_sampled_check("pending", self.BOX, self.accept,
