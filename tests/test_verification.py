@@ -324,6 +324,17 @@ class TestBatchedDriver:
         monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
         assert check_local_controller(plant, assm, spec).to_dict() == batched
 
+    @pytest.mark.parametrize("peak", [0, V._BATCH - 1, V._BATCH, 2 * V._BATCH - 1,
+                                      2 * V._BATCH, 3 * V._BATCH - 1])
+    def test_a_peak_at_a_batch_boundary_is_found(self, peak):
+        # every candidate is admitted, so admitted point i is draw i
+        at = -1.0 + 2.0 * V.Halton(1, 0).random(peak + 1)[peak, 0]
+        rep = V._run_sampled_check("peak", [np.array([[-1.0, 1.0]])],
+                                   lambda x: np.ones(x.shape[1], bool),
+                                   lambda x: 1.0 if x == [at] else 0.0,
+                                   SampleSpec(n_points=3 * V._BATCH))
+        assert rep.worst_point == ([at],) and rep.worst_margin == 1.0
+
 
 class TestSideConditions:
     """What the three (z, x, u) checks admit, against the planar example's
@@ -437,6 +448,70 @@ class TestRunChecks:
         assert self.run(monkeypatch, k, list(CHECKS.values()), *planar, spec) == one_by_one
         assert len(forks) == k - 1
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_lifted_blocks_give_the_reports_of_the_checks_one_by_one(self, planar,
+                                                                     monkeypatch, forks, k):
+        from test_lifted import lifted
+
+        plant, assm = lifted(*planar)
+        checks = list(CHECKS.values())
+        one_by_one = [check(plant, assm, SPEC).to_dict() for check in checks]
+        assert self.run(monkeypatch, k, checks, plant, assm, SPEC) == one_by_one
+        assert len(forks) == k - 1
+
+    @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
+    def test_the_clis_sample_size_gives_the_one_process_report(self, planar, monkeypatch,
+                                                               forks, check):
+        # the CLI's 10000 points, several batches, in the child's block at k = 2
+        spec = SampleSpec(n_points=10_000, seed=1)
+        checks = [check_observer_contraction, CHECKS[check]]
+        one_by_one = [c(*planar, spec).to_dict() for c in checks]
+        assert self.run(monkeypatch, 2, checks, *planar, spec) == one_by_one
+        assert len(forks) == 1
+
+    def test_a_sample_the_draw_cap_ends_short_gives_the_one_process_report(self, monkeypatch,
+                                                                           forks):
+        # about 1 candidate in 400 is admitted, so the 200000 draws allowed end
+        # the sample near 500 points
+        boxes = [np.array([[-1.0, 1.0]])] * 2
+
+        def capped(plant, assm, sample):
+            return V._run_sampled_check("capped", boxes, lambda x, u: x[0] > 0.995,
+                                        lambda x, u: u[0] - x[0], sample)
+
+        spec = SampleSpec(n_points=4000)
+        (one,) = self.run(monkeypatch, 1, [capped], None, None, spec)
+        assert 0 < one["points_tested"] < 1000
+        for k in (2, 3):
+            assert self.run(monkeypatch, k, [capped] * 3, None, None, spec) == [one] * 3
+        assert len(forks) == 1 + 2
+
+    def test_a_side_condition_error_in_a_childs_block_is_the_one_process_error(
+            self, planar, monkeypatch, forks):
+        # every candidate is admitted and the side condition refuses the third
+        # batch's first point; a child's block that fails so runs again here
+        box = [np.array([[-1.0, 1.0]])]
+        third = -1.0 + 2.0 * V.Halton(1, 0).random(3 * V._BATCH)[2 * V._BATCH, 0]
+
+        def accept(x):
+            if x[0, 0] == third:
+                raise ZeroDivisionError("side condition failed")
+            return np.ones(x.shape[1], bool)
+
+        scanned = []
+
+        def third_batch(plant, assm, sample):
+            return V._run_sampled_check("third", box, accept,
+                                        lambda x: scanned.append(x) or 0.0,
+                                        SampleSpec(n_points=4 * V._BATCH))
+
+        for k in (1, 2, 3):
+            scanned.clear()
+            with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
+                self.run(monkeypatch, k, [check_local_controller, third_batch], *planar, SPEC)
+            assert len(scanned) == 2 * V._BATCH
+        assert len(forks) == 1 + 1
+
     @pytest.mark.parametrize("how", ["raises", "exits", "is killed"])
     def test_a_failed_child_gives_the_one_process_report(self, planar, monkeypatch, forks,
                                                          how):
@@ -523,8 +598,9 @@ class TestRunChecks:
 
 class TestSideConditionErrorOrder:
     """A side condition that raises on the second batch loses to a margin error
-    earlier in draw order, and follows a clean scan of the first batch: a check
-    draws and scans in draw order."""
+    earlier in draw order, and follows a clean scan of the first batch, at every
+    block count: a check draws and scans in draw order wherever it runs, and a
+    child's block that fails runs again here."""
 
     BOX = [np.array([[-1.0, 1.0]])]
     # the second batch's first point, which the side condition refuses
@@ -536,16 +612,25 @@ class TestSideConditionErrorOrder:
             raise ZeroDivisionError("side condition failed")
         return np.ones(x.shape[1], bool)
 
-    def test_an_earlier_margin_error_wins(self):
-        with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
-            V._run_sampled_check("pending", self.BOX, self.accept,
-                                 lambda x: float("nan") if x[0] > 0.5 else x[0],
-                                 SampleSpec(n_points=2 * V._BATCH))
+    @classmethod
+    def run_last(cls, monkeypatch, k, planar, margin_fn):
+        """Run the pending check last of three, at block count ``k``."""
+        def pending(plant, assm, sample):
+            return V._run_sampled_check("pending", cls.BOX, cls.accept, margin_fn,
+                                        SampleSpec(n_points=2 * V._BATCH))
 
-    def test_the_side_conditions_error_follows_a_clean_scan(self):
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+        V.run_checks([check_local_controller] * 2 + [pending], *planar, SPEC)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_an_earlier_margin_error_wins(self, planar, monkeypatch, k):
+        with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
+            self.run_last(monkeypatch, k, planar,
+                          lambda x: float("nan") if x[0] > 0.5 else x[0])
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_the_side_conditions_error_follows_a_clean_scan(self, planar, monkeypatch, k):
         scanned = []
         with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
-            V._run_sampled_check("pending", self.BOX, self.accept,
-                                 lambda x: scanned.append(x) or 0.0,
-                                 SampleSpec(n_points=2 * V._BATCH))
+            self.run_last(monkeypatch, k, planar, lambda x: scanned.append(x) or 0.0)
         assert len(scanned) == V._BATCH
