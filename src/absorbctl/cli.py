@@ -32,7 +32,7 @@ from .simulator import (InitialData, generate_partition, pilot_tune, run_summary
 from .verification import (SampleSpec, check_absorbing_dissipation,
                            check_corrected_contraction, check_corrected_dissipation,
                            check_growth_bound, check_local_controller,
-                           check_observer_contraction, run_checks)
+                           check_observer_contraction, _run_checks)
 
 DEFAULTS: dict = {
     "zeta": 0.01,
@@ -173,7 +173,7 @@ def cmd_verify(settings: dict, out_dir: Path) -> int:
     # named here, per call, so that a check patched on this module is the one run
     checks = [check_absorbing_dissipation, check_local_controller, check_observer_contraction,
               check_growth_bound, check_corrected_contraction, check_corrected_dissipation]
-    reports = run_checks(checks, plant, assm, SampleSpec(seed=settings["seed"]))
+    reports = _run_checks(checks, plant, assm, SampleSpec(seed=settings["seed"]))
     all_pass = all(rep.passed for rep in reports)
     _write_json(out_dir / "verification.json", {
         "zeta": settings["zeta"],

@@ -7,18 +7,19 @@ found.  Margins are written so that negative means the inequality holds
 with room to spare; a check passes when the worst margin does not exceed
 ``TOLERANCE``.  Identical seeds give identical reports.
 
-``run_checks`` runs a list of checks on the usable cores: the list is cut
-into contiguous blocks of whole checks, the first run here and each later
-one in a forked child, which sends its block's reports back.  Each check
-runs whole in one process, so its callables get the calls of one process.
-A block whose child raised or died runs again here, in block order, so a
-failing check raises what one process raises.  One process runs alone where
-``os.fork`` is missing, on one usable core or while another thread is alive.
-A ``check_*`` called by itself runs in the calling process.
+``_run_checks`` runs a list of checks as ``verify`` does: the list is cut
+into contiguous blocks, one per usable core, and a forked child per later
+block runs its checks ahead, sending back the report of each scan.  Every
+check is still called here in list order, so it raises what one process
+raises and a wrapper here sees its call; a later block's scan takes its
+child's report, or is made here once that child has failed.  One process
+runs alone where ``os.fork`` is missing, on one usable core or while another
+thread is alive.  A ``check_*`` called by itself runs here.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 import os
@@ -51,7 +52,6 @@ __all__ = [
     "check_growth_bound",
     "check_corrected_contraction",
     "check_corrected_dissipation",
-    "run_checks",
 ]
 
 _BATCH = 4096
@@ -61,6 +61,7 @@ _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 _OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
 _OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
+_sink = _source = None  # _run_checks' report pipe: written in a child, read while waiting
 
 
 @dataclass(frozen=True)
@@ -250,6 +251,9 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
     and the worst margin over the admitted points with its first point in draw order.
     ``accept`` masks Halton batches given as one ``(d_i, B)`` column block per box;
     ``margin_fn`` takes one row per box as a list."""
+    if _source is not None:  # a child has made this scan, unless it failed first
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):
+            return pickle.load(_source)
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
@@ -273,59 +277,58 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
                 raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
             if value > worst:
                 worst, worst_pt = value, point
-    return CheckReport(name=name, points_tested=tested, skipped=skipped,
-                       worst_margin=None if worst_pt is None else worst,
-                       worst_point=worst_pt, seed=sample.seed)
+    report = CheckReport(name=name, points_tested=tested, skipped=skipped,
+                         worst_margin=None if worst_pt is None else worst,
+                         worst_point=worst_pt, seed=sample.seed)
+    if _sink is not None:
+        pickle.dump(report, _sink)
+        _sink.flush()
+    return report
 
 
-def run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionData,
-               sample: SampleSpec) -> list[CheckReport]:
-    """``[check(plant, assm, sample) for check in checks]``, as contiguous blocks of
-    checks, one per usable core: the first here, each later one in a forked child (user
-    callables need not pickle), which replies its reports.  A block whose child raised or
-    died runs again here, in block order, raising what one process does."""
+def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionData,
+                sample: SampleSpec) -> list[CheckReport]:
+    """``[check(plant, assm, sample) for check in checks]``, the scans of each contiguous
+    block of checks after the first, one block per usable core, made ahead in a forked
+    child (user callables need not pickle).  A later block's scans take its child's reports
+    in order, so a check must make the same scans in each process."""
+    global _sink, _source
     blocks = 1
     if hasattr(os, "fork") and threading.active_count() == 1:  # forking threads is unsafe
         blocks = max(1, min(_usable_cores(), len(checks)))
     bounds = [len(checks) * i // blocks for i in range(blocks + 1)]
-
-    def run(i):
-        return [check(plant, assm, sample) for check in checks[bounds[i]:bounds[i + 1]]]
-
-    pids, pipes = {}, {}  # block -> its child, block -> read end of the child's pipe
+    pids, sources = [], [None] * bounds[1]  # per check: the pipe of its block's child
     try:
         for i in range(1, blocks):
-            pipes[i], write_fd = os.pipe()
+            read_fd, write_fd = os.pipe()
+            sources += [open(read_fd, "rb")] * (bounds[i + 1] - bounds[i])
             try:
                 pid = os.fork()
                 if pid == 0:  # the child: its whole life is this block
-                    code = 1
                     try:
                         devnull = os.open(os.devnull, os.O_WRONLY)
                         os.dup2(devnull, 1)
                         os.dup2(devnull, 2)
-                        with open(write_fd, "wb") as reply:
-                            reply.write(pickle.dumps(run(i)))
-                        code = 0
+                        _sink = open(write_fd, "wb")
+                        for check in checks[bounds[i]:bounds[i + 1]]:
+                            check(plant, assm, sample)
                     finally:
-                        os._exit(code)
+                        os._exit(0)
             finally:
                 os.close(write_fd)
-            pids[i] = pid
-        reports = run(0)
-        for i in range(1, blocks):
-            with open(pipes.pop(i), "rb") as pipe:  # to EOF before reaping: no size limit
-                reply = pipe.read()
-            status = os.waitpid(pids[i], 0)[1]
-            del pids[i]  # only once reaped
-            reports += pickle.loads(reply) if status == 0 else run(i)
-    finally:  # on any error: no child outlives the call
-        for pid in pids.values():
+            pids.append(pid)
+        reports = []
+        for check, source in zip(checks, sources):
+            _source = source
+            reports.append(check(plant, assm, sample))
+        return reports
+    finally:  # no child outlives the call
+        _source = None
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for fd in pipes.values():
-            os.close(fd)
-    return reports
+        for source in set(sources) - {None}:
+            source.close()
 
 
 def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,

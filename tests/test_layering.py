@@ -18,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 MAX_SETTABLE = 16
 # lines of the package's modules, as `cat src/absorbctl/*.py | wc -l` counts
 # them; a change that grows the package raises this cap and says why
-MAX_SOURCE_LINES = 2342
+MAX_SOURCE_LINES = 2345
 
 
 def absorbctl_imports(source: str) -> set[str]:
@@ -135,10 +135,10 @@ def test_process_readers_see_every_form():
 
 
 def test_only_the_checks_fork():
-    # run_checks forks its children itself; nothing else starts processes
+    # _run_checks forks its children itself; nothing else starts processes
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert {name for name, source in sources.items() if forks(source)} == {"verification"}
     assert [node.name for node in ast.parse(sources["verification"]).body
-            if isinstance(node, ast.FunctionDef) and forks(ast.unparse(node))] == ["run_checks"]
+            if isinstance(node, ast.FunctionDef) and forks(ast.unparse(node))] == ["_run_checks"]
     for name, source in sources.items():
         assert not top_level_imports(source) & PROCESS_MODULES, name

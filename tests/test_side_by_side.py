@@ -8,7 +8,7 @@ min(c, 0.5).  With x3(0) = z3(0) = 0 the third state, its observer copy and
 u2 stay exactly 0, every added term adds an exact 0.0, and so the joint run
 must give the planar run's bits in every planar column, the norm included.
 This carries a second input and a second output through whole runs and
-through ``run_checks`` without an oracle of their own.
+through ``_run_checks`` without an oracle of their own.
 """
 
 import dataclasses
@@ -76,6 +76,6 @@ def test_joint_certificate_gives_the_one_process_reports(planar, monkeypatch, k)
     sample = V.SampleSpec(n_points=2000, seed=0)
     one_by_one = [check(plant, assm, sample) for check in CHECKS]
     monkeypatch.setattr(V, "_usable_cores", lambda: k)
-    reports = V.run_checks(CHECKS, plant, assm, sample)
+    reports = V._run_checks(CHECKS, plant, assm, sample)
     assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in one_by_one]
     assert all(rep.passed for rep in reports)

@@ -4,6 +4,7 @@ import os
 import re
 import signal
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -397,10 +398,11 @@ class TestNonFiniteMargin:
 
 
 class TestRunChecks:
-    """``run_checks`` cuts its list into contiguous blocks of whole checks, runs each
-    later block in a forked child, and gives the reports of the checks called one by
-    one, or the exception of the first check that fails, and leaves no child behind.
-    The block count is forced through the module's count of usable cores."""
+    """``_run_checks`` cuts its list into contiguous blocks of whole checks, makes each
+    later block's scans ahead in a forked child, calls every check here in list order,
+    and gives the reports of the checks called one by one, or the exception of the first
+    check that fails, and leaves no child behind.  The block count is forced through the
+    module's count of usable cores."""
 
     class Refused(Exception):
         pass
@@ -425,10 +427,22 @@ class TestRunChecks:
         monkeypatch.setattr(os, "fork", recording_fork)
         return pids
 
+    @pytest.fixture
+    def scans_here(self, monkeypatch):
+        """The dimensions of the scans made in this process, one per Halton draw."""
+        dims, halton = [], V.Halton
+
+        def recording_halton(dim, seed):
+            dims.append(dim)
+            return halton(dim, seed)
+
+        monkeypatch.setattr(V, "Halton", recording_halton)
+        return dims
+
     @staticmethod
     def run(monkeypatch, k, checks, *args):
         monkeypatch.setattr(V, "_usable_cores", lambda: k)
-        return [rep.to_dict() for rep in V.run_checks(checks, *args)]
+        return [rep.to_dict() for rep in V._run_checks(checks, *args)]
 
     @classmethod
     def refusing(cls, message):
@@ -447,6 +461,45 @@ class TestRunChecks:
         assert forks == []  # a check called by itself runs here
         assert self.run(monkeypatch, k, list(CHECKS.values()), *planar, spec) == one_by_one
         assert len(forks) == k - 1
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_every_check_is_called_here_and_each_scan_made_once(self, planar, monkeypatch,
+                                                                scans_here, k):
+        # what a wrapper of each check sees here is what the checks give one by one,
+        # though only the first block's scans are made here
+        one_by_one = [check(*planar, SPEC).to_dict() for check in CHECKS.values()]
+        scans_here.clear()
+        seen = []
+
+        def seeing(check):
+            def wrapper(plant, assm, sample):
+                report = check(plant, assm, sample)
+                seen.append(report.to_dict())
+                return report
+            return wrapper
+
+        assert self.run(monkeypatch, k, [seeing(c) for c in CHECKS.values()], *planar,
+                        SPEC) == one_by_one
+        assert seen == one_by_one
+        assert len(scans_here) == len(CHECKS) // k
+
+    def test_a_child_that_dies_after_a_scan_leaves_the_rest_here(self, planar, monkeypatch,
+                                                                 forks, scans_here):
+        parent = os.getpid()
+
+        def killed_after_its_scan(plant, assm, sample):
+            report = check_local_controller(plant, assm, sample)
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return report
+
+        checks = [check_observer_contraction, killed_after_its_scan, check_corrected_dissipation]
+        want = [check(*planar, SPEC).to_dict() for check in checks]
+        scans_here.clear()
+        assert self.run(monkeypatch, 2, checks, *planar, SPEC) == want
+        # the child's scan of the local controller is taken, the last check scanned here
+        assert scans_here == [5, 4]
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("k", range(1, 7))
     def test_lifted_blocks_give_the_reports_of_the_checks_one_by_one(self, planar,
@@ -489,7 +542,7 @@ class TestRunChecks:
     def test_a_side_condition_error_in_a_childs_block_is_the_one_process_error(
             self, planar, monkeypatch, forks):
         # every candidate is admitted and the side condition refuses the third
-        # batch's first point; a child's block that fails so runs again here
+        # batch's first point; a scan its failed child did not send is made here
         box = [np.array([[-1.0, 1.0]])]
         third = -1.0 + 2.0 * V.Halton(1, 0).random(3 * V._BATCH)[2 * V._BATCH, 0]
 
@@ -570,10 +623,12 @@ class TestRunChecks:
         def interrupted(plant, assm, sample):
             if os.getpid() == parent:
                 raise KeyboardInterrupt
-            return check_local_controller(plant, assm, sample)
+            time.sleep(60)  # a child still busy is killed, not waited for
 
+        start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             self.run(monkeypatch, 3, [interrupted] * 3, *planar, SPEC)
+        assert time.monotonic() - start < 30
         assert len(forks) == 2
 
     def test_no_fork_while_another_thread_lives(self, planar, monkeypatch):
@@ -600,7 +655,7 @@ class TestSideConditionErrorOrder:
     """A side condition that raises on the second batch loses to a margin error
     earlier in draw order, and follows a clean scan of the first batch, at every
     block count: a check draws and scans in draw order wherever it runs, and a
-    child's block that fails runs again here."""
+    scan a failed child did not send is made here."""
 
     BOX = [np.array([[-1.0, 1.0]])]
     # the second batch's first point, which the side condition refuses
@@ -620,7 +675,7 @@ class TestSideConditionErrorOrder:
                                         SampleSpec(n_points=2 * V._BATCH))
 
         monkeypatch.setattr(V, "_usable_cores", lambda: k)
-        V.run_checks([check_local_controller] * 2 + [pending], *planar, SPEC)
+        V._run_checks([check_local_controller] * 2 + [pending], *planar, SPEC)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_an_earlier_margin_error_wins(self, planar, monkeypatch, k):
