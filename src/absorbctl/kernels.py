@@ -65,7 +65,7 @@ def _source(n: int, k_out: int) -> str:
                   f"{pad}{_seq('fz', range(n))}= fz\n{pad}{h}= h(z)",
                   *_injection(3, n, [f"{s}{p}" for p in range(2 * n, size)]),
                   f"{pad}vz = lyapunov(z)\n{pad}if not vz <= level:",
-                  f"{pad}    {c}= correction(z, [{c}], vz, fz, assm)",
+                  f"{pad}    {c}= correction([z], [[{c}]], [vz], [fz], assm)[0].tolist()",
                   f"{pad}{_seq(f'k{k}_', range(n))}= f([{_seq(s, range(n))}], u_plant)",
                   f"{pad}{jac}= jac_h(z)",
                   *(f"{pad}k{k}_{n + i} = fz{i} + c{i}" for i in range(n)),
@@ -104,7 +104,8 @@ def loop_kernels(n: int, k_out: int) -> SimpleNamespace:
     the output injection ``L (hz - y)``; ``rk4_span(plant, assm, correction,
     u_plant, u_obs)``, whose result ``(y, dt, n_sub) -> (y, nodes)`` takes
     ``n_sub`` RK4 substeps of the stacked ``(x, z, w)``, listing each ``x``,
-    and calls ``correction(z, injection, V(z), fz, assm)`` outside the absorbing set;
+    and calls ``correction(z, injection, V(z), fz, assm)`` on stacks of one outside
+    the absorbing set;
     ``euler(f, x, starts, values, t0, t1, N)``, the Euler predictor's N equal
     steps of ``[t0, t1)`` (the last ending at ``t1`` exactly), walking an input
     record's ``starts`` and ``values`` with one index and calling ``f`` once

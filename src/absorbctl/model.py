@@ -43,18 +43,26 @@ MAX_STEPS = 10**7  # the most substeps, record times, sampling gaps or Euler ste
 
 
 def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
-    """Project an input onto the admissible box, componentwise.
+    """Project an input, or each row of a ``(B, m)`` stack of inputs, onto the
+    admissible box, componentwise.
 
     ``input_box`` is a validated ``(m, 2)`` box, as ``PlantModel.input_box``.
     Each component becomes ``min(hi_j, max(lo_j, u_j))``.  Idempotent, and
     the identity whenever ``u_raw`` already lies in the box.
     """
     u = np.asarray(u_raw, dtype=float)
-    if u.size != input_box.shape[0]:
+    if u.shape[-1:] != input_box.shape[:1]:
         raise ConfigurationError(
-            f"input has {u.size} components, box has {input_box.shape[0]} rows"
+            f"input has shape {u.shape}, box has {input_box.shape[0]} rows"
         )
     return np.minimum(input_box[:, 1], np.maximum(input_box[:, 0], u))
+
+
+def at_rows(fn: Callable, *stacks) -> np.ndarray:
+    """``fn`` called at each row of the equal-length stacks in turn, given the
+    row of each stack as a list of floats; its results stacked as float64."""
+    return np.array(list(map(fn, *(np.asarray(s, dtype=float).tolist() for s in stacks))),
+                    dtype=float)
 
 
 def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:

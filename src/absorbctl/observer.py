@@ -9,14 +9,13 @@ the correction stays continuous across the absorbing boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, DegenerateGradientError, NonFiniteError
 from .kernels import loop_kernels
-from .model import AssumptionData, PlantModel
+from .model import AssumptionData, PlantModel, at_rows
 
 __all__ = [
     "BlendingFn",
@@ -42,32 +41,31 @@ class BlendingFn:
             raise ConfigurationError("blending levels must satisfy lo < hi")
 
 
-def blend_p(level: float, assm: AssumptionData) -> float:
-    """The certificate's blending ramp at a Lyapunov level: 0 up to
-    ``assm.blend_lo``, 1 from ``assm.blend_hi``, linear between."""
+def blend_p(level, assm: AssumptionData):
+    """The certificate's blending ramp at a Lyapunov level, or elementwise at
+    an array of them: 0 up to ``assm.blend_lo``, 1 from ``assm.blend_hi``,
+    linear between; NaN at a NaN level."""
     lo, hi = assm.blend_lo, assm.blend_hi
-    if level <= lo:
-        return 0.0
-    if level >= hi:
-        return 1.0
-    return (level - lo) / (hi - lo)
+    return np.clip((level - lo) / (hi - lo), 0.0, 1.0)
 
 
-def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> float:
-    """Nonnegative damping coefficient for the observer correction.
+def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> np.ndarray:
+    """Nonnegative damping coefficient for the observer correction at each
+    observer state, a row of the ``(B, n)`` stack ``z``.
 
     Measures how much the innovation-driven observer would violate the
-    dissipation certificate at the observer state ``z``, whose plant-copy
-    drift is ``fz = f(z, u)``, given grad V(z) as the ndarray ``grad``,
-    ``level`` = V(z) and the output injection ``innovation``; clipped at
-    zero when no violation is possible.  A violation that is not finite
-    raises ``NonFiniteError`` naming z, where the clip would make NaN 0.
+    dissipation certificate there, given per row the plant-copy drift
+    ``fz = f(z, u)``, grad V(z) as ``grad`` (``(B, n)`` stacks), ``level`` =
+    V(z) and the output injection ``innovation``; clipped at zero when no
+    violation is possible.  A violation that is not finite raises
+    ``NonFiniteError`` naming the first such z, where the clip would make NaN 0.
     """
-    inner = float(grad.dot(fz) + assm.dissipation(z)
-                  + blend_p(level, assm) * grad.dot(innovation))
-    if not math.isfinite(inner):
-        raise NonFiniteError(f"observer damping is {inner} at z={z}")
-    return max(0.0, inner)
+    inner = (np.vecdot(grad, fz) + at_rows(assm.dissipation, z)
+             + blend_p(level, assm) * np.vecdot(grad, innovation))
+    if not (finite := np.isfinite(inner)).all():
+        i = finite.argmin()
+        raise NonFiniteError(f"observer damping is {inner[i]} at z={z[i].tolist()}")
+    return np.maximum(inner, 0.0)
 
 
 def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[float]:
@@ -76,24 +74,30 @@ def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[floa
     return loop_kernels(plant.n, plant.k_out).injection(assm.gain_rows, plant.h(z), y)
 
 
-def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> list[float]:
-    """Correction added to the observer drift, as a list, at the observer
-    state ``z``, from what its caller holds: the output injection
-    ``innovation`` = L (h(z) - y), ``level`` = V(z) and the plant copy's
-    drift ``fz`` = f(z, u).  Inside the absorbing sublevel set this is
-    ``innovation`` itself; outside, the damping coefficient over the squared
-    gradient norm (products by ``ndarray.dot``) is subtracted along the
-    Lyapunov gradient, also at a NaN ``level``.  Raises ``NonFiniteError``
-    if the damping is not finite, ``DegenerateGradientError`` if its direction is undefined.
+def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> np.ndarray:
+    """Correction added to the observer drift at each observer state, a row
+    of the ``(B, n)`` stack ``z``, as a ``(B, n)`` array, from what its caller
+    holds per row: the output injection ``innovation`` = L (h(z) - y), ``level``
+    = V(z) and the plant copy's drift ``fz`` = f(z, u).  Inside the absorbing
+    sublevel set a row is the injection itself; outside, also at a NaN
+    ``level``, the damping coefficient over the squared gradient norm
+    (products by ``np.vecdot``) is subtracted along the Lyapunov gradient,
+    which is evaluated at those rows alone.  Raises ``NonFiniteError`` if
+    the damping is not finite, ``DegenerateGradientError`` if its direction is undefined.
     """
-    if level <= assm.absorbing_level:
-        return innovation
-    grad = np.asarray(assm.grad_lyapunov(z))
-    grad_sq = float(grad.dot(grad))
-    if math.sqrt(grad_sq) < _GRAD_FLOOR:
-        raise DegenerateGradientError(
-            "Lyapunov gradient vanishes outside the absorbing set; "
-            "damping direction undefined"
-        )
-    scale = damping_term(z, fz, grad, level, innovation, assm) / grad_sq
-    return [a - scale * g for a, g in zip(innovation, grad.tolist())]
+    corr = np.array(innovation, dtype=float)
+    level = np.asarray(level, dtype=float)
+    outside = ~(level <= assm.absorbing_level)
+    if outside.any():
+        z = np.asarray(z, dtype=float)[outside]
+        grad = at_rows(assm.grad_lyapunov, z)
+        grad_sq = np.vecdot(grad, grad)
+        if (np.sqrt(grad_sq) < _GRAD_FLOOR).any():
+            raise DegenerateGradientError(
+                "Lyapunov gradient vanishes outside the absorbing set; "
+                "damping direction undefined"
+            )
+        damping = damping_term(z, np.asarray(fz, dtype=float)[outside], grad, level[outside],
+                               corr[outside], assm)
+        corr[outside] -= (damping / grad_sq)[:, None] * grad
+    return corr

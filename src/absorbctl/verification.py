@@ -7,6 +7,14 @@ found.  Margins are written so that negative means the inequality holds
 with room to spare; a check passes when the worst margin does not exceed
 ``TOLERANCE``.  Identical seeds give identical reports.
 
+Each Halton batch's admitted points are scored in one margin call, on
+``(B, d)`` stacks: the user's callables are called callable by callable over
+the batch, at each point with lists of floats, and the products are taken
+over rows by ``np.vecdot``/``np.matvec``, whose BLAS calls are those of
+``ndarray.dot`` at one point, so the bits are too.  Where a callable raises,
+the batch is scored again one point at a time in draw order, so the error is
+that of a scan point by point, for callables that are pure.
+
 ``_run_checks`` runs a list of checks as ``verify`` does: the list is cut
 into contiguous blocks, one per usable core, and a forked child per later
 block runs its checks ahead, sending back the report of each scan.  Every
@@ -33,7 +41,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
 from .halton import Halton
-from .model import AssumptionData, PlantModel, check_count, clamp_input
+from .model import AssumptionData, PlantModel, at_rows, check_count, clamp_input
 from .observer import observer_correction, output_injection
 
 __all__ = [
@@ -176,65 +184,73 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 
 
 # --- margins: negative means the certified inequality holds at the point ---
-# points arrive as lists of floats and callables may return lists, so products, sums and
-# differences are np.dot, np.add and np.subtract, and L (h(z) - y) is ``output_injection``
+# each takes (B, d) stacks, one point per row, and gives (B,) margins; L (h(z) - y) is the
+# loop's ``output_injection``, called at each row as the user's callables are (``at_rows``)
 
-def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> float:
+def _injection(plant: PlantModel, assm: AssumptionData, z, y) -> np.ndarray:
+    return at_rows(lambda zi, yi: output_injection(zi, yi, plant, assm), z, y)
+
+
+def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> np.ndarray:
     """Drift of the Lyapunov function plus the required dissipation."""
-    return float(np.dot(assm.grad_lyapunov(x), plant.f(x, u)) + assm.dissipation(x))
+    return (np.vecdot(at_rows(assm.grad_lyapunov, x), at_rows(plant.f, x, u))
+            + at_rows(assm.dissipation, x))
 
 
-def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> float:
+def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> np.ndarray:
     """Worse of the local decay margin (under the clamped local controller)
-    and the coercivity margin of the local Lyapunov function."""
-    u = clamp_input(assm.local_controller(x), plant.input_box).tolist()
-    xsq = np.dot(x, x)
-    decay = np.dot(assm.grad_local_lyapunov(x), plant.f(x, u)) + 2.0 * assm.local_decay * xsq
-    coercive = assm.coercivity * xsq - assm.local_lyapunov(x)
-    return float(max(decay, coercive))
+    and the coercivity margin of the local Lyapunov function; NaN where either is."""
+    u = clamp_input(at_rows(assm.local_controller, x), plant.input_box)
+    xsq = np.vecdot(x, x)
+    decay = (np.vecdot(at_rows(assm.grad_local_lyapunov, x), at_rows(plant.f, x, u))
+             + 2.0 * assm.local_decay * xsq)
+    coercive = assm.coercivity * xsq - at_rows(assm.local_lyapunov, x)
+    return np.maximum(coercive, decay)  # decay on a tie, as max(decay, coercive) was
 
 
 def _metric_gap(plant: PlantModel, assm: AssumptionData, z, x, u, drift):
-    """The error ``d = z - x`` and ``d . M (drift - f(x, u))``, the metric rate
+    """The errors ``d = z - x`` and ``d . M (drift - f(x, u))``, the metric rate
     of the error under the observer drift ``drift`` at ``z``."""
     d = np.subtract(z, x)
-    return d, d.dot(assm.error_metric.dot(np.subtract(drift, plant.f(x, u))))
+    return d, np.vecdot(d, np.matvec(assm.error_metric, np.subtract(drift, at_rows(plant.f, x, u))))
 
 
-def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
+def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction of the plain output-injection error dynamics."""
-    drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
+    drift = np.add(at_rows(plant.f, z, u), _injection(plant, assm, z, at_rows(plant.h, x)))
     d, gap = _metric_gap(plant, assm, z, x, u, drift)
-    return float(gap + assm.contraction_rate * d.dot(d))
+    return gap + assm.contraction_rate * np.vecdot(d, d)
 
 
-def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
+def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
-    grad = np.asarray(assm.grad_lyapunov(z))
-    drift = np.add(plant.f(z, u), output_injection(z, plant.h(x), plant, assm))
+    grad = at_rows(assm.grad_lyapunov, z)
+    drift = np.add(at_rows(plant.f, z, u), _injection(plant, assm, z, at_rows(plant.h, x)))
     d, numer = _metric_gap(plant, assm, z, x, u, drift)
-    denom = grad.dot(assm.error_metric.dot(d))
-    ratio_term = (1.0 - assm.contraction_frac) * grad.dot(grad) * numer / denom
-    return float(grad.dot(drift) + assm.dissipation(z) - ratio_term)
+    denom = np.vecdot(grad, np.matvec(assm.error_metric, d))
+    ratio_term = (1.0 - assm.contraction_frac) * np.vecdot(grad, grad) * numer / denom
+    return np.vecdot(grad, drift) + at_rows(assm.dissipation, z) - ratio_term
 
 
-def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> float:
+def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
-    fz = plant.f(z, u)
-    corr = observer_correction(z, output_injection(z, plant.h(x), plant, assm),
-                               assm.lyapunov(z), fz, assm)
+    fz = at_rows(plant.f, z, u)
+    corr = observer_correction(z, _injection(plant, assm, z, at_rows(plant.h, x)),
+                               at_rows(assm.lyapunov, z), fz, assm)
     d, gap = _metric_gap(plant, assm, z, x, u, np.add(fz, corr))
-    return float(gap + assm.contraction_frac * assm.contraction_rate * d.dot(d))
+    return gap + assm.contraction_frac * assm.contraction_rate * np.vecdot(d, d)
 
 
-def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u) -> float:
+def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u) -> np.ndarray:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output ``w``: the injection ``L (h(z) - w)``, damped outside the absorbing set."""
-    fz = plant.f(z, u)
-    corr = observer_correction(z, output_injection(z, w, plant, assm), assm.lyapunov(z), fz, assm)
-    return float(np.dot(assm.grad_lyapunov(z), np.add(fz, corr)) + assm.dissipation(z))
+    fz = at_rows(plant.f, z, u)
+    corr = observer_correction(z, _injection(plant, assm, z, w), at_rows(assm.lyapunov, z), fz,
+                               assm)
+    return (np.vecdot(at_rows(assm.grad_lyapunov, z), np.add(fz, corr))
+            + at_rows(assm.dissipation, z))
 
 
 # --- sampled check driver ---
@@ -245,12 +261,31 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
+def _margins(name: str, margin_fn, stacks: list[np.ndarray]) -> np.ndarray:
+    """``margin_fn`` over the stacks of admitted points, refusing a non-finite margin with
+    ``NonFiniteError`` at its first point in draw order.  Where a callable raises, the points
+    are scored again one at a time in draw order, so the error raised is the one that a scan
+    point by point meets first."""
+    try:
+        values = np.asarray(margin_fn(*stacks), dtype=float)
+    except Exception:  # raised again by the first point that raises it, or a NaN before that
+        if len(stacks[0]) == 1:
+            raise
+        return np.concatenate([_margins(name, margin_fn, [s[i:i + 1] for s in stacks])
+                               for i in range(len(stacks[0]))])
+    if not (finite := np.isfinite(values)).all():
+        i = finite.argmin()
+        raise NonFiniteError(f"{name}: margin {values[i]} at point "
+                             f"{[s[i].tolist() for s in stacks]}")
+    return values
+
+
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
                        sample: SampleSpec) -> CheckReport:
     """Draw the sample to its ``n_points``-th admitted point and report the draw's counts
     and the worst margin over the admitted points with its first point in draw order.
     ``accept`` masks Halton batches given as one ``(d_i, B)`` column block per box;
-    ``margin_fn`` takes one row per box as a list."""
+    ``margin_fn`` scores a batch's admitted points given as one ``(B, d_i)`` stack per box."""
     if _source is not None:  # a child has made this scan, unless it failed first
         with contextlib.suppress(EOFError, pickle.UnpicklingError):
             return pickle.load(_source)
@@ -271,12 +306,11 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
         end = admitted[-1] + 1 if tested + admitted.size == sample.n_points else len(batch)
         skipped += int(end) - admitted.size
         tested += admitted.size
-        for point in zip(*(p[admitted].tolist() for p in parts)):
-            value = float(margin_fn(*point))
-            if not math.isfinite(value):
-                raise NonFiniteError(f"{name}: margin {value} at point {list(point)}")
-            if value > worst:
-                worst, worst_pt = value, point
+        if admitted.size:
+            stacks = [p[admitted] for p in parts]
+            values = _margins(name, margin_fn, stacks)
+            if values[i := values.argmax()] > worst:
+                worst, worst_pt = float(values[i]), tuple(s[i].tolist() for s in stacks)
     report = CheckReport(name=name, points_tested=tested, skipped=skipped,
                          worst_margin=None if worst_pt is None else worst,
                          worst_point=worst_pt, seed=sample.seed)

@@ -62,7 +62,8 @@ def coupled_rhs(plant, assm, u_plant, u_obs):
     correction driven by ``w``), and the inter-sample output state ``w``,
     whose drift ``matvec(jac_h(z), f(z, u_obs))`` shares ``f(z, u_obs)``.
     The correction is the injection by ``matvec``, and outside the absorbing
-    set the library's ``observer_correction`` of that injection and V(z)."""
+    set the library's ``observer_correction`` of that injection and V(z), on a
+    stack of one."""
     n = plant.n
     f, jac_h = plant.f, plant.jac_h
 
@@ -72,7 +73,7 @@ def coupled_rhs(plant, assm, u_plant, u_obs):
         corr = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), w)])
         level = assm.lyapunov(z)
         if level > assm.absorbing_level:
-            corr = observer_correction(z, corr, level, fz, assm)
+            corr = observer_correction([z], [corr], [level], [fz], assm)[0].tolist()
         return [*f(y[:n], u_plant), *[a + b for a, b in zip(fz, corr)],
                 *matvec(jac_h(z), fz)]
 

@@ -20,6 +20,7 @@ from absorbctl import (InitialData, PlantModel, SampleSpec, build_planar_example
                        check_corrected_dissipation, check_growth_bound,
                        check_local_controller, check_observer_contraction,
                        generate_partition, simulate_closed_loop)
+from absorbctl import verification as V
 from absorbctl.cli import DEFAULTS, _sim_config
 
 CHECKS = [check_absorbing_dissipation, check_local_controller, check_observer_contraction,
@@ -92,5 +93,13 @@ def test_lifted_third_state_decays_on_its_own(planar):
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
-def test_lifted_certificate_passes_every_check(planar, check):
-    assert check(*lifted(*planar), SampleSpec(n_points=2000, seed=0)).passed
+def test_lifted_certificate_passes_every_check(planar, monkeypatch, check):
+    # and the stacked scan reports what the row-by-row one does, at n = 3
+    from test_verification import _row_by_row
+
+    plant, assm = lifted(*planar)
+    spec = SampleSpec(n_points=2000, seed=0)
+    report = check(plant, assm, spec)
+    assert report.passed
+    monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
+    assert check(plant, assm, spec).to_dict() == report.to_dict()

@@ -120,18 +120,21 @@ def _zero_unsigned(a):
 
 
 def damping_at(z, y, u, plant, assm):
-    """damping_term at (z, y, u), given the values observer_correction passes it."""
+    """damping_term at (z, y, u), given the values observer_correction passes
+    it, on a stack of one."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return damping_term(z, plant.f(z, u), np.asarray(assm.grad_lyapunov(z)), assm.lyapunov(z),
-                        assm.observer_gain @ np.subtract(plant.h(z), y), assm)
+    (phi,) = damping_term(z[None], np.array([plant.f(z, u)]), np.array([assm.grad_lyapunov(z)]),
+                          np.array([assm.lyapunov(z)]),
+                          (assm.observer_gain @ np.subtract(plant.h(z), y))[None], assm)
+    return phi
 
 
 def correction_at(z, y, u, plant, assm):
     """observer_correction at (z, y) with the plant-copy drift f(z, u), given
-    the injection and V(z) its caller passes it."""
+    the injection and V(z) its caller passes it, on a stack of one, as a list."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return observer_correction(z, output_injection(z, y, plant, assm), assm.lyapunov(z),
-                               plant.f(z, u), assm)
+    return observer_correction([z], [output_injection(z, y, plant, assm)], [assm.lyapunov(z)],
+                               [plant.f(z, u)], assm)[0].tolist()
 
 
 class TestBlending:
@@ -239,7 +242,7 @@ class TestObserverCorrection:
         fz, level = plant.f(z, np.array([0.0])), assm.lyapunov(z)
         innovation = output_injection(z, [10.0], plant, assm)
         calls.clear()
-        corr = observer_correction(z, innovation, level, fz, assm)
+        corr = observer_correction([z], [innovation], [level], [fz], assm)[0].tolist()
         assert calls == []
         assert damping_at(z, [10.0], [0.0], plant, assm) > 0.0  # damping is active
         assert corr == correction_at(z, [10.0], [0.0], *planar)
@@ -252,7 +255,7 @@ class TestObserverCorrection:
         plant, assm = planar
         z = [0.1, 1.8]
         innovation, fz = output_injection(z, [10.0], plant, assm), plant.f(z, [0.0])
-        assert observer_correction(z, innovation, 1.625, fz, assm)[1] < 6.0
+        assert observer_correction([z], [innovation], [1.625], [fz], assm)[0, 1] < 6.0
         level = math.nan if bad == "level" else 1.625
         if bad == "dissipation":
             assm = dataclasses.replace(
@@ -260,7 +263,7 @@ class TestObserverCorrection:
         if bad == "drift":
             fz = [math.nan, fz[1]]
         with pytest.raises(NonFiniteError, match=r"^observer damping is nan at z=\[0\.1, 1\.8\]$"):
-            observer_correction(z, innovation, level, fz, assm)
+            observer_correction([z], [innovation], [level], [fz], assm)
 
     def test_degenerate_gradient_raises(self):
         # certificate whose gradient vanishes on a circle outside the
@@ -292,8 +295,8 @@ class TestRhs:
         assert all(type(v) is float for v in out)
         assert out[:2] == plant.f(x, u_plant)
         fz = plant.f(z, u_obs)
-        corr = observer_correction(z, output_injection(z, w, plant, assm), assm.lyapunov(z),
-                                   fz, assm)
+        corr = observer_correction([z], [output_injection(z, w, plant, assm)],
+                                   [assm.lyapunov(z)], [fz], assm)[0].tolist()
         assert out[2:4] == [a + b for a, b in zip(fz, corr)]
         assert corr == correction_at(z, w, u_obs, plant, assm)
 
@@ -389,7 +392,7 @@ class TestDotMatchesMatmul:
                              for row in assm.gain_rows]
                 want = (np.dot(assm.grad_lyapunov(z), np.add(plant.f(z, u), injection))
                         + assm.dissipation(z))
-                got = corrected_dissipation_margin(plant, assm, z, w, u)
+                (got,) = corrected_dissipation_margin(plant, assm, [z], [w], [u])
                 assert np.float64(got).tobytes() == np.float64(want).tobytes()
         assert tested >= 1000
 

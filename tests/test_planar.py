@@ -173,9 +173,11 @@ class TestClosedForms:
                 z = rng.uniform(-np.array(z_max), z_max)
                 y = rng.uniform(-y_max, y_max, 1)
                 u = rng.uniform(-0.7, 0.7, 1)
-                a = damping_term(z, plant.f(z, u), np.asarray(assm.grad_lyapunov(z)),
-                                 assm.lyapunov(z), assm.observer_gain @ np.subtract(plant.h(z), y),
-                                 ramped)
+                (a,) = damping_term(z[None], np.array([plant.f(z, u)]),
+                                    np.array([assm.grad_lyapunov(z)]),
+                                    np.array([assm.lyapunov(z)]),
+                                    (assm.observer_gain @ np.subtract(plant.h(z), y))[None],
+                                    ramped)
                 b = planar_damping_closed_form(z, y, u, 0.01, lo, hi)
                 worst = max(worst, abs(a - b))
                 on_ramp += b > 0.0 and lo < assm.lyapunov(z) < hi

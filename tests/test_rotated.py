@@ -17,8 +17,12 @@ import math
 import numpy as np
 import pytest
 
-from absorbctl import (InitialData, PlantModel, build_planar_example, generate_partition,
-                       simulate_closed_loop)
+from test_lifted import CHECKS
+from test_verification import _row_by_row
+
+from absorbctl import (InitialData, PlantModel, SampleSpec, build_planar_example,
+                       generate_partition, simulate_closed_loop)
+from absorbctl import verification as V
 from absorbctl.cli import DEFAULTS, _sim_config
 
 ANGLE = 0.6
@@ -74,3 +78,13 @@ def test_rotated_run_is_the_planar_run_turned(planar, z0, horizon):
     for name in ("w", "u_applied"):
         assert np.max(np.abs(getattr(turned, name) - getattr(flat, name))) <= 1e-12
     assert len(turned.reset_records) == len(flat.reset_records)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_rotated_checks_match_the_row_by_row_scan(planar, monkeypatch, check):
+    # the rotated gain, metric products and turned callables, stacked and row by row
+    plant, assm = rotated(*planar)
+    spec = SampleSpec(n_points=2000, seed=0)
+    stacked = check(plant, assm, spec).to_dict()
+    monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
+    assert check(plant, assm, spec).to_dict() == stacked

@@ -79,3 +79,15 @@ def test_joint_certificate_gives_the_one_process_reports(planar, monkeypatch, k)
     reports = V._run_checks(CHECKS, plant, assm, sample)
     assert [rep.to_dict() for rep in reports] == [rep.to_dict() for rep in one_by_one]
     assert all(rep.passed for rep in reports)
+
+
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+def test_joint_checks_match_the_row_by_row_scan(planar, monkeypatch, check):
+    # two inputs and two outputs through the stacked margins, and row by row
+    from test_verification import _row_by_row
+
+    plant, assm = side_by_side(*planar)
+    spec = V.SampleSpec(n_points=2000, seed=0)
+    stacked = check(plant, assm, spec).to_dict()
+    monkeypatch.setattr(V, "_run_sampled_check", _row_by_row)
+    assert check(plant, assm, spec).to_dict() == stacked

@@ -8,6 +8,9 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from absorbctl import (
     ConfigurationError,
@@ -37,7 +40,8 @@ SPEC = SampleSpec(n_points=2000, seed=0)
 
 def _row_by_row(name, boxes, accept, margin_fn, sample):
     """Recomputation oracle for ``V._run_sampled_check``: the same Halton
-    draws, but side conditions and margins evaluated one row at a time."""
+    draws, but side conditions and margins evaluated one row at a time, the
+    margin on each row as a stack of one."""
     from scipy.stats import qmc
 
     dims = [box.shape[0] for box in boxes]
@@ -56,7 +60,7 @@ def _row_by_row(name, boxes, accept, margin_fn, sample):
             if not accept(*parts):
                 skipped += 1
                 continue
-            value = float(margin_fn(*parts))
+            value = float(margin_fn(*(p[None] for p in parts))[0])
             if worst is None or value > worst:
                 worst, worst_pt = value, parts
             tested += 1
@@ -64,6 +68,12 @@ def _row_by_row(name, boxes, accept, margin_fn, sample):
                 break
     return V.CheckReport(name=name, points_tested=tested, skipped=skipped,
                          worst_margin=worst, worst_point=worst_pt, seed=sample.seed)
+
+
+def pointwise(fn):
+    """A margin over stacks from ``fn`` of one point: ``fn`` at each row in turn,
+    its rows as lists of floats."""
+    return lambda *stacks: np.array([fn(*row) for row in zip(*(s.tolist() for s in stacks))])
 
 
 CHECKS = {
@@ -81,38 +91,39 @@ class TestMarginOracles:
 
     def test_absorbing_dissipation(self, planar):
         plant, assm = planar
-        m = V.absorbing_dissipation_margin(plant, assm, [3.0, 0.0], [0.0])
+        (m,) = V.absorbing_dissipation_margin(plant, assm, [[3.0, 0.0]], [[0.0]])
         assert m == pytest.approx(-808.7850000000001, rel=1e-12)
 
     def test_absorbing_dissipation_violation_without_gate(self, monkeypatch):
         # inadmissible observer gain scaling: large drive at the boundary
         monkeypatch.setattr("absorbctl.planar.check_zeta_bound", lambda zeta: True)
         plant, assm, _ = build_planar_example(0.2, b_level=60.0)
-        m = V.absorbing_dissipation_margin(plant, assm,
-                                           [0.0, np.sqrt(2.0)], [14.14])
+        (m,) = V.absorbing_dissipation_margin(plant, assm,
+                                              [[0.0, np.sqrt(2.0)]], [[14.14]])
         assert m == pytest.approx(13.746979771955564, rel=1e-12)
         assert m > 0.0
 
     def test_observer_contraction(self, planar):
         plant, assm = planar
-        m = V.observer_contraction_margin(plant, assm, [1.0, 1.0], [0.0, 0.0], [0.0])
+        (m,) = V.observer_contraction_margin(plant, assm, [[1.0, 1.0]], [[0.0, 0.0]], [[0.0]])
         assert m == -13.24
-        assert V.observer_contraction_margin(plant, assm, [0.3, -0.2],
-                                             [0.3, -0.2], [0.1]) == 0.0
+        assert V.observer_contraction_margin(plant, assm, [[0.3, -0.2]],
+                                             [[0.3, -0.2]], [[0.1]])[0] == 0.0
 
     def test_growth_bound(self, planar):
         plant, assm = planar
-        m = V.growth_bound_margin(plant, assm, [0.0, 1.8], [0.0, 0.5], [0.0])
+        (m,) = V.growth_bound_margin(plant, assm, [[0.0, 1.8]], [[0.0, 0.5]], [[0.0]])
         assert m == pytest.approx(-6.3225, rel=1e-12)
 
     def test_corrected_dissipation(self, planar):
         plant, assm = planar
-        m = V.corrected_dissipation_margin(plant, assm, [2.0, 0.0], [0.0], [0.0])
+        (m,) = V.corrected_dissipation_margin(plant, assm, [[2.0, 0.0]], [[0.0]], [[0.0]])
         assert m == pytest.approx(-159.54, rel=1e-12)
 
     def test_corrected_contraction_zero_error(self, planar):
         plant, assm = planar
-        m = V.corrected_contraction_margin(plant, assm, [0.4, -0.1], [0.4, -0.1], [0.2])
+        (m,) = V.corrected_contraction_margin(plant, assm, [[0.4, -0.1]], [[0.4, -0.1]],
+                                              [[0.2]])
         assert m == 0.0
 
     def test_contraction_fraction_is_tight(self, planar):
@@ -120,10 +131,10 @@ class TestMarginOracles:
         # a tripled rate) flips the sign at points where the plain
         # contraction margin is nearly saturated
         plant, assm = planar
-        z, x, u = [0.01, 0.3], [0.0, 0.3], [0.0]
+        z, x, u = [[0.01, 0.3]], [[0.0, 0.3]], [[0.0]]
         inflated = dataclasses.replace(assm, contraction_rate=3 * assm.contraction_rate)
-        bad = V.corrected_contraction_margin(plant, inflated, z, x, u)
-        good = V.corrected_contraction_margin(plant, assm, z, x, u)
+        (bad,) = V.corrected_contraction_margin(plant, inflated, z, x, u)
+        (good,) = V.corrected_contraction_margin(plant, assm, z, x, u)
         assert bad == pytest.approx(4.0000000000001015e-07, rel=1e-6)
         assert bad > 1e-9
         assert good < 0.0
@@ -137,12 +148,12 @@ class TestMarginOracles:
          "993ed53058fa9e6a2e67f5b98382ae79eeb5cf27f88f6e658c62eab01d58414a"),
     ], ids=["observer_contraction", "growth_bound", "corrected_contraction"])
     def test_contraction_type_margins_keep_their_bits(self, planar, margin, digest):
-        # sha256 of the float64 margins at 400 seeded (z, x, u) points, 247 of
-        # them with V(z) above the absorbing level; verify never evaluates the
-        # growth bound on this example, where its side conditions admit no point
+        # sha256 of the float64 margins at 400 seeded (z, x, u) points, one stack,
+        # 247 of them with V(z) above the absorbing level; verify never evaluates
+        # the growth bound on this example, where its side conditions admit no point
         plant, assm = planar
-        points = np.random.default_rng(18).uniform(-2.0, 2.0, size=(400, 5)).tolist()
-        values = np.array([margin(plant, assm, p[:2], p[2:4], p[4:]) for p in points])
+        points = np.random.default_rng(18).uniform(-2.0, 2.0, size=(400, 5))
+        values = margin(plant, assm, points[:, :2], points[:, 2:4], points[:, 4:])
         assert hashlib.sha256(values.tobytes()).hexdigest() == digest
 
     def test_wrong_controller_detected(self, planar):
@@ -152,10 +163,10 @@ class TestMarginOracles:
         orig = assm.local_controller
         flipped = dataclasses.replace(assm,
                                       local_controller=lambda x: [-v for v in orig(x)])
-        bad = V.local_controller_margin(plant, flipped, [0.06, 0.0])
+        (bad,) = V.local_controller_margin(plant, flipped, [[0.06, 0.0]])
         assert bad == pytest.approx(0.00015562956861713163, rel=1e-6)
         assert bad > 1e-9
-        assert V.local_controller_margin(plant, assm, [0.06, 0.0]) < 0.0
+        assert V.local_controller_margin(plant, assm, [[0.06, 0.0]])[0] < 0.0
 
 
 class TestSublevelBox:
@@ -227,7 +238,7 @@ class TestSampledChecks:
     def test_worst_point_reproduces_margin(self, planar):
         plant, assm = planar
         rep = check_observer_contraction(plant, assm, SPEC)
-        m = V.observer_contraction_margin(plant, assm, *rep.worst_point)
+        (m,) = V.observer_contraction_margin(plant, assm, *([p] for p in rep.worst_point))
         assert abs(m - rep.worst_margin) <= 1e-12
 
     def test_report_serialization(self, planar):
@@ -259,13 +270,13 @@ class TestSampledChecks:
         assert not rep.passed
         assert rep.worst_margin > 1.0
         # the reported witness reproduces outside the sampler
-        m = V.corrected_dissipation_margin(plant, assm, *rep.worst_point)
+        (m,) = V.corrected_dissipation_margin(plant, assm, *([p] for p in rep.worst_point))
         assert abs(m - rep.worst_margin) <= 1e-12
 
     def test_a_tie_goes_to_the_first_admitted_point(self, planar, monkeypatch):
         seen = []
         monkeypatch.setattr(V, "local_controller_margin",
-                            lambda plant, assm, x: seen.append(x) or 0.0)
+                            lambda plant, assm, x: pointwise(lambda p: seen.append(p) or 0.0)(x))
         rep = check_local_controller(*planar, SPEC)
         assert rep.worst_point == (seen[0],) and len(seen) == SPEC.n_points
 
@@ -332,9 +343,147 @@ class TestBatchedDriver:
         at = -1.0 + 2.0 * V.Halton(1, 0).random(peak + 1)[peak, 0]
         rep = V._run_sampled_check("peak", [np.array([[-1.0, 1.0]])],
                                    lambda x: np.ones(x.shape[1], bool),
-                                   lambda x: 1.0 if x == [at] else 0.0,
+                                   pointwise(lambda x: 1.0 if x == [at] else 0.0),
                                    SampleSpec(n_points=3 * V._BATCH))
         assert rep.worst_point == ([at],) and rep.worst_margin == 1.0
+
+
+class TestStackedMargins:
+    """A check scores each Halton batch's admitted points in one margin call.
+    A margin over a stack gives, bit for bit, what it gives on each row as a
+    stack of one, and calls each callable as often per point as the pointwise
+    scan it replaced: the same products (``np.vecdot``/``np.matvec`` make the
+    BLAS calls of ``ndarray.dot``), the callables called at each row in turn."""
+
+    # (margin, the stacks it takes: n states, m inputs or k outputs per row)
+    MARGINS = {
+        "absorbing_dissipation": (V.absorbing_dissipation_margin, "nm"),
+        "local_controller": (V.local_controller_margin, "n"),
+        "observer_contraction": (V.observer_contraction_margin, "nnm"),
+        "growth_bound": (V.growth_bound_margin, "nnm"),
+        "corrected_contraction": (V.corrected_contraction_margin, "nnm"),
+        "corrected_dissipation": (V.corrected_dissipation_margin, "nkm"),
+    }
+
+    @pytest.fixture(scope="class")
+    def certificates(self, planar):
+        from test_observer import _three_state_loop
+
+        return {"planar": planar, "three_state": _three_state_loop()}
+
+    @given(st.sampled_from(sorted(MARGINS)), st.sampled_from(["planar", "three_state"]),
+           st.integers(1, 12), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_stack_gives_each_rows_bits(self, certificates, name, certificate, rows, data):
+        # every stack ends with a row of 0.1s and one of 2.0s, so each corrected
+        # margin's stack straddles the absorbing level: V(0.1s) lies inside it
+        # and V(2.0s) above blend_hi, on both certificates
+        plant, assm = certificates[certificate]
+        margin, kinds = self.MARGINS[name]
+        stacks = []
+        for kind in kinds:
+            width = {"n": plant.n, "m": plant.m, "k": plant.k_out}[kind]
+            drawn = data.draw(arrays(np.float64, (rows, width),
+                                     elements=st.floats(-2.5, 2.5, allow_nan=False)))
+            stacks.append(np.vstack([drawn, np.full(width, 0.1), np.full(width, 2.0)]))
+        with np.errstate(all="ignore"):  # the growth bound divides by 0 at z = x
+            whole = margin(plant, assm, *stacks)
+            one_by_one = [margin(plant, assm, *(s[i:i + 1] for s in stacks))
+                          for i in range(rows + 2)]
+        assert whole.shape == (rows + 2,)
+        assert whole.tobytes() == np.concatenate(one_by_one).tobytes()
+
+    # pointwise calls of each callable in a 2000-point check on the planar example,
+    # as counted at the pointwise scan (list arguments; the side conditions' batch
+    # calls and sublevel_box's probes included); the growth bound admits no point
+    CALLS = {
+        "absorbing_dissipation": {"dissipation": 2000, "f": 2000, "grad_lyapunov": 2000,
+                                  "lyapunov": 341},
+        "local_controller": {"f": 2000, "grad_local_lyapunov": 2000, "local_controller": 2000,
+                             "local_lyapunov": 2000, "lyapunov": 329},
+        "observer_contraction": {"f": 4000, "h": 4000, "lyapunov": 658},
+        "observer_growth_bound": {"lyapunov": 658},
+        "corrected_contraction": {"dissipation": 660, "f": 4000, "grad_lyapunov": 660,
+                                  "h": 4000, "lyapunov": 2658},
+        "corrected_dissipation": {"dissipation": 4000, "f": 2000, "grad_lyapunov": 4000,
+                                  "h": 2025, "lyapunov": 2341},
+    }
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_each_callable_is_called_as_often_as_point_by_point(self, check):
+        plant, assm = build_planar_example(0.01, r=0.25, tau=0.25)[:2]
+        calls = {}
+
+        def counted(name, fn):
+            def call(*args):
+                if isinstance(args[0], list):
+                    calls[name] = calls.get(name, 0) + 1
+                return fn(*args)
+            return call
+
+        for owner, names in ((plant, ("f", "h", "jac_h")),
+                             (assm, ("lyapunov", "grad_lyapunov", "dissipation", "local_lyapunov",
+                                     "grad_local_lyapunov", "local_controller"))):
+            for name in names:
+                object.__setattr__(owner, name, counted(name, getattr(owner, name)))
+        CHECKS[check](plant, assm, SPEC)
+        assert calls == self.CALLS[check]
+
+    def test_a_batch_is_scored_in_one_call(self):
+        # every candidate is admitted: three batches, three stacks of a batch each
+        sizes = []
+        V._run_sampled_check("batches", [np.array([[-1.0, 1.0]])],
+                             lambda x: np.ones(x.shape[1], bool),
+                             lambda x: sizes.append(x.shape) or np.zeros(len(x)),
+                             SampleSpec(n_points=3 * V._BATCH))
+        assert sizes == [(V._BATCH, 1)] * 3
+
+    @staticmethod
+    def first_points(planar, count):
+        """The first ``count`` states that check_absorbing_dissipation admits, in draw order."""
+        seen = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(V, "absorbing_dissipation_margin",
+                       lambda plant, assm, x, u: seen.extend(x.tolist()) or np.zeros(len(x)))
+            check_absorbing_dissipation(*planar, SampleSpec(n_points=count))
+        return seen
+
+    @staticmethod
+    def raising_at(fn, point, exc):
+        def call(x, *rest):
+            if x == point:
+                raise exc
+            return fn(x, *rest)
+        return call
+
+    def test_an_earlier_nan_margin_wins_over_a_later_error(self, planar):
+        # point 4's margin is NaN and f raises at point 9 of the same batch: the
+        # batch is scored again point by point, and the NaN is met first
+        plant, assm = planar
+        points = self.first_points(planar, 10)
+        dissipation = assm.dissipation
+        holed = dataclasses.replace(
+            assm, dissipation=lambda x: float("nan") if x == points[4] else dissipation(x))
+        broken = dataclasses.replace(
+            plant, f=self.raising_at(plant.f, points[9], ZeroDivisionError("f at point 9")))
+        with pytest.raises(NonFiniteError, match=r"^absorbing_dissipation: margin nan at point "
+                                                 + re.escape(f"[{points[4]}, ")):
+            check_absorbing_dissipation(broken, holed, SPEC)
+
+    def test_the_error_of_the_earlier_point_wins(self, planar):
+        # f, called before the dissipation at every point, raises at point 9 and
+        # the dissipation at point 4: the error raised is point 4's
+        plant, assm = planar
+        points = self.first_points(planar, 10)
+        broken = dataclasses.replace(
+            plant, f=self.raising_at(plant.f, points[9], ZeroDivisionError("f at point 9")))
+        holed = dataclasses.replace(
+            assm, dissipation=self.raising_at(assm.dissipation, points[4],
+                                              ArithmeticError("dissipation at point 4")))
+        with pytest.raises(ArithmeticError, match="^dissipation at point 4$"):
+            check_absorbing_dissipation(broken, holed, SPEC)
+        with pytest.raises(ZeroDivisionError, match="^f at point 9$"):
+            check_absorbing_dissipation(broken, assm, SPEC)
 
 
 class TestSideConditions:
@@ -386,6 +535,18 @@ class TestNonFiniteMargin:
         with pytest.raises(NonFiniteError,
                            match=r"^absorbing_dissipation: margin nan at point \[\["):
             check_absorbing_dissipation(plant, holed, SPEC)
+
+    def test_a_nan_clause_of_the_local_controller_is_refused(self, planar):
+        # max(decay, coercive) passed over a NaN second clause: the check passed
+        # at 2000 points and the margin at (0.6, 0.1) read -2.546; the probes of
+        # the construction, in [-0.5, 0.5), accept this local Lyapunov function
+        plant, assm = planar
+        local = assm.local_lyapunov
+        holed = dataclasses.replace(
+            assm, local_lyapunov=lambda x: float("nan") if x[0] >= 0.5 else local(x))
+        assert np.isnan(V.local_controller_margin(plant, holed, [[0.6, 0.1]])).all()
+        with pytest.raises(NonFiniteError, match=r"^local_controller: margin nan at point \[\["):
+            check_local_controller(plant, holed, SPEC)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_first_point_raises(self, planar, bad):
@@ -530,7 +691,7 @@ class TestRunChecks:
 
         def capped(plant, assm, sample):
             return V._run_sampled_check("capped", boxes, lambda x, u: x[0] > 0.995,
-                                        lambda x, u: u[0] - x[0], sample)
+                                        pointwise(lambda x, u: u[0] - x[0]), sample)
 
         spec = SampleSpec(n_points=4000)
         (one,) = self.run(monkeypatch, 1, [capped], None, None, spec)
@@ -555,7 +716,7 @@ class TestRunChecks:
 
         def third_batch(plant, assm, sample):
             return V._run_sampled_check("third", box, accept,
-                                        lambda x: scanned.append(x) or 0.0,
+                                        pointwise(lambda x: scanned.append(x) or 0.0),
                                         SampleSpec(n_points=4 * V._BATCH))
 
         for k in (1, 2, 3):
@@ -681,11 +842,12 @@ class TestSideConditionErrorOrder:
     def test_an_earlier_margin_error_wins(self, planar, monkeypatch, k):
         with pytest.raises(NonFiniteError, match=r"^pending: margin nan at point \[\["):
             self.run_last(monkeypatch, k, planar,
-                          lambda x: float("nan") if x[0] > 0.5 else x[0])
+                          pointwise(lambda x: float("nan") if x[0] > 0.5 else x[0]))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_the_side_conditions_error_follows_a_clean_scan(self, planar, monkeypatch, k):
         scanned = []
         with pytest.raises(ZeroDivisionError, match="^side condition failed$"):
-            self.run_last(monkeypatch, k, planar, lambda x: scanned.append(x) or 0.0)
+            self.run_last(monkeypatch, k, planar,
+                          pointwise(lambda x: scanned.append(x) or 0.0))
         assert len(scanned) == V._BATCH
