@@ -59,10 +59,10 @@ def clamp_input(u_raw, input_box: np.ndarray) -> np.ndarray:
 
 
 def at_rows(fn: Callable, *stacks) -> np.ndarray:
-    """``fn`` called at each row of the equal-length stacks in turn, given the
-    row of each stack as a list of floats; its results stacked as float64."""
-    return np.array(list(map(fn, *(np.asarray(s, dtype=float).tolist() for s in stacks))),
-                    dtype=float)
+    """``fn`` called at each row of the equal-length stacks in turn, given the row of
+    each as a list of floats (a list is taken as those rows); results stacked as float64."""
+    rows = (s if isinstance(s, list) else np.asarray(s, dtype=float).tolist() for s in stacks)
+    return np.array(list(map(fn, *rows)), dtype=float)
 
 
 def _fd_jacobian(fn: Callable[[list], object], x: np.ndarray) -> np.ndarray:

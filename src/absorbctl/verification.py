@@ -15,14 +15,13 @@ over rows by ``np.vecdot``/``np.matvec``, whose BLAS calls are those of
 the batch is scored again one point at a time in draw order, so the error is
 that of a scan point by point, for callables that are pure.
 
-``_run_checks`` runs a list of checks as ``verify`` does: the list is cut
-into contiguous blocks, one per usable core, and a forked child per later
-block runs its checks ahead, sending back the report of each scan.  Every
-check is still called here in list order, so it raises what one process
-raises and a wrapper here sees its call; a later block's scan takes its
-child's report, or is made here once that child has failed.  One process
-runs alone where ``os.fork`` is missing, on one usable core or while another
-thread is alive.  A ``check_*`` called by itself runs here.
+``_run_checks`` runs a list of checks as ``verify`` does, dealt round-robin to
+``k`` processes, one per usable core: forked child ``i`` runs ``checks[i::k]``
+ahead, sending back the report of each scan.  Every check is still called here
+in list order, so it raises what one process raises and a wrapper here sees its
+call; a dealt-out check takes its child's report, or scans here once that child
+has failed.  One process runs alone where ``os.fork`` is missing, on one usable
+core or while another thread is alive.  A ``check_*`` called by itself runs here.
 """
 
 from __future__ import annotations
@@ -184,8 +183,12 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 
 
 # --- margins: negative means the certified inequality holds at the point ---
-# each takes (B, d) stacks, one point per row, and gives (B,) margins; L (h(z) - y) is the
-# loop's ``output_injection``, called at each row as the user's callables are (``at_rows``)
+# each takes (B, d) stacks, one point per row, turned into lists once for all its ``at_rows``
+# calls, and gives (B,) margins; L (h(z) - y) is the loop's ``output_injection``, called per row
+
+def _rows(*stacks) -> list[list]:
+    return [np.asarray(s, dtype=float).tolist() for s in stacks]
+
 
 def _injection(plant: PlantModel, assm: AssumptionData, z, y) -> np.ndarray:
     return at_rows(lambda zi, yi: output_injection(zi, yi, plant, assm), z, y)
@@ -193,64 +196,70 @@ def _injection(plant: PlantModel, assm: AssumptionData, z, y) -> np.ndarray:
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> np.ndarray:
     """Drift of the Lyapunov function plus the required dissipation."""
-    return (np.vecdot(at_rows(assm.grad_lyapunov, x), at_rows(plant.f, x, u))
-            + at_rows(assm.dissipation, x))
+    xr, ur = _rows(x, u)
+    return (np.vecdot(at_rows(assm.grad_lyapunov, xr), at_rows(plant.f, xr, ur))
+            + at_rows(assm.dissipation, xr))
 
 
 def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> np.ndarray:
     """Worse of the local decay margin (under the clamped local controller)
     and the coercivity margin of the local Lyapunov function; NaN where either is."""
-    u = clamp_input(at_rows(assm.local_controller, x), plant.input_box)
+    (xr,) = _rows(x)
+    u = clamp_input(at_rows(assm.local_controller, xr), plant.input_box)
     xsq = np.vecdot(x, x)
-    decay = (np.vecdot(at_rows(assm.grad_local_lyapunov, x), at_rows(plant.f, x, u))
+    decay = (np.vecdot(at_rows(assm.grad_local_lyapunov, xr), at_rows(plant.f, xr, u))
              + 2.0 * assm.local_decay * xsq)
-    coercive = assm.coercivity * xsq - at_rows(assm.local_lyapunov, x)
+    coercive = assm.coercivity * xsq - at_rows(assm.local_lyapunov, xr)
     return np.maximum(coercive, decay)  # decay on a tie, as max(decay, coercive) was
 
 
-def _metric_gap(plant: PlantModel, assm: AssumptionData, z, x, u, drift):
-    """The errors ``d = z - x`` and ``d . M (drift - f(x, u))``, the metric rate
-    of the error under the observer drift ``drift`` at ``z``."""
+def _metric_gap(assm: AssumptionData, z, x, drift, fx):
+    """The errors ``d = z - x`` and ``d . M (drift - fx)``, the metric rate of the
+    error under the observer drift ``drift`` at ``z`` and the plant's ``fx = f(x, u)``."""
     d = np.subtract(z, x)
-    return d, np.vecdot(d, np.matvec(assm.error_metric, np.subtract(drift, at_rows(plant.f, x, u))))
+    return d, np.vecdot(d, np.matvec(assm.error_metric, np.subtract(drift, fx)))
 
 
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction of the plain output-injection error dynamics."""
-    drift = np.add(at_rows(plant.f, z, u), _injection(plant, assm, z, at_rows(plant.h, x)))
-    d, gap = _metric_gap(plant, assm, z, x, u, drift)
+    zr, xr, ur = _rows(z, x, u)
+    drift = np.add(at_rows(plant.f, zr, ur), _injection(plant, assm, zr, at_rows(plant.h, xr)))
+    d, gap = _metric_gap(assm, z, x, drift, at_rows(plant.f, xr, ur))
     return gap + assm.contraction_rate * np.vecdot(d, d)
 
 
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
-    grad = at_rows(assm.grad_lyapunov, z)
-    drift = np.add(at_rows(plant.f, z, u), _injection(plant, assm, z, at_rows(plant.h, x)))
-    d, numer = _metric_gap(plant, assm, z, x, u, drift)
+    zr, xr, ur = _rows(z, x, u)
+    grad = at_rows(assm.grad_lyapunov, zr)
+    drift = np.add(at_rows(plant.f, zr, ur), _injection(plant, assm, zr, at_rows(plant.h, xr)))
+    d, numer = _metric_gap(assm, z, x, drift, at_rows(plant.f, xr, ur))
     denom = np.vecdot(grad, np.matvec(assm.error_metric, d))
     ratio_term = (1.0 - assm.contraction_frac) * np.vecdot(grad, grad) * numer / denom
-    return np.vecdot(grad, drift) + at_rows(assm.dissipation, z) - ratio_term
+    return np.vecdot(grad, drift) + at_rows(assm.dissipation, zr) - ratio_term
 
 
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
-    fz = at_rows(plant.f, z, u)
-    corr = observer_correction(z, _injection(plant, assm, z, at_rows(plant.h, x)),
-                               at_rows(assm.lyapunov, z), fz, assm)
-    d, gap = _metric_gap(plant, assm, z, x, u, np.add(fz, corr))
+    zr, xr, ur = _rows(z, x, u)
+    fz = at_rows(plant.f, zr, ur)
+    corr = observer_correction(z, _injection(plant, assm, zr, at_rows(plant.h, xr)),
+                               at_rows(assm.lyapunov, zr), fz, assm)
+    d, gap = _metric_gap(assm, z, x, np.add(fz, corr), at_rows(plant.f, xr, ur))
     return gap + assm.contraction_frac * assm.contraction_rate * np.vecdot(d, d)
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u) -> np.ndarray:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output ``w``: the injection ``L (h(z) - w)``, damped outside the absorbing set."""
-    fz = at_rows(plant.f, z, u)
-    corr = observer_correction(z, _injection(plant, assm, z, w), at_rows(assm.lyapunov, z), fz,
-                               assm)
-    return (np.vecdot(at_rows(assm.grad_lyapunov, z), np.add(fz, corr))
-            + at_rows(assm.dissipation, z))
+    zr, wr, ur = _rows(z, w, u)
+    fz = at_rows(plant.f, zr, ur)
+    corr = observer_correction(z, _injection(plant, assm, zr, wr), at_rows(assm.lyapunov, zr),
+                               fz, assm)
+    return (np.vecdot(at_rows(assm.grad_lyapunov, zr), np.add(fz, corr))
+            + at_rows(assm.dissipation, zr))
 
 
 # --- sampled check driver ---
@@ -322,29 +331,27 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
 
 def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionData,
                 sample: SampleSpec) -> list[CheckReport]:
-    """``[check(plant, assm, sample) for check in checks]``, the scans of each contiguous
-    block of checks after the first, one block per usable core, made ahead in a forked
-    child (user callables need not pickle).  A later block's scans take its child's reports
-    in order, so a check must make the same scans in each process."""
+    """``[check(plant, assm, sample) for check in checks]``, the scans of ``checks[i::k]``
+    made ahead in forked child ``i`` for each ``i`` from 1, ``k`` the usable cores (user
+    callables need not pickle).  A check dealt to a child takes its reports in order, so a
+    check must make the same scans in each process."""
     global _sink, _source
-    blocks = 1
-    if hasattr(os, "fork") and threading.active_count() == 1:  # forking threads is unsafe
-        blocks = max(1, min(_usable_cores(), len(checks)))
-    bounds = [len(checks) * i // blocks for i in range(blocks + 1)]
-    pids, sources = [], [None] * bounds[1]  # per check: the pipe of its block's child
+    forkable = hasattr(os, "fork") and threading.active_count() == 1  # forking threads is unsafe
+    k = min(_usable_cores(), len(checks)) if forkable else 1
+    pids, sources = [], [None] * len(checks)  # per check: the pipe of the child dealt it
     try:
-        for i in range(1, blocks):
+        for i in range(1, k):
             read_fd, write_fd = os.pipe()
-            sources += [open(read_fd, "rb")] * (bounds[i + 1] - bounds[i])
+            sources[i::k] = [open(read_fd, "rb")] * len(sources[i::k])
             try:
                 pid = os.fork()
-                if pid == 0:  # the child: its whole life is this block
+                if pid == 0:  # the child: its whole life is the checks dealt to it
                     try:
                         devnull = os.open(os.devnull, os.O_WRONLY)
                         os.dup2(devnull, 1)
                         os.dup2(devnull, 2)
                         _sink = open(write_fd, "wb")
-                        for check in checks[bounds[i]:bounds[i + 1]]:
+                        for check in checks[i::k]:
                             check(plant, assm, sample)
                     finally:
                         os._exit(0)
@@ -427,11 +434,12 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
     and counted.  If no admissible point exists the bound holds vacuously:
     the report passes with zero points tested and is marked ``vacuous``.
     """
-    boxes, inside = _observer_region(plant, assm)
+    boxes, _ = _observer_region(plant, assm)
 
-    def accept(z, x, u):
+    def accept(z, x, u):  # the region's side condition, with V(z) in the band
         descent = (np.asarray(assm.grad_lyapunov(z)) * (assm.error_metric @ (z - x))).sum(axis=0)
-        return inside(z, x, u) & (assm.blend_lo < assm.lyapunov(z)) & (descent < 0.0)
+        return ((assm.blend_lo < (vz := assm.lyapunov(z))) & (vz <= assm.blend_hi)
+                & (assm.lyapunov(x) <= assm.absorbing_level) & (descent < 0.0))
 
     return _run_sampled_check(
         "observer_growth_bound",
@@ -461,8 +469,7 @@ def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
     return _run_sampled_check(
         "corrected_dissipation",
         [z_box, w_box, plant.input_box],
-        lambda z, w, u: ((assm.blend_hi <= assm.lyapunov(z))
-                         & (assm.lyapunov(z) <= UPPER_LEVEL)),
+        lambda z, w, u: (assm.blend_hi <= (vz := assm.lyapunov(z))) & (vz <= UPPER_LEVEL),
         lambda z, w, u: corrected_dissipation_margin(plant, assm, z, w, u),
         sample)
 

@@ -19,7 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 MAX_SETTABLE = 16
 # lines of the package's modules, as `cat src/absorbctl/*.py | wc -l` counts
 # them; a change that grows the package raises this cap and says why
-MAX_SOURCE_LINES = 2392
+MAX_SOURCE_LINES = 2399
 
 
 def absorbctl_imports(source: str) -> set[str]:

@@ -486,6 +486,42 @@ class TestStackedMargins:
             check_absorbing_dissipation(broken, assm, SPEC)
 
 
+class TestRaggedResults:
+    """A callable's results are stacked only when every row has its shape: a plant
+    ``f`` that returns three reals at one admitted point mid-batch, after
+    construction probed it, fails the check, which never reports."""
+
+    POINT = 1000  # of the first batch's admitted points, in draw order
+
+    @pytest.fixture(params=["absorbing_dissipation", "corrected_dissipation"])
+    def ragged(self, request, planar):
+        """A check, and the planar plant whose ``f`` is ragged at that check's point."""
+        plant, assm = planar
+        check, first = CHECKS[request.param], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(V, "_margins",
+                       lambda name, fn, stacks: first.append(stacks[0]) or np.zeros(len(stacks[0])))
+            check(plant, assm, SPEC)
+        point, f = first[0][self.POINT].tolist(), plant.f
+        assert len(first[0]) > self.POINT + 1
+
+        def ragged_f(x, u):
+            return [*f(x, u), 0.0] if x == point else f(x, u)
+
+        return check, dataclasses.replace(plant, f=ragged_f)
+
+    def test_one_process_raises(self, planar, ragged):
+        check, plant = ragged
+        with pytest.raises(ValueError):
+            check(plant, planar[1], SPEC)
+
+    def test_a_child_dealt_the_check_raises_here(self, planar, monkeypatch, ragged):
+        check, plant = ragged
+        monkeypatch.setattr(V, "_usable_cores", lambda: 2)
+        with pytest.raises(ValueError):
+            V._run_checks([check_local_controller, check], plant, planar[1], SPEC)
+
+
 class TestSideConditions:
     """What the three (z, x, u) checks admit, against the planar example's
     side conditions written out here: V(x) = |x|^2 / 2, grad V(z) = z and
@@ -510,6 +546,33 @@ class TestSideConditions:
         if admitted.size < sample.n_points:
             return admitted.size, max_draws - admitted.size
         return sample.n_points, int(admitted[sample.n_points - 1]) + 1 - sample.n_points
+
+    # V's batch calls per Halton batch: once per state drawn (z, or x, or both)
+    LEVELS = {"absorbing_dissipation": 1, "local_controller": 1, "observer_contraction": 2,
+              "observer_growth_bound": 2, "corrected_contraction": 2, "corrected_dissipation": 1}
+
+    @pytest.mark.parametrize("check", sorted(CHECKS))
+    def test_v_is_evaluated_once_per_batch_and_state(self, monkeypatch, check):
+        plant, assm = build_planar_example(0.01, r=0.25, tau=0.25)[:2]
+        batches, levels, lyapunov, halton = [], [], assm.lyapunov, V.Halton
+
+        def counted(x):
+            if isinstance(x, np.ndarray):  # sublevel_box probes with lists
+                levels.append(x.shape[1])
+            return lyapunov(x)
+
+        def counting_halton(dim, seed):
+            sampler = halton(dim, seed)
+            draw = sampler.random
+            sampler.random = lambda n: batches.append(n) or draw(n)
+            return sampler
+
+        object.__setattr__(assm, "lyapunov", counted)
+        monkeypatch.setattr(V, "Halton", counting_halton)
+        CHECKS[check](plant, assm, SPEC)
+        assert levels == [n for n in batches for _ in range(self.LEVELS[check])]
+        if check == "observer_growth_bound":
+            assert sum(batches) == 100_000  # the draw cap: no candidate is admitted
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     @pytest.mark.parametrize("check", ["observer_contraction", "observer_growth_bound",
@@ -559,11 +622,14 @@ class TestNonFiniteMargin:
 
 
 class TestRunChecks:
-    """``_run_checks`` cuts its list into contiguous blocks of whole checks, makes each
-    later block's scans ahead in a forked child, calls every check here in list order,
-    and gives the reports of the checks called one by one, or the exception of the first
-    check that fails, and leaves no child behind.  The block count is forced through the
-    module's count of usable cores."""
+    """``_run_checks`` deals its list of whole checks round-robin to ``k`` processes,
+    makes the scans of ``checks[i::k]`` ahead in forked child ``i`` for each ``i`` from 1,
+    calls every check here in list order, and gives the reports of the checks called one
+    by one, or the exception of the first check that fails, and leaves no child behind.
+    ``k`` is forced through the module's count of usable cores."""
+
+    # Halton dimensions of the scans of CHECKS, in order: states, inputs and outputs drawn
+    DIMS = [3, 2, 5, 5, 5, 4]
 
     class Refused(Exception):
         pass
@@ -627,7 +693,7 @@ class TestRunChecks:
     def test_every_check_is_called_here_and_each_scan_made_once(self, planar, monkeypatch,
                                                                 scans_here, k):
         # what a wrapper of each check sees here is what the checks give one by one,
-        # though only the first block's scans are made here
+        # though only the scans of the checks dealt to this process are made here
         one_by_one = [check(*planar, SPEC).to_dict() for check in CHECKS.values()]
         scans_here.clear()
         seen = []
@@ -642,7 +708,30 @@ class TestRunChecks:
         assert self.run(monkeypatch, k, [seeing(c) for c in CHECKS.values()], *planar,
                         SPEC) == one_by_one
         assert seen == one_by_one
-        assert len(scans_here) == len(CHECKS) // k
+        assert len(scans_here) == len(range(0, len(CHECKS), k))
+        assert scans_here == self.DIMS[::k]
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_child_i_runs_the_checks_dealt_to_it(self, planar, monkeypatch, forks, tmp_path,
+                                                 k):
+        # each call appends "pid index" to a log shared by the processes
+        log = tmp_path / "calls"
+
+        def logging(index, check):
+            def wrapper(plant, assm, sample):
+                with open(log, "a") as fh:
+                    fh.write(f"{os.getpid()} {index}\n")
+                return check(plant, assm, sample)
+            return wrapper
+
+        checks = [logging(i, c) for i, c in enumerate(CHECKS.values())]
+        self.run(monkeypatch, k, checks, *planar, SPEC)
+        calls = {}
+        for line in log.read_text().splitlines():
+            pid, index = map(int, line.split())
+            calls.setdefault(pid, []).append(index)
+        assert calls.pop(os.getpid()) == list(range(len(CHECKS)))
+        assert calls == {pid: list(range(i, len(CHECKS), k)) for i, pid in enumerate(forks, 1)}
 
     def test_a_child_that_dies_after_a_scan_leaves_the_rest_here(self, planar, monkeypatch,
                                                                  forks, scans_here):
@@ -676,7 +765,7 @@ class TestRunChecks:
     @pytest.mark.parametrize("check", ["local_controller", "corrected_dissipation"])
     def test_the_clis_sample_size_gives_the_one_process_report(self, planar, monkeypatch,
                                                                forks, check):
-        # the CLI's 10000 points, several batches, in the child's block at k = 2
+        # the CLI's 10000 points, several batches, dealt to the child at k = 2
         spec = SampleSpec(n_points=10_000, seed=1)
         checks = [check_observer_contraction, CHECKS[check]]
         one_by_one = [c(*planar, spec).to_dict() for c in checks]
@@ -773,7 +862,7 @@ class TestRunChecks:
 
     @pytest.mark.parametrize("k", [2, 3])
     def test_the_parents_error_wins(self, planar, monkeypatch, forks, k):
-        checks = [self.refusing("parent"), check_local_controller, self.refusing("child")]
+        checks = [self.refusing("parent"), self.refusing("child"), check_local_controller]
         with pytest.raises(self.Refused, match="^parent$"):
             self.run(monkeypatch, k, checks, *planar, SPEC)
         assert len(forks) == k - 1
@@ -815,7 +904,7 @@ class TestRunChecks:
 class TestSideConditionErrorOrder:
     """A side condition that raises on the second batch loses to a margin error
     earlier in draw order, and follows a clean scan of the first batch, at every
-    block count: a check draws and scans in draw order wherever it runs, and a
+    process count: a check draws and scans in draw order wherever it runs, and a
     scan a failed child did not send is made here."""
 
     BOX = [np.array([[-1.0, 1.0]])]
@@ -830,7 +919,7 @@ class TestSideConditionErrorOrder:
 
     @classmethod
     def run_last(cls, monkeypatch, k, planar, margin_fn):
-        """Run the pending check last of three, at block count ``k``."""
+        """Run the pending check last of three, dealt to ``k`` processes."""
         def pending(plant, assm, sample):
             return V._run_sampled_check("pending", cls.BOX, cls.accept, margin_fn,
                                         SampleSpec(n_points=2 * V._BATCH))
