@@ -4,7 +4,8 @@ The sha256 of ``trajectory.csv`` and ``summary.json`` for partition seeds
 0-2 of the default configuration and for seed 0 of a fast-hold
 configuration, at the delay pairs with a zero delay over a 2 s horizon,
 for a 2 s run whose observer starts outside the absorbing set, and of
-``verification.json`` for sample seeds 0-2.  A
+``verification.json`` for sample seeds 0-2, and of ``predictor_study.csv``
+for the default initial input record and a record of three segments.  A
 refactor must keep these bytes; a change that alters the arithmetic order
 on purpose updates the digests in the same change and records the
 measured deviation of the terminal state.
@@ -57,6 +58,14 @@ GOLDEN_VERIFY = {
     2: "825e2465473d34c325b85326f96cf72fae74ed08731cfc60027e4a84ac8ff6d9",
 }
 
+# the default record and one whose three segments the reference flow splits
+# its spans at; the reference flow is the study's only use of rk4_steps
+GOLDEN_PREDICTOR_STUDY = {
+    "default": ((), "71fa6c07ea2fc9b9c3c55a326e56569574f1e0bbfb2c0fdcf6fbfd444aa6256f"),
+    "three-segments": (("u0_segments=-0.5:0.1; -0.31:-0.2; -0.07:0.05",),
+                       "2eae9d4f9a54e200268a7848c449dfeb36c5c6e1bc515257dcaa55e1b693578c"),
+}
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -102,3 +111,14 @@ def test_default_verify_matches_golden_digest(tmp_path, seed):
     assert main(["verify", "--config", str(config), "--set", f"seed={seed}",
                  "--out", str(out)]) == 0
     assert _sha256(out / "verification.json") == GOLDEN_VERIFY[seed]
+
+
+@pytest.mark.parametrize("record", sorted(GOLDEN_PREDICTOR_STUDY))
+def test_predictor_study_matches_golden_digest(tmp_path, record):
+    overrides, digest = GOLDEN_PREDICTOR_STUDY[record]
+    config = tmp_path / "default.cfg"
+    config.write_text("")
+    out = tmp_path / "out"
+    sets = [arg for item in overrides for arg in ("--set", item)]
+    assert main(["predictor-study", "--config", str(config), *sets, "--out", str(out)]) == 0
+    assert _sha256(out / "predictor_study.csv") == digest
