@@ -9,10 +9,10 @@ from .errors import (ConfigurationError, CoverageError, DegenerateGradientError,
                      InsufficientDataError, NonFiniteError)
 from .model import (AssumptionData, InputHistory, PlantModel, SamplingPartition,
                     SimConfig, StateHistory, Trajectory, clamp_input)
-from .observer import BlendingFn, blend_p, damping_term, observer_correction
+from .observer import blend_p, damping_term, observer_correction
 from .planar import build_planar_example, check_zeta_bound
 from .predictor import euler_predict, predictor_convergence_study
-from .rk4 import flow_on_history, integrate_span, rk4_step
+from .rk4 import flow_on_history, integrate_span
 from .simulator import (InitialData, TuneResult, fit_decay_rate, generate_partition,
                         pilot_tune, run_summary, simulate_closed_loop, sweep)
 from .verification import (CheckReport, SampleSpec, check_absorbing_dissipation,
@@ -24,7 +24,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AssumptionData",
-    "BlendingFn",
     "CheckReport",
     "ConfigurationError",
     "CoverageError",
@@ -60,7 +59,6 @@ __all__ = [
     "observer_correction",
     "pilot_tune",
     "predictor_convergence_study",
-    "rk4_step",
     "run_summary",
     "simulate_closed_loop",
     "sublevel_box",

@@ -135,7 +135,7 @@ def load_settings(config_path: str, overrides: list[str]) -> dict:
 
 
 def _build_model(settings: dict):
-    """``(plant, assm)``; the example's third item only repeats ``assm``'s ramp."""
+    """``(plant, assm)``; the example's third item repeats ``assm``'s blending levels."""
     return build_planar_example(settings["zeta"], b_level=settings["b"],
                                 c_frac=settings["c"], r=settings["r"],
                                 tau=settings["tau"])[:2]

@@ -3,22 +3,19 @@
 The correction steers the observer with the output innovation; outside the
 absorbing sublevel set a damping term is subtracted along the Lyapunov
 gradient so that the observer state dissipates no slower than the plant
-would.  The damping is blended in smoothly between two Lyapunov levels so
-the correction stays continuous across the absorbing boundary.
+would.  The damping is blended in smoothly between the certificate's two
+Lyapunov levels so the correction stays continuous across the absorbing boundary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateGradientError, NonFiniteError
+from .errors import DegenerateGradientError, NonFiniteError
 from .kernels import loop_kernels
 from .model import AssumptionData, PlantModel, at_rows
 
 __all__ = [
-    "BlendingFn",
     "blend_p",
     "damping_term",
     "observer_correction",
@@ -26,19 +23,6 @@ __all__ = [
 ]
 
 _GRAD_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class BlendingFn:
-    """Piecewise-linear ramp: 0 below ``lo``, 1 above ``hi``, linear between;
-    ``build_planar_example`` returns its certificate's levels as one."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ConfigurationError("blending levels must satisfy lo < hi")
 
 
 def blend_p(level, assm: AssumptionData):
@@ -51,7 +35,7 @@ def blend_p(level, assm: AssumptionData):
 
 def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> np.ndarray:
     """Nonnegative damping coefficient for the observer correction at each
-    observer state, a row of the ``(B, n)`` stack ``z``.
+    observer state, a row of the ``(B, n)`` stack ``z`` (or of its rows as lists).
 
     Measures how much the innovation-driven observer would violate the
     dissipation certificate there, given per row the plant-copy drift
@@ -64,7 +48,7 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> np.nda
              + blend_p(level, assm) * np.vecdot(grad, innovation))
     if not (finite := np.isfinite(inner)).all():
         i = finite.argmin()
-        raise NonFiniteError(f"observer damping is {inner[i]} at z={z[i].tolist()}")
+        raise NonFiniteError(f"observer damping is {inner[i]} at z={list(map(float, z[i]))}")
     return np.maximum(inner, 0.0)
 
 
@@ -82,21 +66,19 @@ def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> np.nd
     sublevel set a row is the injection itself; outside, also at a NaN
     ``level``, the damping coefficient over the squared gradient norm
     (products by ``np.vecdot``) is subtracted along the Lyapunov gradient,
-    which is evaluated at those rows alone.  Raises ``NonFiniteError`` if
+    which is evaluated at those rows alone, made lists once.  Raises ``NonFiniteError`` if
     the damping is not finite, ``DegenerateGradientError`` if its direction is undefined.
     """
     corr = np.array(innovation, dtype=float)
     level = np.asarray(level, dtype=float)
     outside = ~(level <= assm.absorbing_level)
     if outside.any():
-        z = np.asarray(z, dtype=float)[outside]
+        z = np.asarray(z, dtype=float)[outside].tolist()
         grad = at_rows(assm.grad_lyapunov, z)
         grad_sq = np.vecdot(grad, grad)
         if (np.sqrt(grad_sq) < _GRAD_FLOOR).any():
-            raise DegenerateGradientError(
-                "Lyapunov gradient vanishes outside the absorbing set; "
-                "damping direction undefined"
-            )
+            raise DegenerateGradientError("Lyapunov gradient vanishes outside the absorbing set; "
+                                          "damping direction undefined")
         damping = damping_term(z, np.asarray(fz, dtype=float)[outside], grad, level[outside],
                                corr[outside], assm)
         corr[outside] -= (damping / grad_sq)[:, None] * grad

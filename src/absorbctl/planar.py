@@ -14,7 +14,6 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import AssumptionData, PlantModel
-from .observer import BlendingFn
 
 __all__ = ["build_planar_example", "check_zeta_bound"]
 
@@ -29,8 +28,8 @@ def check_zeta_bound(zeta: float) -> bool:
 
 def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
                          r: float = 0.0, tau: float = 0.0
-                         ) -> tuple[PlantModel, AssumptionData, BlendingFn]:
-    """Construct the planar plant with its full certificate.
+                         ) -> tuple[PlantModel, AssumptionData, tuple[float, float]]:
+    """Construct the planar plant, its full certificate and its ``(blend_lo, blend_hi)``.
 
     ``b_level`` is the upper blending level (must exceed the derived lower
     level), ``c_frac`` the retained fraction of the observer contraction
@@ -113,4 +112,4 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
         local_decay=local_decay,
         coercivity=coercivity,
     )
-    return plant, assm, BlendingFn(blend_lo, float(b_level))
+    return plant, assm, (assm.blend_lo, assm.blend_hi)

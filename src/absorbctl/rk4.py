@@ -17,30 +17,23 @@ from typing import Callable
 from .errors import CoverageError
 from .model import InputHistory, PlantModel
 
-__all__ = ["rk4_step", "rk4_steps", "integrate_span", "flow_on_history"]
+__all__ = ["rk4_steps", "integrate_span", "flow_on_history"]
 
 
-def rk4_step(rhs: Callable[[float, list[float]], list[float]],
-             t: float, y: list[float], dt: float) -> list[float]:
-    """One classic fourth-order step of a list of floats, entry by entry in
-    the order of ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``; ``rhs`` returns a list."""
-    half = 0.5 * dt
-    k1 = rhs(t, y)
-    k2 = rhs(t + half, [a + half * b for a, b in zip(y, k1)])
-    k3 = rhs(t + half, [a + half * b for a, b in zip(y, k2)])
-    k4 = rhs(t + dt, [a + dt * b for a, b in zip(y, k3)])
-    sixth = dt / 6.0
-    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
-
-
-def rk4_steps(rhs: Callable[[float, list[float]], list[float]], y: list[float], dt: float,
+def rk4_steps(rhs: Callable[[list[float]], list[float]], y: list[float], dt: float,
               n_sub: int) -> tuple[list[float], list]:
-    """``n_sub`` ``rk4_step`` substeps from ``y`` and the state after each: a span
-    once ``rhs`` is bound.  A span's right side ignores time; it is given 0.0."""
+    """``n_sub`` classic RK4 steps of a list of floats from ``y``, each entry by entry in
+    the order of ``y + (dt/6) (k1 + 2 k2 + 2 k3 + k4)``, and the state after each: a span
+    once ``rhs(y) -> list`` is bound.  A span's right side does not depend on time."""
+    half, sixth = 0.5 * dt, dt / 6.0
     nodes = []
     for _ in range(n_sub):
-        y = rk4_step(rhs, 0.0, y, dt)
+        k1 = rhs(y)
+        k2 = rhs([a + half * b for a, b in zip(y, k1)])
+        k3 = rhs([a + half * b for a, b in zip(y, k2)])
+        k4 = rhs([a + dt * b for a, b in zip(y, k3)])
+        y = [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+             for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         nodes.append(y)
     return y, nodes
 
@@ -70,8 +63,7 @@ def flow_on_history(plant: PlantModel, x0, hist: InputHistory, t_start: float,
     and no discontinuity is stepped across.
     """
     x = [float(v) for v in x0]
-    # the right side ignores t, so each piece is integrated over (0, length)
     for value, length in hist.iter_segments(t_start, t_end):
-        x = integrate_span(partial(rk4_steps, lambda _t, y, u=[*value]: plant.f(y, u)),
+        x = integrate_span(partial(rk4_steps, lambda y, u=[*value]: plant.f(y, u)),
                            0.0, length, x, substep)[0]
     return x

@@ -462,8 +462,12 @@ def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
 def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
                                 sample: SampleSpec) -> CheckReport:
     """Corrected-observer dissipation, damped as in the loop, above the upper
-    blending level, with the measured output free to roam an inflated output box."""
+    blending level, with the measured output free to roam an inflated output box;
+    a band that its levels leave empty, ``blend_hi >= UPPER_LEVEL``, is refused."""
     assm.check_dimensions(plant)
+    if assm.blend_hi >= UPPER_LEVEL:
+        raise ConfigurationError(f"corrected_dissipation: blend_hi={assm.blend_hi!r} leaves "
+                                 f"no band below the sampled upper level {UPPER_LEVEL!r}")
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
     w_box = _output_box(plant, z_box)
     return _run_sampled_check(

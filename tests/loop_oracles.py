@@ -7,7 +7,7 @@ The library runs the loop in code generated per plant dimension
 kept as written when the library replaced it:
 
 * the list forms: the coupled right side of ``(x, z, w)`` with its sums of
-  products from ``matvec``, stepped by ``rk4.rk4_step``, and the Euler
+  products from ``matvec``, stepped by ``rk4.rk4_steps``, and the Euler
   predictor's loop over the per-step piece lists of
   ``history_oracles.step_pieces``;
 * the per-point NumPy forms before them: RK4 stages and the Euler predictor
@@ -56,7 +56,7 @@ def matvec(rows, v) -> list[float]:
 
 
 def coupled_rhs(plant, assm, u_plant, u_obs):
-    """Right side ``(t, y) -> ydot`` of the stacked state ``y = (x, z, w)``,
+    """Right side ``y -> ydot`` of the stacked state ``y = (x, z, w)``,
     lists of floats, on a span with constant plant input ``u_plant`` and
     observer input ``u_obs``: the plant, the observer (plant copy plus
     correction driven by ``w``), and the inter-sample output state ``w``,
@@ -67,7 +67,7 @@ def coupled_rhs(plant, assm, u_plant, u_obs):
     n = plant.n
     f, jac_h = plant.f, plant.jac_h
 
-    def rhs(_t, y):
+    def rhs(y):
         z, w = y[n:2 * n], y[2 * n:]
         fz = f(z, u_obs)
         corr = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), w)])

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from absorbctl import ConfigurationError, cli
+from absorbctl import ConfigurationError, cli, verification
 from absorbctl.cli import DEFAULTS, TUNE_GRID, load_settings, main
 
 # sha256 of sweep.json and tune.json for the config_file settings (horizon 2.0);
@@ -96,6 +96,16 @@ class TestExitCodes:
         # zeta = 0.02 violates the observer gain bound at model build time
         assert run_cli("verify", "--config", config_file,
                        "--set", "zeta=0.02", "--out", tmp_path) == 2
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_empty_dissipation_band(self, config_file, tmp_path, capsys, monkeypatch, cores):
+        # b = 150 puts blend_hi above the sampled upper level V = 100: verify exited 0
+        # with corrected_dissipation vacuous; at 2 cores that check is dealt to a child
+        monkeypatch.setattr(verification, "_usable_cores", lambda: cores)
+        assert run_cli("verify", "--config", config_file, "--set", "b=150",
+                       "--out", tmp_path) == 2
+        assert "corrected_dissipation: blend_hi=150.0 leaves no band" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config_file]
 
     def test_invalid_run_parameter(self, config_file, tmp_path):
         assert run_cli("simulate", "--config", config_file,

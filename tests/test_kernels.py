@@ -16,7 +16,7 @@ import pytest
 from absorbctl import PlantModel, build_planar_example, euler_predict
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import observer_correction, output_injection
-from absorbctl.rk4 import rk4_step, rk4_steps
+from absorbctl.rk4 import rk4_steps
 from history_oracles import input_record
 from loop_oracles import coupled_rhs, euler_predict_list, matvec
 
@@ -46,7 +46,7 @@ def test_plants_of_one_shape_share_code_and_keep_their_own_results():
         rhs = coupled_rhs(plant, assm, [0.1], [-0.2])
         for y in STATES:
             got, _nodes = span(y, 0.01, 1)
-            assert np.array(got).tobytes() == np.array(rk4_step(rhs, 0.0, y, 0.01)).tobytes()
+            assert np.array(got).tobytes() == np.array(rk4_steps(rhs, y, 0.01, 1)[0]).tobytes()
             results.append(got)
         got = euler_predict([0.4, -0.3], hist, 7, plant)
         assert got == euler_predict_list([0.4, -0.3], hist, 7, plant)

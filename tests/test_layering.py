@@ -19,7 +19,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "absorbctl"
 MAX_SETTABLE = 16
 # lines of the package's modules, as `cat src/absorbctl/*.py | wc -l` counts
 # them; a change that grows the package raises this cap and says why
-MAX_SOURCE_LINES = 2399
+MAX_SOURCE_LINES = 2374
 
 
 def absorbctl_imports(source: str) -> set[str]:
@@ -52,8 +52,8 @@ def test_reader_sees_every_import_form():
     assert absorbctl_imports(source) == {"model", "rk4", "errors", "halton", "observer"}
 
 
-def test_planar_example_rests_on_the_model_and_observer_only():
-    assert package_imports("planar") == {"errors", "model", "observer"}
+def test_planar_example_rests_on_errors_and_model_only():
+    assert package_imports("planar") == {"errors", "model"}
 
 
 def test_generated_kernels_rest_on_no_loop_module():

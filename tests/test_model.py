@@ -252,6 +252,7 @@ class TestFiniteSettings:
 
     @pytest.mark.parametrize("field, value, message", [
         ("absorbing_level", -INF, "levels"), ("blend_hi", INF, "levels"),
+        ("blend_hi", 1.0, "levels"),  # equal to blend_lo: the ramp needs lo < hi
         ("contraction_rate", NAN, "rates"), ("local_decay", INF, "rates"),
         ("coercivity", NAN, "rates"),
     ])

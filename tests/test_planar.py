@@ -75,7 +75,7 @@ class TestGainBound:
 
 class TestConstruction:
     def test_derived_constants(self, planar):
-        plant, assm, fn = planar
+        plant, assm, levels = planar
         assert plant.input_box[0, 1] == pytest.approx(50.0 * 0.01 * np.sqrt(2.0), rel=1e-15)
         assert assm.absorbing_level == 1.0
         assert assm.blend_lo == 1.0  # max(1, 0.0589, 0.4703) at zeta = 0.01
@@ -87,7 +87,7 @@ class TestConstruction:
         # rate it certifies
         assert assm.coercivity == pytest.approx(0.49979339128732236, rel=1e-12)
         assert assm.local_decay == pytest.approx(0.01 * assm.coercivity, rel=1e-15)
-        assert (fn.lo, fn.hi) == (assm.blend_lo, assm.blend_hi)
+        assert levels == (assm.blend_lo, assm.blend_hi)
 
     def test_vector_field_values(self, planar):
         plant, _assm, _fn = planar

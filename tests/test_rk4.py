@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from absorbctl import CoverageError, PlantModel, build_planar_example
 from absorbctl.kernels import loop_kernels
 from absorbctl.observer import observer_correction
-from absorbctl.rk4 import flow_on_history, integrate_span, rk4_step, rk4_steps
+from absorbctl.rk4 import flow_on_history, integrate_span, rk4_steps
 from history_oracles import input_record
 from loop_oracles import coupled_rhs, coupled_rhs_numpy, rk4_step_numpy
 
 
-def decay_rhs(_t, y):
+def decay_rhs(y):
     return [-v for v in y]
 
 
@@ -24,7 +24,7 @@ decay = partial(rk4_steps, decay_rhs)  # the span integrate_span takes
 def test_single_step_matches_taylor_polynomial():
     # for ydot = a*y one RK4 step is exactly the degree-4 Taylor polynomial
     a, h, y0 = -1.3, 0.01, 2.0
-    got = rk4_step(lambda t, y: [a * y[0]], 0.0, [y0], h)[0]
+    got = rk4_steps(lambda y: [a * y[0]], [y0], h, 1)[0][0]
     ah = a * h
     poly = y0 * (1.0 + ah + ah ** 2 / 2.0 + ah ** 3 / 6.0 + ah ** 4 / 24.0)
     assert got == pytest.approx(poly, rel=1e-15)

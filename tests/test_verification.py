@@ -301,6 +301,24 @@ class TestSampledChecks:
         with pytest.raises(ConfigurationError):
             check_local_controller(plant, assm, SampleSpec(n_points=0, seed=0))
 
+    @pytest.mark.parametrize("blend_hi", [V.UPPER_LEVEL, 150.0])
+    def test_a_dissipation_band_empty_by_its_levels_is_refused(self, planar, monkeypatch,
+                                                               blend_hi):
+        # blend_hi <= V(z) <= UPPER_LEVEL admits no point: the check drew 500,000
+        # candidates and passed as vacuous; it is refused before a draw
+        plant, assm = planar
+        monkeypatch.setattr(V, "Halton", None)
+        with pytest.raises(ConfigurationError,
+                           match=rf"^corrected_dissipation: blend_hi={blend_hi!r} leaves no band"):
+            check_corrected_dissipation(plant, dataclasses.replace(assm, blend_hi=blend_hi),
+                                        SampleSpec(seed=0))
+
+    def test_a_dissipation_band_below_the_upper_level_is_sampled(self, planar):
+        plant, assm = planar
+        rep = check_corrected_dissipation(plant, dataclasses.replace(assm, blend_hi=99.0),
+                                          SampleSpec(seed=0))
+        assert (rep.points_tested, rep.vacuous, rep.passed) == (3949, False, True)
+
     @pytest.mark.parametrize("check", list(CHECKS.values()), ids=list(CHECKS))
     def test_gain_must_fit_the_plant(self, planar, check):
         # planar k_out = 1: a second gain column has no output to multiply
