@@ -12,14 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateGradientError, NonFiniteError
-from .kernels import loop_kernels
-from .model import AssumptionData, PlantModel, at_rows
+from .model import AssumptionData, at_rows
 
 __all__ = [
     "blend_p",
     "damping_term",
     "observer_correction",
-    "output_injection",
 ]
 
 _GRAD_FLOOR = 1e-12
@@ -50,12 +48,6 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> np.nda
         i = finite.argmin()
         raise NonFiniteError(f"observer damping is {inner[i]} at z={list(map(float, z[i]))}")
     return np.maximum(inner, 0.0)
-
-
-def output_injection(z, y, plant: PlantModel, assm: AssumptionData) -> list[float]:
-    """The output injection ``L (h(z) - y)`` as a list: each entry the sum
-    ``0.0 + L_i1 d_1 + L_i2 d_2 + ...`` of ``d = h(z) - y``, left to right."""
-    return loop_kernels(plant.n, plant.k_out).injection(assm.gain_rows, plant.h(z), y)
 
 
 def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> np.ndarray:

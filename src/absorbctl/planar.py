@@ -89,11 +89,6 @@ def build_planar_example(zeta: float, b_level: float = 1.5, c_frac: float = 0.5,
 
     blend_lo = max(1.0, (10008.0 / 17.0) * zeta ** 2,
                    1251.0 * zeta ** 2 + 221.0 / 640.0)
-    if b_level <= blend_lo:
-        raise ConfigurationError(
-            f"upper blending level {b_level!r} must exceed the derived "
-            f"lower level {blend_lo!r}"
-        )
 
     assm = AssumptionData(
         lyapunov=lyapunov,

@@ -17,11 +17,12 @@ that of a scan point by point, for callables that are pure.
 
 ``_run_checks`` runs a list of checks as ``verify`` does, dealt round-robin to
 ``k`` processes, one per usable core: forked child ``i`` runs ``checks[i::k]``
-ahead, sending back the report of each scan.  Every check is still called here
+ahead, sending back the report each returns.  Every check is still called here
 in list order, so it raises what one process raises and a wrapper here sees its
-call; a dealt-out check takes its child's report, or scans here once that child
-has failed.  One process runs alone where ``os.fork`` is missing, on one usable
-core or while another thread is alive.  A ``check_*`` called by itself runs here.
+call; a dealt-out check is handed its child's report in place of the sample,
+which its scan returns without drawing, or scans here once that child has
+failed.  One process runs alone where ``os.fork`` is missing, on one usable core
+or while another thread is alive.  A ``check_*`` called by itself runs here.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ import numpy as np
 
 from .errors import ConfigurationError, NonFiniteError
 from .halton import Halton
+from .kernels import loop_kernels
 from .model import AssumptionData, PlantModel, at_rows, check_count, clamp_input
-from .observer import observer_correction, output_injection
+from .observer import observer_correction
 
 __all__ = [
     "SampleSpec",
@@ -68,7 +70,6 @@ _MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 _OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
 _OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
-_sink = _source = None  # _run_checks' report pipe: written in a child, read while waiting
 
 
 @dataclass(frozen=True)
@@ -184,14 +185,20 @@ def _output_box(plant: PlantModel, state_box: np.ndarray) -> np.ndarray:
 
 # --- margins: negative means the certified inequality holds at the point ---
 # each takes (B, d) stacks, one point per row, turned into lists once for all its ``at_rows``
-# calls, and gives (B,) margins; L (h(z) - y) is the loop's ``output_injection``, called per row
+# calls, and gives (B,) margins; the observer's take its drift from ``_drift``
 
 def _rows(*stacks) -> list[list]:
     return [np.asarray(s, dtype=float).tolist() for s in stacks]
 
 
-def _injection(plant: PlantModel, assm: AssumptionData, z, y) -> np.ndarray:
-    return at_rows(lambda zi, yi: output_injection(zi, yi, plant, assm), z, y)
+def _drift(plant: PlantModel, assm: AssumptionData, zr, y, ur, corrected: bool) -> np.ndarray:
+    """The observer drift ``f(z, u) + L (h(z) - y)`` at each row, by the loop's generated
+    ``injection``; the loop's ``observer_correction`` replaces the injection if ``corrected``."""
+    fz, inject = at_rows(plant.f, zr, ur), loop_kernels(plant.n, plant.k_out).injection
+    corr = at_rows(lambda zi, yi: inject(assm.gain_rows, plant.h(zi), yi), zr, y)
+    if corrected:
+        corr = observer_correction(zr, corr, at_rows(assm.lyapunov, zr), fz, assm)
+    return np.add(fz, corr)
 
 
 def absorbing_dissipation_margin(plant: PlantModel, assm: AssumptionData, x, u) -> np.ndarray:
@@ -213,28 +220,26 @@ def local_controller_margin(plant: PlantModel, assm: AssumptionData, x) -> np.nd
     return np.maximum(coercive, decay)  # decay on a tie, as max(decay, coercive) was
 
 
-def _metric_gap(assm: AssumptionData, z, x, drift, fx):
-    """The errors ``d = z - x`` and ``d . M (drift - fx)``, the metric rate of the
-    error under the observer drift ``drift`` at ``z`` and the plant's ``fx = f(x, u)``."""
-    d = np.subtract(z, x)
-    return d, np.vecdot(d, np.matvec(assm.error_metric, np.subtract(drift, fx)))
+def _contraction(plant: PlantModel, assm: AssumptionData, z, x, u, corrected: bool):
+    """The rows of ``z``, the drift there given the output of ``x``, the error ``d = z - x``
+    and its metric rate ``d . M (drift - f(x, u))``, the contraction margins' common form."""
+    zr, xr, ur = _rows(z, x, u)
+    drift, d = _drift(plant, assm, zr, at_rows(plant.h, xr), ur, corrected), np.subtract(z, x)
+    return zr, drift, d, np.vecdot(d, np.matvec(assm.error_metric,
+                                                 drift - at_rows(plant.f, xr, ur)))
 
 
 def observer_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction of the plain output-injection error dynamics."""
-    zr, xr, ur = _rows(z, x, u)
-    drift = np.add(at_rows(plant.f, zr, ur), _injection(plant, assm, zr, at_rows(plant.h, xr)))
-    d, gap = _metric_gap(assm, z, x, drift, at_rows(plant.f, xr, ur))
-    return gap + assm.contraction_rate * np.vecdot(d, d)
+    _, _, d, rate = _contraction(plant, assm, z, x, u, False)
+    return rate + assm.contraction_rate * np.vecdot(d, d)
 
 
 def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Conditional growth bound for the blending band; only meaningful where
     the Lyapunov gradient at z opposes the metric error direction."""
-    zr, xr, ur = _rows(z, x, u)
+    zr, drift, d, numer = _contraction(plant, assm, z, x, u, False)
     grad = at_rows(assm.grad_lyapunov, zr)
-    drift = np.add(at_rows(plant.f, zr, ur), _injection(plant, assm, zr, at_rows(plant.h, xr)))
-    d, numer = _metric_gap(assm, z, x, drift, at_rows(plant.f, xr, ur))
     denom = np.vecdot(grad, np.matvec(assm.error_metric, d))
     ratio_term = (1.0 - assm.contraction_frac) * np.vecdot(grad, grad) * numer / denom
     return np.vecdot(grad, drift) + at_rows(assm.dissipation, zr) - ratio_term
@@ -243,22 +248,15 @@ def growth_bound_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.
 def corrected_contraction_margin(plant: PlantModel, assm: AssumptionData, z, x, u) -> np.ndarray:
     """Metric contraction, at ``contraction_frac`` of the certified rate, of
     the corrected observer against the true state, whose output it samples."""
-    zr, xr, ur = _rows(z, x, u)
-    fz = at_rows(plant.f, zr, ur)
-    corr = observer_correction(z, _injection(plant, assm, zr, at_rows(plant.h, xr)),
-                               at_rows(assm.lyapunov, zr), fz, assm)
-    d, gap = _metric_gap(assm, z, x, np.add(fz, corr), at_rows(plant.f, xr, ur))
-    return gap + assm.contraction_frac * assm.contraction_rate * np.vecdot(d, d)
+    _, _, d, rate = _contraction(plant, assm, z, x, u, True)
+    return rate + assm.contraction_frac * assm.contraction_rate * np.vecdot(d, d)
 
 
 def corrected_dissipation_margin(plant: PlantModel, assm: AssumptionData, z, w, u) -> np.ndarray:
     """Lyapunov drift of the corrected observer given an arbitrary measured
     output ``w``: the injection ``L (h(z) - w)``, damped outside the absorbing set."""
     zr, wr, ur = _rows(z, w, u)
-    fz = at_rows(plant.f, zr, ur)
-    corr = observer_correction(z, _injection(plant, assm, zr, wr), at_rows(assm.lyapunov, zr),
-                               fz, assm)
-    return (np.vecdot(at_rows(assm.grad_lyapunov, zr), np.add(fz, corr))
+    return (np.vecdot(at_rows(assm.grad_lyapunov, zr), _drift(plant, assm, zr, wr, ur, True))
             + at_rows(assm.dissipation, zr))
 
 
@@ -290,14 +288,13 @@ def _margins(name: str, margin_fn, stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
-                       sample: SampleSpec) -> CheckReport:
+                       sample: SampleSpec | CheckReport) -> CheckReport:
     """Draw the sample to its ``n_points``-th admitted point and report the draw's counts
     and the worst margin over the admitted points with its first point in draw order.
     ``accept`` masks Halton batches given as one ``(d_i, B)`` column block per box;
     ``margin_fn`` scores a batch's admitted points given as one ``(B, d_i)`` stack per box."""
-    if _source is not None:  # a child has made this scan, unless it failed first
-        with contextlib.suppress(EOFError, pickle.UnpicklingError):
-            return pickle.load(_source)
+    if isinstance(sample, CheckReport):  # this scan's report, made elsewhere: no draw
+        return sample
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
@@ -320,22 +317,18 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
             values = _margins(name, margin_fn, stacks)
             if values[i := values.argmax()] > worst:
                 worst, worst_pt = float(values[i]), tuple(s[i].tolist() for s in stacks)
-    report = CheckReport(name=name, points_tested=tested, skipped=skipped,
-                         worst_margin=None if worst_pt is None else worst,
-                         worst_point=worst_pt, seed=sample.seed)
-    if _sink is not None:
-        pickle.dump(report, _sink)
-        _sink.flush()
-    return report
+    return CheckReport(name=name, points_tested=tested, skipped=skipped,
+                       worst_margin=None if worst_pt is None else worst,
+                       worst_point=worst_pt, seed=sample.seed)
 
 
 def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionData,
                 sample: SampleSpec) -> list[CheckReport]:
-    """``[check(plant, assm, sample) for check in checks]``, the scans of ``checks[i::k]``
-    made ahead in forked child ``i`` for each ``i`` from 1, ``k`` the usable cores (user
-    callables need not pickle).  A check dealt to a child takes its reports in order, so a
-    check must make the same scans in each process."""
-    global _sink, _source
+    """``[check(plant, assm, sample) for check in checks]``, with ``checks[i::k]`` run ahead
+    in forked child ``i`` for each ``i`` from 1, ``k`` the usable cores (user callables need
+    not pickle).  A child sends back the report each of its checks returns, and the check is
+    called here with that report in place of the sample, or with the sample once that child
+    has failed; so each check must hand its sample to one scan, which returns such a report."""
     forkable = hasattr(os, "fork") and threading.active_count() == 1  # forking threads is unsafe
     k = min(_usable_cores(), len(checks)) if forkable else 1
     pids, sources = [], [None] * len(checks)  # per check: the pipe of the child dealt it
@@ -350,9 +343,10 @@ def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionD
                         devnull = os.open(os.devnull, os.O_WRONLY)
                         os.dup2(devnull, 1)
                         os.dup2(devnull, 2)
-                        _sink = open(write_fd, "wb")
+                        sink = open(write_fd, "wb")
                         for check in checks[i::k]:
-                            check(plant, assm, sample)
+                            pickle.dump(check(plant, assm, sample), sink)
+                            sink.flush()
                     finally:
                         os._exit(0)
             finally:
@@ -360,11 +354,13 @@ def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionD
             pids.append(pid)
         reports = []
         for check, source in zip(checks, sources):
-            _source = source
-            reports.append(check(plant, assm, sample))
+            dealt = sample
+            if source is not None:  # its child has run the check, unless it failed first
+                with contextlib.suppress(EOFError, pickle.UnpicklingError):
+                    dealt = pickle.load(source)
+            reports.append(check(plant, assm, dealt))
         return reports
     finally:  # no child outlives the call
-        _source = None
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)

@@ -107,6 +107,17 @@ class TestExitCodes:
         assert "corrected_dissipation: blend_hi=150.0 leaves no band" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [config_file]
 
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    def test_upper_blending_level_not_above_the_lower(self, config_file, tmp_path, capsys,
+                                                      command):
+        # b = 1 equals the derived blend_lo at zeta = 0.01; the certificate refuses it
+        assert run_cli(command, "--config", config_file, "--set", "b=1",
+                       "--out", tmp_path) == 2
+        assert capsys.readouterr().err == (
+            "absorbctl: configuration error: levels must be finite and satisfy "
+            "absorbing_level <= blend_lo < blend_hi\n")
+        assert list(tmp_path.iterdir()) == [config_file]
+
     def test_invalid_run_parameter(self, config_file, tmp_path):
         assert run_cli("simulate", "--config", config_file,
                        "--set", "N=-1", "--out", tmp_path) == 2

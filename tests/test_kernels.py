@@ -15,7 +15,7 @@ import pytest
 
 from absorbctl import PlantModel, build_planar_example, euler_predict
 from absorbctl.kernels import loop_kernels
-from absorbctl.observer import observer_correction, output_injection
+from absorbctl.observer import observer_correction
 from absorbctl.rk4 import rk4_steps
 from history_oracles import input_record
 from loop_oracles import coupled_rhs, euler_predict_list, matvec
@@ -53,7 +53,7 @@ def test_plants_of_one_shape_share_code_and_keep_their_own_results():
         results.append(got)
         for z, y in ((STATES[0][2:4], [0.3]), (STATES[1][2:4], [-1.1])):
             want = matvec(assm.gain_rows, [a - b for a, b in zip(plant.h(z), y)])
-            assert output_injection(z, y, plant, assm) == want
+            assert loop_kernels(2, 1).injection(assm.gain_rows, plant.h(z), y) == want
         spans.append(span)
     assert spans[0].__code__ is spans[1].__code__
     assert loop_kernels(2, 1) is loop_kernels(2, 1)

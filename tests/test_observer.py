@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from absorbctl import (AssumptionData, DegenerateGradientError, NonFiniteError, PlantModel,
                        blend_p, build_planar_example, damping_term, observer_correction)
 from absorbctl.kernels import loop_kernels
-from absorbctl.observer import output_injection
 from absorbctl.rk4 import rk4_steps
 from absorbctl.verification import corrected_dissipation_margin
 from loop_oracles import coupled_rhs, listwise
@@ -128,11 +127,16 @@ def damping_at(z, y, u, plant, assm):
     return phi
 
 
+def injection(z, y, plant, assm):
+    """The output injection ``L (h(z) - y)`` as the loop's generated kernel gives it."""
+    return loop_kernels(plant.n, plant.k_out).injection(assm.gain_rows, plant.h(z), y)
+
+
 def correction_at(z, y, u, plant, assm):
     """observer_correction at (z, y) with the plant-copy drift f(z, u), given
     the injection and V(z) its caller passes it, on a stack of one, as a list."""
     z, y, u = (np.asarray(v, dtype=float) for v in (z, y, u))
-    return observer_correction([z], [output_injection(z, y, plant, assm)], [assm.lyapunov(z)],
+    return observer_correction([z], [injection(z, y, plant, assm)], [assm.lyapunov(z)],
                                [plant.f(z, u)], assm)[0].tolist()
 
 
@@ -235,7 +239,7 @@ class TestObserverCorrection:
             object.__setattr__(owner, name, counted(name, getattr(owner, name)))
         z = np.array([0.0, 2.0])
         fz, level = plant.f(z, np.array([0.0])), assm.lyapunov(z)
-        innovation = output_injection(z, [10.0], plant, assm)
+        innovation = injection(z, [10.0], plant, assm)
         calls.clear()
         corr = observer_correction([z], [innovation], [level], [fz], assm)[0].tolist()
         assert calls == []
@@ -249,7 +253,7 @@ class TestObserverCorrection:
         # injection [0.198, 9.9], so it is refused instead
         plant, assm = planar
         z = [0.1, 1.8]
-        innovation, fz = output_injection(z, [10.0], plant, assm), plant.f(z, [0.0])
+        innovation, fz = injection(z, [10.0], plant, assm), plant.f(z, [0.0])
         assert observer_correction([z], [innovation], [1.625], [fz], assm)[0, 1] < 6.0
         level = math.nan if bad == "level" else 1.625
         if bad == "dissipation":
@@ -290,7 +294,7 @@ class TestRhs:
         assert all(type(v) is float for v in out)
         assert out[:2] == plant.f(x, u_plant)
         fz = plant.f(z, u_obs)
-        corr = observer_correction([z], [output_injection(z, w, plant, assm)],
+        corr = observer_correction([z], [injection(z, w, plant, assm)],
                                    [assm.lyapunov(z)], [fz], assm)[0].tolist()
         assert out[2:4] == [a + b for a, b in zip(fz, corr)]
         assert corr == correction_at(z, w, u_obs, plant, assm)

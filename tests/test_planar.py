@@ -105,7 +105,7 @@ class TestConstruction:
         assert assm.blend_lo == pytest.approx(50.385312500000005, rel=1e-13)
 
     def test_level_ordering_enforced(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="levels must"):
             build_planar_example(0.01, b_level=0.9)
 
     def test_zeta_must_be_positive(self):

@@ -641,10 +641,10 @@ class TestNonFiniteMargin:
 
 class TestRunChecks:
     """``_run_checks`` deals its list of whole checks round-robin to ``k`` processes,
-    makes the scans of ``checks[i::k]`` ahead in forked child ``i`` for each ``i`` from 1,
-    calls every check here in list order, and gives the reports of the checks called one
-    by one, or the exception of the first check that fails, and leaves no child behind.
-    ``k`` is forced through the module's count of usable cores."""
+    runs ``checks[i::k]`` ahead in forked child ``i`` for each ``i`` from 1, calls every
+    check here in list order, and gives the reports of the checks called one by one, or
+    the exception of the first check that fails, and leaves no child behind.  ``k`` is
+    forced through the module's count of usable cores."""
 
     # Halton dimensions of the scans of CHECKS, in order: states, inputs and outputs drawn
     DIMS = [3, 2, 5, 5, 5, 4]
@@ -751,8 +751,8 @@ class TestRunChecks:
         assert calls.pop(os.getpid()) == list(range(len(CHECKS)))
         assert calls == {pid: list(range(i, len(CHECKS), k)) for i, pid in enumerate(forks, 1)}
 
-    def test_a_child_that_dies_after_a_scan_leaves_the_rest_here(self, planar, monkeypatch,
-                                                                 forks, scans_here):
+    def test_a_child_that_dies_before_its_check_returns_leaves_that_check_here(
+            self, planar, monkeypatch, forks, scans_here):
         parent = os.getpid()
 
         def killed_after_its_scan(plant, assm, sample):
@@ -765,8 +765,9 @@ class TestRunChecks:
         want = [check(*planar, SPEC).to_dict() for check in checks]
         scans_here.clear()
         assert self.run(monkeypatch, 2, checks, *planar, SPEC) == want
-        # the child's scan of the local controller is taken, the last check scanned here
-        assert scans_here == [5, 4]
+        # a child sends the report its check returns, so the local controller,
+        # scanned in the child that was killed before sending it, is scanned here too
+        assert scans_here == [5, 2, 4]
         assert len(forks) == 1
 
     @pytest.mark.parametrize("k", range(1, 7))
@@ -810,7 +811,7 @@ class TestRunChecks:
     def test_a_side_condition_error_in_a_childs_block_is_the_one_process_error(
             self, planar, monkeypatch, forks):
         # every candidate is admitted and the side condition refuses the third
-        # batch's first point; a scan its failed child did not send is made here
+        # batch's first point; a check its failed child did not report is scanned here
         box = [np.array([[-1.0, 1.0]])]
         third = -1.0 + 2.0 * V.Halton(1, 0).random(3 * V._BATCH)[2 * V._BATCH, 0]
 
@@ -923,7 +924,7 @@ class TestSideConditionErrorOrder:
     """A side condition that raises on the second batch loses to a margin error
     earlier in draw order, and follows a clean scan of the first batch, at every
     process count: a check draws and scans in draw order wherever it runs, and a
-    scan a failed child did not send is made here."""
+    check a failed child did not report is scanned here."""
 
     BOX = [np.array([[-1.0, 1.0]])]
     # the second batch's first point, which the side condition refuses
