@@ -3,8 +3,9 @@ same float64 bits as ``scipy.stats.qmc.Halton(d, seed=seed)``.
 
 Coordinate ``c`` of point ``i`` uses the ``c``-th prime ``b`` and ``K =
 ceil(54 / log2 b) - 1`` digit permutations, drawn from one
-``numpy.random.default_rng(seed)`` by shuffling ``arange(b)`` ``K`` times per
-base, in base order.  Its value is a fold over the base-``b`` digits
+``stream.Stream(seed)`` by shuffling ``range(b)`` ``K`` times per base, in
+base order: the permutations scipy draws from ``numpy.random.default_rng(seed)``.
+Its value is a fold over the base-``b`` digits
 ``d_j`` of ``i``, least significant first::
 
     acc = 0.0
@@ -27,6 +28,8 @@ import math
 
 import numpy as np
 
+from .stream import Stream
+
 _MIN_TABLE = 4096  # fewest low-part sums kept per base
 
 
@@ -43,17 +46,17 @@ def _first_primes(d: int) -> list[int]:
 class _Coordinate:
     """One coordinate: its scaled digit terms and the table of low-part sums."""
 
-    def __init__(self, base: int, rng: np.random.Generator):
+    def __init__(self, base: int, stream: Stream):
         count = math.ceil(54 / math.log2(base)) - 1
-        perms = np.repeat(np.arange(base)[None], count, axis=0)
+        perms = [list(range(base)) for _ in range(count)]
         for perm in perms:
-            rng.shuffle(perm)
+            stream.shuffle(perm)
         weights = [1.0 / base]
         for _ in range(count - 1):
             weights.append(weights[-1] / base)
         self.base = base
         # terms[j, digit] is float(perm[j, digit]) * w_j, the fold's product
-        self.terms = perms * np.array(weights)[:, None]
+        self.terms = np.array(perms) * np.array(weights)[:, None]
         # table[low] is the fold's sum after its first low_digits steps;
         # digit j of low is low // base**j % base, so step j puts its term outermost
         self.table = np.zeros(1)
@@ -80,8 +83,8 @@ class Halton:
     """Scrambled Halton points in ``[0, 1)**d``, drawn in sequence by ``random``."""
 
     def __init__(self, d: int, seed: int):
-        rng = np.random.default_rng(seed)
-        self._coordinates = [_Coordinate(b, rng) for b in _first_primes(d)]
+        stream = Stream(seed)
+        self._coordinates = [_Coordinate(b, stream) for b in _first_primes(d)]
         self._drawn = 0
 
     def random(self, n: int) -> np.ndarray:

@@ -23,6 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ConfigurationError, CoverageError, NonFiniteError
+from .stream import Stream
 
 __all__ = [
     "PlantModel",
@@ -137,8 +138,8 @@ def _probe(name: str, fn: Callable, shape: tuple | None, *args: list):
 
 
 def _validation_probes(dim: int) -> list[np.ndarray]:
-    rng = np.random.default_rng(12345)
-    return [np.zeros(dim), *(rng.uniform(-0.5, 0.5, size=dim) for _ in range(3))]
+    stream = Stream(12345)
+    return [np.zeros(dim), *(stream.uniform(-0.5, 0.5, dim) for _ in range(3))]
 
 
 @dataclass(frozen=True)

@@ -52,20 +52,20 @@ def damping_term(z, fz, grad, level, innovation, assm: AssumptionData) -> np.nda
 
 def observer_correction(z, innovation, level, fz, assm: AssumptionData) -> np.ndarray:
     """Correction added to the observer drift at each observer state, a row
-    of the ``(B, n)`` stack ``z``, as a ``(B, n)`` array, from what its caller
-    holds per row: the output injection ``innovation`` = L (h(z) - y), ``level``
-    = V(z) and the plant copy's drift ``fz`` = f(z, u).  Inside the absorbing
-    sublevel set a row is the injection itself; outside, also at a NaN
+    of the list ``z`` of rows (lists of floats), as a ``(B, n)`` array, from what
+    its caller holds per row: the output injection ``innovation`` = L (h(z) - y),
+    ``level`` = V(z) and the plant copy's drift ``fz`` = f(z, u).  Inside the
+    absorbing sublevel set a row is the injection itself; outside, also at a NaN
     ``level``, the damping coefficient over the squared gradient norm
     (products by ``np.vecdot``) is subtracted along the Lyapunov gradient,
-    which is evaluated at those rows alone, made lists once.  Raises ``NonFiniteError`` if
+    which is evaluated at those rows alone.  Raises ``NonFiniteError`` if
     the damping is not finite, ``DegenerateGradientError`` if its direction is undefined.
     """
     corr = np.array(innovation, dtype=float)
     level = np.asarray(level, dtype=float)
     outside = ~(level <= assm.absorbing_level)
     if outside.any():
-        z = np.asarray(z, dtype=float)[outside].tolist()
+        z = [row for row, out in zip(z, outside) if out]
         grad = at_rows(assm.grad_lyapunov, z)
         grad_sq = np.vecdot(grad, grad)
         if (np.sqrt(grad_sq) < _GRAD_FLOOR).any():

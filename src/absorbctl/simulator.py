@@ -26,6 +26,7 @@ from .model import (MAX_STEPS, AssumptionData, InputHistory, PlantModel, Samplin
                     SimConfig, StateHistory, Trajectory, check_count)
 from .observer import observer_correction
 from .rk4 import integrate_span
+from .stream import Stream
 
 __all__ = [
     "InitialData",
@@ -148,11 +149,11 @@ def generate_partition(T_s: float, horizon: float, seed: int,
         return SamplingPartition(times, T_s)
     # chunks sized from the mean gap, summed on from the last time: consecutive
     # draws continue one stream (the per-gap loop's bits); memory follows the samples
-    rng = np.random.default_rng(seed)
+    stream = Stream(seed)
     mean_gap = 0.5 * (1.0 + min_frac) * T_s
     chunks = [[0.0]]
     while (t_last := chunks[-1][-1]) < horizon:
-        gaps = rng.uniform(min_frac * T_s, T_s, size=math.ceil((horizon - t_last) / mean_gap) + 16)
+        gaps = stream.uniform(min_frac * T_s, T_s, math.ceil((horizon - t_last) / mean_gap) + 16)
         chunks.append(np.add.accumulate(np.concatenate(([t_last], gaps)))[1:])
     times = np.concatenate(chunks)
     return SamplingPartition(times[:np.searchsorted(times, horizon) + 1], T_s)

@@ -99,7 +99,7 @@ class CheckReport:
     points_tested: int
     skipped: int
     worst_margin: float | None
-    worst_point: tuple | None
+    worst_point: tuple[list[float], ...] | None  # one row per box, as drawn
     seed: int
 
     @property
@@ -111,9 +111,7 @@ class CheckReport:
         return self.points_tested == 0
 
     def to_dict(self) -> dict:
-        worst_point = None
-        if self.worst_point is not None:
-            worst_point = [np.asarray(p, float).tolist() for p in self.worst_point]
+        worst_point = None if self.worst_point is None else [list(p) for p in self.worst_point]
         return {
             "name": self.name,
             "points_tested": self.points_tested,

@@ -266,23 +266,26 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # the sampled checks draw their points with absorbctl.halton, so no
-    # command, not even verify, needs scipy at run time
-    code = ("import sys, absorbctl.cli\n"
-            "from absorbctl import SampleSpec, verification as V\n"
-            "from absorbctl.planar import build_planar_example\n"
-            "plant, assm, _ = build_planar_example(0.01, r=0.25, tau=0.25)\n"
-            "for check in (V.check_absorbing_dissipation, V.check_local_controller,\n"
-            "              V.check_observer_contraction, V.check_growth_bound,\n"
-            "              V.check_corrected_contraction, V.check_corrected_dissipation):\n"
-            "    assert check(plant, assm, SampleSpec(300, 0)).passed\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+COMMANDS = [["simulate", "--set", "horizon=1"], ["verify"], ["predictor-study"]]
+
+
+def test_import_leaves_scipy_stats_unloaded(config_file, tmp_path):
+    # the sampled checks draw their points with absorbctl.halton and every seed
+    # becomes bits in absorbctl.stream, so no command, not even verify, loads
+    # scipy or numpy.random
+    code = ("import sys\nfrom absorbctl.cli import main\n"
+            f"for argv in {COMMANDS!r}:\n"
+            f"    assert main([*argv, '--config', {str(config_file)!r}, '--out', "
+            f"{str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
                           capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
+    names = {out.name for out in tmp_path.iterdir()}
+    assert {"trajectory.csv", "verification.json", "predictor_study.csv"} <= names
 
 
 class TestSimulate:
