@@ -20,9 +20,11 @@ that of a scan point by point, for callables that are pure.
 ahead, sending back the report each returns.  Every check is still called here
 in list order, so it raises what one process raises and a wrapper here sees its
 call; a dealt-out check is handed its child's report in place of the sample,
-which its scan returns without drawing, or scans here once that child has
-failed.  One process runs alone where ``os.fork`` is missing, on one usable core
-or while another thread is alive.  A ``check_*`` called by itself runs here.
+which its table entry, a ``_SampledCheck``, returns before it builds a box, or
+scans here once that child has failed.  One process runs alone where
+``os.fork`` is missing, on one usable core or while another thread is alive; a
+refused pipe or fork leaves the checks not yet dealt to run here.  A
+``check_*`` called by itself runs here.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import pickle
 import signal
 import threading
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -66,7 +69,8 @@ __all__ = [
 _BATCH = 4096
 TOLERANCE = 1e-9  # largest worst margin a passing check may report
 UPPER_LEVEL = 100.0  # Lyapunov level capping regions unbounded above
-_MAX_DRAW_FACTOR = 50  # a check gives up after this many candidates per point
+_MAX_DRAW_FACTOR = 50  # a check draws at most this many candidates per point asked for,
+_MIN_DRAW_CAP = 100_000  # but never caps its draw below this many; admitted ones count
 _MAX_RADIUS = 1e9  # a sublevel set reaching this far counts as unbounded
 _OUTPUT_GRID = 5  # lattice points per axis when bounding the sampled outputs
 _OUTPUT_PAD = 1.0  # added to each half-width of the sampled-output box
@@ -77,8 +81,9 @@ class SampleSpec:
     """How a sampled check draws its points.
 
     ``n_points`` (at least 1) admissible points are evaluated; drawing stops
-    early only when ``_MAX_DRAW_FACTOR * n_points`` candidates have been
-    rejected, and a check that admits none reports itself ``vacuous``.
+    early only when ``max(_MAX_DRAW_FACTOR * n_points, _MIN_DRAW_CAP)``
+    candidates have been drawn, admitted ones included, and a check that
+    admits none reports itself ``vacuous``.
     """
 
     n_points: int = 10_000
@@ -286,13 +291,11 @@ def _margins(name: str, margin_fn, stacks: list[np.ndarray]) -> np.ndarray:
 
 
 def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn,
-                       sample: SampleSpec | CheckReport) -> CheckReport:
+                       sample: SampleSpec) -> CheckReport:
     """Draw the sample to its ``n_points``-th admitted point and report the draw's counts
     and the worst margin over the admitted points with its first point in draw order.
     ``accept`` masks Halton batches given as one ``(d_i, B)`` column block per box;
     ``margin_fn`` scores a batch's admitted points given as one ``(B, d_i)`` stack per box."""
-    if isinstance(sample, CheckReport):  # this scan's report, made elsewhere: no draw
-        return sample
     dims = [box.shape[0] for box in boxes]
     lo = np.concatenate([box[:, 0] for box in boxes])
     hi = np.concatenate([box[:, 1] for box in boxes])
@@ -301,7 +304,7 @@ def _run_sampled_check(name: str, boxes: Sequence[np.ndarray], accept, margin_fn
 
     tested = skipped = draws = 0
     worst, worst_pt = -math.inf, None
-    max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, 100_000)
+    max_draws = max(_MAX_DRAW_FACTOR * sample.n_points, _MIN_DRAW_CAP)
     while tested < sample.n_points and draws < max_draws:
         batch = halton.random(min(_BATCH, max_draws - draws))
         draws += batch.shape[0]
@@ -325,14 +328,17 @@ def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionD
     """``[check(plant, assm, sample) for check in checks]``, with ``checks[i::k]`` run ahead
     in forked child ``i`` for each ``i`` from 1, ``k`` the usable cores (user callables need
     not pickle).  A child sends back the report each of its checks returns, and the check is
-    called here with that report in place of the sample, or with the sample once that child
-    has failed; so each check must hand its sample to one scan, which returns such a report."""
+    called here with that report in place of the sample, which it must return as it is, or
+    with the sample once that child has failed or a refused pipe or fork stopped the deal."""
     forkable = hasattr(os, "fork") and threading.active_count() == 1  # forking threads is unsafe
     k = min(_usable_cores(), len(checks)) if forkable else 1
     pids, sources = [], [None] * len(checks)  # per check: the pipe of the child dealt it
     try:
         for i in range(1, k):
-            read_fd, write_fd = os.pipe()
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:  # out of descriptors: the checks not yet dealt run here
+                break
             sources[i::k] = [open(read_fd, "rb")] * len(sources[i::k])
             try:
                 pid = os.fork()
@@ -347,6 +353,8 @@ def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionD
                             sink.flush()
                     finally:
                         os._exit(0)
+            except OSError:  # out of processes: this pipe reads empty, so its checks run here too
+                break
             finally:
                 os.close(write_fd)
             pids.append(pid)
@@ -366,60 +374,49 @@ def _run_checks(checks: Sequence[Callable], plant: PlantModel, assm: AssumptionD
             source.close()
 
 
-def check_absorbing_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec) -> CheckReport:
+@dataclass(frozen=True)
+class _SampledCheck:
+    """A check called ``name`` over ``region(plant, assm)``'s boxes and side condition, scored
+    by ``margin(plant, assm, *stacks)``; a report handed in as the sample is returned as is."""
+
+    name: str
+    region: Callable
+    margin: Callable
+
+    def __call__(self, plant, assm, sample: SampleSpec | CheckReport) -> CheckReport:
+        if isinstance(sample, CheckReport):  # made by the child dealt this check
+            return sample
+        assm.check_dimensions(plant)
+        return _run_sampled_check(self.name, *self.region(plant, assm),
+                                  partial(self.margin, plant, assm), sample)
+
+
+# --- the table: each check is the box builder and side condition of its region, and a margin ---
+
+def _absorbing_region(plant: PlantModel, assm: AssumptionData):
     """Dissipation outside the absorbing set, sampled up to the sampler's
     upper Lyapunov level and over the whole input box."""
-    assm.check_dimensions(plant)
-    x_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
-    return _run_sampled_check(
-        "absorbing_dissipation",
-        [x_box, plant.input_box],
-        lambda x, u: assm.lyapunov(x) >= assm.absorbing_level,
-        lambda x, u: absorbing_dissipation_margin(plant, assm, x, u),
-        sample)
+    return ([sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n), plant.input_box],
+            lambda x, u: assm.lyapunov(x) >= assm.absorbing_level)
 
 
-def check_local_controller(plant: PlantModel, assm: AssumptionData,
-                           sample: SampleSpec) -> CheckReport:
+def _local_region(plant: PlantModel, assm: AssumptionData):
     """Local decay and coercivity inside the absorbing set."""
-    assm.check_dimensions(plant)
-    x_box = sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)
-    return _run_sampled_check(
-        "local_controller",
-        [x_box],
-        lambda x: assm.lyapunov(x) <= assm.absorbing_level,
-        lambda x: local_controller_margin(plant, assm, x),
-        sample)
+    return ([sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n)],
+            lambda x: assm.lyapunov(x) <= assm.absorbing_level)
 
 
 def _observer_region(plant: PlantModel, assm: AssumptionData):
-    """Boxes ``[z_box, x_box, input_box]`` and side condition of the checks on
-    an observer state in the upper blending sublevel set and a plant state
-    in the absorbing set."""
-    assm.check_dimensions(plant)
-    boxes = [sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
-             sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n),
-             plant.input_box]
-
-    def inside(z, x, u):
-        return (assm.lyapunov(z) <= assm.blend_hi) & (assm.lyapunov(x) <= assm.absorbing_level)
-
-    return boxes, inside
+    """Boxes ``[z_box, x_box, input_box]`` and side condition of the plain and corrected
+    contraction checks: an observer state in the upper blending sublevel set and a plant
+    state in the absorbing set, over observer set x plant set x inputs."""
+    return ([sublevel_box(assm.lyapunov, assm.blend_hi, plant.n),
+             sublevel_box(assm.lyapunov, assm.absorbing_level, plant.n), plant.input_box],
+            lambda z, x, u: ((assm.lyapunov(z) <= assm.blend_hi)
+                             & (assm.lyapunov(x) <= assm.absorbing_level)))
 
 
-def check_observer_contraction(plant: PlantModel, assm: AssumptionData,
-                               sample: SampleSpec) -> CheckReport:
-    """Output-injection contraction over observer set x plant set x inputs."""
-    return _run_sampled_check(
-        "observer_contraction",
-        *_observer_region(plant, assm),
-        lambda z, x, u: observer_contraction_margin(plant, assm, z, x, u),
-        sample)
-
-
-def check_growth_bound(plant: PlantModel, assm: AssumptionData,
-                       sample: SampleSpec) -> CheckReport:
+def _growth_region(plant: PlantModel, assm: AssumptionData):
     """Conditional growth bound on the blending band.
 
     Drawn over the two contraction checks' region; beyond their side
@@ -428,46 +425,35 @@ def check_growth_bound(plant: PlantModel, assm: AssumptionData,
     and counted.  If no admissible point exists the bound holds vacuously:
     the report passes with zero points tested and is marked ``vacuous``.
     """
-    boxes, _ = _observer_region(plant, assm)
-
     def accept(z, x, u):  # the region's side condition, with V(z) in the band
         descent = (np.asarray(assm.grad_lyapunov(z)) * (assm.error_metric @ (z - x))).sum(axis=0)
         return ((assm.blend_lo < (vz := assm.lyapunov(z))) & (vz <= assm.blend_hi)
                 & (assm.lyapunov(x) <= assm.absorbing_level) & (descent < 0.0))
 
-    return _run_sampled_check(
-        "observer_growth_bound",
-        boxes,
-        accept,
-        lambda z, x, u: growth_bound_margin(plant, assm, z, x, u),
-        sample)
+    return _observer_region(plant, assm)[0], accept
 
 
-def check_corrected_contraction(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec) -> CheckReport:
-    """Corrected-gain contraction over observer set x plant set x inputs."""
-    return _run_sampled_check(
-        "corrected_contraction",
-        *_observer_region(plant, assm),
-        lambda z, x, u: corrected_contraction_margin(plant, assm, z, x, u),
-        sample)
-
-
-def check_corrected_dissipation(plant: PlantModel, assm: AssumptionData,
-                                sample: SampleSpec) -> CheckReport:
+def _dissipation_region(plant: PlantModel, assm: AssumptionData):
     """Corrected-observer dissipation, damped as in the loop, above the upper
     blending level, with the measured output free to roam an inflated output box;
     a band that its levels leave empty, ``blend_hi >= UPPER_LEVEL``, is refused."""
-    assm.check_dimensions(plant)
     if assm.blend_hi >= UPPER_LEVEL:
         raise ConfigurationError(f"corrected_dissipation: blend_hi={assm.blend_hi!r} leaves "
                                  f"no band below the sampled upper level {UPPER_LEVEL!r}")
     z_box = sublevel_box(assm.lyapunov, UPPER_LEVEL, plant.n)
-    w_box = _output_box(plant, z_box)
-    return _run_sampled_check(
-        "corrected_dissipation",
-        [z_box, w_box, plant.input_box],
-        lambda z, w, u: (assm.blend_hi <= (vz := assm.lyapunov(z))) & (vz <= UPPER_LEVEL),
-        lambda z, w, u: corrected_dissipation_margin(plant, assm, z, w, u),
-        sample)
+    return ([z_box, _output_box(plant, z_box), plant.input_box],
+            lambda z, w, u: (assm.blend_hi <= (vz := assm.lyapunov(z))) & (vz <= UPPER_LEVEL))
 
+
+check_absorbing_dissipation = _SampledCheck("absorbing_dissipation", _absorbing_region,
+                                            absorbing_dissipation_margin)
+check_local_controller = _SampledCheck("local_controller", _local_region,
+                                       local_controller_margin)
+check_observer_contraction = _SampledCheck("observer_contraction", _observer_region,
+                                           observer_contraction_margin)
+check_growth_bound = _SampledCheck("observer_growth_bound", _growth_region,
+                                   growth_bound_margin)
+check_corrected_contraction = _SampledCheck("corrected_contraction", _observer_region,
+                                            corrected_contraction_margin)
+check_corrected_dissipation = _SampledCheck("corrected_dissipation", _dissipation_region,
+                                            corrected_dissipation_margin)

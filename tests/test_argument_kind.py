@@ -82,7 +82,7 @@ def _predictor_study(plant, assm):
 SAMPLE = SampleSpec(n_points=300, seed=3)
 WORKLOADS = {
     "simulate": _simulate,
-    **{check.__name__: partial(check, sample=SAMPLE)
+    **{check.name: partial(check, sample=SAMPLE)
        for check in (check_absorbing_dissipation, check_local_controller,
                      check_observer_contraction, check_growth_bound,
                      check_corrected_contraction, check_corrected_dissipation)},

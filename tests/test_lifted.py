@@ -92,7 +92,7 @@ def test_lifted_third_state_decays_on_its_own(planar):
     assert not traj.z[:, 2].any()
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
 def test_lifted_certificate_passes_every_check(planar, monkeypatch, check):
     # and the stacked scan reports what the row-by-row one does, at n = 3
     from test_verification import _row_by_row

@@ -51,7 +51,7 @@ def test_trajectory_bytes_do_not_depend_on_the_return_kind(lists_and_arrays, tmp
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
 def test_check_reports_do_not_depend_on_the_return_kind(lists_and_arrays, check):
     sample = SampleSpec(n_points=300, seed=3)
     lists, arrays = (check(plant, assm, sample).to_dict() for plant, assm in lists_and_arrays)

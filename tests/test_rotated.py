@@ -80,7 +80,7 @@ def test_rotated_run_is_the_planar_run_turned(planar, z0, horizon):
     assert len(turned.reset_records) == len(flat.reset_records)
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
 def test_rotated_checks_match_the_row_by_row_scan(planar, monkeypatch, check):
     # the rotated gain, metric products and turned callables, stacked and row by row
     plant, assm = rotated(*planar)

@@ -108,7 +108,7 @@ def test_joint_certificate_gives_the_one_process_reports(planar, monkeypatch, k)
     assert all(rep.passed for rep in reports)
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.__name__)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda check: check.name)
 def test_joint_checks_match_the_row_by_row_scan(planar, monkeypatch, check):
     # two inputs and two outputs through the stacked margins, and row by row
     from test_verification import _row_by_row

@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import hashlib
 import os
 import re
@@ -51,7 +52,7 @@ def _row_by_row(name, boxes, accept, margin_fn, sample):
     splits = np.cumsum(dims)[:-1]
     tested = skipped = draws = 0
     worst = worst_pt = None
-    max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, 100_000)
+    max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, V._MIN_DRAW_CAP)
     while tested < sample.n_points and draws < max_draws:
         batch = halton.random(min(V._BATCH, max_draws - draws))
         draws += batch.shape[0]
@@ -273,11 +274,12 @@ class TestSampledChecks:
         (m,) = V.corrected_dissipation_margin(plant, assm, *([p] for p in rep.worst_point))
         assert abs(m - rep.worst_margin) <= 1e-12
 
-    def test_a_tie_goes_to_the_first_admitted_point(self, planar, monkeypatch):
+    def test_a_tie_goes_to_the_first_admitted_point(self, planar):
         seen = []
-        monkeypatch.setattr(V, "local_controller_margin",
-                            lambda plant, assm, x: pointwise(lambda p: seen.append(p) or 0.0)(x))
-        rep = check_local_controller(*planar, SPEC)
+        check = dataclasses.replace(
+            check_local_controller,
+            margin=lambda plant, assm, x: pointwise(lambda p: seen.append(p) or 0.0)(x))
+        rep = check(*planar, SPEC)
         assert rep.worst_point == (seen[0],) and len(seen) == SPEC.n_points
 
     @pytest.mark.parametrize("seed", [-1, 1.5, False])
@@ -460,10 +462,10 @@ class TestStackedMargins:
     def first_points(planar, count):
         """The first ``count`` states that check_absorbing_dissipation admits, in draw order."""
         seen = []
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(V, "absorbing_dissipation_margin",
-                       lambda plant, assm, x, u: seen.extend(x.tolist()) or np.zeros(len(x)))
-            check_absorbing_dissipation(*planar, SampleSpec(n_points=count))
+        dataclasses.replace(
+            check_absorbing_dissipation,
+            margin=lambda plant, assm, x, u: seen.extend(x.tolist()) or np.zeros(len(x)),
+        )(*planar, SampleSpec(n_points=count))
         return seen
 
     @staticmethod
@@ -553,7 +555,7 @@ class TestSideConditions:
                  sublevel_box(assm.lyapunov, assm.absorbing_level, 2), plant.input_box]
         lo = np.concatenate([box[:, 0] for box in boxes])
         hi = np.concatenate([box[:, 1] for box in boxes])
-        max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, 100_000)
+        max_draws = max(V._MAX_DRAW_FACTOR * sample.n_points, V._MIN_DRAW_CAP)
         pts = lo + qmc.Halton(d=5, seed=sample.seed).random(max_draws) * (hi - lo)
         z1, z2, x1, x2 = pts[:, 0], pts[:, 1], pts[:, 2], pts[:, 3]
         vz = 0.5 * (z1 ** 2 + z2 ** 2)
@@ -729,6 +731,45 @@ class TestRunChecks:
         assert len(scans_here) == len(range(0, len(CHECKS), k))
         assert scans_here == self.DIMS[::k]
 
+    @pytest.mark.parametrize("k, here", [(1, 9), (2, 5), (3, 3), (6, 1)])
+    def test_a_check_dealt_to_a_child_builds_no_box_here(self, planar, monkeypatch, k, here):
+        # the six checks' regions take 1, 1, 2, 2, 2 and 1 sublevel boxes; this process
+        # builds those of checks[::k] only, as a report a child made returns first
+        boxes, sublevel_box = [], V.sublevel_box
+        monkeypatch.setattr(V, "sublevel_box", lambda *a: boxes.append(a) or sublevel_box(*a))
+        self.run(monkeypatch, k, list(CHECKS.values()), *planar, SPEC)
+        assert len(boxes) == here
+
+    @pytest.mark.parametrize("refused", ["pipe 1", "fork 1", "fork 2"])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_refused_pipe_or_fork_runs_the_checks_not_dealt_here(self, monkeypatch, forks,
+                                                                   tmp_path, k, refused):
+        # `absorbctl verify` exited 2 as a configuration error when os.fork raised
+        from absorbctl import cli
+
+        config = tmp_path / "default.cfg"
+        config.write_text("")
+
+        def verify(out):
+            assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+            return (out / "verification.json").read_bytes()
+
+        monkeypatch.setattr(V, "_usable_cores", lambda: 1)
+        one = verify(tmp_path / "one")
+        what, refused_call = refused.split()
+        real, calls = getattr(os, what), []
+
+        def refusing():
+            calls.append(what)
+            if len(calls) == int(refused_call):
+                raise OSError(errno.EMFILE if what == "pipe" else errno.EAGAIN, "refused")
+            return real()
+
+        monkeypatch.setattr(os, what, refusing)
+        monkeypatch.setattr(V, "_usable_cores", lambda: k)
+        assert verify(tmp_path / "dealt") == one
+        assert len(forks) == min(int(refused_call) - 1, k - 1)
+
     @pytest.mark.parametrize("k", range(1, 7))
     def test_child_i_runs_the_checks_dealt_to_it(self, planar, monkeypatch, forks, tmp_path,
                                                  k):
@@ -791,21 +832,19 @@ class TestRunChecks:
         assert self.run(monkeypatch, 2, checks, *planar, spec) == one_by_one
         assert len(forks) == 1
 
-    def test_a_sample_the_draw_cap_ends_short_gives_the_one_process_report(self, monkeypatch,
-                                                                           forks):
+    def test_a_sample_the_draw_cap_ends_short_gives_the_one_process_report(self, planar,
+                                                                           monkeypatch, forks):
         # about 1 candidate in 400 is admitted, so the 200000 draws allowed end
         # the sample near 500 points
-        boxes = [np.array([[-1.0, 1.0]])] * 2
-
-        def capped(plant, assm, sample):
-            return V._run_sampled_check("capped", boxes, lambda x, u: x[0] > 0.995,
-                                        pointwise(lambda x, u: u[0] - x[0]), sample)
-
+        capped = V._SampledCheck(
+            "capped", lambda plant, assm: ([np.array([[-1.0, 1.0]])] * 2,
+                                           lambda x, u: x[0] > 0.995),
+            lambda plant, assm, x, u: pointwise(lambda x, u: u[0] - x[0])(x, u))
         spec = SampleSpec(n_points=4000)
-        (one,) = self.run(monkeypatch, 1, [capped], None, None, spec)
+        (one,) = self.run(monkeypatch, 1, [capped], *planar, spec)
         assert 0 < one["points_tested"] < 1000
         for k in (2, 3):
-            assert self.run(monkeypatch, k, [capped] * 3, None, None, spec) == [one] * 3
+            assert self.run(monkeypatch, k, [capped] * 3, *planar, spec) == [one] * 3
         assert len(forks) == 1 + 2
 
     def test_a_side_condition_error_in_a_childs_block_is_the_one_process_error(
